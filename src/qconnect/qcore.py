@@ -18,6 +18,7 @@ from typing import Sequence
 from .errors import (
     BadLowerParameter,
     DivergentSeries,
+    DomainError,
     OutsideRadius,
     PoleHit,
     SpiralProximity,
@@ -213,7 +214,15 @@ def qpochhammer_inf(
 
     Factors are accumulated until |a q^n| stays below ``trunc.eps`` for
     ``trunc.streak`` consecutive n; the product converges absolutely for any
-    a since |q| < 1.
+    finite a since |q| < 1.  A non-finite argument raises
+    :class:`~qconnect.errors.DomainError`.
+
+    The factor magnitudes decrease geometrically, so the first n with
+    max|a| |q|^n < eps is known in closed form up to the rounding of the
+    running power q^n.  Factors safely before that n are multiplied in a loop
+    with no tail test; the last few run the streak test itself, so the
+    factor count, the product (same factors, same order) and the point at
+    which ``n_max`` is exceeded are those of the streak rule alone.
     """
     tr = _trunc(trunc)
     qm = as_modulus(q)
@@ -224,10 +233,38 @@ def qpochhammer_inf(
         avals = (complex(a),)
     if not avals:
         return 1 + 0j
+    amax = 0.0
+    for av in avals:
+        if not cmath.isfinite(av):
+            raise DomainError(f"(a;q)_inf needs finite arguments, got a={av!r}")
+        amax = max(amax, abs(av))
+    qc = qm.q
+    n = 0
+    if tr.eps < amax < math.inf:
+        log_q = math.log(abs(qc))
+        n_est = math.log(tr.eps / amax) / log_q
+        # the running power q^n drifts from |q|^n by at most ~2.5e-16 relative
+        # per factor (complex multiplication), i.e. by n_est * 2.5e-16 / |log q|
+        # factors in all; the margin covers four times that plus two factors
+        # for the rounding of the logs and of |a q^n|
+        n = max(0, math.ceil(n_est - n_est * 1e-15 / -log_q) - 2)
+        if n + tr.streak > tr.n_max:
+            raise TruncationExceeded(
+                f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
+            )
     prod = 1 + 0j
     qn = 1 + 0j
+    if len(avals) == 1:
+        a0 = avals[0]
+        for _ in range(n):
+            prod *= 1 - a0 * qn
+            qn *= qc
+    else:
+        for _ in range(n):
+            for av in avals:
+                prod *= 1 - av * qn
+            qn *= qc
     small = 0
-    n = 0
     while small < tr.streak:
         mag = 0.0
         for av in avals:
@@ -235,7 +272,7 @@ def qpochhammer_inf(
             prod *= 1 - f
             mag = max(mag, abs(f))
         small = small + 1 if mag < tr.eps else 0
-        qn *= qm.q
+        qn *= qc
         n += 1
         if n > tr.n_max:
             raise TruncationExceeded(
@@ -373,10 +410,14 @@ def theta(
     (``method="sum"``) cancels catastrophically near the zero spiral (badly
     so for |q| close to 1, where the zeros crowd in modulus), so the product
     is the default everywhere; the two evaluators cross-check each other in
-    the test suite.
+    the test suite.  Non-finite x, and x so large or small that the shift
+    law's factor leaves double range, raise
+    :class:`~qconnect.errors.DomainError`.
     """
     if x == 0:
         raise ZeroArgument("theta is undefined at x = 0")
+    if not cmath.isfinite(x):
+        raise DomainError(f"theta needs a finite argument, got x={x!r}")
     if method == "sum":
         return theta_sum(q, x, trunc)
     if method == "product":
@@ -387,9 +428,16 @@ def theta(
     ax = abs(x)
     if 0.2 <= ax <= 5.0:
         return theta_product(qm, x, trunc)
-    k = round(-math.log(ax) / math.log(abs(qm.q)))
-    x0 = qm.q**k * x
-    return qm.q ** (k * (k - 1) // 2) * x**k * theta_product(qm, x0, trunc)
+    try:
+        k = round(-math.log(ax) / math.log(abs(qm.q)))
+        x0 = qm.q**k * x
+        shift = qm.q ** (k * (k - 1) // 2) * x**k
+    except OverflowError:
+        raise DomainError(
+            f"x={x!r} is out of double range for theta (q={qm.q!r}): the "
+            "shift-law factor q^(k(k-1)/2) x^k overflows"
+        ) from None
+    return shift * theta_product(qm, x0, trunc)
 
 
 def _terminating_degree(upper: Sequence[complex], qm: QModulus) -> int | None:

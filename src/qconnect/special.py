@@ -23,6 +23,7 @@ x off [-lambda; q].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     PoleHit,
@@ -45,7 +46,7 @@ from .qcore import (
     _trunc,
 )
 from .series import QDEOperator
-from .transforms import qlaplace_plus
+from .transforms import _spiral_sum
 
 __all__ = [
     "ramanujan_Aq",
@@ -182,21 +183,41 @@ def two_f_zero(
     """Resummation of the divergent series 2phi0(0,0;-;q,-x/q) along [lambda;q].
 
     This is the first-kind Laplace transform of the first-kind Borel image
-    phi(xi) = e_q(xi/q), with phi evaluated in product form only (the spiral
-    reaches far outside the series' disc).  Requires lambda off q^Z (else phi
+    phi(xi) = e_q(xi/q) = 1/(xi/q; q)_inf.  Requires lambda off q^Z (else phi
     hits poles and the closed form degenerates) and x off [-lambda; q].
+
+    Only phi(lambda) is evaluated as a product, with the single pole check of
+    :func:`~qconnect.qcore.e_exp`; the other spiral values follow from the
+    q-difference equation e_q(q xi) = (1 - xi) e_q(xi):
+    phi(lambda q^(n+1)) = (1 - lambda q^(n-1)) phi(lambda q^n) upward and
+    phi(lambda q^(n-1)) = phi(lambda q^n) / (1 - lambda q^(n-2)) downward.
+    No other spiral point needs a pole check: the relative distance of
+    lambda q^n from q^Z is that of lambda.
     """
     tr = _trunc(trunc)
     qm = as_modulus(q)
+    qc = qm.q
     if Spiral(1 + 0j, qm, delta).contains(lam):
         raise SpiralProximity(
-            f"lambda={lam!r} lies within {delta} of the spiral q^Z (q={qm.q!r})"
+            f"lambda={lam!r} lies within {delta} of the spiral q^Z (q={qc!r})"
         )
+    phi0 = e_exp(qm, lam / qc, tr, mode="product", delta=delta)
 
-    def phi(xi: complex) -> complex:
-        return e_exp(qm, xi / qm.q, tr, mode="product", delta=delta)
+    def up() -> Iterator[complex]:
+        phi, a = phi0, lam / qc  # a = lambda q^(n-1)
+        while True:
+            yield phi
+            phi *= 1 - a
+            a *= qc
 
-    return qlaplace_plus(phi, qm, lam, x, tr, delta)
+    def down() -> Iterator[complex]:
+        phi, b = phi0, lam / (qc * qc)  # b = lambda q^(n-2)
+        while True:
+            phi /= 1 - b
+            b /= qc
+            yield phi
+
+    return _spiral_sum(up(), down(), qm, lam, x, tr, delta)
 
 
 def _two_f_zero_closed_parts(

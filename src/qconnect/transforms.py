@@ -22,8 +22,9 @@ toolkit.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import (
     NoConvergence,
@@ -194,12 +195,41 @@ def qlaplace_plus(
     law.  phi must be evaluable on the whole spiral (use pole-aware product
     forms, not series, for functions continued past their disc).
     """
+    qm = as_modulus(q)
+    qc = qm.q
+    return _spiral_sum(
+        (phi(lam * qc**n) for n in itertools.count()),
+        (phi(lam * qc**n) for n in itertools.count(-1, -1)),
+        qm,
+        lam,
+        x,
+        trunc,
+        delta,
+    )
+
+
+def _spiral_sum(
+    up: Iterator[complex],
+    down: Iterator[complex],
+    qm: QModulus,
+    lam: complex,
+    x: complex,
+    trunc: Truncation | None,
+    delta: float,
+) -> complex:
+    """The bilateral sum of :func:`qlaplace_plus`, given the Borel image on
+    the spiral as two lazy sequences: ``up`` yields phi(lambda q^n) for
+    n = 0, 1, 2, ... and ``down`` for n = -1, -2, ....
+
+    Each tail draws values only until it is truncated, so a caller that knows
+    a recurrence along the spiral can generate them without evaluating phi
+    pointwise.
+    """
     if lam == 0:
         raise ZeroArgument("the spiral anchor lambda must be nonzero")
     if x == 0:
         raise ZeroArgument("x must be nonzero")
     tr = _trunc(trunc)
-    qm = as_modulus(q)
     if Spiral(-lam, qm, delta).contains(x):
         raise SpiralProximity(
             f"x={x!r} lies within {delta} of the exclusion spiral [-lambda;q] "
@@ -210,15 +240,12 @@ def qlaplace_plus(
     th = theta(qm, ratio, tr)
     streak_req = max(5, tr.streak)
 
-    def term(weight: complex, n: int) -> complex:
-        return phi(lam * qc**n) * weight / th
-
-    total = term(1 + 0j, 0)
+    w = 1 + 0j
+    total = next(up) * w / th
     scale = max(abs(total), 1e-300)
     count = 1
 
     # upward tail: w_{n+1} = w_n * q^n * (lambda/x)
-    w = 1 + 0j
     qn = 1 + 0j
     small = 0
     n = 0
@@ -226,7 +253,7 @@ def qlaplace_plus(
         w *= qn * ratio
         qn *= qc
         n += 1
-        tv = term(w, n)
+        tv = next(up) * w / th
         total += tv
         count += 1
         scale = max(scale, abs(total), abs(tv))
@@ -241,7 +268,7 @@ def qlaplace_plus(
     while small < streak_req:
         w *= qc ** (1 - n) / ratio
         n -= 1
-        tv = term(w, n)
+        tv = next(down) * w / th
         total += tv
         count += 1
         scale = max(scale, abs(total), abs(tv))

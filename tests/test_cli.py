@@ -86,6 +86,12 @@ class TestEval:
         assert code == 3
         assert "pole" in err
 
+    def test_theta_out_of_double_range_exit_three(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "theta", "--q", "0.5", "--x", "1e300")
+        assert code == 3
+        assert "out of double range" in err
+        assert "Traceback" not in out + err
+
     def test_missing_lambda_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "2f0", "--q", "0.5", "--x", "2.4")
         assert code == 2

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qconnect import (
+    DEFAULT_TRUNCATION,
     BadLowerParameter,
     DivergentSeries,
+    DomainError,
     E_exp,
     OutsideRadius,
     PoleHit,
@@ -42,6 +45,31 @@ def mp_qp(a, q, n=None):
 def mp_theta(q, x):
     q, x = mp.mpc(q), mp.mpc(x)
     return complex(mp.qp(q, q) * mp.qp(-x, q) * mp.qp(-q / x, q))
+
+
+def streak_product(avals, q, tr):
+    """(a_1..a_m; q)_inf by the plain streak rule: the reference for the
+    closed-form factor count.  Returns (value, factors consumed)."""
+    prod = 1 + 0j
+    qn = 1 + 0j
+    small = 0
+    n = 0
+    while small < tr.streak:
+        mag = 0.0
+        for av in avals:
+            f = av * qn
+            prod *= 1 - f
+            mag = max(mag, abs(f))
+        small = small + 1 if mag < tr.eps else 0
+        qn *= q
+        n += 1
+        if n > tr.n_max:
+            raise TruncationExceeded("reference loop exceeded n_max")
+    return prod, n * len(avals)
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
 
 
 annulus_points = st.builds(
@@ -163,6 +191,51 @@ class TestQPochhammerInf:
         qm = as_modulus(0.4 + 0.3j)
         assert rel_err(qpochhammer_inf(1.5 - 2j, qm), mp_qp(1.5 - 2j, qm.q)) < 1e-13
 
+    @pytest.mark.parametrize(
+        "a", [math.nan, math.inf, complex(0.5, math.nan), (0.3, -math.inf), (math.nan, 0.2)]
+    )
+    def test_non_finite_argument_rejected(self, a):
+        with pytest.raises(DomainError, match="finite"):
+            qpochhammer_inf(a, 0.5)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.8, 0.95, 0.99, 0.6 * cmath.exp(2.1j)])
+    def test_matches_streak_rule_bit_for_bit(self, q):
+        rng = random.Random(f"qpoch-{q}")
+        qm = as_modulus(q)
+        for _ in range(60):
+            avals = tuple(
+                0j
+                if rng.random() < 0.15
+                else cmath.rect(10 ** rng.uniform(-18, 12), rng.uniform(-math.pi, math.pi))
+                for _ in range(rng.randint(1, 4))
+            )
+            want, factors = streak_product(avals, qm.q, DEFAULT_TRUNCATION)
+            log = TermLog()
+            arg = avals if len(avals) > 1 else avals[0]
+            got = qpochhammer_inf(arg, qm, Truncation(log=log))
+            assert bits(got) == bits(want)
+            assert log.terms == factors
+            # n_max one below the reference's factor rows must raise; equal to it, not
+            rows = factors // len(avals)
+            with pytest.raises(TruncationExceeded):
+                qpochhammer_inf(avals, qm, Truncation(n_max=rows - 1))
+            assert bits(qpochhammer_inf(avals, qm, Truncation(n_max=rows))) == bits(want)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 17, 40])
+    def test_truncation_exceeded_where_streak_rule_raises(self, n_max):
+        rng = random.Random(n_max)
+        for _ in range(40):
+            q = rng.choice((0.05, 0.5, 0.8, 0.95, 0.99))
+            avals = (cmath.rect(10 ** rng.uniform(-18, 12), rng.uniform(-math.pi, math.pi)),)
+            tr = Truncation(n_max=n_max, streak=rng.choice((1, 3)))
+            try:
+                want = bits(streak_product(avals, q, tr)[0])
+            except TruncationExceeded:
+                with pytest.raises(TruncationExceeded):
+                    qpochhammer_inf(avals, q, tr)
+            else:
+                assert bits(qpochhammer_inf(avals, q, tr)) == want
+
 
 class TestShiftedPoleContinuation:
     def test_k_zero_reduces_to_reciprocal(self, qmod):
@@ -239,6 +312,16 @@ class TestTheta:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             theta(0.5, 1.0, method="magic")
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_argument_rejected(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            theta(0.5, x)
+
+    @pytest.mark.parametrize("x", [1e300, 1e-300, -1e300j])
+    def test_shift_law_overflow_is_domain_error(self, x):
+        with pytest.raises(DomainError, match="out of double range"):
+            theta(0.5, x)
 
 
 class TestRphis:

@@ -9,10 +9,13 @@ from qconnect import (
     SpiralProximity,
     ZeroArgument,
     as_modulus,
+    default_grid,
+    e_exp,
     f_via_residues,
     g_borel_image,
     qairy_Ai,
     qlaplace_minus,
+    qlaplace_plus,
     qpochhammer_n,
     ramanujan_Aq,
     theta,
@@ -221,6 +224,16 @@ class TestResummedDivergentSeries:
     def test_zero_arguments_rejected(self):
         with pytest.raises(ZeroArgument):
             two_f_zero(0.5, 0.7, 0)
+
+    @pytest.mark.parametrize("lam", [0.7, 1.3, 0.9 * cmath.exp(0.3j)])
+    def test_recurrence_matches_pointwise_borel_image(self, qmod, lam):
+        # phi evaluated afresh at every spiral point, through the public API
+        def phi(xi):
+            return e_exp(qmod, xi / qmod.q, mode="product")
+
+        for x in default_grid():
+            pointwise = qlaplace_plus(phi, qmod, lam, x)
+            assert rel_err(two_f_zero(qmod, lam, x), pointwise) < 1e-11
 
 
 class TestSolutionAtInfinity:
