@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     BadLowerParameter,
@@ -164,6 +164,8 @@ class Spiral:
         Since |anchor * q^k| is monotone in k, candidate exponents live near
         log(|x|/|anchor|)/log|q|; a short scan around that value suffices.
         """
+        if not cmath.isfinite(x):
+            raise DomainError(f"spiral distance needs a finite point, got x={x!r}")
         ax = abs(x)
         if ax == 0.0:
             return 0, math.inf
@@ -204,6 +206,31 @@ def qpochhammer_n(a: complex, q: QModulus | complex, n: int) -> complex:
     return prod
 
 
+def _lead_count(amax: float, qc: complex, tr: Truncation) -> int:
+    """Number of leading factors of (a_1, ..., a_m; q)_inf, max|a_i| = amax,
+    that certainly come before the streak rule can stop.
+
+    That is the first n with amax |q|^n < eps, in closed form, less a margin
+    for the rounding of the running power q^n.  Raises
+    :class:`~qconnect.errors.TruncationExceeded` when the count already
+    leaves no room for the streak below ``n_max``.
+    """
+    if not tr.eps < amax < math.inf:
+        return 0
+    log_q = math.log(abs(qc))
+    n_est = math.log(tr.eps / amax) / log_q
+    # the running power q^n drifts from |q|^n by at most ~2.5e-16 relative
+    # per factor (complex multiplication), i.e. by n_est * 2.5e-16 / |log q|
+    # factors in all; the margin covers four times that plus two factors
+    # for the rounding of the logs and of |a q^n|
+    n = max(0, math.ceil(n_est - n_est * 1e-15 / -log_q) - 2)
+    if n + tr.streak > tr.n_max:
+        raise TruncationExceeded(
+            f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
+        )
+    return n
+
+
 def qpochhammer_inf(
     a: complex | Sequence[complex],
     q: QModulus | complex,
@@ -239,19 +266,7 @@ def qpochhammer_inf(
             raise DomainError(f"(a;q)_inf needs finite arguments, got a={av!r}")
         amax = max(amax, abs(av))
     qc = qm.q
-    n = 0
-    if tr.eps < amax < math.inf:
-        log_q = math.log(abs(qc))
-        n_est = math.log(tr.eps / amax) / log_q
-        # the running power q^n drifts from |q|^n by at most ~2.5e-16 relative
-        # per factor (complex multiplication), i.e. by n_est * 2.5e-16 / |log q|
-        # factors in all; the margin covers four times that plus two factors
-        # for the rounding of the logs and of |a q^n|
-        n = max(0, math.ceil(n_est - n_est * 1e-15 / -log_q) - 2)
-        if n + tr.streak > tr.n_max:
-            raise TruncationExceeded(
-                f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
-            )
+    n = _lead_count(amax, qc, tr)
     prod = 1 + 0j
     qn = 1 + 0j
     if len(avals) == 1:
@@ -322,6 +337,8 @@ def theta_sum_with_condition(
     """
     if x == 0:
         raise ZeroArgument("theta is undefined at x = 0")
+    if not cmath.isfinite(x):
+        raise DomainError(f"theta needs a finite argument, got x={x!r}")
     tr = _trunc(trunc)
     qm = as_modulus(q)
     qc = qm.q
@@ -425,11 +442,10 @@ def theta(
     if method != "auto":
         raise ValueError(f"unknown theta method {method!r}")
     qm = as_modulus(q)
-    ax = abs(x)
-    if 0.2 <= ax <= 5.0:
+    k = _theta_shift(qm, abs(x))
+    if k == 0:
         return theta_product(qm, x, trunc)
     try:
-        k = round(-math.log(ax) / math.log(abs(qm.q)))
         x0 = qm.q**k * x
         shift = qm.q ** (k * (k - 1) // 2) * x**k
     except OverflowError:
@@ -438,6 +454,81 @@ def theta(
             "shift-law factor q^(k(k-1)/2) x^k overflows"
         ) from None
     return shift * theta_product(qm, x0, trunc)
+
+
+def _theta_shift(qm: QModulus, ax: float) -> int:
+    """Shift k of :func:`theta`'s shift law for |x| = ax: 0 inside the annulus
+    0.2 <= |x| <= 5, where the triple product is evaluated directly, and
+    otherwise the k that brings |q^k x| nearest to 1."""
+    if 0.2 <= ax <= 5.0:
+        return 0
+    return round(-math.log(ax) / math.log(abs(qm.q)))
+
+
+def _theta_circle(
+    qm: QModulus, rho: float, trunc: Truncation | None = None
+) -> Callable[[complex], complex]:
+    """:func:`theta` for arguments on one circle |x| = rho, as a function of x.
+
+    Everything that depends only on |x| is computed once: the shift k of
+    :func:`_theta_shift`, the constant (q;q)_inf q^(k(k-1)/2), the factor
+    count of (-x0, -q/x0; q)_inf with x0 = q^k x (the count the three-argument
+    product (q, -x0, -q/x0; q)_inf would use), and the powers q^n.  Each call
+    then runs one loop of the cancellation-free triple product and notes 2
+    factors per power in ``trunc.log``; (q;q)_inf is noted once, here.
+    Errors are those of :func:`theta`: rho not finite and positive, or a
+    shift-law factor out of double range, raises
+    :class:`~qconnect.errors.DomainError`; a factor count above ``n_max``
+    raises :class:`~qconnect.errors.TruncationExceeded`.
+    """
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"theta needs a finite nonzero argument, got |x|={rho!r}")
+    tr = _trunc(trunc)
+    qc = qm.q
+    k = _theta_shift(qm, rho)
+    try:
+        qk = qc**k
+        const = qpochhammer_inf(qc, qm, tr) * qc ** (k * (k - 1) // 2)
+    except OverflowError:
+        raise DomainError(
+            f"|x|={rho!r} is out of double range for theta (q={qc!r}): the "
+            "shift-law factor q^(k(k-1)/2) overflows"
+        ) from None
+    # the factor moduli |a q^n| are the same at every x on the circle
+    avals = (qc, -qk * rho, -qc / (qk * rho))
+    n = _lead_count(max(abs(av) for av in avals), qc, tr)
+    qn = 1 + 0j
+    powers = []
+    for _ in range(n):
+        powers.append(qn)
+        qn *= qc
+    small = 0
+    while small < tr.streak:
+        powers.append(qn)
+        small = small + 1 if max(abs(av * qn) for av in avals) < tr.eps else 0
+        qn *= qc
+        if len(powers) > tr.n_max:
+            raise TruncationExceeded(
+                f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
+            )
+    factors = 2 * len(powers)
+
+    def value(x: complex) -> complex:
+        x0 = qk * x
+        y = qc / x0
+        prod = 1 + 0j
+        for qn in powers:
+            prod *= (1 + x0 * qn) * (1 + y * qn)
+        tr.note(factors)
+        try:
+            return const * x**k * prod
+        except OverflowError:
+            raise DomainError(
+                f"x={x!r} is out of double range for theta (q={qc!r}): the "
+                "shift-law factor x^k overflows"
+            ) from None
+
+    return value
 
 
 def _terminating_degree(upper: Sequence[complex], qm: QModulus) -> int | None:
@@ -467,6 +558,8 @@ def rphis_with_condition(
     small value; the condition is the factor by which double precision loses
     accuracy there.
     """
+    if not cmath.isfinite(x):
+        raise DomainError(f"r_phi_s needs a finite argument, got x={x!r}")
     tr = _trunc(trunc)
     qm = as_modulus(q)
     ups = tuple(complex(a) for a in upper)

@@ -22,10 +22,12 @@ x off [-lambda; q].
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (
+    DomainError,
     PoleHit,
     SpiralProximity,
     ThetaZero,
@@ -70,6 +72,8 @@ def ramanujan_Aq_with_condition(
     q: QModulus | complex, x: complex, trunc: Truncation | None = None
 ) -> tuple[complex, float]:
     """:func:`ramanujan_Aq` plus the internal condition sum|term|/|value|."""
+    if not cmath.isfinite(x):
+        raise DomainError(f"A_q needs a finite argument, got x={x!r}")
     tr = _trunc(trunc)
     qm = as_modulus(q)
     qc = qm.q
@@ -135,9 +139,17 @@ def g_borel_image(
 
     g solves g(q tau) = (1 + q^2 tau)(1 - q^2 tau) g(tau) with g(0) = 1 and
     has simple poles exactly at tau = +-q^(-2-k), k >= 0.
+
+    Evaluated as the one product 1/(q^4 tau^2; q^2)_inf, by
+    (a; q)_inf (-a; q)_inf = (a^2; q^2)_inf, so ``trunc.log`` counts the
+    factors of that product.  Within ``delta`` of a pole :class:`PoleHit` is
+    raised.  Every pole has modulus at least |q|^(-2), so for
+    |q^2 tau| < 1 - 2 delta none lies within relative distance delta and the
+    pole scan is skipped.
     """
     qm = as_modulus(q)
-    if tau != 0:
+    q2t = qm.q2 * tau
+    if tau != 0 and not abs(q2t) < 1 - 2 * delta:
         anchor = qm.q**-2
         for sgn in (1, -1):
             k, dist = Spiral(sgn * anchor, qm, delta).nearest(tau)
@@ -146,8 +158,7 @@ def g_borel_image(
                     f"tau={tau!r} lies within {delta} of the pole "
                     f"{sgn}*q^({-2 + k}) of the Borel image"
                 )
-    q2t = qm.q2 * tau
-    return 1 / qpochhammer_inf((-q2t, q2t), qm, trunc)
+    return 1 / qpochhammer_inf(q2t * q2t, qm.squared(), trunc)
 
 
 def f_via_residues(

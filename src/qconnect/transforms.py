@@ -27,6 +27,7 @@ import math
 from typing import Callable, Iterator
 
 from .errors import (
+    DomainError,
     NoConvergence,
     PoleOnContour,
     SpiralProximity,
@@ -40,6 +41,7 @@ from .qcore import (
     Truncation,
     as_modulus,
     theta,
+    _theta_circle,
     _trunc,
 )
 from .series import QDEOperator
@@ -126,6 +128,13 @@ def qlaplace_minus(
     feeding the Borel image of an O(1)-coefficient polynomial of high degree
     inflates the contour values by q^(-n(n-1)/2) and the lost digits are
     irrecoverable in doubles.
+
+    Every kernel argument t/tau lies on the one circle |x| = |t|/r, so the
+    theta kernel's per-circle invariants (shift, constant factor, factor
+    count, powers of q) are built once per call; each node then costs one
+    loop of the triple product.  ``trunc.log`` counts 2 factors per node per
+    power of q, plus the factors of (q;q)_inf once.  A non-finite t or a bad
+    radius raises :class:`~qconnect.errors.DomainError`.
     """
     if t == 0:
         raise ZeroArgument("q-Laplace transform target t must be nonzero")
@@ -135,7 +144,8 @@ def qlaplace_minus(
     if r is None:
         r = min(1.0, 0.5 * r_max)
     if not 0.0 < r < r_max:
-        raise ValueError(f"contour radius must satisfy 0 < r < 1/|q|^2 = {r_max}")
+        raise DomainError(f"contour radius must satisfy 0 < r < 1/|q|^2 = {r_max}")
+    kernel = _theta_circle(qm, abs(t) / r, tr)
 
     def sample(angle: float) -> complex:
         tau = r * cmath.exp(1j * angle)
@@ -145,7 +155,7 @@ def qlaplace_minus(
             raise PoleOnContour(
                 f"integrand failed on |tau| = {r} at angle {angle:.6f}: {exc}"
             ) from exc
-        return gv * theta(qm, t / tau, tr)
+        return gv * kernel(t / tau)
 
     return _circle_mean(sample, tr.eps, start_nodes, max_nodes, noise_factor=100.0)
 
@@ -162,8 +172,8 @@ def contour_residue(
 
     The circle must separate ``center`` from all other singularities of f.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise DomainError(f"residue circle radius must be positive and finite, got {radius!r}")
     tr = _trunc(trunc)
 
     def sample(angle: float) -> complex:

@@ -28,6 +28,7 @@ from qconnect import (
     qpochhammer_inf_shifted_pole,
     qpochhammer_n,
     rphis,
+    rphis_with_condition,
     theta,
     theta_product,
     theta_sum,
@@ -142,6 +143,11 @@ class TestSpiral:
         sp = Spiral(1, as_modulus(0.5))
         k, d = sp.nearest(0.5**-4 * 1.0000001)
         assert k == -4 and d < 1e-6
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(0.3, math.nan)])
+    def test_non_finite_point_is_domain_error(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            Spiral(1, as_modulus(0.5)).nearest(x)
 
 
 class TestQPochhammerN:
@@ -323,10 +329,24 @@ class TestTheta:
         with pytest.raises(DomainError, match="out of double range"):
             theta(0.5, x)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_sum_rejects_non_finite_argument_up_front(self, x):
+        log = TermLog()
+        with pytest.raises(DomainError, match="finite"):
+            theta_sum_with_condition(0.5, x, Truncation(log=log))
+        assert log.terms == 0
+
 
 class TestRphis:
     def test_x_zero_is_one(self, qmod):
         assert rphis((0.3, -2), (0.7,), qmod, 0) == 1
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(0.2, math.nan)])
+    def test_non_finite_argument_rejected_up_front(self, x):
+        log = TermLog()
+        with pytest.raises(DomainError, match="finite"):
+            rphis_with_condition((0.3,), (0.7,), 0.5, x, Truncation(log=log))
+        assert log.terms == 0
 
     def test_2phi1_hand_expansion(self):
         # 2phi1(a,b;c;q,x): first four coefficients written out at
@@ -444,6 +464,11 @@ class TestQExponentials:
             e_exp(qmod, qmod.q**-2, mode="product")
         # mirror point on the negative half is fine
         e_exp(qmod, -(qmod.q**-2), mode="product")
+
+    @pytest.mark.parametrize("mode", ["auto", "product", "series"])
+    def test_non_finite_argument_is_domain_error(self, mode):
+        with pytest.raises(DomainError, match="finite"):
+            e_exp(0.5, math.nan, mode=mode)
 
     def test_E_entire_modes_agree(self, qmod):
         for x in (4.2 - 1.1j, 0.3 + 0.1j):

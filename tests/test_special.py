@@ -1,12 +1,17 @@
 import cmath
 import math
+import random
 
 import pytest
 
 from qconnect import (
+    DomainError,
     PoleHit,
     SolutionAtInfinity,
+    Spiral,
     SpiralProximity,
+    TermLog,
+    Truncation,
     ZeroArgument,
     as_modulus,
     default_grid,
@@ -16,8 +21,10 @@ from qconnect import (
     qairy_Ai,
     qlaplace_minus,
     qlaplace_plus,
+    qpochhammer_inf,
     qpochhammer_n,
     ramanujan_Aq,
+    ramanujan_Aq_with_condition,
     theta,
     two_f_zero,
     two_f_zero_closed,
@@ -38,6 +45,22 @@ def brute_Aiq(q: complex, x: complex, terms: int = 80) -> complex:
         num = (-1) ** n * q ** (n * (n - 1) // 2) * (-x) ** n
         total += num / (qpochhammer_n(-q, q, n) * qpochhammer_n(q, q, n))
     return total
+
+
+BOREL_QS = (0.3, 0.5, 0.8, 0.95, 0.6 * cmath.exp(2.1j))
+
+
+def scan_finds_pole(qm, tau, delta):
+    """The Borel image's pole test without the modulus gate."""
+    for sgn in (1, -1):
+        k, dist = Spiral(sgn * qm.q**-2, qm, delta).nearest(tau)
+        if dist < delta and k <= 0:
+            return True
+    return False
+
+
+def pole_distance(qm, tau):
+    return min(Spiral(sgn * qm.q**-2, qm).distance(tau) for sgn in (1, -1))
 
 
 class TestRamanujanFunction:
@@ -65,6 +88,13 @@ class TestRamanujanFunction:
     def test_squared_base(self, qmod):
         q2 = qmod.squared()
         assert rel_err(ramanujan_Aq(q2, 1.5), brute_Aq(qmod.q**2, 1.5)) < 1e-13
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_non_finite_argument_rejected_up_front(self, x):
+        log = TermLog()
+        with pytest.raises(DomainError, match="finite"):
+            ramanujan_Aq_with_condition(0.5, x, Truncation(log=log))
+        assert log.terms == 0
 
 
 class TestQAiryFunction:
@@ -121,6 +151,64 @@ class TestBorelImage:
         pole = sign * qmod.q ** (-2 - k)
         with pytest.raises(PoleHit):
             g_borel_image(qmod, pole)
+
+    @pytest.mark.parametrize(
+        # at q = 0.95 the reference's own error over its ~1400 factors is
+        # 1.5e-14 (against mpmath on these points)
+        "q, tol",
+        [(q, 5e-14 if q == 0.95 else 1e-14) for q in BOREL_QS],
+    )
+    def test_matches_two_argument_product(self, q, tol):
+        qm = as_modulus(q)
+        rng = random.Random(f"borel-{q}")
+        checked = 0
+        while checked < 200:
+            tau = cmath.rect(
+                math.exp(rng.uniform(math.log(1e-3), math.log(3.0))) / abs(qm.q) ** 2,
+                rng.uniform(-math.pi, math.pi),
+            )
+            if pole_distance(qm, tau) < 0.05:
+                # 1 - a^2 and (1 - a)(1 + a) round differently by ~ulp/distance
+                continue
+            q2t = qm.q2 * tau
+            want = 1 / qpochhammer_inf((-q2t, q2t), qm)
+            assert rel_err(g_borel_image(qm, tau), want) < tol
+            checked += 1
+
+    @pytest.mark.parametrize("q", BOREL_QS)
+    @pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.05])
+    def test_pole_gate_keeps_pole_decisions(self, q, delta):
+        # the modulus gate skips the scan only where it cannot fire: PoleHit
+        # is raised exactly where the ungated scan finds a pole within delta
+        qm = as_modulus(q)
+        rng = random.Random(f"gate-{q}-{delta}")
+        points = []
+        for k in range(4):
+            for sgn in (1, -1):
+                pole = sgn * qm.q ** (-2 - k)
+                for _ in range(10):
+                    d = rng.uniform(0.5 * delta, 2 * delta)
+                    points.append(pole * (1 + d * cmath.exp(1j * rng.uniform(-math.pi, math.pi))))
+        edge = (1 - 2 * delta) / abs(qm.q) ** 2
+        for _ in range(40):
+            u = rng.uniform(-4.0, 4.0) * 1e-16
+            points.append(cmath.rect(edge * (1 + u), rng.uniform(-math.pi, math.pi)))
+        hits = 0
+        for tau in points:
+            want = scan_finds_pole(qm, tau, delta)
+            try:
+                g_borel_image(qm, tau, delta=delta)
+                got = False
+            except PoleHit:
+                got = True
+            assert got == want, tau
+            hits += got
+        assert 0 < hits < len(points)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, complex(0.3, math.nan)])
+    def test_non_finite_argument_is_domain_error(self, tau):
+        with pytest.raises(DomainError, match="finite"):
+            g_borel_image(0.5, tau)
 
 
 class TestSeriesFactorAtInfinity:
@@ -224,6 +312,11 @@ class TestResummedDivergentSeries:
     def test_zero_arguments_rejected(self):
         with pytest.raises(ZeroArgument):
             two_f_zero(0.5, 0.7, 0)
+
+    @pytest.mark.parametrize("lam, x", [(math.nan, 2.4), (0.7, math.nan), (0.7, math.inf)])
+    def test_non_finite_arguments_are_domain_errors(self, lam, x):
+        with pytest.raises(DomainError, match="finite"):
+            two_f_zero(0.5, lam, x)
 
     @pytest.mark.parametrize("lam", [0.7, 1.3, 0.9 * cmath.exp(0.3j)])
     def test_recurrence_matches_pointwise_borel_image(self, qmod, lam):

@@ -1,13 +1,18 @@
 import cmath
 import math
+import random
 
 import pytest
 
 from qconnect import (
+    DomainError,
     FormalSeries,
     NoConvergence,
     PoleOnContour,
     SpiralProximity,
+    TermLog,
+    Truncation,
+    TruncationExceeded,
     ZeroArgument,
     as_modulus,
     contour_residue,
@@ -18,8 +23,12 @@ from qconnect import (
     qborel_plus,
     qlaplace_minus,
     qlaplace_plus,
+    qpochhammer_inf,
     ramanujan_operator,
+    theta,
 )
+from qconnect import transforms
+from qconnect.qcore import _theta_circle, _theta_shift
 from conftest import random_series, rel_err
 
 LAMBDAS = (0.7, 1.3, 0.9 * cmath.exp(0.3j))
@@ -89,6 +98,112 @@ class TestQLaplaceMinus:
             qlaplace_minus(lambda tau: g.evaluate(tau), qm, 1.5)
 
 
+KERNEL_QS = (0.3, 0.5, 0.8, 0.95, 0.6 * cmath.exp(2.1j))
+
+
+def default_radius(qm):
+    return min(1.0, 0.5 / abs(qm.q) ** 2)
+
+
+class TestThetaCircleKernel:
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    @pytest.mark.parametrize(
+        # |t|/r inside the annulus [0.2, 5] (k = 0) and outside it (k != 0)
+        "t",
+        [0.7 + 0.2j, 2.0 - 1.1j, 0.05 + 0.01j, 12.0 + 3.0j, 40j],
+    )
+    def test_matches_theta_at_every_node(self, q, t):
+        qm = as_modulus(q)
+        r = default_radius(qm)
+        kernel = _theta_circle(qm, abs(t) / r)
+        for j in range(64):
+            x = t / (r * cmath.exp(2j * math.pi * j / 64))
+            assert rel_err(kernel(x), theta(qm, x)) < 1e-13
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_factor_count_matches_triple_product(self, q):
+        # 2 factors per power per call, against 3 per power in (q, -x0, -q/x0; q)_inf
+        qm = as_modulus(q)
+        for rho in (0.21, 1.0, 4.9, 0.013, 70.0):
+            k = _theta_shift(qm, rho)
+            x = rho * cmath.exp(0.7j)
+            x0 = qm.q**k * x
+            ref = Truncation(log=TermLog())
+            qpochhammer_inf((qm.q, -x0, -qm.q / x0), qm, ref)
+            qq = Truncation(log=TermLog())
+            qpochhammer_inf(qm.q, qm, qq)
+            tr = Truncation(log=TermLog())
+            kernel = _theta_circle(qm, rho, tr)
+            setup = tr.log.terms
+            assert setup == qq.log.terms
+            kernel(x)
+            assert 3 * (tr.log.terms - setup) == 2 * ref.log.terms
+
+    @pytest.mark.parametrize("n_max", range(30, 90, 3))
+    def test_truncation_exceeded_where_theta_raises(self, n_max):
+        qm = as_modulus(0.6)
+        tr = Truncation(n_max=n_max)
+        for rho in (0.3, 3.0, 40.0):
+            x = rho * cmath.exp(0.4j)
+            try:
+                theta(qm, x, tr)
+            except TruncationExceeded:
+                with pytest.raises(TruncationExceeded):
+                    _theta_circle(qm, rho, tr)(x)
+            else:
+                _theta_circle(qm, rho, tr)(x)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0])
+    def test_bad_modulus_is_domain_error(self, rho):
+        with pytest.raises(DomainError):
+            _theta_circle(as_modulus(0.5), rho)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_qlaplace_minus_matches_per_node_path(self, q):
+        # reference: the full public theta and the two-argument product at
+        # every node, through the same circle rule; where the samples cancel
+        # (mean|sample| >> |value|) both paths carry that much rounding noise
+        qm = as_modulus(q)
+        r = default_radius(qm)
+        rng = random.Random(f"per-node-{q}")
+
+        def g(tau):
+            q2t = qm.q2 * tau
+            return 1 / qpochhammer_inf((-q2t, q2t), qm)
+
+        for _ in range(40):
+            t = cmath.rect(
+                math.exp(rng.uniform(math.log(0.3), math.log(4.0))),
+                rng.uniform(-math.pi, math.pi),
+            )
+            sizes = []
+
+            def sample(angle):
+                tau = r * cmath.exp(1j * angle)
+                v = g(tau) * theta(qm, t / tau)
+                sizes.append(abs(v))
+                return v
+
+            ref = transforms._circle_mean(sample, 1e-15, 64, 4096, noise_factor=100.0)
+            got = qlaplace_minus(lambda tau: g_borel_image(qm, tau), qm, t)
+            cond = max(1.0, sum(sizes) / len(sizes) / abs(ref))
+            assert rel_err(got, ref) < 1e-13 * cond
+
+    @pytest.mark.parametrize("t", [math.nan, complex(math.inf, 1.0), complex(1.0, math.nan)])
+    def test_non_finite_target_is_domain_error(self, t):
+        with pytest.raises(DomainError):
+            qlaplace_minus(lambda tau: 1.0, as_modulus(0.5), t)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, 4.0, math.nan])
+    def test_bad_radius_is_domain_error(self, r):
+        with pytest.raises(DomainError):
+            qlaplace_minus(lambda tau: 1.0, as_modulus(0.5), 1.0, r=r)
+
+    def test_far_target_is_domain_error_as_in_theta(self):
+        with pytest.raises(DomainError, match="out of double range"):
+            qlaplace_minus(lambda tau: 1.0, as_modulus(0.5), 1e300)
+
+
 class TestQLaplacePlus:
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_inverts_borel_on_degree_30(self, qmod, lam):
@@ -136,6 +251,11 @@ class TestContourResidue:
     def test_positive_radius_required(self):
         with pytest.raises(ValueError):
             contour_residue(lambda z: 1 / z, 0, 0)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_radius_is_domain_error(self, radius):
+        with pytest.raises(DomainError):
+            contour_residue(lambda z: 1 / z, 0, radius)
 
 
 class TestCoveringTransform:
