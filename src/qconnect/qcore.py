@@ -60,16 +60,42 @@ class QModulus:
     Derived bases used throughout: ``q2`` (= q^2, for even/odd splits) and the
     principal square root ``p`` (for the covering transformation).  Use
     :meth:`squared` / :meth:`sqrt` when a :class:`QModulus` at the derived base
-    is needed.
+    is needed; :meth:`squared` returns the same instance on every call.
+
+    Each instance carries a private table of its powers q^0, q^1, ..., the
+    running product from 1 + 0j that every product and series loop here
+    reads instead of multiplying its own.  The table is extended on demand
+    by assigning a longer tuple, so a concurrent reader sees either the old
+    or the new table, never a half-built one.  It is not a dataclass field:
+    equality, hash and repr depend on q alone.
     """
 
     q: complex
+    # class-level starting values, shadowed per instance once set; being
+    # unannotated, they are not dataclass fields
+    _powers = (1 + 0j,)
+    _squared = None
 
     def __post_init__(self) -> None:
         qc = complex(self.q)
         object.__setattr__(self, "q", qc)
         if not 0.0 < abs(qc) < 1.0:
             raise ValueError(f"base must satisfy 0 < |q| < 1, got |q| = {abs(qc)!r}")
+
+    def _powers_to(self, n: int) -> tuple[complex, ...]:
+        """The table q^0, q^1, ..., with at least n entries."""
+        pw = self._powers
+        if len(pw) >= n:
+            return pw
+        qc = self.q
+        qn = pw[-1]
+        ext = list(pw)
+        for _ in range(max(n, 2 * len(pw), 32) - len(pw)):
+            qn *= qc
+            ext.append(qn)
+        pw = tuple(ext)
+        object.__setattr__(self, "_powers", pw)
+        return pw
 
     @property
     def q2(self) -> complex:
@@ -81,7 +107,11 @@ class QModulus:
         return cmath.sqrt(self.q)
 
     def squared(self) -> "QModulus":
-        return QModulus(self.q * self.q)
+        sq = self._squared
+        if sq is None:
+            sq = QModulus(self.q * self.q)
+            object.__setattr__(self, "_squared", sq)
+        return sq
 
     def sqrt(self) -> "QModulus":
         return QModulus(cmath.sqrt(self.q))
@@ -140,6 +170,20 @@ def _trunc(trunc: Truncation | None) -> Truncation:
     return DEFAULT_TRUNCATION if trunc is None else trunc
 
 
+def _finite_abs(x: complex, what: str, name: str = "x") -> float:
+    """|x| for the argument ``name`` of ``what``; a non-finite x, or a finite
+    x whose modulus leaves double range, raises
+    :class:`~qconnect.errors.DomainError`."""
+    if not cmath.isfinite(x):
+        raise DomainError(f"{what} needs a finite argument, got {name}={x!r}")
+    try:
+        return abs(x)
+    except OverflowError:
+        raise DomainError(
+            f"{what}: {name}={x!r} is out of double range (its modulus overflows)"
+        ) from None
+
+
 @dataclass(frozen=True)
 class Spiral:
     """The discrete q-spiral [anchor; q] = {anchor * q^k : k in Z}.
@@ -164,9 +208,7 @@ class Spiral:
         Since |anchor * q^k| is monotone in k, candidate exponents live near
         log(|x|/|anchor|)/log|q|; a short scan around that value suffices.
         """
-        if not cmath.isfinite(x):
-            raise DomainError(f"spiral distance needs a finite point, got x={x!r}")
-        ax = abs(x)
+        ax = _finite_abs(x, "spiral distance")
         if ax == 0.0:
             return 0, math.inf
         q = self.base.q
@@ -197,13 +239,16 @@ def qpochhammer_n(a: complex, q: QModulus | complex, n: int) -> complex:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    qc = as_modulus(q).q
-    prod = 1 + 0j
-    qj = 1 + 0j
-    for _ in range(n):
-        prod *= 1 - a * qj
-        qj *= qc
+    one = 1 + 0j
+    prod = one
+    for qj in as_modulus(q)._powers_to(n)[:n]:
+        prod *= one - a * qj
     return prod
+
+
+#: powers beyond _lead_count's count plus the streak that the streak test
+#: usually consumes (the count's margin), so one table request covers both
+_STREAK_SLACK = 4
 
 
 def _lead_count(amax: float, qc: complex, tr: Truncation) -> int:
@@ -241,59 +286,72 @@ def qpochhammer_inf(
 
     Factors are accumulated until |a q^n| stays below ``trunc.eps`` for
     ``trunc.streak`` consecutive n; the product converges absolutely for any
-    finite a since |q| < 1.  A non-finite argument raises
-    :class:`~qconnect.errors.DomainError`.
+    finite a since |q| < 1.  A non-finite argument, or one whose modulus
+    leaves double range, raises :class:`~qconnect.errors.DomainError`.
 
     The factor magnitudes decrease geometrically, so the first n with
     max|a| |q|^n < eps is known in closed form up to the rounding of the
     running power q^n.  Factors safely before that n are multiplied in a loop
-    with no tail test; the last few run the streak test itself, so the
-    factor count, the product (same factors, same order) and the point at
-    which ``n_max`` is exceeded are those of the streak rule alone.
+    with no tail test (written out for one, two and three arguments); the
+    last few run the streak test itself, so the factor count, the product
+    (same factors, same order) and the point at which ``n_max`` is exceeded
+    are those of the streak rule alone.  The powers q^n come from the
+    table of the :class:`QModulus`, so a caller that passes the same
+    instance again skips forming them.
     """
     tr = _trunc(trunc)
     qm = as_modulus(q)
     avals: tuple[complex, ...]
     if isinstance(a, (list, tuple)):
-        avals = tuple(complex(v) for v in a)
+        avals = tuple(map(complex, a))
     else:
         avals = (complex(a),)
     if not avals:
         return 1 + 0j
     amax = 0.0
     for av in avals:
-        if not cmath.isfinite(av):
-            raise DomainError(f"(a;q)_inf needs finite arguments, got a={av!r}")
-        amax = max(amax, abs(av))
-    qc = qm.q
-    n = _lead_count(amax, qc, tr)
-    prod = 1 + 0j
-    qn = 1 + 0j
-    if len(avals) == 1:
-        a0 = avals[0]
-        for _ in range(n):
-            prod *= 1 - a0 * qn
-            qn *= qc
+        amax = max(amax, _finite_abs(av, "(a;q)_inf", "a"))
+    n = _lead_count(amax, qm.q, tr)
+    pw = qm._powers_to(n + tr.streak + _STREAK_SLACK)
+    one = 1 + 0j
+    prod = one
+    m = len(avals)
+    if m == 1:
+        (a0,) = avals
+        for qn in pw[:n]:
+            prod *= one - a0 * qn
+    elif m == 2:
+        a0, a1 = avals
+        for qn in pw[:n]:
+            prod *= one - a0 * qn
+            prod *= one - a1 * qn
+    elif m == 3:
+        a0, a1, a2 = avals
+        for qn in pw[:n]:
+            prod *= one - a0 * qn
+            prod *= one - a1 * qn
+            prod *= one - a2 * qn
     else:
-        for _ in range(n):
+        for qn in pw[:n]:
             for av in avals:
-                prod *= 1 - av * qn
-            qn *= qc
+                prod *= one - av * qn
     small = 0
     while small < tr.streak:
+        if n >= len(pw):
+            pw = qm._powers_to(n + tr.streak)
+        qn = pw[n]
         mag = 0.0
         for av in avals:
             f = av * qn
-            prod *= 1 - f
+            prod *= one - f
             mag = max(mag, abs(f))
         small = small + 1 if mag < tr.eps else 0
-        qn *= qc
         n += 1
         if n > tr.n_max:
             raise TruncationExceeded(
                 f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
             )
-    tr.note(n * len(avals))
+    tr.note(n * m)
     return prod
 
 
@@ -337,11 +395,10 @@ def theta_sum_with_condition(
     """
     if x == 0:
         raise ZeroArgument("theta is undefined at x = 0")
-    if not cmath.isfinite(x):
-        raise DomainError(f"theta needs a finite argument, got x={x!r}")
+    _finite_abs(x, "theta")
     tr = _trunc(trunc)
     qm = as_modulus(q)
-    qc = qm.q
+    pw = qm._powers
     total = 1 + 0j
     abs_sum = 1.0
     scale = 1.0
@@ -349,35 +406,37 @@ def theta_sum_with_condition(
 
     # n > 0 tail: term ratio q^n x
     t = 1 + 0j
-    qn = 1 + 0j
     small = 0
     n = 0
     while small < tr.streak:
-        t *= qn * x
-        qn *= qc
+        if n >= len(pw):
+            pw = qm._powers_to(n + 1)
+        t *= pw[n] * x
         total += t
-        abs_sum += abs(t)
+        at = abs(t)
+        abs_sum += at
         n += 1
         count += 1
-        scale = max(scale, abs(total), abs(t))
-        small = small + 1 if abs(t) <= tr.eps * scale else 0
+        scale = max(scale, abs(total), at)
+        small = small + 1 if at <= tr.eps * scale else 0
         if n > tr.n_max:
             raise TruncationExceeded("theta upper tail exceeded n_max")
 
     # n < 0 tail: term(-m) ratio q^m / x
     u = 1 + 0j
-    qn = qc
     small = 0
     m = 0
     while small < tr.streak:
-        u *= qn / x
-        qn *= qc
+        if m + 1 >= len(pw):
+            pw = qm._powers_to(m + 2)
+        u *= pw[m + 1] / x
         total += u
-        abs_sum += abs(u)
+        au = abs(u)
+        abs_sum += au
         m += 1
         count += 1
-        scale = max(scale, abs(total), abs(u))
-        small = small + 1 if abs(u) <= tr.eps * scale else 0
+        scale = max(scale, abs(total), au)
+        small = small + 1 if au <= tr.eps * scale else 0
         if m > tr.n_max:
             raise TruncationExceeded("theta lower tail exceeded n_max")
 
@@ -433,8 +492,7 @@ def theta(
     """
     if x == 0:
         raise ZeroArgument("theta is undefined at x = 0")
-    if not cmath.isfinite(x):
-        raise DomainError(f"theta needs a finite argument, got x={x!r}")
+    ax = _finite_abs(x, "theta")
     if method == "sum":
         return theta_sum(q, x, trunc)
     if method == "product":
@@ -442,7 +500,7 @@ def theta(
     if method != "auto":
         raise ValueError(f"unknown theta method {method!r}")
     qm = as_modulus(q)
-    k = _theta_shift(qm, abs(x))
+    k = _theta_shift(qm, ax)
     if k == 0:
         return theta_product(qm, x, trunc)
     try:
@@ -473,7 +531,8 @@ def _theta_circle(
     Everything that depends only on |x| is computed once: the shift k of
     :func:`_theta_shift`, the constant (q;q)_inf q^(k(k-1)/2), the factor
     count of (-x0, -q/x0; q)_inf with x0 = q^k x (the count the three-argument
-    product (q, -x0, -q/x0; q)_inf would use), and the powers q^n.  Each call
+    product (q, -x0, -q/x0; q)_inf would use), and the slice of the base's
+    table of powers q^n that the loop runs over.  Each call
     then runs one loop of the cancellation-free triple product and notes 2
     factors per power in ``trunc.log``; (q;q)_inf is noted once, here.
     Errors are those of :func:`theta`: rho not finite and positive, or a
@@ -497,28 +556,28 @@ def _theta_circle(
     # the factor moduli |a q^n| are the same at every x on the circle
     avals = (qc, -qk * rho, -qc / (qk * rho))
     n = _lead_count(max(abs(av) for av in avals), qc, tr)
-    qn = 1 + 0j
-    powers = []
-    for _ in range(n):
-        powers.append(qn)
-        qn *= qc
+    pw = qm._powers_to(n + tr.streak + _STREAK_SLACK)
     small = 0
     while small < tr.streak:
-        powers.append(qn)
+        if n >= len(pw):
+            pw = qm._powers_to(n + tr.streak)
+        qn = pw[n]
         small = small + 1 if max(abs(av * qn) for av in avals) < tr.eps else 0
-        qn *= qc
-        if len(powers) > tr.n_max:
+        n += 1
+        if n > tr.n_max:
             raise TruncationExceeded(
                 f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
             )
-    factors = 2 * len(powers)
+    powers = pw[:n]
+    factors = 2 * n
 
     def value(x: complex) -> complex:
         x0 = qk * x
         y = qc / x0
-        prod = 1 + 0j
+        one = 1 + 0j
+        prod = one
         for qn in powers:
-            prod *= (1 + x0 * qn) * (1 + y * qn)
+            prod *= (one + x0 * qn) * (one + y * qn)
         tr.note(factors)
         try:
             return const * x**k * prod
@@ -558,8 +617,7 @@ def rphis_with_condition(
     small value; the condition is the factor by which double precision loses
     accuracy there.
     """
-    if not cmath.isfinite(x):
-        raise DomainError(f"r_phi_s needs a finite argument, got x={x!r}")
+    ax = _finite_abs(x, "r_phi_s")
     tr = _trunc(trunc)
     qm = as_modulus(q)
     ups = tuple(complex(a) for a in upper)
@@ -587,28 +645,29 @@ def rphis_with_condition(
             f"r-s = {r - s} > 1 with nonterminating upper parameters: "
             "radius of convergence is zero"
         )
-    if d == 0 and abs(x) >= 1 and term_deg is None:
+    if d == 0 and ax >= 1 and term_deg is None:
         raise OutsideRadius(
-            f"|x| = {abs(x)} >= 1 outside the radius of convergence of a "
+            f"|x| = {ax} >= 1 outside the radius of convergence of a "
             f"{r}phi{s} series"
         )
 
-    qc = qm.q
+    pw = qm._powers
+    one = 1 + 0j
     total = 0 + 0j
     abs_sum = 0.0
-    t = 1 + 0j
-    qn = 1 + 0j
+    t = one
     scale = 1.0
     small = 0
     n = 0
     while True:
         total += t
-        abs_sum += abs(t)
-        scale = max(scale, abs(total), abs(t))
+        at = abs(t)
+        abs_sum += at
+        scale = max(scale, abs(total), at)
         if term_deg is not None and n >= term_deg:
             n += 1
             break
-        small = small + 1 if abs(t) <= tr.eps * scale else 0
+        small = small + 1 if at <= tr.eps * scale else 0
         if small >= tr.streak:
             n += 1
             break
@@ -616,19 +675,21 @@ def rphis_with_condition(
             raise TruncationExceeded(
                 f"series tail not below eps={tr.eps} after n_max={tr.n_max} terms"
             )
-        num = 1 + 0j
+        if n + 1 >= len(pw):
+            pw = qm._powers_to(n + 2)
+        qn = pw[n]
+        num = one
         for a in ups:
-            num *= 1 - a * qn
-        den = 1 + 0j
+            num *= one - a * qn
+        den = one
         for b in lows:
-            den *= 1 - b * qn
-        den *= 1 - qn * qc
+            den *= one - b * qn
+        den *= one - pw[n + 1]
         if den == 0:
             raise BadLowerParameter("vanishing denominator factor in series term")
         t *= num / den * x
         if d:
             t *= (-qn) ** d
-        qn *= qc
         n += 1
     tr.note(n)
     cond = abs_sum / abs(total) if total != 0 else math.inf
@@ -679,7 +740,7 @@ def e_exp(
     """
     qm = as_modulus(q)
     if mode == "auto":
-        mode = "series" if abs(x) < 1 else "product"
+        mode = "series" if _finite_abs(x, "e_q") < 1 else "product"
     if mode == "series":
         return rphis((0j,), (), qm, x, trunc)
     if mode != "product":
@@ -708,7 +769,7 @@ def E_exp(
     """
     qm = as_modulus(q)
     if mode == "auto":
-        mode = "series" if abs(x) <= 1 else "product"
+        mode = "series" if _finite_abs(x, "E_q") <= 1 else "product"
     if mode == "series":
         return rphis((), (), qm, -x, trunc)
     if mode != "product":

@@ -45,6 +45,7 @@ from .qcore import (
     rphis,
     rphis_with_condition,
     theta,
+    _finite_abs,
     _trunc,
 )
 from .series import QDEOperator
@@ -72,30 +73,33 @@ def ramanujan_Aq_with_condition(
     q: QModulus | complex, x: complex, trunc: Truncation | None = None
 ) -> tuple[complex, float]:
     """:func:`ramanujan_Aq` plus the internal condition sum|term|/|value|."""
-    if not cmath.isfinite(x):
-        raise DomainError(f"A_q needs a finite argument, got x={x!r}")
+    _finite_abs(x, "A_q")
     tr = _trunc(trunc)
     qm = as_modulus(q)
     qc = qm.q
+    pw = qm._powers
+    one = 1 + 0j
     total = 0 + 0j
     abs_sum = 0.0
-    t = 1 + 0j
-    qn = 1 + 0j  # q^n
-    q2n1 = qc  # q^(2n+1)
+    t = one
+    # q^(2n+1) keeps its own running product: the table's entry rounds differently
+    q2n1 = qc
     scale = 1.0
     small = 0
     n = 0
     while True:
         total += t
-        abs_sum += abs(t)
-        scale = max(scale, abs(total), abs(t))
-        small = small + 1 if abs(t) <= tr.eps * scale else 0
+        at = abs(t)
+        abs_sum += at
+        scale = max(scale, abs(total), at)
+        small = small + 1 if at <= tr.eps * scale else 0
         if small >= tr.streak:
             break
         if n >= tr.n_max:
             raise TruncationExceeded("A_q series exceeded n_max")
-        qn *= qc
-        t *= q2n1 * (-x) / (1 - qn)
+        if n + 1 >= len(pw):
+            pw = qm._powers_to(n + 2)
+        t *= q2n1 * (-x) / (one - pw[n + 1])
         q2n1 *= qc * qc
         n += 1
     tr.note(n + 1)
@@ -145,9 +149,11 @@ def g_borel_image(
     factors of that product.  Within ``delta`` of a pole :class:`PoleHit` is
     raised.  Every pole has modulus at least |q|^(-2), so for
     |q^2 tau| < 1 - 2 delta none lies within relative distance delta and the
-    pole scan is skipped.
+    pole scan is skipped.  A non-finite tau, or one so large that the product
+    overflows, raises :class:`~qconnect.errors.DomainError`.
     """
     qm = as_modulus(q)
+    _finite_abs(tau, "the Borel image", "tau")
     q2t = qm.q2 * tau
     if tau != 0 and not abs(q2t) < 1 - 2 * delta:
         anchor = qm.q**-2
@@ -158,7 +164,15 @@ def g_borel_image(
                     f"tau={tau!r} lies within {delta} of the pole "
                     f"{sgn}*q^({-2 + k}) of the Borel image"
                 )
-    return 1 / qpochhammer_inf(q2t * q2t, qm.squared(), trunc)
+    a = q2t * q2t
+    if cmath.isfinite(a):
+        prod = qpochhammer_inf(a, qm.squared(), trunc)
+        if cmath.isfinite(prod):
+            return 1 / prod
+    raise DomainError(
+        f"tau={tau!r} is out of double range for the Borel image (q={qm.q!r}): "
+        "the product (q^4 tau^2; q^2)_inf overflows"
+    )
 
 
 def f_via_residues(

@@ -41,6 +41,7 @@ from .qcore import (
     Truncation,
     as_modulus,
     theta,
+    _finite_abs,
     _theta_circle,
     _trunc,
 )
@@ -138,6 +139,7 @@ def qlaplace_minus(
     """
     if t == 0:
         raise ZeroArgument("q-Laplace transform target t must be nonzero")
+    at = _finite_abs(t, "the q-Laplace transform", "t")
     tr = _trunc(trunc)
     qm = as_modulus(q)
     r_max = 1.0 / abs(qm.q) ** 2
@@ -145,7 +147,7 @@ def qlaplace_minus(
         r = min(1.0, 0.5 * r_max)
     if not 0.0 < r < r_max:
         raise DomainError(f"contour radius must satisfy 0 < r < 1/|q|^2 = {r_max}")
-    kernel = _theta_circle(qm, abs(t) / r, tr)
+    kernel = _theta_circle(qm, at / r, tr)
 
     def sample(angle: float) -> complex:
         tau = r * cmath.exp(1j * angle)
@@ -256,12 +258,13 @@ def _spiral_sum(
     count = 1
 
     # upward tail: w_{n+1} = w_n * q^n * (lambda/x)
-    qn = 1 + 0j
+    pw = qm._powers
     small = 0
     n = 0
     while small < streak_req:
-        w *= qn * ratio
-        qn *= qc
+        if n >= len(pw):
+            pw = qm._powers_to(n + 1)
+        w *= pw[n] * ratio
         n += 1
         tv = next(up) * w / th
         total += tv

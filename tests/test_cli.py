@@ -176,3 +176,13 @@ class TestCheck:
     def test_usage_error(self, capsys):
         assert main(["check"]) == 2
         assert main(["frobnicate"]) == 2
+
+
+class TestOverflowingModulus:
+    @pytest.mark.parametrize("fn", ["eq", "theta", "Aq"])
+    def test_exit_three_without_traceback(self, capsys, fn):
+        # finite, but its modulus overflows a double
+        code, out, err = run_cli(capsys, "eval", fn, "--q", "0.5", "--x", "1.7e308+1.7e308i")
+        assert code == 3
+        assert "out of double range" in err
+        assert "Traceback" not in out + err

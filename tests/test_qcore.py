@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -34,6 +35,7 @@ from qconnect import (
     theta_sum,
     theta_sum_with_condition,
 )
+from qconnect.qcore import _terminating_degree
 from conftest import rel_err
 
 mp.mp.dps = 40
@@ -491,3 +493,246 @@ class TestQExponentials:
             lhs = 1 / poch_inv
             rhs = (-1) ** n * q ** (n * (n + 1) / 2) / poch
             assert rel_err(lhs, rhs) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# The table of powers q^n on QModulus, and the loops that read it
+
+#: bases of the bit-for-bit comparisons with the running-power loops
+REF_QS = (0.05, 0.3, 0.5, 0.8, 0.95, 0.6 * cmath.exp(2.1j), -0.7 + 0.1j)
+
+BIG = complex(1.7e308, 1.7e308)  # finite, but |BIG| overflows
+
+
+def running_powers(q, n):
+    """q^0, ..., q^(n-1) by the running product the table must reproduce."""
+    out = []
+    qn = 1 + 0j
+    for _ in range(n):
+        out.append(qn)
+        qn *= q
+    return out
+
+
+def running_qpochhammer_n(a, q, n):
+    """(a; q)_n with its own running power: the reference for qpochhammer_n."""
+    prod = 1 + 0j
+    qj = 1 + 0j
+    for _ in range(n):
+        prod *= 1 - a * qj
+        qj *= q
+    return prod
+
+
+def running_theta_sum(q, x, tr):
+    """Both tails of the bilateral theta sum with their own running powers:
+    the reference for theta_sum_with_condition."""
+    total = 1 + 0j
+    abs_sum = 1.0
+    scale = 1.0
+    count = 1
+    t = 1 + 0j
+    qn = 1 + 0j
+    small = n = 0
+    while small < tr.streak:
+        t *= qn * x
+        qn *= q
+        total += t
+        abs_sum += abs(t)
+        n += 1
+        count += 1
+        scale = max(scale, abs(total), abs(t))
+        small = small + 1 if abs(t) <= tr.eps * scale else 0
+        if n > tr.n_max:
+            raise TruncationExceeded("reference upper tail exceeded n_max")
+    u = 1 + 0j
+    qn = q
+    small = m = 0
+    while small < tr.streak:
+        u *= qn / x
+        qn *= q
+        total += u
+        abs_sum += abs(u)
+        m += 1
+        count += 1
+        scale = max(scale, abs(total), abs(u))
+        small = small + 1 if abs(u) <= tr.eps * scale else 0
+        if m > tr.n_max:
+            raise TruncationExceeded("reference lower tail exceeded n_max")
+    tr.note(count)
+    cond = abs_sum / abs(total) if total != 0 else math.inf
+    return total, max(cond, 1.0)
+
+
+def running_rphis(ups, lows, qm, x, tr):
+    """The r_phi_s term loop with its own running power q^n: the reference
+    for rphis_with_condition (inputs that pass its parameter checks)."""
+    ups = tuple(complex(a) for a in ups)
+    lows = tuple(complex(b) for b in lows)
+    d = 1 + len(lows) - len(ups)
+    term_deg = _terminating_degree(ups, qm)
+    qc = qm.q
+    total = 0 + 0j
+    abs_sum = 0.0
+    t = 1 + 0j
+    qn = 1 + 0j
+    scale = 1.0
+    small = n = 0
+    while True:
+        total += t
+        abs_sum += abs(t)
+        scale = max(scale, abs(total), abs(t))
+        if term_deg is not None and n >= term_deg:
+            n += 1
+            break
+        small = small + 1 if abs(t) <= tr.eps * scale else 0
+        if small >= tr.streak:
+            n += 1
+            break
+        if n >= tr.n_max:
+            raise TruncationExceeded("reference series exceeded n_max")
+        num = 1 + 0j
+        for a in ups:
+            num *= 1 - a * qn
+        den = 1 + 0j
+        for b in lows:
+            den *= 1 - b * qn
+        den *= 1 - qn * qc
+        t *= num / den * x
+        if d:
+            t *= (-qn) ** d
+        qn *= qc
+        n += 1
+    tr.note(n)
+    cond = abs_sum / abs(total) if total != 0 else math.inf
+    return total, max(cond, 1.0)
+
+
+def outcome(fn, *args, **kw):
+    """(value bits, condition, TermLog terms) of one call, or the error type."""
+    log = TermLog()
+    try:
+        out = fn(*args, Truncation(log=log, **kw))
+    except TruncationExceeded:
+        return "TruncationExceeded", log.terms
+    if isinstance(out, tuple):
+        return bits(out[0]), out[1].hex(), log.terms
+    return bits(out), log.terms
+
+
+def point(rng, lo, hi):
+    return cmath.rect(10 ** rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi))
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_table_is_the_running_product(self, q):
+        qm = QModulus(q)
+        want = [bits(p) for p in running_powers(qm.q, 800)]
+        assert [bits(p) for p in qm._powers_to(800)[:800]] == want
+
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_growing_in_steps_equals_building_at_once(self, q):
+        grown = QModulus(q)
+        for n in (0, 1, 2, 5, 33, 34, 100, 101, 333, 700):
+            assert len(grown._powers_to(n)) >= n
+        at_once = QModulus(q)._powers_to(700)
+        assert [bits(p) for p in grown._powers[:700]] == [bits(p) for p in at_once[:700]]
+
+    def test_tables_belong_to_their_instance(self):
+        a, b = QModulus(0.5), QModulus(0.5)
+        a._powers_to(100)
+        assert b._powers == (1 + 0j,)
+        assert a._powers_to(10) is a._powers
+
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_squared_is_one_cached_instance(self, q):
+        qm = QModulus(q)
+        assert qm.squared() is qm.squared()
+        assert qm.squared().q == qm.q * qm.q
+
+    def test_eq_hash_repr_ignore_the_table(self):
+        used, fresh = QModulus(0.5), QModulus(0.5)
+        used._powers_to(300)
+        used.squared()
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "QModulus(q=(0.5+0j))"
+        assert [f.name for f in dataclasses.fields(QModulus)] == ["q"]
+        assert QModulus(0.5) != QModulus(0.25)
+
+
+class TestLoopsMatchRunningPowers:
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_qpochhammer_inf_any_arity(self, q):
+        # arities 1-3 run written-out loops, 4 and 5 the general one; the
+        # instance is shared (its table reused) or a bare number (built afresh)
+        rng = random.Random(f"arity-{q}")
+        qm = QModulus(q)
+        for _ in range(50):
+            avals = tuple(point(rng, -18, 12) for _ in range(rng.randint(1, 5)))
+            want, factors = streak_product(avals, qm.q, DEFAULT_TRUNCATION)
+            arg = avals if len(avals) > 1 else avals[0]
+            for base in (qm, q):
+                assert outcome(qpochhammer_inf, arg, base) == (bits(want), factors)
+
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_qpochhammer_n(self, q):
+        rng = random.Random(f"poch-n-{q}")
+        qm = QModulus(q)
+        for n in range(60):
+            a = point(rng, -3, 3)
+            want = bits(running_qpochhammer_n(a, qm.q, n))
+            assert bits(qpochhammer_n(a, qm, n)) == want
+            assert bits(qpochhammer_n(a, q, n)) == want
+
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_theta_sum(self, q):
+        rng = random.Random(f"theta-sum-{q}")
+        qm = QModulus(q)
+        for _ in range(40):
+            x = point(rng, -2, 2)
+            want = outcome(running_theta_sum, qm.q, x)
+            assert outcome(theta_sum_with_condition, qm, x) == want
+            assert outcome(theta_sum_with_condition, q, x) == want
+
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_rphis(self, q):
+        rng = random.Random(f"rphis-{q}")
+        qm = QModulus(q)
+        cases = [((), (), point(rng, -1, 1)), ((0j,), (), point(rng, -1, -0.05))]
+        for _ in range(12):
+            a, b, c = (point(rng, -1, 1) for _ in range(3))
+            cases += [
+                ((a, b), (c,), point(rng, -1, -0.05)),  # 2phi1, |x| < 1
+                ((a,), (b,), point(rng, -1, 1)),  # 1phi1, entire
+                ((0j,), (-qm.q,), point(rng, -1, 1)),  # Ai_q
+                ((qm.q**-3, a), (), point(rng, -1, 0)),  # terminating 2phi0
+            ]
+        for ups, lows, x in cases:
+            want = outcome(lambda tr: running_rphis(ups, lows, qm, x, tr))
+            assert outcome(rphis_with_condition, ups, lows, qm, x) == want
+            assert outcome(rphis_with_condition, ups, lows, q, x) == want
+
+
+class TestModulusOverflow:
+    # finite input whose modulus overflows is a DomainError, never a bare
+    # OverflowError or a run to n_max
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: qpochhammer_inf(BIG, 0.5),
+            lambda: qpochhammer_inf((0.3, BIG), 0.5),
+            lambda: theta(0.5, BIG),
+            lambda: theta_sum(0.5, BIG),
+            lambda: e_exp(0.5, BIG),
+            lambda: e_exp(0.5, BIG, mode="product"),
+            lambda: E_exp(0.5, BIG),
+            lambda: E_exp(0.5, BIG, mode="product"),
+            lambda: rphis((0.3,), (0.2,), 0.5, BIG),
+            lambda: Spiral(1 + 0j, as_modulus(0.5)).nearest(BIG),
+        ],
+    )
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError, match="out of double range"):
+            call()

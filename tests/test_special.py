@@ -363,3 +363,99 @@ class TestSolutionAtInfinity:
             SolutionAtInfinity(qmod, qmod.q**3)
         with pytest.raises(ZeroArgument):
             SolutionAtInfinity(qmod, 0)
+
+
+# ---------------------------------------------------------------------------
+# Loops that read q^n from the base's table, against their running-power form
+
+REF_QS = (0.05, 0.3, 0.5, 0.8, 0.95, 0.6 * cmath.exp(2.1j), -0.7 + 0.1j)
+
+BIG = complex(1.7e308, 1.7e308)  # finite, but |BIG| overflows
+
+
+def running_Aq(q, x, tr):
+    """The A_q series with its own running powers q^n and q^(2n+1): the
+    reference for ramanujan_Aq_with_condition."""
+    total = 0 + 0j
+    abs_sum = 0.0
+    t = 1 + 0j
+    qn = 1 + 0j
+    q2n1 = q
+    scale = 1.0
+    small = n = 0
+    while True:
+        total += t
+        abs_sum += abs(t)
+        scale = max(scale, abs(total), abs(t))
+        small = small + 1 if abs(t) <= tr.eps * scale else 0
+        if small >= tr.streak:
+            break
+        if n >= tr.n_max:
+            raise TruncationExceeded("reference A_q series exceeded n_max")
+        qn *= q
+        t *= q2n1 * (-x) / (1 - qn)
+        q2n1 *= q * q
+        n += 1
+    tr.note(n + 1)
+    cond = abs_sum / abs(total) if total != 0 else float("inf")
+    return total, max(cond, 1.0)
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+class TestRunningPowerReference:
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_ramanujan_Aq_bit_for_bit(self, q):
+        rng = random.Random(f"Aq-{q}")
+        qm = as_modulus(q)
+        for _ in range(60):
+            x = cmath.rect(10 ** rng.uniform(-2, 2), rng.uniform(-math.pi, math.pi))
+            want_log, got_log, fresh_log = TermLog(), TermLog(), TermLog()
+            want, want_cond = running_Aq(qm.q, x, Truncation(log=want_log))
+            for base, log in ((qm, got_log), (q, fresh_log)):
+                got, cond = ramanujan_Aq_with_condition(base, x, Truncation(log=log))
+                assert bits(got) == bits(want)
+                assert cond == want_cond
+                assert log.terms == want_log.terms
+
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_squared_base_reuses_one_instance(self, q):
+        # the base q^2 of g_borel_image and the solution at infinity is the
+        # cached square, whose table then serves every later call
+        qm = as_modulus(q)
+        g_borel_image(qm, 0.3 + 0.1j)
+        sol = SolutionAtInfinity(qm, 0.7 + 0.2j)
+        sol.series_factor()
+        assert qm.squared() is qm.squared()
+        assert len(qm.squared()._powers) > 1
+
+
+class TestOutOfDoubleRange:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ramanujan_Aq(0.5, BIG),
+            lambda: qairy_Ai(0.5, BIG),
+            lambda: two_f_zero(0.5, 0.7, BIG),
+            lambda: two_f_zero(0.5, BIG, 2.4),
+            lambda: g_borel_image(0.5, BIG),
+        ],
+    )
+    def test_overflowing_modulus_is_domain_error(self, call):
+        with pytest.raises(DomainError, match="out of double range"):
+            call()
+
+    @pytest.mark.parametrize("tau", [1e100, 1e200, -3e150j])
+    def test_borel_image_names_tau_when_the_product_overflows(self, tau):
+        # 1e100: the product overflows on the way; 1e200: so does q^4 tau^2
+        with pytest.raises(DomainError, match="out of double range") as exc:
+            g_borel_image(0.5, tau)
+        assert f"tau={tau!r}" in str(exc.value)
+        assert "a=(inf" not in str(exc.value)
+
+    def test_borel_image_still_finite_below_overflow(self):
+        # a large tau whose product stays finite keeps its (small) value
+        v = g_borel_image(0.5, 1e10 + 0.5j)
+        assert cmath.isfinite(v) and 0 < abs(v) < 1e-100

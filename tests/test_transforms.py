@@ -28,7 +28,7 @@ from qconnect import (
     theta,
 )
 from qconnect import transforms
-from qconnect.qcore import _theta_circle, _theta_shift
+from qconnect.qcore import _lead_count, _theta_circle, _theta_shift
 from conftest import random_series, rel_err
 
 LAMBDAS = (0.7, 1.3, 0.9 * cmath.exp(0.3j))
@@ -293,3 +293,66 @@ class TestCoveringTransform:
     def test_qairy_operator_image_doubles_monomials(self):
         cov = covering_transform(qairy_operator())
         assert cov.terms == ((0, 1 + 0j, 2), (2, 1 + 0j, 1), (0, -1 + 0j, 0))
+
+
+# ---------------------------------------------------------------------------
+# The theta kernel reads q^n from the base's table; its running-power form
+
+REF_QS = (0.05, 0.3, 0.5, 0.8, 0.95, 0.6 * cmath.exp(2.1j), -0.7 + 0.1j)
+
+
+def running_theta_circle(qm, rho, tr):
+    """The per-circle kernel with its own list of running powers: the
+    reference for _theta_circle."""
+    qc = qm.q
+    k = _theta_shift(qm, rho)
+    qk = qc**k
+    const = qpochhammer_inf(qc, qm, tr) * qc ** (k * (k - 1) // 2)
+    avals = (qc, -qk * rho, -qc / (qk * rho))
+    n = _lead_count(max(abs(av) for av in avals), qc, tr)
+    qn = 1 + 0j
+    powers = []
+    for _ in range(n):
+        powers.append(qn)
+        qn *= qc
+    small = 0
+    while small < tr.streak:
+        powers.append(qn)
+        small = small + 1 if max(abs(av * qn) for av in avals) < tr.eps else 0
+        qn *= qc
+        if len(powers) > tr.n_max:
+            raise TruncationExceeded("reference kernel exceeded n_max")
+
+    def value(x):
+        x0 = qk * x
+        y = qc / x0
+        prod = 1 + 0j
+        for qn in powers:
+            prod *= (1 + x0 * qn) * (1 + y * qn)
+        tr.note(2 * len(powers))
+        return const * x**k * prod
+
+    return value
+
+
+class TestThetaCircleRunningPowers:
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_kernel_bit_for_bit(self, q):
+        rng = random.Random(f"circle-{q}")
+        for _ in range(5):
+            rho = 10 ** rng.uniform(-1.5, 1.5)
+            # on a fresh instance the first kernel builds the table, the second reuses it
+            qm = as_modulus(q)
+            for _ in range(2):
+                got_log, want_log = TermLog(), TermLog()
+                kernel = _theta_circle(qm, rho, Truncation(log=got_log))
+                ref = running_theta_circle(qm, rho, Truncation(log=want_log))
+                for j in range(64):
+                    x = cmath.rect(rho, 2 * math.pi * j / 64)
+                    got, want = kernel(x), ref(x)
+                    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+                assert got_log.terms == want_log.terms
+
+    def test_overflowing_target_is_domain_error(self):
+        with pytest.raises(DomainError, match="out of double range"):
+            qlaplace_minus(lambda tau: 1.0, as_modulus(0.5), complex(1.7e308, 1.7e308))
