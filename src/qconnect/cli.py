@@ -7,6 +7,7 @@ Exit codes: 0 success/pass, 1 identity check failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -74,7 +75,9 @@ _EVAL_FUNCTIONS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="qconnect",
         description="q-special functions and numerical verification of their connection formulae",

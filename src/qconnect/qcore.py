@@ -191,7 +191,9 @@ class Spiral:
     Used as the exclusion locus of theorems (theta zeros, e_q poles).  The
     membership test is a relative-distance test against the nearest spiral
     point, with k running over both signs; points closer than ``delta`` are
-    rejected by callers rather than extrapolated.
+    rejected rather than extrapolated.  Every exclusion in the package goes
+    through :meth:`exclude` (the whole spiral) or :meth:`half_hit` (the
+    half-spiral k <= 0 of poles and terminating parameters).
     """
 
     anchor: complex
@@ -230,6 +232,23 @@ class Spiral:
 
     def contains(self, x: complex) -> bool:
         return self.distance(x) < self.delta
+
+    def exclude(self, x: complex, name: str = "x") -> None:
+        """Raise :class:`~qconnect.errors.SpiralProximity` when the argument
+        ``name`` = x lies within ``delta`` of the spiral."""
+        if self.contains(x):
+            where = "q^Z" if self.anchor == 1 else f"[{self.anchor!r};q]"
+            raise SpiralProximity(
+                f"{name}={x!r} lies within {self.delta} of the spiral {where} "
+                f"(q={self.base.q!r})"
+            )
+
+    def half_hit(self, x: complex) -> int | None:
+        """The exponent k <= 0 of the half-spiral point anchor * q^k within
+        ``delta`` of x, or None (always None at x = 0, whose distance is
+        infinite)."""
+        k, d = self.nearest(x)
+        return k if d < self.delta and k <= 0 else None
 
 
 def qpochhammer_n(a: complex, q: QModulus | complex, n: int) -> complex:
@@ -373,11 +392,7 @@ def qpochhammer_inf_shifted_pole(
     if k < 0:
         raise ValueError("k must be nonnegative")
     qm = as_modulus(q)
-    spiral = Spiral(1 + 0j, qm, delta)
-    if spiral.contains(lam):
-        raise SpiralProximity(
-            f"lambda={lam!r} lies within {delta} of the spiral q^Z (q={qm.q!r})"
-        )
+    Spiral(1 + 0j, qm, delta).exclude(lam, "lambda")
     qk = qm.q ** (k * (k + 1) // 2)
     num = (-lam) ** (-k) * qk
     den = qpochhammer_inf(lam, qm, trunc) * qpochhammer_n(qm.q / lam, qm, k)
@@ -476,42 +491,83 @@ def theta(
     q: QModulus | complex,
     x: complex,
     trunc: Truncation | None = None,
-    method: str = "auto",
 ) -> complex:
     """Jacobi theta function theta_q(x), x != 0.
 
-    ``method="auto"`` evaluates the cancellation-free triple product, after
-    renormalizing |x| outside [0.2, 5] into that annulus with the shift law
+    Evaluates the cancellation-free triple product, after renormalizing |x|
+    outside [0.2, 5] into that annulus with the shift law
     theta_q(x) = q^(k(k-1)/2) x^k theta_q(q^k x).  The bilateral sum
-    (``method="sum"``) cancels catastrophically near the zero spiral (badly
-    so for |q| close to 1, where the zeros crowd in modulus), so the product
-    is the default everywhere; the two evaluators cross-check each other in
-    the test suite.  Non-finite x, and x so large or small that the shift
-    law's factor leaves double range, raise
+    (:func:`theta_sum`) cancels catastrophically near the zero spiral (badly
+    so for |q| close to 1, where the zeros crowd in modulus); the two
+    evaluators cross-check each other in the test suite.  Non-finite x, and
+    x so large or small that the shift-law factor leaves double range, raise
     :class:`~qconnect.errors.DomainError`.
     """
     if x == 0:
         raise ZeroArgument("theta is undefined at x = 0")
     ax = _finite_abs(x, "theta")
-    if method == "sum":
-        return theta_sum(q, x, trunc)
-    if method == "product":
-        return theta_product(q, x, trunc)
-    if method != "auto":
-        raise ValueError(f"unknown theta method {method!r}")
     qm = as_modulus(q)
     k = _theta_shift(qm, ax)
     if k == 0:
         return theta_product(qm, x, trunc)
     try:
         x0 = qm.q**k * x
-        shift = qm.q ** (k * (k - 1) // 2) * x**k
+        value = _shift_law_factor(qm.q, x, x0, k) * theta_product(qm, x0, trunc)
     except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
         raise DomainError(
-            f"x={x!r} is out of double range for theta (q={qm.q!r}): the "
-            "shift-law factor q^(k(k-1)/2) x^k overflows"
-        ) from None
-    return shift * theta_product(qm, x0, trunc)
+            f"x={x!r} is out of double range for theta (q={qm.q!r}): theta_q(x) "
+            "or its shift-law factor q^(k(k-1)/2) x^k overflows"
+        )
+    return value
+
+
+def _shift_law_factor(qc: complex, x: complex, x0: complex, k: int) -> complex:
+    """The shift-law factor q^(k(k-1)/2) x^k of :func:`theta`, given
+    x0 = q^k x; not finite when it leaves double range.
+
+    It is the bare product of the two powers wherever that is finite.
+    Otherwise it is x0^k q^(-k(k+1)/2), the same factor with x = x0 q^(-k):
+    |x0| is near 1, so x0^k stays in range, and :func:`_weighted` applies
+    the power of q in chunks (skipped when the factor's modulus, estimated
+    by its log, is out of range anyway: for |q| near 1 the chunks are many).
+    """
+    e = k * (k - 1) // 2
+    try:
+        shift = qc**e * x**k
+        if cmath.isfinite(shift):
+            return shift
+    except (OverflowError, ZeroDivisionError):
+        pass
+    log_mod = k * math.log10(abs(x)) + e * math.log10(abs(qc))
+    return _weighted(x0**k, qc, e - k * k) if log_mod < 309 else math.inf
+
+
+def _weighted(c: complex, q: complex, e: int) -> complex:
+    """c * q**e for exponents whose bare weight may leave float range.
+
+    Large exponents are applied in chunks of q^(+-chunk); since every chunk
+    moves the magnitude monotonically toward the final value, intermediates
+    stay representable whenever the result is.  This keeps the error at a few
+    ulp (an exp/log route would lose accuracy proportional to |e|).
+    """
+    if e == 0 or c == 0:
+        return c
+    step_log = math.log10(abs(q))
+    if abs(e * step_log) < 250.0:
+        return c * q**e
+    chunk = max(1, int(200.0 / abs(step_log)))
+    sign = 1 if e > 0 else -1
+    qch = q ** (sign * chunk)
+    rem = abs(e)
+    out = c
+    while rem >= chunk:
+        out *= qch
+        rem -= chunk
+    if rem:
+        out *= q ** (sign * rem)
+    return out
 
 
 def _theta_shift(qm: QModulus, ax: float) -> int:
@@ -595,12 +651,9 @@ def _terminating_degree(upper: Sequence[complex], qm: QModulus) -> int | None:
     spiral = Spiral(1 + 0j, qm, _EXACT_TOL)
     best: int | None = None
     for a in upper:
-        if a == 0:
-            continue
-        k, d = spiral.nearest(a)
-        if d < _EXACT_TOL and k <= 0:
-            m = -k
-            best = m if best is None else min(best, m)
+        k = spiral.half_hit(a)
+        if k is not None and (best is None or -k < best):
+            best = -k
     return best
 
 
@@ -627,10 +680,7 @@ def rphis_with_condition(
 
     pole_spiral = Spiral(1 + 0j, qm, DEFAULT_PROXIMITY)
     for b in lows:
-        if b == 0:
-            continue
-        k, dist = pole_spiral.nearest(b)
-        if dist < DEFAULT_PROXIMITY and k <= 0:
+        if pole_spiral.half_hit(b) is not None:
             raise BadLowerParameter(
                 f"lower parameter {b!r} lies within {DEFAULT_PROXIMITY} of q^(-N) "
                 f"(q={qm.q!r}); the series has a vanishing denominator"
@@ -745,13 +795,12 @@ def e_exp(
         return rphis((0j,), (), qm, x, trunc)
     if mode != "product":
         raise ValueError(f"unknown e_exp mode {mode!r}")
-    if x != 0:
-        k, dist = Spiral(1 + 0j, qm, delta).nearest(x)
-        if dist < delta and k <= 0:
-            raise PoleHit(
-                f"x={x!r} lies within {delta} of the e_q pole q^{k} "
-                f"(half-spiral of [1;q], q={qm.q!r})"
-            )
+    k = Spiral(1 + 0j, qm, delta).half_hit(x)
+    if k is not None:
+        raise PoleHit(
+            f"x={x!r} lies within {delta} of the e_q pole q^{k} "
+            f"(half-spiral of [1;q], q={qm.q!r})"
+        )
     return 1 / qpochhammer_inf(x, qm, trunc)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import log10
 
 from .errors import BaseMismatch
-from .qcore import QModulus
+from .qcore import QModulus, _weighted
 
 __all__ = [
     "FormalSeries",
@@ -148,32 +148,6 @@ def apply_operator(op: QDEOperator, f: FormalSeries) -> FormalSeries:
         for n in range(m, n_out + 1):
             out[n] += c * q ** (l * (n - m)) * f.coeffs[n - m]
     return FormalSeries(f.base, tuple(out), f.flushed)
-
-
-def _weighted(c: complex, q: complex, e: int) -> complex:
-    """c * q**e for exponents whose bare weight may leave float range.
-
-    Large exponents are applied in chunks of q^(+-chunk); since every chunk
-    moves the magnitude monotonically toward the final value, intermediates
-    stay representable whenever the result is.  This keeps the error at a few
-    ulp (an exp/log route would lose accuracy proportional to |e|).
-    """
-    if e == 0 or c == 0:
-        return c
-    step_log = log10(abs(q))
-    if abs(e * step_log) < 250.0:
-        return c * q**e
-    chunk = max(1, int(200.0 / abs(step_log)))
-    sign = 1 if e > 0 else -1
-    qch = q ** (sign * chunk)
-    rem = abs(e)
-    out = c
-    while rem >= chunk:
-        out *= qch
-        rem -= chunk
-    if rem:
-        out *= q ** (sign * rem)
-    return out
 
 
 def _reweight(f: FormalSeries, sign: int) -> FormalSeries:

@@ -29,7 +29,6 @@ from typing import Iterator
 from .errors import (
     DomainError,
     PoleHit,
-    SpiralProximity,
     ThetaZero,
     TruncationExceeded,
     ZeroArgument,
@@ -155,11 +154,11 @@ def g_borel_image(
     qm = as_modulus(q)
     _finite_abs(tau, "the Borel image", "tau")
     q2t = qm.q2 * tau
-    if tau != 0 and not abs(q2t) < 1 - 2 * delta:
+    if not abs(q2t) < 1 - 2 * delta:
         anchor = qm.q**-2
         for sgn in (1, -1):
-            k, dist = Spiral(sgn * anchor, qm, delta).nearest(tau)
-            if dist < delta and k <= 0:
+            k = Spiral(sgn * anchor, qm, delta).half_hit(tau)
+            if k is not None:
                 raise PoleHit(
                     f"tau={tau!r} lies within {delta} of the pole "
                     f"{sgn}*q^({-2 + k}) of the Borel image"
@@ -222,10 +221,7 @@ def two_f_zero(
     tr = _trunc(trunc)
     qm = as_modulus(q)
     qc = qm.q
-    if Spiral(1 + 0j, qm, delta).contains(lam):
-        raise SpiralProximity(
-            f"lambda={lam!r} lies within {delta} of the spiral q^Z (q={qc!r})"
-        )
+    Spiral(1 + 0j, qm, delta).exclude(lam, "lambda")
     phi0 = e_exp(qm, lam / qc, tr, mode="product", delta=delta)
 
     def up() -> Iterator[complex]:
@@ -251,25 +247,26 @@ def _two_f_zero_closed_parts(
     x: complex,
     tr: Truncation,
     delta: float,
-    drop_one_minus_q: bool,
+    drop_one_minus_q: bool = False,
 ) -> tuple[complex, complex]:
+    """The even and odd terms of :func:`two_f_zero_closed`.
+
+    ``drop_one_minus_q`` deliberately corrupts the odd term; only the
+    verification harness sets it, to prove that it detects a wrong formula.
+    """
     qc = qm.q
-    if Spiral(1 + 0j, qm, delta).contains(lam):
-        raise SpiralProximity(
-            f"lambda={lam!r} lies within {delta} of the spiral q^Z, where "
-            f"theta_q(-lambda/q) vanishes (q={qc!r})"
-        )
-    if Spiral(-lam, qm, delta).contains(x):
-        raise SpiralProximity(
-            f"x={x!r} lies within {delta} of the exclusion spiral [-lambda;q] "
-            f"(lambda={lam!r}, q={qc!r})"
-        )
+    Spiral(1 + 0j, qm, delta).exclude(lam, "lambda")
+    Spiral(-lam, qm, delta).exclude(x)
     th_lam = theta(qm, -lam / qc, tr)
     th_lx = theta(qm, lam / x, tr)
-    if abs(th_lam) < _THETA_FLOOR or abs(th_lx) < _THETA_FLOOR:
-        raise ThetaZero("a denominator theta value is numerically zero")
+    den = th_lam * th_lx
+    # each factor may clear the floor while their product underflows to 0
+    if abs(th_lam) < _THETA_FLOOR or abs(th_lx) < _THETA_FLOOR or den == 0:
+        raise ThetaZero(
+            "the denominator theta_q(-lambda/q) theta_q(lambda/x) is numerically zero"
+        )
     q2m = qm.squared()
-    pref = qpochhammer_inf(qc, qm, tr) / (th_lam * th_lx)
+    pref = qpochhammer_inf(qc, qm, tr) / den
     even = (
         pref
         * theta(q2m, -lam * lam / (qc * x), tr)
@@ -293,7 +290,6 @@ def two_f_zero_closed(
     trunc: Truncation | None = None,
     delta: float = DEFAULT_PROXIMITY,
     with_theta_factor: bool = False,
-    _drop_one_minus_q: bool = False,
 ) -> complex:
     """Closed form of the resummed 2f0(0,0;-;q,-x/q) along [lambda; q]:
 
@@ -302,14 +298,11 @@ def two_f_zero_closed(
           + (lambda/x)/(1-q) theta_{q^2}(-lambda^2/x) 1phi1(0;q^3;q^2,q^3/x) ].
 
     ``with_theta_factor=True`` multiplies by theta_q(x), matching the form in
-    which the identity appears as a solution of the Ramanujan equation.  The
-    private ``_drop_one_minus_q`` switch deliberately corrupts the second
-    term; it exists so the verification harness can prove it detects wrong
-    formulas.
+    which the identity appears as a solution of the Ramanujan equation.
     """
     tr = _trunc(trunc)
     qm = as_modulus(q)
-    even, odd = _two_f_zero_closed_parts(qm, lam, x, tr, delta, _drop_one_minus_q)
+    even, odd = _two_f_zero_closed_parts(qm, lam, x, tr, delta)
     val = even + odd
     if with_theta_factor:
         val *= theta(qm, x, tr)
@@ -344,11 +337,7 @@ class SolutionAtInfinity:
         object.__setattr__(self, "q", as_modulus(self.q))
         if self.t == 0:
             raise ZeroArgument("t must be nonzero")
-        if Spiral(1 + 0j, self.q, self.delta).contains(self.t):
-            raise SpiralProximity(
-                f"t={self.t!r} lies within {self.delta} of the zero spiral of "
-                f"theta_q(-q^2 t) (t in q^Z)"
-            )
+        Spiral(1 + 0j, self.q, self.delta).exclude(self.t, "t")
 
     def prefactor(self, trunc: Truncation | None = None) -> complex:
         return 1 / theta(self.q, -self.q.q2 * self.t, trunc)

@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     NoConvergence,
     PoleOnContour,
-    SpiralProximity,
     TruncationExceeded,
     ZeroArgument,
 )
@@ -242,11 +241,7 @@ def _spiral_sum(
     if x == 0:
         raise ZeroArgument("x must be nonzero")
     tr = _trunc(trunc)
-    if Spiral(-lam, qm, delta).contains(x):
-        raise SpiralProximity(
-            f"x={x!r} lies within {delta} of the exclusion spiral [-lambda;q] "
-            f"(lambda={lam!r}, q={qm.q!r})"
-        )
+    Spiral(-lam, qm, delta).exclude(x)
     qc = qm.q
     ratio = lam / x
     th = theta(qm, ratio, tr)

@@ -2,8 +2,9 @@
 
 Every identity is evaluated with disjoint code paths on its two sides (no
 shared memoized subexpression), point by point over a grid that respects the
-identity's exclusion set.  Filtered points and evaluation-time domain errors
-become skip records, never silent passes.  Each evaluated point carries a
+identity's exclusion set.  Filtered points and evaluation-time errors (any
+:class:`~qconnect.errors.QConnectError`) become skip records, never silent
+passes or aborted runs.  Each evaluated point carries a
 condition estimate (sum of the magnitudes of the combined summands over the
 result magnitude); where that exceeds 1e3 the tolerance is widened to
 tol * condition, since exact identities with catastrophic cancellation must
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DomainError, EmptyGrid, SpiralProximity
+from .errors import EmptyGrid, QConnectError, SpiralProximity
 from .qcore import (
     DEFAULT_PROXIMITY,
     DEFAULT_TRUNCATION,
@@ -61,22 +62,6 @@ __all__ = [
     "run_suite",
     "default_suite",
 ]
-
-IDENTITY_IDS = (
-    "watson",
-    "ismail-zhang",
-    "thm-ramanujan-qairy",
-    "thm-eq-Eq",
-    "lemma-alt",
-    "thm-2f0",
-    "qde-ramanujan",
-    "qde-qairy",
-    "qde-theta",
-    "qde-2f0-resummed",
-    "residue-lemma",
-    "operational-lemma",
-    "formal-inverses",
-)
 
 _CONDITION_KNEE = 1e3
 _DEGENERATE = 1e-250
@@ -282,15 +267,15 @@ def _need_lam(chk: IdentityCheck) -> complex:
 
 
 def _validate_lam_off_qz(chk: IdentityCheck, qm: QModulus) -> None:
-    lam = _need_lam(chk)
-    if Spiral(1 + 0j, qm, chk.delta).contains(lam):
-        raise SpiralProximity(
-            f"lambda={lam!r} lies within {chk.delta} of the exclusion spiral q^Z "
-            f"(q={qm.q!r}); theta_q(-lambda/q) vanishes there"
-        )
+    Spiral(1 + 0j, qm, chk.delta).exclude(_need_lam(chk), "lambda")
 
 
-def _filter_none(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
+def _off_spiral(spiral: Spiral, x: complex) -> str | None:
+    """The skip reason for a grid point x on the spiral, else None."""
+    try:
+        spiral.exclude(x)
+    except SpiralProximity as exc:
+        return str(exc)
     return None
 
 
@@ -299,9 +284,7 @@ def _filter_unit_disc_off_one_spiral(
 ) -> str | None:
     if abs(x) >= 1:
         return f"|x|={abs(x):.6g} outside the |x|<1 domain"
-    if Spiral(1 + 0j, qm, chk.delta).contains(x):
-        return f"x within {chk.delta} of the exclusion spiral [1;q]"
-    return None
+    return _off_spiral(Spiral(1 + 0j, qm, chk.delta), x)
 
 
 def _filter_watson(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
@@ -311,16 +294,11 @@ def _filter_watson(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
     arg = c * qm.q / (a * b * x)
     if abs(arg) >= 1:
         return f"|cq/(abx)|={abs(arg):.6g} outside the overlap domain"
-    if Spiral(1 + 0j, qm, chk.delta).contains(x):
-        return f"x within {chk.delta} of the spiral q^Z"
-    return None
+    return _off_spiral(Spiral(1 + 0j, qm, chk.delta), x)
 
 
 def _filter_neg_lam_spiral(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
-    lam = _need_lam(chk)
-    if Spiral(-lam, qm, chk.delta).contains(x):
-        return f"x within {chk.delta} of the exclusion spiral [-lambda;q]"
-    return None
+    return _off_spiral(Spiral(-_need_lam(chk), qm, chk.delta), x)
 
 
 def _eval_watson(chk, qm, x, tr, mutations):
@@ -437,7 +415,7 @@ def _eval_qde_theta(chk, qm, x, tr, mutations):
         lhs, cond = theta_sum_with_condition(qm, qc**k * x, tr)
         rhs = qc ** (-(k * (k - 1) // 2)) * x ** (-k) * base
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), _FLOOR)
-        adj = rel / cond if cond > _CONDITION_KNEE else rel
+        adj = _adjusted(rel, cond)
         if adj > worst_adj:
             worst_adj = adj
             worst = _Eval(x, lhs, rhs, (lhs, rhs), condition_override=cond)
@@ -515,30 +493,14 @@ def _eval_formal_inverses(chk, qm, x, tr, mutations):
 @dataclass(frozen=True)
 class _IdentitySpec:
     tol: float
-    grid: Callable[[IdentityCheck, QModulus], tuple[complex, ...]]
-    prefilter: Callable[[IdentityCheck, QModulus, complex], str | None]
+    grid: tuple[complex, ...]
     evaluate: Callable
-    validate: Callable[[IdentityCheck, QModulus], None] = lambda chk, qm: None
+    prefilter: Callable[[IdentityCheck, QModulus, complex], str | None] | None = None
+    validate: Callable[[IdentityCheck, QModulus], None] | None = None
 
 
-def _grid_full(chk, qm):
-    return default_grid(0.15, 8.0)
-
-
-def _grid_subunit(chk, qm):
-    return default_grid(0.15, 0.9)
-
-
-def _grid_residue(chk, qm):
-    return (0.3 + 0j, 2.0 * cmath.exp(0.7j))
-
-
-def _grid_operational(chk, qm):
-    return tuple(complex(m, l) for m in range(6) for l in range(6))
-
-
-def _grid_formal(chk, qm):
-    return tuple(complex(30, s) for s in range(5))
+_GRID_FULL = default_grid(0.15, 8.0)
+_GRID_SUBUNIT = default_grid(0.15, 0.9)
 
 
 def _validate_watson(chk: IdentityCheck, qm: QModulus) -> None:
@@ -547,34 +509,47 @@ def _validate_watson(chk: IdentityCheck, qm: QModulus) -> None:
 
 
 _REGISTRY: Mapping[str, _IdentitySpec] = {
-    "watson": _IdentitySpec(1e-9, _grid_subunit, _filter_watson, _eval_watson, _validate_watson),
-    "ismail-zhang": _IdentitySpec(1e-10, _grid_full, _filter_none, _eval_ismail_zhang),
-    "thm-ramanujan-qairy": _IdentitySpec(
-        1e-9, _grid_full, _filter_none, _eval_thm_ramanujan_qairy
+    "watson": _IdentitySpec(
+        1e-9, _GRID_SUBUNIT, _eval_watson, _filter_watson, _validate_watson
     ),
+    "ismail-zhang": _IdentitySpec(1e-10, _GRID_FULL, _eval_ismail_zhang),
+    "thm-ramanujan-qairy": _IdentitySpec(1e-9, _GRID_FULL, _eval_thm_ramanujan_qairy),
     "thm-eq-Eq": _IdentitySpec(
-        1e-12, _grid_subunit, _filter_unit_disc_off_one_spiral, _eval_thm_eq_Eq
+        1e-12, _GRID_SUBUNIT, _eval_thm_eq_Eq, _filter_unit_disc_off_one_spiral
     ),
     "lemma-alt": _IdentitySpec(
-        1e-12, _grid_subunit, _filter_unit_disc_off_one_spiral, _eval_lemma_alt
+        1e-12, _GRID_SUBUNIT, _eval_lemma_alt, _filter_unit_disc_off_one_spiral
     ),
     "thm-2f0": _IdentitySpec(
-        1e-8, _grid_full, _filter_neg_lam_spiral, _eval_thm_2f0, _validate_lam_off_qz
+        1e-8, _GRID_FULL, _eval_thm_2f0, _filter_neg_lam_spiral, _validate_lam_off_qz
     ),
-    "qde-ramanujan": _IdentitySpec(1e-9, _grid_full, _filter_none, _eval_qde_ramanujan),
-    "qde-qairy": _IdentitySpec(1e-9, _grid_full, _filter_none, _eval_qde_qairy),
-    "qde-theta": _IdentitySpec(1e-9, _grid_full, _filter_none, _eval_qde_theta),
+    "qde-ramanujan": _IdentitySpec(1e-9, _GRID_FULL, _eval_qde_ramanujan),
+    "qde-qairy": _IdentitySpec(1e-9, _GRID_FULL, _eval_qde_qairy),
+    "qde-theta": _IdentitySpec(1e-9, _GRID_FULL, _eval_qde_theta),
     "qde-2f0-resummed": _IdentitySpec(
-        1e-9, _grid_full, _filter_neg_lam_spiral, _eval_qde_2f0, _validate_lam_off_qz
+        1e-9, _GRID_FULL, _eval_qde_2f0, _filter_neg_lam_spiral, _validate_lam_off_qz
     ),
-    "residue-lemma": _IdentitySpec(1e-8, _grid_residue, _filter_none, _eval_residue_lemma),
+    "residue-lemma": _IdentitySpec(
+        1e-8, (0.3 + 0j, 2.0 * cmath.exp(0.7j)), _eval_residue_lemma
+    ),
     "operational-lemma": _IdentitySpec(
-        1e-13, _grid_operational, _filter_none, _eval_operational_lemma
+        1e-13,
+        tuple(complex(m, l) for m in range(6) for l in range(6)),
+        _eval_operational_lemma,
     ),
     "formal-inverses": _IdentitySpec(
-        1e-13, _grid_formal, _filter_none, _eval_formal_inverses
+        1e-13, tuple(complex(30, s) for s in range(5)), _eval_formal_inverses
     ),
 }
+
+#: every identity id, in registry order
+IDENTITY_IDS = tuple(_REGISTRY)
+
+
+def _adjusted(rel: float, cond: float) -> float:
+    """A relative error with the conditioning it explains divided out: above
+    the condition knee, the tolerance widens by the condition itself."""
+    return rel / cond if cond > _CONDITION_KNEE else rel
 
 
 def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> IdentityReport:
@@ -582,15 +557,18 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
 
     ``mutations`` deliberately corrupts a formula ("drop-one-minus-q" on
     thm-2f0) so the harness itself can be tested; it is never part of a
-    normal run.
+    normal run.  Any package error at a point (a domain exclusion, a
+    truncation cap, a quadrature that does not settle) becomes a skip record
+    carrying its message.
     """
     qm = as_modulus(chk.q)
     spec = _REGISTRY[chk.identity]
-    spec.validate(chk, qm)
-    grid = chk.grid if chk.grid is not None else spec.grid(chk, qm)
+    if spec.validate is not None:
+        spec.validate(chk, qm)
+    grid = chk.grid if chk.grid is not None else spec.grid
     tol = chk.tol if chk.tol is not None else spec.tol
 
-    reasons = [spec.prefilter(chk, qm, x) for x in grid]
+    reasons = [spec.prefilter(chk, qm, x) if spec.prefilter else None for x in grid]
     if grid and all(r is not None for r in reasons):
         raise EmptyGrid(
             f"every grid point of {chk.identity!r} is excluded; first reason: {reasons[0]}"
@@ -605,7 +583,7 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
             continue
         try:
             evals = spec.evaluate(chk, qm, x, chk.trunc, mutations)
-        except DomainError as exc:
+        except QConnectError as exc:
             points.append(PointRecord(x, 0j, 0j, 0.0, 0.0, 0.0, True, str(exc)))
             continue
         for ev in evals:
@@ -630,7 +608,7 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
                     cond = max(
                         sum(abs(t) for t in ev.terms) / max(mag, _FLOOR), 1.0
                     )
-            adj = rel / cond if cond > _CONDITION_KNEE else rel
+            adj = _adjusted(rel, cond)
             max_adj = max(max_adj, adj)
             n_eval += 1
             points.append(PointRecord(ev.x, ev.lhs, ev.rhs, abs_err, rel, cond, False, None))

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from qconnect.cli import fmt_complex, main, parse_complex
+from qconnect.cli import _build_parser, fmt_complex, main, parse_complex
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +176,25 @@ class TestCheck:
     def test_usage_error(self, capsys):
         assert main(["check"]) == 2
         assert main(["frobnicate"]) == 2
+
+    def test_underflowed_denominator_fails_without_traceback(self, capsys):
+        code, out, err = run_cli(capsys, "check", "thm-2f0", "--q", "0.99", "--lambda", "0.7")
+        assert code == 1
+        assert out.startswith("FAIL") and "skipped=3" in out
+        assert "Traceback" not in out + err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_reuse_keeps_no_state(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "theta", "--q", "0.5", "--x", "5e9")
+        assert code == 0
+        assert abs(first_value(out) / 4.099309391157117e161 - 1) < 1e-13
+        code, _, _ = run_cli(capsys, "eval", "Aq", "--q", "0.5", "--x", "1")
+        assert code == 0
+        assert run_cli(capsys, "eval", "theta", "--q", "0.5")[0] == 2
 
 
 class TestOverflowingModulus:

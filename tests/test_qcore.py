@@ -317,10 +317,6 @@ class TestTheta:
             s, cond = theta_sum_with_condition(qmod, x)
             assert rel_err(theta(qmod, x), s) < 1e-11 * max(cond, 1.0)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            theta(0.5, 1.0, method="magic")
-
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
     def test_non_finite_argument_rejected(self, x):
         with pytest.raises(DomainError, match="finite"):
@@ -337,6 +333,74 @@ class TestTheta:
         with pytest.raises(DomainError, match="finite"):
             theta_sum_with_condition(0.5, x, Truncation(log=log))
         assert log.terms == 0
+
+
+def mp_theta_sum(q, x):
+    """theta_q(x) by its bilateral sum over |n| <= 150 at 40 digits, each
+    term from the last by its ratio (q^n x upward, q^m / x downward): no
+    shift law enters the reference."""
+    with mp.workdps(40):
+        q, x = mp.mpc(q), mp.mpc(x)
+        total = up = down = qn = mp.mpc(1)
+        for _ in range(150):
+            up *= qn * x
+            qn *= q
+            down *= qn / x
+            total += up + down
+        return complex(total)
+
+
+FAR_QS = (0.3, 0.5, 0.6 * cmath.exp(2.1j))
+
+
+class TestThetaFarFromUnitCircle:
+    """theta where the bare powers q^(k(k-1)/2) and x^k of the shift law
+    leave double range (from about |x| = 4e9 at q = 0.5) but theta does not."""
+
+    # at |q| = 0.6 theta itself leaves double range before |x| = 1e12
+    @pytest.mark.parametrize(
+        "q, r",
+        [(q, r) for q in FAR_QS for r in (1e9, 5e9, 1e11, 1e12) if abs(q) < 0.6 or r < 1e12],
+        ids=lambda v: f"{v:.3g}",
+    )
+    @pytest.mark.parametrize("angle", [0.0, 2.0])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_matches_mpmath(self, q, r, angle, mirrored):
+        x = cmath.exp(1j * angle) * (1 / r if mirrored else r)
+        # a complex q takes its powers q^n, n >= 100, through the polar
+        # form (the bare shift law is 1.4e-13 off at |x| = 1e9 already), and
+        # x0^k carries k times the rounding of x0 = q^k x: up to 3.2e-13
+        tol = 1e-13 if isinstance(q, float) else 5e-13
+        assert rel_err(theta(q, x), mp_theta_sum(q, x)) < tol
+
+    def test_half_at_5e9(self):
+        assert rel_err(theta(0.5, 5e9), mp_theta_sum(0.5, 5e9)) < 1e-13
+
+    @pytest.mark.parametrize("q, x", [(0.5, 1e9), (0.5, 1.3e-9 + 2e-10j), (0.3, -2e8j)])
+    def test_bare_shift_law_kept_where_it_fits(self, q, x):
+        qc = complex(q)
+        k = round(-math.log(abs(x)) / math.log(abs(qc)))
+        bare = qc ** (k * (k - 1) // 2) * x**k * theta_product(qc, qc**k * x)
+        assert theta(q, x) == bare
+
+    @pytest.mark.parametrize(
+        "q, x", [(0.5, 3e10 + 1e10j), (0.3, -1.3159718445627704e16 + 2.875450939299445e16j)]
+    )
+    def test_was_nan_where_x_to_the_k_overflowed_to_nan(self, q, x):
+        assert rel_err(theta(q, x), mp_theta_sum(q, x)) < 1e-13
+
+    @pytest.mark.parametrize("q, x", [
+        (0.5, 2.95e13),  # the factor fits, the factor times the product does not
+        (0.5, 1.7e-14),
+    ])
+    def test_value_out_of_range_is_domain_error(self, q, x):
+        with pytest.raises(DomainError, match="out of double range"):
+            theta(q, x)
+
+    def test_underflowing_power_is_domain_error(self):
+        # x^k underflowed to 0 and 0^(-n) raised ZeroDivisionError
+        with pytest.raises(DomainError, match="out of double range"):
+            theta(0.8, 2e-10 - 1e-10j)
 
 
 class TestRphis:

@@ -11,6 +11,7 @@ from qconnect import (
     Spiral,
     SpiralProximity,
     TermLog,
+    ThetaZero,
     Truncation,
     ZeroArgument,
     as_modulus,
@@ -270,10 +271,10 @@ class TestResummedDivergentSeries:
         full = two_f_zero_closed(qm, 0.7, 2.4, with_theta_factor=True)
         assert rel_err(full, bare * theta(qm, 2.4)) < 1e-14
 
-    def test_corruption_switch_changes_value(self):
-        good = two_f_zero_closed(0.5, 0.7, 2.4)
-        bad = two_f_zero_closed(0.5, 0.7, 2.4, _drop_one_minus_q=True)
-        assert rel_err(good, bad) > 1e-3
+    def test_underflowed_denominator_is_theta_zero(self):
+        # each theta factor clears the floor; their product underflows to 0
+        with pytest.raises(ThetaZero):
+            two_f_zero_closed(0.99, 0.7, -0.14711779206048456 - 0.029263548302419253j)
 
     def test_resummed_solution_solves_equation(self, qmod):
         # u(x) = theta(x) * resummed value solves q x u(q^2 x) - u(qx) + u(x) = 0

@@ -14,6 +14,7 @@ from qconnect import (
     default_suite,
     run_suite,
 )
+from qconnect.qcore import Truncation
 
 
 class TestDefaultGrid:
@@ -111,6 +112,20 @@ class TestCheckBehavior:
     def test_custom_tolerance_can_fail(self):
         rep = check(IdentityCheck("qde-ramanujan", 0.5, tol=1e-30))
         assert not rep.passed
+
+    def test_truncation_cap_becomes_a_skip(self):
+        # any package error at a point is a record, not an abort of the suite
+        rep = check(IdentityCheck("ismail-zhang", 0.5, trunc=Truncation(n_max=5)))
+        assert rep.n_evaluated == 0 and not rep.passed
+        assert all(p.skipped and "n_max" in p.reason for p in rep.points)
+
+    def test_underflowed_theta_denominator_becomes_a_skip(self):
+        # at q = 0.99 theta(-lambda/q) theta(lambda/x) underflows to 0 at
+        # this x, though each factor is above the theta floor
+        x = -0.14711779206048456 - 0.029263548302419253j
+        rep = check(IdentityCheck("thm-2f0", 0.99, lam=0.7, grid=(x,)))
+        (point,) = rep.points
+        assert point.skipped and "numerically zero" in point.reason
 
 
 class TestSuite:
