@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .errors import DomainError, QConnectError
 from .qcore import (
+    DEFAULT_PROXIMITY,
     E_exp,
     Spiral,
     TermLog,
@@ -61,18 +62,20 @@ def fmt_complex(z: complex) -> str:
     return f"{z.real:.14e}{sign}{abs(z.imag):.14e}i"
 
 
-_EVAL_FUNCTIONS = (
-    "Aq",
-    "Aiq",
-    "theta",
-    "eq",
-    "Eq",
-    "rphis",
-    "2f0",
-    "2f0-closed",
-    "f-residues",
-    "g-borel",
-)
+#: ``qconnect eval`` name -> evaluator(q, args, trunc); the keys, in this
+#: order, are the parser's choices
+_EVALUATORS = {
+    "Aq": lambda qm, a, tr: ramanujan_Aq(qm, a.x, tr),
+    "Aiq": lambda qm, a, tr: qairy_Ai(qm, a.x, tr),
+    "theta": lambda qm, a, tr: theta(qm, a.x, tr),
+    "eq": lambda qm, a, tr: e_exp(qm, a.x, tr),
+    "Eq": lambda qm, a, tr: E_exp(qm, a.x, tr),
+    "rphis": lambda qm, a, tr: rphis(a.upper, a.lower, qm, a.x, tr),
+    "2f0": lambda qm, a, tr: two_f_zero(qm, a.lam, a.x, tr),
+    "2f0-closed": lambda qm, a, tr: two_f_zero_closed(qm, a.lam, a.x, tr),
+    "f-residues": lambda qm, a, tr: f_via_residues(qm, a.x, tr),
+    "g-borel": lambda qm, a, tr: g_borel_image(qm, a.x, tr),
+}
 
 
 @functools.cache
@@ -85,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate one function at a point")
-    ev.add_argument("function", choices=_EVAL_FUNCTIONS)
+    ev.add_argument("function", choices=tuple(_EVALUATORS))
     ev.add_argument("--q", type=parse_complex, required=True, help="base, 0<|q|<1")
     ev.add_argument("--x", type=parse_complex, required=True, help="argument")
     ev.add_argument("--lambda", dest="lam", type=parse_complex, default=None,
@@ -126,45 +129,18 @@ def _truncation(args) -> tuple[Truncation, TermLog]:
 def _cmd_eval(args) -> int:
     trunc, log = _truncation(args)
     qm = as_modulus(args.q)
-    x = args.x
     fn = args.function
-    warnings: list[str] = []
 
     if fn in ("2f0", "2f0-closed") and args.lam is None:
         print("error: --lambda is required for the 2f0 family", file=sys.stderr)
         return 2
 
-    if fn == "Aq":
-        value = ramanujan_Aq(qm, x, trunc)
-    elif fn == "Aiq":
-        value = qairy_Ai(qm, x, trunc)
-    elif fn == "theta":
-        value = theta(qm, x, trunc)
-        if Spiral(-1 + 0j, qm).contains(x):
-            warnings.append(
-                "warning: x lies within 1e-06 of the theta zero spiral -q^Z; "
-                "the value is a near-cancellation"
-            )
-    elif fn == "eq":
-        value = e_exp(qm, x, trunc)
-    elif fn == "Eq":
-        value = E_exp(qm, x, trunc)
-    elif fn == "rphis":
-        value = rphis(args.upper, args.lower, qm, x, trunc)
-    elif fn == "2f0":
-        value = two_f_zero(qm, args.lam, x, trunc)
-    elif fn == "2f0-closed":
-        value = two_f_zero_closed(qm, args.lam, x, trunc)
-    elif fn == "f-residues":
-        value = f_via_residues(qm, x, trunc)
-    elif fn == "g-borel":
-        value = g_borel_image(qm, x, trunc)
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
-
-    print(fmt_complex(value))
-    for w in warnings:
-        print(w)
+    print(fmt_complex(_EVALUATORS[fn](qm, args, trunc)))
+    if fn == "theta" and Spiral(-1 + 0j, qm).contains(args.x):
+        print(
+            f"warning: x lies within {DEFAULT_PROXIMITY} of the theta zero spiral -q^Z; "
+            "the value is a near-cancellation"
+        )
     print(f"terms={log.terms} eps={trunc.eps:g} n_max={trunc.n_max}")
     return 0
 

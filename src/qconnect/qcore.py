@@ -193,7 +193,9 @@ class Spiral:
     point, with k running over both signs; points closer than ``delta`` are
     rejected rather than extrapolated.  Every exclusion in the package goes
     through :meth:`exclude` (the whole spiral) or :meth:`half_hit` (the
-    half-spiral k <= 0 of poles and terminating parameters).
+    half-spiral k <= 0 of poles and terminating parameters), at the one
+    threshold ``DEFAULT_PROXIMITY``; only the recognition of terminating
+    parameters uses the near-exact ``_EXACT_TOL``.
     """
 
     anchor: complex
@@ -379,7 +381,6 @@ def qpochhammer_inf_shifted_pole(
     q: QModulus | complex,
     k: int,
     trunc: Truncation | None = None,
-    delta: float = DEFAULT_PROXIMITY,
 ) -> complex:
     """Evaluate 1 / (lam * q^(-k); q)_inf through its pole-free closed form
 
@@ -392,7 +393,7 @@ def qpochhammer_inf_shifted_pole(
     if k < 0:
         raise ValueError("k must be nonnegative")
     qm = as_modulus(q)
-    Spiral(1 + 0j, qm, delta).exclude(lam, "lambda")
+    Spiral(1 + 0j, qm).exclude(lam, "lambda")
     qk = qm.q ** (k * (k + 1) // 2)
     num = (-lam) ** (-k) * qk
     den = qpochhammer_inf(lam, qm, trunc) * qpochhammer_n(qm.q / lam, qm, k)
@@ -591,19 +592,22 @@ def _theta_circle(
     table of powers q^n that the loop runs over.  Each call
     then runs one loop of the cancellation-free triple product and notes 2
     factors per power in ``trunc.log``; (q;q)_inf is noted once, here.
+    The bare constant times x^k scales the product wherever that is finite;
+    elsewhere the shift-law factor is formed as :func:`theta` forms it.
     Errors are those of :func:`theta`: rho not finite and positive, or a
-    shift-law factor out of double range, raises
-    :class:`~qconnect.errors.DomainError`; a factor count above ``n_max``
-    raises :class:`~qconnect.errors.TruncationExceeded`.
+    value out of double range, raises :class:`~qconnect.errors.DomainError`;
+    a factor count above ``n_max`` raises
+    :class:`~qconnect.errors.TruncationExceeded`.
     """
     if not 0.0 < rho < math.inf:
         raise DomainError(f"theta needs a finite nonzero argument, got |x|={rho!r}")
     tr = _trunc(trunc)
     qc = qm.q
     k = _theta_shift(qm, rho)
+    qq = qpochhammer_inf(qc, qm, tr)
     try:
         qk = qc**k
-        const = qpochhammer_inf(qc, qm, tr) * qc ** (k * (k - 1) // 2)
+        const = qq * qc ** (k * (k - 1) // 2)
     except OverflowError:
         raise DomainError(
             f"|x|={rho!r} is out of double range for theta (q={qc!r}): the "
@@ -636,12 +640,18 @@ def _theta_circle(
             prod *= (one + x0 * qn) * (one + y * qn)
         tr.note(factors)
         try:
-            return const * x**k * prod
-        except OverflowError:
+            v = const * x**k * prod
+            if cmath.isfinite(v):
+                return v
+        except (OverflowError, ZeroDivisionError):
+            pass
+        v = qq * _shift_law_factor(qc, x, x0, k) * prod
+        if not cmath.isfinite(v):
             raise DomainError(
-                f"x={x!r} is out of double range for theta (q={qc!r}): the "
-                "shift-law factor x^k overflows"
-            ) from None
+                f"x={x!r} is out of double range for theta (q={qc!r}): theta_q(x) "
+                "or its shift-law factor q^(k(k-1)/2) x^k overflows"
+            )
+        return v
 
     return value
 
@@ -678,7 +688,7 @@ def rphis_with_condition(
     r, s = len(ups), len(lows)
     d = 1 + s - r
 
-    pole_spiral = Spiral(1 + 0j, qm, DEFAULT_PROXIMITY)
+    pole_spiral = Spiral(1 + 0j, qm)
     for b in lows:
         if pole_spiral.half_hit(b) is not None:
             raise BadLowerParameter(
@@ -778,7 +788,6 @@ def e_exp(
     x: complex,
     trunc: Truncation | None = None,
     mode: str = "auto",
-    delta: float = DEFAULT_PROXIMITY,
 ) -> complex:
     """q-exponential e_q(x) = 1phi0(0; -; q, x) = sum x^n/(q;q)_n.
 
@@ -786,7 +795,7 @@ def e_exp(
     e_q(x) = 1/(x; q)_inf continues it to all x off the pole half-spiral
     {q^(-k) : k >= 0}.  ``mode`` selects "series", "product" or "auto"
     (series inside the unit disc, product outside).  Product mode raises
-    :class:`PoleHit` within ``delta`` of a pole.
+    :class:`PoleHit` within ``DEFAULT_PROXIMITY`` of a pole.
     """
     qm = as_modulus(q)
     if mode == "auto":
@@ -795,10 +804,10 @@ def e_exp(
         return rphis((0j,), (), qm, x, trunc)
     if mode != "product":
         raise ValueError(f"unknown e_exp mode {mode!r}")
-    k = Spiral(1 + 0j, qm, delta).half_hit(x)
+    k = Spiral(1 + 0j, qm).half_hit(x)
     if k is not None:
         raise PoleHit(
-            f"x={x!r} lies within {delta} of the e_q pole q^{k} "
+            f"x={x!r} lies within {DEFAULT_PROXIMITY} of the e_q pole q^{k} "
             f"(half-spiral of [1;q], q={qm.q!r})"
         )
     return 1 / qpochhammer_inf(x, qm, trunc)

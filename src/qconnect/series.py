@@ -3,8 +3,9 @@
 Series here are plain coefficient vectors over ``complex`` with an attached
 base; they exist for the exact, coefficientwise side of the theory (formal
 Borel transforms, operator identities), not for summation.  Reweighting by
-q^(-n(n-1)/2) grows superexponentially, so :func:`qborel_minus` clips a series
-to its representable prefix and flags it rather than emitting infinities.
+q^(-n(n-1)/2) grows superexponentially (and q^(+n(n-1)/2) decays so), so a
+reweighted series ends at its representable prefix rather than carrying
+infinities or flushed zeros: its length is its valid order.
 """
 
 from __future__ import annotations
@@ -24,22 +25,17 @@ __all__ = [
     "borel_minus_operator_image",
 ]
 
-# |coefficient| below this is flushed to zero, above 10^_LOG_CLIP clipped
+# a reweighted coefficient below _FLUSH or above 10^_LOG_CLIP ends the series
 _FLUSH = 1e-300
 _LOG_CLIP = 307.0
 
 
 @dataclass(frozen=True)
 class FormalSeries:
-    """Coefficients c_0..c_N of a truncated power series at a fixed base.
-
-    ``flushed`` records that a reweighting operation zeroed or clipped
-    coefficients; checks should then compare on the common valid prefix.
-    """
+    """Coefficients c_0..c_N of a truncated power series at a fixed base."""
 
     base: QModulus
     coeffs: tuple[complex, ...]
-    flushed: bool = False
 
     def __post_init__(self) -> None:
         cs = tuple(complex(c) for c in self.coeffs)
@@ -57,10 +53,10 @@ class FormalSeries:
     def prefix(self, order: int) -> "FormalSeries":
         if order < 0 or order > self.order:
             raise ValueError("prefix order out of range")
-        return FormalSeries(self.base, self.coeffs[: order + 1], self.flushed)
+        return FormalSeries(self.base, self.coeffs[: order + 1])
 
     def scale(self, c: complex) -> "FormalSeries":
-        return FormalSeries(self.base, tuple(c * v for v in self.coeffs), self.flushed)
+        return FormalSeries(self.base, tuple(c * v for v in self.coeffs))
 
     def _check_base(self, other: "FormalSeries") -> None:
         if other.base.q != self.base.q:
@@ -74,7 +70,6 @@ class FormalSeries:
         return FormalSeries(
             self.base,
             tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)),
-            self.flushed or other.flushed,
         )
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
@@ -147,34 +142,32 @@ def apply_operator(op: QDEOperator, f: FormalSeries) -> FormalSeries:
     for m, c, l in op.terms:
         for n in range(m, n_out + 1):
             out[n] += c * q ** (l * (n - m)) * f.coeffs[n - m]
-    return FormalSeries(f.base, tuple(out), f.flushed)
+    return FormalSeries(f.base, tuple(out))
 
 
 def _reweight(f: FormalSeries, sign: int) -> FormalSeries:
-    """Coefficient reweight c_n -> c_n q^(sign * n(n-1)/2) with clip/flush."""
+    """Coefficient reweight c_n -> c_n q^(sign * n(n-1)/2).
+
+    The series ends before the first coefficient whose weighted value would
+    exceed 10^_LOG_CLIP or fall below _FLUSH (to 0 included) from a nonzero
+    input, so every coefficient it keeps is the reweighted one.  c_0 and c_1
+    carry weight 1 and are always kept.
+    """
     q = f.base.q
     lq = log10(abs(q))
     out: list[complex] = []
-    flushed = f.flushed
     for n, c in enumerate(f.coeffs):
-        if c == 0:
-            out.append(0 + 0j)
-            continue
         e = sign * (n * (n - 1) // 2)
+        if c == 0 or e == 0:
+            out.append(c)
+            continue
         if log10(abs(c)) + e * lq > _LOG_CLIP:
-            flushed = True
             break
         v = _weighted(c, q, e)
-        if v != 0 and abs(v) < _FLUSH:
-            v = 0 + 0j
-            flushed = True
-        elif v == 0:
-            flushed = True
+        if abs(v) < _FLUSH:
+            break
         out.append(v)
-    if not out:
-        out = [0 + 0j]
-        flushed = True
-    return FormalSeries(f.base, tuple(out), flushed)
+    return FormalSeries(f.base, tuple(out))
 
 
 def qborel_plus(f: FormalSeries) -> FormalSeries:
@@ -186,7 +179,7 @@ def qborel_minus(f: FormalSeries) -> FormalSeries:
     """Second-kind q-Borel transform: a_n -> a_n q^(-n(n-1)/2).
 
     The weights grow superexponentially; coefficients that would overflow cut
-    the series to its valid prefix (``flushed`` set).
+    the series to its valid prefix.
     """
     return _reweight(f, -1)
 
@@ -201,7 +194,6 @@ def _shift_coefficients(f: FormalSeries, lpow: int) -> FormalSeries:
     return FormalSeries(
         f.base,
         tuple(_weighted(c, q, lpow * n) if c != 0 else c for n, c in enumerate(f.coeffs)),
-        f.flushed,
     )
 
 
@@ -222,7 +214,7 @@ def borel_minus_operator_image(
     g = _shift_coefficients(qborel_minus(f), l - m)
     qf = f.base.q ** (-(m * (m - 1) // 2))
     shifted = [0 + 0j] * m + [qf * c for c in g.coeffs]
-    rhs = FormalSeries(f.base, tuple(shifted[: f.order - m + 1]), g.flushed)
+    rhs = FormalSeries(f.base, tuple(shifted[: f.order - m + 1]))
 
     n = min(lhs.order, rhs.order)
     return lhs.prefix(n), rhs.prefix(n)

@@ -136,7 +136,6 @@ def g_borel_image(
     q: QModulus | complex,
     tau: complex,
     trunc: Truncation | None = None,
-    delta: float = DEFAULT_PROXIMITY,
 ) -> complex:
     """Second-kind Borel image g(tau) = 1 / ((-q^2 tau; q)_inf (q^2 tau; q)_inf).
 
@@ -145,22 +144,23 @@ def g_borel_image(
 
     Evaluated as the one product 1/(q^4 tau^2; q^2)_inf, by
     (a; q)_inf (-a; q)_inf = (a^2; q^2)_inf, so ``trunc.log`` counts the
-    factors of that product.  Within ``delta`` of a pole :class:`PoleHit` is
-    raised.  Every pole has modulus at least |q|^(-2), so for
-    |q^2 tau| < 1 - 2 delta none lies within relative distance delta and the
-    pole scan is skipped.  A non-finite tau, or one so large that the product
-    overflows, raises :class:`~qconnect.errors.DomainError`.
+    factors of that product.  Within relative distance
+    delta = ``DEFAULT_PROXIMITY`` of a pole :class:`PoleHit` is raised.  Every
+    pole has modulus at least |q|^(-2), so for |q^2 tau| < 1 - 2 delta none
+    lies within delta and the pole scan is skipped.  A non-finite tau, or one
+    so large that the product overflows, raises
+    :class:`~qconnect.errors.DomainError`.
     """
     qm = as_modulus(q)
     _finite_abs(tau, "the Borel image", "tau")
     q2t = qm.q2 * tau
-    if not abs(q2t) < 1 - 2 * delta:
+    if not abs(q2t) < 1 - 2 * DEFAULT_PROXIMITY:
         anchor = qm.q**-2
         for sgn in (1, -1):
-            k = Spiral(sgn * anchor, qm, delta).half_hit(tau)
+            k = Spiral(sgn * anchor, qm).half_hit(tau)
             if k is not None:
                 raise PoleHit(
-                    f"tau={tau!r} lies within {delta} of the pole "
+                    f"tau={tau!r} lies within {DEFAULT_PROXIMITY} of the pole "
                     f"{sgn}*q^({-2 + k}) of the Borel image"
                 )
     a = q2t * q2t
@@ -202,7 +202,6 @@ def two_f_zero(
     lam: complex,
     x: complex,
     trunc: Truncation | None = None,
-    delta: float = DEFAULT_PROXIMITY,
 ) -> complex:
     """Resummation of the divergent series 2phi0(0,0;-;q,-x/q) along [lambda;q].
 
@@ -221,8 +220,8 @@ def two_f_zero(
     tr = _trunc(trunc)
     qm = as_modulus(q)
     qc = qm.q
-    Spiral(1 + 0j, qm, delta).exclude(lam, "lambda")
-    phi0 = e_exp(qm, lam / qc, tr, mode="product", delta=delta)
+    Spiral(1 + 0j, qm).exclude(lam, "lambda")
+    phi0 = e_exp(qm, lam / qc, tr, mode="product")
 
     def up() -> Iterator[complex]:
         phi, a = phi0, lam / qc  # a = lambda q^(n-1)
@@ -238,7 +237,7 @@ def two_f_zero(
             b /= qc
             yield phi
 
-    return _spiral_sum(up(), down(), qm, lam, x, tr, delta)
+    return _spiral_sum(up(), down(), qm, lam, x, tr)
 
 
 def _two_f_zero_closed_parts(
@@ -246,7 +245,6 @@ def _two_f_zero_closed_parts(
     lam: complex,
     x: complex,
     tr: Truncation,
-    delta: float,
     drop_one_minus_q: bool = False,
 ) -> tuple[complex, complex]:
     """The even and odd terms of :func:`two_f_zero_closed`.
@@ -255,8 +253,8 @@ def _two_f_zero_closed_parts(
     verification harness sets it, to prove that it detects a wrong formula.
     """
     qc = qm.q
-    Spiral(1 + 0j, qm, delta).exclude(lam, "lambda")
-    Spiral(-lam, qm, delta).exclude(x)
+    Spiral(1 + 0j, qm).exclude(lam, "lambda")
+    Spiral(-lam, qm).exclude(x)
     th_lam = theta(qm, -lam / qc, tr)
     th_lx = theta(qm, lam / x, tr)
     den = th_lam * th_lx
@@ -288,25 +286,15 @@ def two_f_zero_closed(
     lam: complex,
     x: complex,
     trunc: Truncation | None = None,
-    delta: float = DEFAULT_PROXIMITY,
-    with_theta_factor: bool = False,
 ) -> complex:
     """Closed form of the resummed 2f0(0,0;-;q,-x/q) along [lambda; q]:
 
         (q;q)_inf / (theta_q(-lambda/q) theta_q(lambda/x)) *
         [ theta_{q^2}(-lambda^2/(q x)) 1phi1(0;q;q^2,q^2/x)
           + (lambda/x)/(1-q) theta_{q^2}(-lambda^2/x) 1phi1(0;q^3;q^2,q^3/x) ].
-
-    ``with_theta_factor=True`` multiplies by theta_q(x), matching the form in
-    which the identity appears as a solution of the Ramanujan equation.
     """
-    tr = _trunc(trunc)
-    qm = as_modulus(q)
-    even, odd = _two_f_zero_closed_parts(qm, lam, x, tr, delta)
-    val = even + odd
-    if with_theta_factor:
-        val *= theta(qm, x, tr)
-    return val
+    even, odd = _two_f_zero_closed_parts(as_modulus(q), lam, x, _trunc(trunc))
+    return even + odd
 
 
 def ramanujan_operator(K: complex) -> QDEOperator:
@@ -331,13 +319,12 @@ class SolutionAtInfinity:
 
     q: QModulus
     t: complex
-    delta: float = DEFAULT_PROXIMITY
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", as_modulus(self.q))
         if self.t == 0:
             raise ZeroArgument("t must be nonzero")
-        Spiral(1 + 0j, self.q, self.delta).exclude(self.t, "t")
+        Spiral(1 + 0j, self.q).exclude(self.t, "t")
 
     def prefactor(self, trunc: Truncation | None = None) -> complex:
         return 1 / theta(self.q, -self.q.q2 * self.t, trunc)

@@ -34,7 +34,6 @@ from .errors import (
     ZeroArgument,
 )
 from .qcore import (
-    DEFAULT_PROXIMITY,
     QModulus,
     Spiral,
     Truncation,
@@ -56,16 +55,18 @@ __all__ = [
 
 _ULP = 2.2e-16
 
+#: node count of the first circle rule, and the cap of node doubling
+_START_NODES = 64
+_MAX_NODES = 4096
+
 
 def _circle_mean(
     sample: Callable[[float], complex],
     eps: float,
-    start_nodes: int,
-    max_nodes: int,
     noise_factor: float = 0.0,
 ) -> complex:
-    """Mean of sample(angle) over uniform circle nodes, doubling until two
-    successive rules agree to eps.
+    """Mean of sample(angle) over uniform circle nodes, doubling from
+    ``_START_NODES`` until two successive rules agree to eps.
 
     Agreement is relative to max(|mean|, mean|sample|): once the rules match
     to within the roundoff of summing samples of that magnitude, more nodes
@@ -74,7 +75,7 @@ def _circle_mean(
     noise_factor * ulp * mean|sample| is refused: such a value would carry no
     significant digits, only the cancellation noise of the samples.
     """
-    n = start_nodes
+    n = _START_NODES
     total = 0 + 0j
     abs_total = 0.0
     for j in range(n):
@@ -82,7 +83,7 @@ def _circle_mean(
         total += v
         abs_total += abs(v)
     mean = total / n
-    while 2 * n <= max_nodes:
+    while 2 * n <= _MAX_NODES:
         for j in range(n):
             v = sample(2.0 * math.pi * (2 * j + 1) / (2 * n))
             total += v
@@ -100,7 +101,7 @@ def _circle_mean(
             return new_mean
         mean = new_mean
     raise NoConvergence(
-        f"circle rule did not stabilize to eps={eps} within {max_nodes} nodes"
+        f"circle rule did not stabilize to eps={eps} within {_MAX_NODES} nodes"
     )
 
 
@@ -110,8 +111,6 @@ def qlaplace_minus(
     t: complex,
     r: float | None = None,
     trunc: Truncation | None = None,
-    start_nodes: int = 64,
-    max_nodes: int = 4096,
 ) -> complex:
     """Second-kind q-Laplace transform of g at t by circle quadrature.
 
@@ -158,7 +157,7 @@ def qlaplace_minus(
             ) from exc
         return gv * kernel(t / tau)
 
-    return _circle_mean(sample, tr.eps, start_nodes, max_nodes, noise_factor=100.0)
+    return _circle_mean(sample, tr.eps, noise_factor=100.0)
 
 
 def contour_residue(
@@ -166,8 +165,6 @@ def contour_residue(
     center: complex,
     radius: float,
     trunc: Truncation | None = None,
-    start_nodes: int = 64,
-    max_nodes: int = 4096,
 ) -> complex:
     """Residue of f at ``center`` by quadrature on a small surrounding circle.
 
@@ -186,7 +183,7 @@ def contour_residue(
                 f"integrand failed on the residue circle at angle {angle:.6f}: {exc}"
             ) from exc
 
-    return _circle_mean(sample, tr.eps, start_nodes, max_nodes)
+    return _circle_mean(sample, tr.eps)
 
 
 def qlaplace_plus(
@@ -195,7 +192,6 @@ def qlaplace_plus(
     lam: complex,
     x: complex,
     trunc: Truncation | None = None,
-    delta: float = DEFAULT_PROXIMITY,
 ) -> complex:
     """First-kind q-Laplace transform of phi along the spiral [lambda; q].
 
@@ -215,7 +211,6 @@ def qlaplace_plus(
         lam,
         x,
         trunc,
-        delta,
     )
 
 
@@ -226,7 +221,6 @@ def _spiral_sum(
     lam: complex,
     x: complex,
     trunc: Truncation | None,
-    delta: float,
 ) -> complex:
     """The bilateral sum of :func:`qlaplace_plus`, given the Borel image on
     the spiral as two lazy sequences: ``up`` yields phi(lambda q^n) for
@@ -241,7 +235,7 @@ def _spiral_sum(
     if x == 0:
         raise ZeroArgument("x must be nonzero")
     tr = _trunc(trunc)
-    Spiral(-lam, qm, delta).exclude(x)
+    Spiral(-lam, qm).exclude(x)
     qc = qm.q
     ratio = lam / x
     th = theta(qm, ratio, tr)

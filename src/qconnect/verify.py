@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EmptyGrid, QConnectError, SpiralProximity
 from .qcore import (
-    DEFAULT_PROXIMITY,
     DEFAULT_TRUNCATION,
     E_exp,
     QModulus,
@@ -98,7 +97,6 @@ class IdentityCheck:
     grid: tuple[complex, ...] | None = None
     tol: float | None = None
     trunc: Truncation = DEFAULT_TRUNCATION
-    delta: float = DEFAULT_PROXIMITY
 
     def __post_init__(self) -> None:
         if self.identity not in IDENTITY_IDS:
@@ -267,7 +265,7 @@ def _need_lam(chk: IdentityCheck) -> complex:
 
 
 def _validate_lam_off_qz(chk: IdentityCheck, qm: QModulus) -> None:
-    Spiral(1 + 0j, qm, chk.delta).exclude(_need_lam(chk), "lambda")
+    Spiral(1 + 0j, qm).exclude(_need_lam(chk), "lambda")
 
 
 def _off_spiral(spiral: Spiral, x: complex) -> str | None:
@@ -284,7 +282,7 @@ def _filter_unit_disc_off_one_spiral(
 ) -> str | None:
     if abs(x) >= 1:
         return f"|x|={abs(x):.6g} outside the |x|<1 domain"
-    return _off_spiral(Spiral(1 + 0j, qm, chk.delta), x)
+    return _off_spiral(Spiral(1 + 0j, qm), x)
 
 
 def _filter_watson(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
@@ -294,11 +292,11 @@ def _filter_watson(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
     arg = c * qm.q / (a * b * x)
     if abs(arg) >= 1:
         return f"|cq/(abx)|={abs(arg):.6g} outside the overlap domain"
-    return _off_spiral(Spiral(1 + 0j, qm, chk.delta), x)
+    return _off_spiral(Spiral(1 + 0j, qm), x)
 
 
 def _filter_neg_lam_spiral(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
-    return _off_spiral(Spiral(-_need_lam(chk), qm, chk.delta), x)
+    return _off_spiral(Spiral(-_need_lam(chk), qm), x)
 
 
 def _eval_watson(chk, qm, x, tr, mutations):
@@ -362,7 +360,7 @@ def _eval_thm_eq_Eq(chk, qm, x, tr, mutations):
 
 def _eval_lemma_alt(chk, qm, x, tr, mutations):
     qc = qm.q
-    lhs = e_exp(qm, x / qc, tr, mode="product", delta=chk.delta)
+    lhs = e_exp(qm, x / qc, tr, mode="product")
     pref = qpochhammer_inf(qc, qm, tr) / theta(qm, -x / qc, tr)
     t1 = pref * rphis((), (qc,), qm.squared(), qc**5 / (x * x), tr)
     t2 = (
@@ -376,10 +374,8 @@ def _eval_lemma_alt(chk, qm, x, tr, mutations):
 
 def _eval_thm_2f0(chk, qm, x, tr, mutations):
     lam = _need_lam(chk)
-    lhs = two_f_zero(qm, lam, x, tr, chk.delta)
-    even, odd = _two_f_zero_closed_parts(
-        qm, lam, x, tr, chk.delta, "drop-one-minus-q" in mutations
-    )
+    lhs = two_f_zero(qm, lam, x, tr)
+    even, odd = _two_f_zero_closed_parts(qm, lam, x, tr, "drop-one-minus-q" in mutations)
     return [_Eval(x, lhs, even + odd, (even, odd))]
 
 
@@ -428,7 +424,7 @@ def _eval_qde_2f0(chk, qm, x, tr, mutations):
     qc = qm.q
 
     def u(y: complex) -> complex:
-        return theta(qm, y, tr) * two_f_zero(qm, lam, y, tr, chk.delta)
+        return theta(qm, y, tr) * two_f_zero(qm, lam, y, tr)
 
     t1 = qc * x * u(qm.q2 * x)
     t2 = u(x)
@@ -461,7 +457,7 @@ def _eval_residue_lemma(chk, qm, lam, tr, mutations):
     for k in range(_RESIDUE_K_PRODUCT + 1):
         pt = lam * qc**-k
         lhs = 1 / qpochhammer_inf(pt, qm, tr)
-        rhs = qpochhammer_inf_shifted_pole(lam, qm, k, tr, chk.delta)
+        rhs = qpochhammer_inf_shifted_pole(lam, qm, k, tr)
         out.append(_Eval(pt, lhs, rhs, (lhs, rhs)))
     return out
 

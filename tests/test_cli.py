@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from qconnect.cli import _build_parser, fmt_complex, main, parse_complex
+import qconnect as qc
+from qconnect.cli import _EVALUATORS, _build_parser, fmt_complex, main, parse_complex
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +106,38 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "Aq", "--q", "0.5", "--x", "1")
         assert code == 0
         assert "eps=1e-06" in out
+
+
+X = 0.3 + 0.2j
+LAM_ARGS = ("--lambda", "0.7")
+
+# (eval choice, extra arguments, the library call it must reproduce)
+EVERY_EVAL = [
+    ("Aq", (), lambda: qc.ramanujan_Aq(0.5, X)),
+    ("Aiq", (), lambda: qc.qairy_Ai(0.5, X)),
+    ("theta", (), lambda: qc.theta(0.5, X)),
+    ("eq", (), lambda: qc.e_exp(0.5, X)),
+    ("Eq", (), lambda: qc.E_exp(0.5, X)),
+    ("rphis", ("--upper=-4,3", "--lower", "0.5"), lambda: qc.rphis((-4, 3), (0.5,), 0.5, X)),
+    ("2f0", LAM_ARGS, lambda: qc.two_f_zero(0.5, 0.7, X)),
+    ("2f0-closed", LAM_ARGS, lambda: qc.two_f_zero_closed(0.5, 0.7, X)),
+    ("f-residues", (), lambda: qc.f_via_residues(0.5, X)),
+    ("g-borel", (), lambda: qc.g_borel_image(0.5, X)),
+]
+
+
+class TestEveryEvalChoice:
+    def test_cases_cover_the_choices_in_order(self):
+        assert [fn for fn, _, _ in EVERY_EVAL] == list(_EVALUATORS)
+
+    @pytest.mark.parametrize("fn, extra, want", EVERY_EVAL, ids=[c[0] for c in EVERY_EVAL])
+    def test_prints_the_library_value(self, capsys, fn, extra, want):
+        code, out, err = run_cli(capsys, "eval", fn, "--q", "0.5", "--x", "0.3+0.2i", *extra)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert abs(first_value(out) - want()) <= 1e-14 * abs(want())
+        assert re.fullmatch(r"terms=\d+ eps=1e-15 n_max=10000", lines[1])
 
 
 class TestCheck:

@@ -30,6 +30,7 @@ from qconnect import (
     two_f_zero,
     two_f_zero_closed,
 )
+from qconnect.qcore import DEFAULT_PROXIMITY
 from conftest import rel_err
 
 
@@ -177,7 +178,7 @@ class TestBorelImage:
             checked += 1
 
     @pytest.mark.parametrize("q", BOREL_QS)
-    @pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.05])
+    @pytest.mark.parametrize("delta", [DEFAULT_PROXIMITY])
     def test_pole_gate_keeps_pole_decisions(self, q, delta):
         # the modulus gate skips the scan only where it cannot fire: PoleHit
         # is raised exactly where the ungated scan finds a pole within delta
@@ -198,7 +199,7 @@ class TestBorelImage:
         for tau in points:
             want = scan_finds_pole(qm, tau, delta)
             try:
-                g_borel_image(qm, tau, delta=delta)
+                g_borel_image(qm, tau)
                 got = False
             except PoleHit:
                 got = True
@@ -264,12 +265,6 @@ class TestResummedDivergentSeries:
             two_f_zero(qmod, 1.0, 2.4)
         with pytest.raises(SpiralProximity):
             two_f_zero_closed(qmod, qmod.q**-1, 2.4)
-
-    def test_theta_factor_form(self):
-        qm = as_modulus(0.5)
-        bare = two_f_zero_closed(qm, 0.7, 2.4)
-        full = two_f_zero_closed(qm, 0.7, 2.4, with_theta_factor=True)
-        assert rel_err(full, bare * theta(qm, 2.4)) < 1e-14
 
     def test_underflowed_denominator_is_theta_zero(self):
         # each theta factor clears the floor; their product underflows to 0

@@ -226,6 +226,14 @@ class TestPerIdentitySpotChecks:
         # two anchors, k = 0..5 by quadrature plus k = 0..8 by products
         assert len(rep.points) == 2 * (6 + 9)
 
+    def test_formal_inverses_pass_where_coefficients_underflow(self):
+        # at q = 0.05 the first-kind weights q^(n(n-1)/2) fall below 1e-300
+        # inside the degree-30 series; the round trip compares its valid prefix
+        rep = check(IdentityCheck("formal-inverses", 0.05))
+        assert rep.passed
+        assert rep.n_evaluated == 5
+        assert rep.max_rel_err < 1e-15
+
     def test_operational_lemma_runs_all_pairs(self):
         rep = check(IdentityCheck("operational-lemma", 0.5))
         assert len(rep.points) == 36
