@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadLowerParameter,
@@ -138,11 +138,14 @@ class TermLog:
 class Truncation:
     """Tail-tolerance policy for every infinite sum and product.
 
-    A tail is accepted once ``streak`` consecutive terms fall below
+    A series tail is accepted once ``streak`` consecutive terms fall below
     ``eps`` relative to the running scale (the largest of the partial sum and
     the largest term seen; the guard keeps bilateral sums terminating at theta
-    zeros, where the partial sum itself cancels to ~0).  Reaching ``n_max``
-    first raises :class:`~qconnect.errors.TruncationExceeded`.
+    zeros, where the partial sum itself cancels to ~0), a product once
+    ``streak`` consecutive factors 1 - a q^n have |a q^n| < ``eps``.
+    ``n_max`` is the most terms one tail, or factors per argument one product,
+    may take: a tail that needs one more raises
+    :class:`~qconnect.errors.TruncationExceeded`.
     """
 
     eps: float = 1e-15
@@ -168,6 +171,48 @@ DEFAULT_TRUNCATION = Truncation()
 
 def _trunc(trunc: Truncation | None) -> Truncation:
     return DEFAULT_TRUNCATION if trunc is None else trunc
+
+
+def _sum_tail(
+    terms: Iterable[complex],
+    tr: Truncation,
+    total: complex,
+    abs_sum: float,
+    scale: float,
+    streak: int,
+    what: str,
+) -> tuple[complex, float, float, int]:
+    """The one tail loop of every series and spiral sum: add ``terms`` to
+    ``total`` (and their moduli to ``abs_sum``) under the rule of
+    :class:`Truncation`, with ``streak`` small terms in a row, until that
+    rule or ``terms`` ends it.  Returns (total, abs_sum, scale, terms taken).
+    """
+    eps = tr.eps
+    n_max = tr.n_max
+    small = count = 0
+    for t in terms:
+        if count == n_max:
+            if not cmath.isfinite(total):
+                # a partial sum that overflowed stays inf or nan and never stops
+                raise DomainError(f"{what} is out of double range: the sum overflows")
+            raise TruncationExceeded(f"{what} not below eps={eps} after n_max={n_max} terms")
+        total += t
+        at = abs(t)
+        abs_sum += at
+        count += 1
+        # scale = max(scale, |total|, at), without the cost of a call per term
+        a = abs(total)
+        if a > scale:
+            scale = a
+        if at > scale:
+            scale = at
+        if at <= eps * scale:
+            small += 1
+            if small == streak:
+                break
+        else:
+            small = 0
+    return total, abs_sum, scale, count
 
 
 def _finite_abs(x: complex, what: str, name: str = "x") -> float:
@@ -307,8 +352,9 @@ def qpochhammer_inf(
 
     Factors are accumulated until |a q^n| stays below ``trunc.eps`` for
     ``trunc.streak`` consecutive n; the product converges absolutely for any
-    finite a since |q| < 1.  A non-finite argument, or one whose modulus
-    leaves double range, raises :class:`~qconnect.errors.DomainError`.
+    finite a since |q| < 1.  A non-finite argument, one whose modulus leaves
+    double range, or a product that overflows raises
+    :class:`~qconnect.errors.DomainError`.
 
     The factor magnitudes decrease geometrically, so the first n with
     max|a| |q|^n < eps is known in closed form up to the rounding of the
@@ -372,6 +418,8 @@ def qpochhammer_inf(
             raise TruncationExceeded(
                 f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
             )
+    if not cmath.isfinite(prod):
+        raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product overflows")
     tr.note(n * m)
     return prod
 
@@ -414,49 +462,34 @@ def theta_sum_with_condition(
     _finite_abs(x, "theta")
     tr = _trunc(trunc)
     qm = as_modulus(q)
-    pw = qm._powers
-    total = 1 + 0j
-    abs_sum = 1.0
-    scale = 1.0
-    count = 1
 
-    # n > 0 tail: term ratio q^n x
-    t = 1 + 0j
-    small = 0
-    n = 0
-    while small < tr.streak:
-        if n >= len(pw):
-            pw = qm._powers_to(n + 1)
-        t *= pw[n] * x
-        total += t
-        at = abs(t)
-        abs_sum += at
-        n += 1
-        count += 1
-        scale = max(scale, abs(total), at)
-        small = small + 1 if at <= tr.eps * scale else 0
-        if n > tr.n_max:
-            raise TruncationExceeded("theta upper tail exceeded n_max")
+    def upper() -> Iterator[complex]:
+        # term(n) for n = 1, 2, ...: ratio q^(n-1) x
+        pw, t, n = qm._powers, 1 + 0j, 0
+        while True:
+            if n >= len(pw):
+                pw = qm._powers_to(n + 1)
+            t *= pw[n] * x
+            n += 1
+            yield t
 
-    # n < 0 tail: term(-m) ratio q^m / x
-    u = 1 + 0j
-    small = 0
-    m = 0
-    while small < tr.streak:
-        if m + 1 >= len(pw):
-            pw = qm._powers_to(m + 2)
-        u *= pw[m + 1] / x
-        total += u
-        au = abs(u)
-        abs_sum += au
-        m += 1
-        count += 1
-        scale = max(scale, abs(total), au)
-        small = small + 1 if au <= tr.eps * scale else 0
-        if m > tr.n_max:
-            raise TruncationExceeded("theta lower tail exceeded n_max")
+    def lower() -> Iterator[complex]:
+        # term(-m) for m = 1, 2, ...: ratio q^m / x
+        pw, u, m = qm._powers, 1 + 0j, 1
+        while True:
+            if m >= len(pw):
+                pw = qm._powers_to(m + 1)
+            u *= pw[m] / x
+            m += 1
+            yield u
 
-    tr.note(count)
+    total, abs_sum, scale, n_up = _sum_tail(
+        upper(), tr, 1 + 0j, 1.0, 1.0, tr.streak, "theta upper tail"
+    )
+    total, abs_sum, _, n_down = _sum_tail(
+        lower(), tr, total, abs_sum, scale, tr.streak, "theta lower tail"
+    )
+    tr.note(1 + n_up + n_down)
     cond = abs_sum / abs(total) if total != 0 else math.inf
     return total, max(cond, 1.0)
 
@@ -711,47 +744,34 @@ def rphis_with_condition(
             f"{r}phi{s} series"
         )
 
-    pw = qm._powers
-    one = 1 + 0j
-    total = 0 + 0j
-    abs_sum = 0.0
-    t = one
-    scale = 1.0
-    small = 0
-    n = 0
-    while True:
-        total += t
-        at = abs(t)
-        abs_sum += at
-        scale = max(scale, abs(total), at)
-        if term_deg is not None and n >= term_deg:
+    def terms() -> Iterator[complex]:
+        one = 1 + 0j
+        pw, t, n = qm._powers, one, 0
+        while True:
+            yield t
+            if n == term_deg:
+                return
+            if n + 1 >= len(pw):
+                pw = qm._powers_to(n + 2)
+            qn = pw[n]
+            num = one
+            for a in ups:
+                num *= one - a * qn
+            den = one
+            for b in lows:
+                den *= one - b * qn
+            den *= one - pw[n + 1]
+            if den == 0:
+                raise BadLowerParameter("vanishing denominator factor in series term")
+            t *= num / den * x
+            if d:
+                t *= (-qn) ** d
             n += 1
-            break
-        small = small + 1 if at <= tr.eps * scale else 0
-        if small >= tr.streak:
-            n += 1
-            break
-        if n >= tr.n_max:
-            raise TruncationExceeded(
-                f"series tail not below eps={tr.eps} after n_max={tr.n_max} terms"
-            )
-        if n + 1 >= len(pw):
-            pw = qm._powers_to(n + 2)
-        qn = pw[n]
-        num = one
-        for a in ups:
-            num *= one - a * qn
-        den = one
-        for b in lows:
-            den *= one - b * qn
-        den *= one - pw[n + 1]
-        if den == 0:
-            raise BadLowerParameter("vanishing denominator factor in series term")
-        t *= num / den * x
-        if d:
-            t *= (-qn) ** d
-        n += 1
-    tr.note(n)
+
+    total, abs_sum, _, count = _sum_tail(
+        terms(), tr, 0j, 0.0, 1.0, tr.streak, "r_phi_s series tail"
+    )
+    tr.note(count)
     cond = abs_sum / abs(total) if total != 0 else math.inf
     return total, max(cond, 1.0)
 

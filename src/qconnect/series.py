@@ -85,9 +85,6 @@ class FormalSeries:
             acc = acc * x + c
         return acc
 
-    def max_abs(self) -> float:
-        return max(abs(c) for c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class QDEOperator:

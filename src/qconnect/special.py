@@ -22,7 +22,6 @@ x off [-lambda; q].
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -30,7 +29,6 @@ from .errors import (
     DomainError,
     PoleHit,
     ThetaZero,
-    TruncationExceeded,
     ZeroArgument,
 )
 from .qcore import (
@@ -45,6 +43,7 @@ from .qcore import (
     rphis_with_condition,
     theta,
     _finite_abs,
+    _sum_tail,
     _trunc,
 )
 from .series import QDEOperator
@@ -76,32 +75,23 @@ def ramanujan_Aq_with_condition(
     tr = _trunc(trunc)
     qm = as_modulus(q)
     qc = qm.q
-    pw = qm._powers
-    one = 1 + 0j
-    total = 0 + 0j
-    abs_sum = 0.0
-    t = one
-    # q^(2n+1) keeps its own running product: the table's entry rounds differently
-    q2n1 = qc
-    scale = 1.0
-    small = 0
-    n = 0
-    while True:
-        total += t
-        at = abs(t)
-        abs_sum += at
-        scale = max(scale, abs(total), at)
-        small = small + 1 if at <= tr.eps * scale else 0
-        if small >= tr.streak:
-            break
-        if n >= tr.n_max:
-            raise TruncationExceeded("A_q series exceeded n_max")
-        if n + 1 >= len(pw):
-            pw = qm._powers_to(n + 2)
-        t *= q2n1 * (-x) / (one - pw[n + 1])
-        q2n1 *= qc * qc
-        n += 1
-    tr.note(n + 1)
+
+    def terms() -> Iterator[complex]:
+        one = 1 + 0j
+        # q^(2n+1) keeps its own running product: the table's entry rounds differently
+        pw, t, q2n1, n = qm._powers, one, qc, 0
+        while True:
+            yield t
+            if n + 1 >= len(pw):
+                pw = qm._powers_to(n + 2)
+            t *= q2n1 * (-x) / (one - pw[n + 1])
+            q2n1 *= qc * qc
+            n += 1
+
+    total, abs_sum, _, count = _sum_tail(
+        terms(), tr, 0j, 0.0, 1.0, tr.streak, "A_q series tail"
+    )
+    tr.note(count)
     cond = abs_sum / abs(total) if total != 0 else float("inf")
     return total, max(cond, 1.0)
 
@@ -163,15 +153,13 @@ def g_borel_image(
                     f"tau={tau!r} lies within {DEFAULT_PROXIMITY} of the pole "
                     f"{sgn}*q^({-2 + k}) of the Borel image"
                 )
-    a = q2t * q2t
-    if cmath.isfinite(a):
-        prod = qpochhammer_inf(a, qm.squared(), trunc)
-        if cmath.isfinite(prod):
-            return 1 / prod
-    raise DomainError(
-        f"tau={tau!r} is out of double range for the Borel image (q={qm.q!r}): "
-        "the product (q^4 tau^2; q^2)_inf overflows"
-    )
+    try:
+        return 1 / qpochhammer_inf(q2t * q2t, qm.squared(), trunc)
+    except DomainError:
+        raise DomainError(
+            f"tau={tau!r} is out of double range for the Borel image (q={qm.q!r}): "
+            "the product (q^4 tau^2; q^2)_inf overflows"
+        ) from None
 
 
 def f_via_residues(
@@ -252,6 +240,8 @@ def _two_f_zero_closed_parts(
     ``drop_one_minus_q`` deliberately corrupts the odd term; only the
     verification harness sets it, to prove that it detects a wrong formula.
     """
+    if x == 0:
+        raise ZeroArgument("x must be nonzero")
     qc = qm.q
     Spiral(1 + 0j, qm).exclude(lam, "lambda")
     Spiral(-lam, qm).exclude(x)

@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     NoConvergence,
     PoleOnContour,
-    TruncationExceeded,
     ZeroArgument,
 )
 from .qcore import (
@@ -40,6 +39,7 @@ from .qcore import (
     as_modulus,
     theta,
     _finite_abs,
+    _sum_tail,
     _theta_circle,
     _trunc,
 )
@@ -239,46 +239,35 @@ def _spiral_sum(
     qc = qm.q
     ratio = lam / x
     th = theta(qm, ratio, tr)
-    streak_req = max(5, tr.streak)
+    streak = max(5, tr.streak)
+    w0 = 1 + 0j  # the weight of the n = 0 term
 
-    w = 1 + 0j
-    total = next(up) * w / th
-    scale = max(abs(total), 1e-300)
-    count = 1
+    def upper() -> Iterator[complex]:
+        # w_{n+1} = w_n * q^n * (lambda/x)
+        pw, w, n = qm._powers, w0, 0
+        while True:
+            if n >= len(pw):
+                pw = qm._powers_to(n + 1)
+            w *= pw[n] * ratio
+            n += 1
+            yield next(up) * w / th
 
-    # upward tail: w_{n+1} = w_n * q^n * (lambda/x)
-    pw = qm._powers
-    small = 0
-    n = 0
-    while small < streak_req:
-        if n >= len(pw):
-            pw = qm._powers_to(n + 1)
-        w *= pw[n] * ratio
-        n += 1
-        tv = next(up) * w / th
-        total += tv
-        count += 1
-        scale = max(scale, abs(total), abs(tv))
-        small = small + 1 if abs(tv) <= tr.eps * scale else 0
-        if n > tr.n_max:
-            raise TruncationExceeded("spiral sum upper tail exceeded n_max")
+    def lower() -> Iterator[complex]:
+        # w_{n-1} = w_n * q^(1-n) * (x/lambda)
+        w, n = w0, 0
+        while True:
+            w *= qc ** (1 - n) / ratio
+            n -= 1
+            yield next(down) * w / th
 
-    # downward tail: w_{n-1} = w_n * q^(1-n) * (x/lambda)
-    w = 1 + 0j
-    small = 0
-    n = 0
-    while small < streak_req:
-        w *= qc ** (1 - n) / ratio
-        n -= 1
-        tv = next(down) * w / th
-        total += tv
-        count += 1
-        scale = max(scale, abs(total), abs(tv))
-        small = small + 1 if abs(tv) <= tr.eps * scale else 0
-        if -n > tr.n_max:
-            raise TruncationExceeded("spiral sum lower tail exceeded n_max")
-
-    tr.note(count)
+    total = next(up) * w0 / th
+    total, _, scale, n_up = _sum_tail(
+        upper(), tr, total, 0.0, max(abs(total), 1e-300), streak, "spiral sum upper tail"
+    )
+    total, _, _, n_down = _sum_tail(
+        lower(), tr, total, 0.0, scale, streak, "spiral sum lower tail"
+    )
+    tr.note(1 + n_up + n_down)
     return total
 
 

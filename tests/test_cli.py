@@ -93,6 +93,22 @@ class TestEval:
         assert "out of double range" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # (-x; q)_inf overflows double range, and so does the A_q series
+            ("eval", "Eq", "--q", "0.5", "--x", "1e300"),
+            ("eval", "Aq", "--q", "0.5", "--x", "1e300"),
+            # theta(lambda/x) is undefined at x = 0
+            ("eval", "2f0-closed", "--q", "0.5", "--lambda", "0.7", "--x", "0"),
+        ],
+    )
+    def test_domain_edge_exit_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err.startswith("domain error:")
+        assert "nan" not in out and "Traceback" not in out + err
+
     def test_missing_lambda_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "2f0", "--q", "0.5", "--x", "2.4")
         assert code == 2

@@ -28,6 +28,8 @@ from qconnect import (
     qpochhammer_inf,
     qpochhammer_inf_shifted_pole,
     qpochhammer_n,
+    qlaplace_plus,
+    ramanujan_Aq,
     rphis,
     rphis_with_condition,
     theta,
@@ -122,6 +124,46 @@ class TestTruncation:
         qpochhammer_inf(0.5, 0.5, tr)
         assert log.terms > 10
 
+    # the one n_max rule of every series and spiral sum: a tail may take
+    # n_max terms, so the smallest accepted n_max is its longest tail's length
+    @pytest.mark.parametrize(
+        "call, smallest, what",
+        [
+            (lambda tr: theta_sum(0.5, 1.3 + 0.2j, tr), 13, "theta upper tail"),
+            (lambda tr: rphis((0.3,), (0.2,), 0.5, 1.3 + 0.2j, tr), 14, "r_phi_s series tail"),
+            # terminating at degree 9: the series ends after its 10 terms
+            (lambda tr: rphis((0.5**-9,), (0.2,), 0.5, 1.3 + 0.2j, tr), 10, "r_phi_s series tail"),
+            (lambda tr: ramanujan_Aq(0.5, 1.3 + 0.2j, tr), 11, "A_q series tail"),
+            # phi(s) = 1 + s resums to 1 + x; at x = 1e-12 the spiral's upper
+            # tail, not the product of its theta, is the longest loop
+            (
+                lambda tr: qlaplace_plus(lambda s: 1 + s, 0.3, 0.7, 1e-12, tr),
+                35,
+                "spiral sum upper tail",
+            ),
+        ],
+        ids=["theta_sum", "rphis", "rphis-terminating", "ramanujan_Aq", "qlaplace_plus"],
+    )
+    def test_smallest_accepted_n_max(self, call, smallest, what):
+        call(Truncation(n_max=smallest))
+        msg = f"^{what} not below eps=1e-15 after n_max={smallest - 1} terms$"
+        with pytest.raises(TruncationExceeded, match=msg):
+            call(Truncation(n_max=smallest - 1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: theta_sum(0.5, 1e300),
+            lambda: theta_sum(0.5, 1e-300),
+            lambda: rphis((0.3,), (0.2,), 0.5, 1e14),
+            lambda: ramanujan_Aq(0.5, 1e300),
+        ],
+    )
+    def test_overflowing_sum_is_domain_error(self, call):
+        # terms that overflow to inf and nan, once run to n_max
+        with pytest.raises(DomainError, match="out of double range: the sum overflows"):
+            call()
+
 
 class TestSpiral:
     def test_contains_spiral_points(self, qmod):
@@ -206,6 +248,20 @@ class TestQPochhammerInf:
         with pytest.raises(DomainError, match="finite"):
             qpochhammer_inf(a, 0.5)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: qpochhammer_inf(-1e14, 0.5),
+            lambda: qpochhammer_inf((0.3, -1e14), 0.5),
+            lambda: E_exp(0.5, 1e14),
+            lambda: e_exp(0.5, 1e20 + 0.1j),
+        ],
+    )
+    def test_overflowing_product_is_domain_error(self, call):
+        # finite arguments whose product leaves double range (it was nan+nanj)
+        with pytest.raises(DomainError, match="out of double range"):
+            call()
+
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.8, 0.95, 0.99, 0.6 * cmath.exp(2.1j)])
     def test_matches_streak_rule_bit_for_bit(self, q):
         rng = random.Random(f"qpoch-{q}")
@@ -220,13 +276,19 @@ class TestQPochhammerInf:
             want, factors = streak_product(avals, qm.q, DEFAULT_TRUNCATION)
             log = TermLog()
             arg = avals if len(avals) > 1 else avals[0]
-            got = qpochhammer_inf(arg, qm, Truncation(log=log))
-            assert bits(got) == bits(want)
-            assert log.terms == factors
             # n_max one below the reference's factor rows must raise; equal to it, not
             rows = factors // len(avals)
             with pytest.raises(TruncationExceeded):
                 qpochhammer_inf(avals, qm, Truncation(n_max=rows - 1))
+            if not cmath.isfinite(want):
+                # a product that overflows is a DomainError, not nan+nanj
+                for tr in (Truncation(log=log), Truncation(n_max=rows)):
+                    with pytest.raises(DomainError, match="out of double range"):
+                        qpochhammer_inf(arg, qm, tr)
+                continue
+            got = qpochhammer_inf(arg, qm, Truncation(log=log))
+            assert bits(got) == bits(want)
+            assert log.terms == factors
             assert bits(qpochhammer_inf(avals, qm, Truncation(n_max=rows))) == bits(want)
 
     @pytest.mark.parametrize("n_max", [1, 2, 5, 17, 40])
@@ -738,7 +800,11 @@ class TestLoopsMatchRunningPowers:
             want, factors = streak_product(avals, qm.q, DEFAULT_TRUNCATION)
             arg = avals if len(avals) > 1 else avals[0]
             for base in (qm, q):
-                assert outcome(qpochhammer_inf, arg, base) == (bits(want), factors)
+                if cmath.isfinite(want):
+                    assert outcome(qpochhammer_inf, arg, base) == (bits(want), factors)
+                else:
+                    with pytest.raises(DomainError, match="out of double range"):
+                        qpochhammer_inf(arg, base)
 
     @pytest.mark.parametrize("q", REF_QS)
     def test_qpochhammer_n(self, q):

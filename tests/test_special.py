@@ -308,6 +308,8 @@ class TestResummedDivergentSeries:
     def test_zero_arguments_rejected(self):
         with pytest.raises(ZeroArgument):
             two_f_zero(0.5, 0.7, 0)
+        with pytest.raises(ZeroArgument):
+            two_f_zero_closed(0.5, 0.7, 0)
 
     @pytest.mark.parametrize("lam, x", [(math.nan, 2.4), (0.7, math.nan), (0.7, math.inf)])
     def test_non_finite_arguments_are_domain_errors(self, lam, x):
