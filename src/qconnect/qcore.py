@@ -66,8 +66,11 @@ class QModulus:
     running product from 1 + 0j that every product and series loop here
     reads instead of multiplying its own.  The table is extended on demand
     by assigning a longer tuple, so a concurrent reader sees either the old
-    or the new table, never a half-built one.  It is not a dataclass field:
-    equality, hash and repr depend on q alone.
+    or the new table, never a half-built one.  Two constants of q are set
+    once, at construction: ``_log_q`` = log|q|, and ``_k_cap``, the largest
+    |k| at which |q|^k is representable (the reach of
+    :meth:`Spiral.nearest`).  None of these is a dataclass field: equality,
+    hash and repr depend on q alone.
     """
 
     q: complex
@@ -81,6 +84,8 @@ class QModulus:
         object.__setattr__(self, "q", qc)
         if not 0.0 < abs(qc) < 1.0:
             raise ValueError(f"base must satisfy 0 < |q| < 1, got |q| = {abs(qc)!r}")
+        object.__setattr__(self, "_log_q", math.log(abs(qc)))
+        object.__setattr__(self, "_k_cap", int(290 / abs(math.log10(abs(qc)))) + 1)
 
     def _powers_to(self, n: int) -> tuple[complex, ...]:
         """The table q^0, q^1, ..., with at least n entries."""
@@ -186,15 +191,19 @@ def _sum_tail(
     ``total`` (and their moduli to ``abs_sum``) under the rule of
     :class:`Truncation`, with ``streak`` small terms in a row, until that
     rule or ``terms`` ends it.  Returns (total, abs_sum, scale, terms taken).
+
+    A sum that leaves double range raises
+    :class:`~qconnect.errors.DomainError` without running on to ``n_max``:
+    a nan term (never small) raises when it is drawn, and an infinite term
+    makes the scale infinite, so the streak rule ends the tail and the
+    check of the total raises.
     """
     eps = tr.eps
     n_max = tr.n_max
+    inf = math.inf
     small = count = 0
     for t in terms:
         if count == n_max:
-            if not cmath.isfinite(total):
-                # a partial sum that overflowed stays inf or nan and never stops
-                raise DomainError(f"{what} is out of double range: the sum overflows")
             raise TruncationExceeded(f"{what} not below eps={eps} after n_max={n_max} terms")
         total += t
         at = abs(t)
@@ -210,8 +219,12 @@ def _sum_tail(
             small += 1
             if small == streak:
                 break
-        else:
+        elif at < inf:
             small = 0
+        else:
+            raise DomainError(f"{what} is out of double range: the sum overflows")
+    if not cmath.isfinite(total):
+        raise DomainError(f"{what} is out of double range: the sum overflows")
     return total, abs_sum, scale, count
 
 
@@ -260,10 +273,11 @@ class Spiral:
         ax = _finite_abs(x, "spiral distance")
         if ax == 0.0:
             return 0, math.inf
-        q = self.base.q
-        k0 = math.log(ax / abs(self.anchor)) / math.log(abs(q))
+        base = self.base
+        q = base.q
+        k0 = math.log(ax / abs(self.anchor)) / base._log_q
         # |q|^k must stay representable; spiral points beyond that are moot
-        k_cap = int(290 / abs(math.log10(abs(q)))) + 1
+        k_cap = base._k_cap
         best_k, best_d = 0, math.inf
         for k in range(math.floor(k0) - 2, math.ceil(k0) + 3):
             if abs(k) > k_cap:
@@ -317,7 +331,7 @@ def qpochhammer_n(a: complex, q: QModulus | complex, n: int) -> complex:
 _STREAK_SLACK = 4
 
 
-def _lead_count(amax: float, qc: complex, tr: Truncation) -> int:
+def _lead_count(amax: float, q: QModulus | complex, tr: Truncation) -> int:
     """Number of leading factors of (a_1, ..., a_m; q)_inf, max|a_i| = amax,
     that certainly come before the streak rule can stop.
 
@@ -328,7 +342,7 @@ def _lead_count(amax: float, qc: complex, tr: Truncation) -> int:
     """
     if not tr.eps < amax < math.inf:
         return 0
-    log_q = math.log(abs(qc))
+    log_q = q._log_q if isinstance(q, QModulus) else math.log(abs(q))
     n_est = math.log(tr.eps / amax) / log_q
     # the running power q^n drifts from |q|^n by at most ~2.5e-16 relative
     # per factor (complex multiplication), i.e. by n_est * 2.5e-16 / |log q|
@@ -367,7 +381,7 @@ def qpochhammer_inf(
     instance again skips forming them.
     """
     tr = _trunc(trunc)
-    qm = as_modulus(q)
+    qm = q if isinstance(q, QModulus) else as_modulus(q)
     avals: tuple[complex, ...]
     if isinstance(a, (list, tuple)):
         avals = tuple(map(complex, a))
@@ -378,8 +392,9 @@ def qpochhammer_inf(
     amax = 0.0
     for av in avals:
         amax = max(amax, _finite_abs(av, "(a;q)_inf", "a"))
-    n = _lead_count(amax, qm.q, tr)
-    pw = qm._powers_to(n + tr.streak + _STREAK_SLACK)
+    eps, streak, n_max = tr.eps, tr.streak, tr.n_max
+    n = _lead_count(amax, qm, tr)
+    pw = qm._powers_to(n + streak + _STREAK_SLACK)
     one = 1 + 0j
     prod = one
     m = len(avals)
@@ -403,24 +418,25 @@ def qpochhammer_inf(
             for av in avals:
                 prod *= one - av * qn
     small = 0
-    while small < tr.streak:
+    while small < streak:
         if n >= len(pw):
-            pw = qm._powers_to(n + tr.streak)
+            pw = qm._powers_to(n + streak)
         qn = pw[n]
-        mag = 0.0
+        small += 1
         for av in avals:
             f = av * qn
             prod *= one - f
-            mag = max(mag, abs(f))
-        small = small + 1 if mag < tr.eps else 0
+            if abs(f) >= eps:
+                small = 0
         n += 1
-        if n > tr.n_max:
+        if n > n_max:
             raise TruncationExceeded(
-                f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
+                f"(a;q)_inf tail not below eps={eps} after n_max={n_max} factors"
             )
     if not cmath.isfinite(prod):
         raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product overflows")
-    tr.note(n * m)
+    if tr.log is not None:
+        tr.log.note(n * m)
     return prod
 
 
@@ -610,7 +626,7 @@ def _theta_shift(qm: QModulus, ax: float) -> int:
     otherwise the k that brings |q^k x| nearest to 1."""
     if 0.2 <= ax <= 5.0:
         return 0
-    return round(-math.log(ax) / math.log(abs(qm.q)))
+    return round(-math.log(ax) / qm._log_q)
 
 
 def _theta_circle(
@@ -648,7 +664,7 @@ def _theta_circle(
         ) from None
     # the factor moduli |a q^n| are the same at every x on the circle
     avals = (qc, -qk * rho, -qc / (qk * rho))
-    n = _lead_count(max(abs(av) for av in avals), qc, tr)
+    n = _lead_count(max(abs(av) for av in avals), qm, tr)
     pw = qm._powers_to(n + tr.streak + _STREAK_SLACK)
     small = 0
     while small < tr.streak:

@@ -8,8 +8,11 @@ kernel on a small circle,
 
 evaluated by the uniform N-node circle rule with node doubling (the rule is
 exact on Laurent polynomials of degree < N, and the integrand's Laurent tail
-decays like q^(n^2/2), so doubling converges geometrically).  The first kind
-pairs a_n -> a_n q^(+n(n-1)/2) with a bilateral sum over a q-spiral,
+decays like q^(n^2/2), so doubling converges geometrically).  Both rules of
+a comparison alias the coefficients at multiples of 2N, so the first rule is
+chosen large enough that the kernel's coefficients there are negligible.
+The first kind pairs a_n -> a_n q^(+n(n-1)/2) with a bilateral sum over a
+q-spiral,
 
     (L_q^+ phi)(x) = sum_{n in Z} phi(lambda q^n) / theta_q(lambda q^n / x).
 
@@ -56,7 +59,7 @@ __all__ = [
 _ULP = 2.2e-16
 
 #: node count of the first circle rule, and the cap of node doubling
-_START_NODES = 64
+_START_NODES = 32
 _MAX_NODES = 4096
 
 
@@ -64,9 +67,21 @@ def _circle_mean(
     sample: Callable[[float], complex],
     eps: float,
     noise_factor: float = 0.0,
+    start: int = _START_NODES,
 ) -> complex:
-    """Mean of sample(angle) over uniform circle nodes, doubling from
-    ``_START_NODES`` until two successive rules agree to eps.
+    """Mean of sample(angle) over uniform circle nodes, doubling the nodes
+    until two successive rules, the first of ``start`` nodes or more, agree
+    to eps.
+
+    The N-node rule takes the sum of the Laurent coefficients of sample at
+    all multiples of N, the 2N-node rule those at multiples of 2N: both hold
+    the coefficients at ±2N, ±4N, ..., so their agreement cannot vouch for
+    them.  ``start`` must be large enough that the coefficients from
+    ±2 ``start`` on are negligible; the default, 32 nodes, suits integrands
+    whose coefficients decay like 0.25^n or faster.  The samples are always taken
+    and summed in the same order (``_START_NODES`` nodes, then the new nodes
+    of each doubling), so the value of each rule does not depend on
+    ``start``: a larger ``start`` only skips the first comparisons.
 
     Agreement is relative to max(|mean|, mean|sample|): once the rules match
     to within the roundoff of summing samples of that magnitude, more nodes
@@ -90,7 +105,7 @@ def _circle_mean(
             abs_total += abs(v)
         n *= 2
         new_mean = total / n
-        if abs(new_mean - mean) <= eps * max(abs(new_mean), abs_total / n):
+        if n > start and abs(new_mean - mean) <= eps * max(abs(new_mean), abs_total / n):
             if noise_factor and abs(new_mean) < noise_factor * _ULP * (abs_total / n):
                 raise NoConvergence(
                     "quadrature value sits below the cancellation noise floor "
@@ -103,6 +118,33 @@ def _circle_mean(
     raise NoConvergence(
         f"circle rule did not stabilize to eps={eps} within {_MAX_NODES} nodes"
     )
+
+
+def _kernel_start(qm: QModulus, rho: float, eps: float) -> int:
+    """First node count of the circle rule for the theta kernel on |x| = rho.
+
+    The kernel's Laurent coefficients on that circle have moduli
+    |q|^(n(n-1)/2) rho^n, whose logs form a parabola with its peak at
+    n* = 1/2 + log(rho) / (-log|q|).  The first comparison of
+    :func:`_circle_mean`, N against 2N nodes, sees the coefficients at ±N but
+    not those at ±2N, ±4N, ...; the count is the smallest power of two
+    N >= ``_START_NODES`` with 2N beyond |n*| and the coefficients at ±2N
+    below eps times the peak: (-log|q|) (2N - |n*|)^2 / 2 > -log(eps).  A
+    count whose first comparison would pass ``_MAX_NODES`` raises
+    :class:`~qconnect.errors.NoConvergence`.
+    """
+    a = -qm._log_q
+    peak = abs(0.5 + math.log(rho) / a)
+    need = -math.log(eps)
+    n = _START_NODES
+    while 2 * n <= peak or 0.5 * a * (2 * n - peak) ** 2 <= need:
+        n *= 2
+    if 2 * n > _MAX_NODES:
+        raise NoConvergence(
+            f"the theta kernel on |x| = {rho:.3e} (q={qm.q!r}) needs a first circle "
+            f"rule of {n} nodes, beyond the cap of {_MAX_NODES}"
+        )
+    return n
 
 
 def qlaplace_minus(
@@ -132,7 +174,14 @@ def qlaplace_minus(
     theta kernel's per-circle invariants (shift, constant factor, factor
     count, powers of q) are built once per call; each node then costs one
     loop of the triple product.  ``trunc.log`` counts 2 factors per node per
-    power of q, plus the factors of (q;q)_inf once.  A non-finite t or a bad
+    power of q, plus the factors of (q;q)_inf once.
+
+    The circle rule starts at the node count of :func:`_kernel_start`: 32
+    wherever the kernel's Laurent coefficients at ±64 are below eps times
+    their peak (for q <= 0.9 and |t| up to a few units), more for large |t|
+    or |q| near 1, where a smaller rule would alias coefficients far above
+    the value; there the integral is ill conditioned and ends in
+    :class:`NoConvergence`, not in a wrong value.  A non-finite t or a bad
     radius raises :class:`~qconnect.errors.DomainError`.
     """
     if t == 0:
@@ -146,6 +195,7 @@ def qlaplace_minus(
     if not 0.0 < r < r_max:
         raise DomainError(f"contour radius must satisfy 0 < r < 1/|q|^2 = {r_max}")
     kernel = _theta_circle(qm, at / r, tr)
+    start = _kernel_start(qm, at / r, tr.eps)
 
     def sample(angle: float) -> complex:
         tau = r * cmath.exp(1j * angle)
@@ -157,7 +207,7 @@ def qlaplace_minus(
             ) from exc
         return gv * kernel(t / tau)
 
-    return _circle_mean(sample, tr.eps, noise_factor=100.0)
+    return _circle_mean(sample, tr.eps, noise_factor=100.0, start=start)
 
 
 def contour_residue(
@@ -206,12 +256,24 @@ def qlaplace_plus(
     qc = qm.q
     return _spiral_sum(
         (phi(lam * qc**n) for n in itertools.count()),
-        (phi(lam * qc**n) for n in itertools.count(-1, -1)),
+        (phi(lam * _spiral_power(qc, n)) for n in itertools.count(-1, -1)),
         qm,
         lam,
         x,
         trunc,
     )
+
+
+def _spiral_power(qc: complex, n: int) -> complex:
+    """q^n on the lower tail of a spiral sum, where n grows without bound: a
+    tail that runs on until q^n leaves double range raises
+    :class:`~qconnect.errors.DomainError` instead of ``OverflowError``."""
+    try:
+        return qc**n
+    except OverflowError:
+        raise DomainError(
+            f"the spiral sum's lower tail ran past double range: q^{n} overflows (q={qc!r})"
+        ) from None
 
 
 def _spiral_sum(
@@ -256,7 +318,7 @@ def _spiral_sum(
         # w_{n-1} = w_n * q^(1-n) * (x/lambda)
         w, n = w0, 0
         while True:
-            w *= qc ** (1 - n) / ratio
+            w *= _spiral_power(qc, 1 - n) / ratio
             n -= 1
             yield next(down) * w / th
 

@@ -37,7 +37,7 @@ from qconnect import (
     theta_sum,
     theta_sum_with_condition,
 )
-from qconnect.qcore import _terminating_degree
+from qconnect.qcore import _sum_tail, _terminating_degree
 from conftest import rel_err
 
 mp.mp.dps = 40
@@ -160,9 +160,22 @@ class TestTruncation:
         ],
     )
     def test_overflowing_sum_is_domain_error(self, call):
-        # terms that overflow to inf and nan, once run to n_max
+        # terms that overflow to inf and nan
         with pytest.raises(DomainError, match="out of double range: the sum overflows"):
             call()
+
+    @pytest.mark.parametrize("bad", [math.inf, complex(math.inf, math.nan), complex(math.nan, 0)])
+    def test_tail_stops_at_the_first_non_finite_terms(self, bad):
+        drawn = []
+
+        def terms():
+            while True:
+                drawn.append(bad)
+                yield bad
+
+        with pytest.raises(DomainError, match="out of double range"):
+            _sum_tail(terms(), DEFAULT_TRUNCATION, 1 + 0j, 1.0, 1.0, 3, "endless tail")
+        assert len(drawn) <= 3
 
 
 class TestSpiral:
@@ -781,11 +794,18 @@ class TestPowerTable:
         used, fresh = QModulus(0.5), QModulus(0.5)
         used._powers_to(300)
         used.squared()
+        assert vars(used).keys() >= {"_log_q", "_k_cap", "_powers", "_squared"}
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "QModulus(q=(0.5+0j))"
         assert [f.name for f in dataclasses.fields(QModulus)] == ["q"]
         assert QModulus(0.5) != QModulus(0.25)
+
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_cached_logs_are_the_bare_expressions(self, q):
+        qm = QModulus(q)
+        assert bits(qm._log_q) == bits(math.log(abs(qm.q)))
+        assert qm._k_cap == int(290 / abs(math.log10(abs(qm.q)))) + 1
 
 
 class TestLoopsMatchRunningPowers:

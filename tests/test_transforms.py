@@ -27,7 +27,7 @@ from qconnect import (
     ramanujan_operator,
     theta,
 )
-from qconnect import transforms
+from qconnect import transforms, verify
 from qconnect.qcore import _lead_count, _theta_circle, _theta_shift
 from conftest import random_series, rel_err
 
@@ -217,6 +217,110 @@ class TestThetaCircleKernel:
             qlaplace_minus(lambda tau: 1.0, as_modulus(0.5), 1e300)
 
 
+ALIASED = (
+    (0.92, 2540 * cmath.exp(0.3j)),
+    (0.95, 154 * cmath.exp(0.3j)),
+    (0.8, 50200 * cmath.exp(0.3j)),
+)
+
+
+def counted_borel_image(qm):
+    """g_borel_image at base qm, and the list its calls are counted in."""
+    calls = []
+
+    def g(tau):
+        calls.append(tau)
+        return g_borel_image(qm, tau)
+
+    return g, calls
+
+
+def random_targets(seed, n):
+    rng = random.Random(seed)
+    return [
+        cmath.rect(
+            math.exp(rng.uniform(math.log(0.3), math.log(4.0))), rng.uniform(-math.pi, math.pi)
+        )
+        for _ in range(n)
+    ]
+
+
+class TestCircleRuleStart:
+    """The circle rule starts at 32 nodes, or where the theta kernel's
+    coefficients at twice the start are negligible; a comparison of N with
+    2N nodes cannot see the coefficients both rules alias."""
+
+    @pytest.mark.parametrize("q, t", ALIASED)
+    def test_aliased_kernel_is_no_convergence(self, q, t):
+        with pytest.raises(NoConvergence):
+            qlaplace_minus(lambda tau: 1.0, as_modulus(q), t)
+
+    def test_a_bare_32_node_start_returns_an_aliased_value(self):
+        # the value is 1; the coefficients at +-64 of the kernel on
+        # |x| = |t|/r lie some 1e112 above it and both of the first two
+        # rules hold them
+        q, t = ALIASED[2]
+        qm = as_modulus(q)
+        r = default_radius(qm)
+        kernel = _theta_circle(qm, abs(t) / r)
+
+        def sample(angle):
+            return kernel(t / (r * cmath.exp(1j * angle)))
+
+        assert abs(transforms._circle_mean(sample, 1e-15, noise_factor=100.0, start=32)) > 1e100
+        assert transforms._kernel_start(qm, abs(t) / r, 1e-15) == 64
+
+    @pytest.mark.parametrize("q, nodes", [(0.3, 64), (0.5, 64), (0.8, 128)])
+    def test_node_counts_of_the_borel_image(self, q, nodes):
+        qm = as_modulus(q)
+        for t in random_targets(f"nodes-{q}", 20):
+            g, calls = counted_borel_image(qm)
+            qlaplace_minus(g, qm, t)
+            assert len(calls) == nodes
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_residue_lemma_circles_take_64_nodes(self, q, monkeypatch):
+        counts = []
+
+        def counted_residue(f, center, radius, trunc=None):
+            calls = []
+            counts.append(calls)
+            return contour_residue(lambda z: calls.append(z) or f(z), center, radius, trunc)
+
+        monkeypatch.setattr(verify, "contour_residue", counted_residue)
+        for lam in LAMBDAS:
+            rep = verify.check(verify.IdentityCheck("residue-lemma", q, lam=lam))
+            assert rep.passed
+        assert counts and all(len(calls) == 64 for calls in counts)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.9, 0.95])
+    def test_never_more_samples_than_a_64_node_start(self, q):
+        qm = as_modulus(q)
+        r = default_radius(qm)
+        for t in random_targets(f"start-{q}", 8):
+            g, calls = counted_borel_image(qm)
+            kernel = _theta_circle(qm, abs(t) / r)
+            ref_calls = []
+
+            def sample(angle):
+                tau = r * cmath.exp(1j * angle)
+                ref_calls.append(tau)
+                return g_borel_image(qm, tau) * kernel(t / tau)
+
+            outcomes = []
+            for run in (
+                lambda: qlaplace_minus(g, qm, t),
+                lambda: transforms._circle_mean(sample, 1e-15, noise_factor=100.0, start=64),
+            ):
+                try:
+                    outcomes.append(run())
+                except NoConvergence:
+                    outcomes.append(None)
+            assert len(calls) <= len(ref_calls)
+            if len(calls) == len(ref_calls):
+                assert outcomes[0] == outcomes[1]
+
+
 class TestQLaplacePlus:
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_inverts_borel_on_degree_30(self, qmod, lam):
@@ -249,6 +353,16 @@ class TestQLaplacePlus:
             qlaplace_plus(lambda xi: 1.0, qmod, 0, 1.0)
         with pytest.raises(ZeroArgument):
             qlaplace_plus(lambda xi: 1.0, qmod, 0.7, 0)
+
+    def test_overflowing_lower_tail_is_domain_error(self):
+        # phi(0.7 q^-1) = 2.4e308 overflows, so the lower tail's terms are nan
+        with pytest.raises(DomainError, match="out of double range"):
+            qlaplace_plus(lambda s: 1e308 * (1 + s), 0.5, 0.7, 2.4)
+
+    def test_spiral_power_out_of_range_is_domain_error(self):
+        assert transforms._spiral_power(0.5 + 0j, -3) == 8
+        with pytest.raises(DomainError, match="q\\^-1100 overflows"):
+            transforms._spiral_power(0.5 + 0j, -1100)
 
 
 class TestContourResidue:
