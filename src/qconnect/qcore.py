@@ -64,19 +64,23 @@ class QModulus:
 
     Each instance carries a private table of its powers q^0, q^1, ..., the
     running product from 1 + 0j that every product and series loop here
-    reads instead of multiplying its own.  The table is extended on demand
-    by assigning a longer tuple, so a concurrent reader sees either the old
-    or the new table, never a half-built one.  Two constants of q are set
-    once, at construction: ``_log_q`` = log|q|, and ``_k_cap``, the largest
-    |k| at which |q|^k is representable (the reach of
-    :meth:`Spiral.nearest`).  None of these is a dataclass field: equality,
-    hash and repr depend on q alone.
+    reads instead of multiplying its own, and a second table of the
+    coefficients c_k = 1/(k (1 - q^k)), k = 1, 2, ..., of the series
+    log (a;q)_inf = -sum_k c_k a^k (|a| < 1) that the theta kernel of
+    :func:`_theta_circle` sums for the tail of its product.  Each table is
+    extended on demand by assigning a longer tuple, so a concurrent reader
+    sees either the old or the new table, never a half-built one.  Two
+    constants of q are set once, at construction: ``_log_q`` = log|q|, and
+    ``_k_cap``, the largest |k| at which |q|^k is representable (the reach
+    of :meth:`Spiral.nearest`).  None of these is a dataclass field:
+    equality, hash and repr depend on q alone.
     """
 
     q: complex
     # class-level starting values, shadowed per instance once set; being
     # unannotated, they are not dataclass fields
     _powers = (1 + 0j,)
+    _log_coeffs = ()
     _squared = None
 
     def __post_init__(self) -> None:
@@ -101,6 +105,30 @@ class QModulus:
         pw = tuple(ext)
         object.__setattr__(self, "_powers", pw)
         return pw
+
+    def _log_coeffs_to(self, n: int) -> tuple[complex, ...]:
+        """The table c_1, c_2, ... of c_k = 1/(k (1 - q^k)), with at least n
+        entries.
+
+        1 - q^k is formed as (1 - q) (1 + q + ... + q^(k-1)), which does not
+        cancel as |q| nears 1; every entry is a function of k and the table
+        of powers alone, so a table grown in steps equals one built at once.
+        """
+        cs = self._log_coeffs
+        if len(cs) >= n:
+            return cs
+        size = max(n, 2 * len(cs), 32)
+        pw = self._powers_to(size)
+        one_minus_q = 1 - self.q
+        ext = list(cs)
+        s = 0j
+        for k in range(1, size + 1):
+            s += pw[k - 1]
+            if k > len(cs):
+                ext.append(1 / (k * (one_minus_q * s)))
+        cs = tuple(ext)
+        object.__setattr__(self, "_log_coeffs", cs)
+        return cs
 
     @property
     def q2(self) -> complex:
@@ -194,35 +222,40 @@ def _sum_tail(
 
     A sum that leaves double range raises
     :class:`~qconnect.errors.DomainError` without running on to ``n_max``:
-    a nan term (never small) raises when it is drawn, and an infinite term
+    a nan term (never small) raises when it is drawn, an infinite term
     makes the scale infinite, so the streak rule ends the tail and the
-    check of the total raises.
+    check of the total raises, and a term or sum whose modulus overflows
+    (finite parts, |t| above the double range) raises at once.
     """
     eps = tr.eps
     n_max = tr.n_max
     inf = math.inf
     small = count = 0
-    for t in terms:
-        if count == n_max:
-            raise TruncationExceeded(f"{what} not below eps={eps} after n_max={n_max} terms")
-        total += t
-        at = abs(t)
-        abs_sum += at
-        count += 1
-        # scale = max(scale, |total|, at), without the cost of a call per term
-        a = abs(total)
-        if a > scale:
-            scale = a
-        if at > scale:
-            scale = at
-        if at <= eps * scale:
-            small += 1
-            if small == streak:
-                break
-        elif at < inf:
-            small = 0
-        else:
-            raise DomainError(f"{what} is out of double range: the sum overflows")
+    try:
+        for t in terms:
+            if count == n_max:
+                raise TruncationExceeded(f"{what} not below eps={eps} after n_max={n_max} terms")
+            total += t
+            at = abs(t)
+            abs_sum += at
+            count += 1
+            # scale = max(scale, |total|, at), without the cost of a call per term
+            a = abs(total)
+            if a > scale:
+                scale = a
+            if at > scale:
+                scale = at
+            if at <= eps * scale:
+                small += 1
+                if small == streak:
+                    break
+            elif at < inf:
+                small = 0
+            else:
+                raise DomainError(f"{what} is out of double range: the sum overflows")
+    except OverflowError:
+        # abs() of a term or sum whose parts are finite but whose modulus is not
+        raise DomainError(f"{what} is out of double range: the sum overflows") from None
     if not cmath.isfinite(total):
         raise DomainError(f"{what} is out of double range: the sum overflows")
     return total, abs_sum, scale, count
@@ -275,15 +308,21 @@ class Spiral:
             return 0, math.inf
         base = self.base
         q = base.q
-        k0 = math.log(ax / abs(self.anchor)) / base._log_q
+        anchor = self.anchor
+        # a difference of logs: the quotient |x|/|anchor| may leave double range
+        k0 = (math.log(ax) - math.log(abs(anchor))) / base._log_q
         # |q|^k must stay representable; spiral points beyond that are moot
         k_cap = base._k_cap
         best_k, best_d = 0, math.inf
         for k in range(math.floor(k0) - 2, math.ceil(k0) + 3):
             if abs(k) > k_cap:
                 continue
-            s = self.anchor * q**k
-            d = abs(x - s) / max(abs(s), ax)
+            s = anchor * q**k
+            try:
+                a_s = abs(s)
+                d = abs(x - s) / (a_s if a_s > ax else ax)
+            except OverflowError:  # |s| or |x - s| beyond double range: x is far from s
+                continue
             if d < best_d:
                 best_k, best_d = k, d
         return best_k, best_d
@@ -315,7 +354,9 @@ class Spiral:
 def qpochhammer_n(a: complex, q: QModulus | complex, n: int) -> complex:
     """Finite q-shifted factorial (a; q)_n = prod_{j<n} (1 - a q^j).
 
-    The empty product (n = 0) is 1.
+    The empty product (n = 0) is 1.  A product that is not finite (a
+    non-finite a, or one so large that the product overflows) raises
+    :class:`~qconnect.errors.DomainError`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -323,6 +364,8 @@ def qpochhammer_n(a: complex, q: QModulus | complex, n: int) -> complex:
     prod = one
     for qj in as_modulus(q)._powers_to(n)[:n]:
         prod *= one - a * qj
+    if not cmath.isfinite(prod):
+        raise DomainError(f"a={a!r} is out of double range for (a;q)_{n}: the product overflows")
     return prod
 
 
@@ -456,12 +499,23 @@ def qpochhammer_inf_shifted_pole(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if lam == 0:
+        raise ZeroArgument("the closed form of 1/(lambda q^(-k); q)_inf needs lambda != 0")
     qm = as_modulus(q)
     Spiral(1 + 0j, qm).exclude(lam, "lambda")
-    qk = qm.q ** (k * (k + 1) // 2)
-    num = (-lam) ** (-k) * qk
-    den = qpochhammer_inf(lam, qm, trunc) * qpochhammer_n(qm.q / lam, qm, k)
-    return num / den
+    try:
+        qk = qm.q ** (k * (k + 1) // 2)
+        num = (-lam) ** (-k) * qk
+        den = qpochhammer_inf(lam, qm, trunc) * qpochhammer_n(qm.q / lam, qm, k)
+        value = num / den
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not cmath.isfinite(value):
+        raise DomainError(
+            f"lambda={lam!r} is out of double range for the closed form of "
+            f"1/(lambda q^(-k); q)_inf (q={qm.q!r}, k={k}): a factor overflows"
+        )
+    return value
 
 
 def theta_sum_with_condition(
@@ -629,6 +683,11 @@ def _theta_shift(qm: QModulus, ax: float) -> int:
     return round(-math.log(ax) / qm._log_q)
 
 
+#: the theta kernel multiplies the factors 1 + a q^n with |a q^n| above this
+#: and sums the log-series of the rest of the product
+_TAIL_SPLIT = 0.1
+
+
 def _theta_circle(
     qm: QModulus, rho: float, trunc: Truncation | None = None
 ) -> Callable[[complex], complex]:
@@ -636,17 +695,25 @@ def _theta_circle(
 
     Everything that depends only on |x| is computed once: the shift k of
     :func:`_theta_shift`, the constant (q;q)_inf q^(k(k-1)/2), the factor
-    count of (-x0, -q/x0; q)_inf with x0 = q^k x (the count the three-argument
-    product (q, -x0, -q/x0; q)_inf would use), and the slice of the base's
-    table of powers q^n that the loop runs over.  Each call
-    then runs one loop of the cancellation-free triple product and notes 2
-    factors per power in ``trunc.log``; (q;q)_inf is noted once, here.
+    count n of (-x0, -q/x0; q)_inf with x0 = q^k x (the count the
+    three-argument product (q, -x0, -q/x0; q)_inf would use, by its streak
+    rule, so ``n_max`` is exceeded exactly where :func:`theta` exceeds it),
+    and the split of that product.  The leading M powers, up to the first
+    with max(|x0|, |q/x0|) |q|^M <= ``_TAIL_SPLIT``, are multiplied out, so
+    the zeros of theta stay exact zero factors.  The rest is one factor
+    exp(-S), from log (w;q)_inf = -sum_k w^k / (k (1 - q^k)) at
+    w1 = -x0 q^M and w2 = -(q/x0) q^M, with S the sum of the first K terms
+    at both: K is the first with |w|^(K+1) / ((1 - |q|)(1 - |w|)) < eps/10,
+    a bound on the series' remainder, |w| = max(|w1|, |w2|).  Where M + K
+    would not be fewer than n, the kernel multiplies all n powers instead.
+    Each call notes 2 per leading power plus 2 per tail term in
+    ``trunc.log``; (q;q)_inf is noted once, here.
     The bare constant times x^k scales the product wherever that is finite;
     elsewhere the shift-law factor is formed as :func:`theta` forms it.
     Errors are those of :func:`theta`: rho not finite and positive, or a
-    value out of double range, raises :class:`~qconnect.errors.DomainError`;
-    a factor count above ``n_max`` raises
-    :class:`~qconnect.errors.TruncationExceeded`.
+    value (or tail factor) out of double range, raises
+    :class:`~qconnect.errors.DomainError`; a factor count above ``n_max``
+    raises :class:`~qconnect.errors.TruncationExceeded`.
     """
     if not 0.0 < rho < math.inf:
         raise DomainError(f"theta needs a finite nonzero argument, got |x|={rho!r}")
@@ -677,16 +744,41 @@ def _theta_circle(
             raise TruncationExceeded(
                 f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
             )
-    powers = pw[:n]
-    factors = 2 * n
+    amax = max(abs(avals[1]), abs(avals[2]))
+    m = max(0, math.ceil(math.log(_TAIL_SPLIT / amax) / qm._log_q))
+    n_tail = 0
+    if m < n:
+        w = amax * abs(pw[m])
+        remainder = tr.eps / 10 * (1 - abs(qc)) * (1 - w)
+        n_tail = max(0, math.floor(math.log(remainder) / math.log(w)))
+    if m + n_tail >= n:  # the split would save nothing
+        m, n_tail = n, 0
+    lead = pw[:m]
+    # c_K, ..., c_1 for Horner's rule, and w = -a q^M = a * w_scale
+    tail = qm._log_coeffs_to(n_tail)[n_tail - 1 :: -1] if n_tail else ()
+    w_scale = -pw[m] if n_tail else 0j
+    factors = 2 * (m + n_tail)
 
     def value(x: complex) -> complex:
         x0 = qk * x
         y = qc / x0
         one = 1 + 0j
         prod = one
-        for qn in powers:
+        for qn in lead:
             prod *= (one + x0 * qn) * (one + y * qn)
+        if tail:
+            w1, w2 = x0 * w_scale, y * w_scale
+            s1 = s2 = 0j
+            for c in tail:
+                s1 = (s1 + c) * w1
+                s2 = (s2 + c) * w2
+            try:
+                prod *= cmath.exp(-(s1 + s2))
+            except OverflowError:
+                raise DomainError(
+                    f"x={x!r} is out of double range for theta (q={qc!r}): the "
+                    "tail factor of its triple product overflows"
+                ) from None
         tr.note(factors)
         try:
             v = const * x**k * prod

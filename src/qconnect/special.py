@@ -22,11 +22,14 @@ x off [-lambda; q].
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (
     DomainError,
+    NoConvergence,
     PoleHit,
     ThetaZero,
     ZeroArgument,
@@ -47,7 +50,7 @@ from .qcore import (
     _trunc,
 )
 from .series import QDEOperator
-from .transforms import _spiral_sum
+from .transforms import _NOISE_FACTOR, _ULP, _spiral_sum
 
 __all__ = [
     "ramanujan_Aq",
@@ -172,6 +175,16 @@ def f_via_residues(
 
     which must agree with A_{q^2}(-q^3 t^2) and with the contour-quadrature
     value of the second-kind q-Laplace transform of the Borel image.
+
+    For small |t| the two 1phi1 series at +-1/t cancel large terms, and the
+    two products T_1, T_2 of the numerator cancel each other.  The condition
+    (|T_1| cond_1 + |T_2| cond_2) / |T_1 + T_2|, with cond_i the internal
+    condition of the series in T_i, is the factor by which the value loses
+    precision.  Where 100 ulp times it reaches 1, the noise floor
+    :func:`~qconnect.transforms.qlaplace_minus` also applies, no significant
+    digit is left and the call raises
+    :class:`~qconnect.errors.NoConvergence`.  A value out of double range
+    raises :class:`~qconnect.errors.DomainError`.
     """
     if t == 0:
         raise ZeroArgument("f is evaluated at nonzero t")
@@ -179,10 +192,24 @@ def f_via_residues(
     qm = as_modulus(q)
     qc = qm.q
     q2t = qm.q2 * t
-    num = theta(qm, q2t, tr) * rphis((0j,), (-qc,), qm, 1 / t, tr) + theta(
-        qm, -q2t, tr
-    ) * rphis((0j,), (-qc,), qm, -1 / t, tr)
-    return num / qpochhammer_inf((qc, -1 + 0j), qm, tr)
+    s_p, cond_p = rphis_with_condition((0j,), (-qc,), qm, 1 / t, tr)
+    s_m, cond_m = rphis_with_condition((0j,), (-qc,), qm, -1 / t, tr)
+    t_p = theta(qm, q2t, tr) * s_p
+    t_m = theta(qm, -q2t, tr) * s_m
+    num = t_p + t_m
+    value = num / qpochhammer_inf((qc, -1 + 0j), qm, tr)
+    try:
+        cond = (abs(t_p) * cond_p + abs(t_m) * cond_m) / abs(num) if num else math.inf
+    except OverflowError:
+        value = math.nan  # the moduli of the products leave double range
+    if not cmath.isfinite(value):
+        raise DomainError(f"t={t!r} is out of double range for the residue sum (q={qc!r})")
+    if _NOISE_FACTOR * _ULP * cond >= 1:
+        raise NoConvergence(
+            f"the residue sum at t={t!r} (q={qc!r}) has condition {cond:.3e}: "
+            "no significant digits survive in double precision"
+        )
+    return value
 
 
 def two_f_zero(

@@ -57,6 +57,9 @@ __all__ = [
 
 
 _ULP = 2.2e-16
+#: a value below this many ulp of the size of the terms it cancels from
+#: carries no significant digits
+_NOISE_FACTOR = 100.0
 
 #: node count of the first circle rule, and the cap of node doubling
 _START_NODES = 32
@@ -66,7 +69,7 @@ _MAX_NODES = 4096
 def _circle_mean(
     sample: Callable[[float], complex],
     eps: float,
-    noise_factor: float = 0.0,
+    noise_factor: float = _NOISE_FACTOR,
     start: int = _START_NODES,
 ) -> complex:
     """Mean of sample(angle) over uniform circle nodes, doubling the nodes
@@ -86,9 +89,9 @@ def _circle_mean(
     Agreement is relative to max(|mean|, mean|sample|): once the rules match
     to within the roundoff of summing samples of that magnitude, more nodes
     cannot improve the value (the residual is cancellation noise, not
-    discretization error).  With ``noise_factor`` set, a mean smaller than
-    noise_factor * ulp * mean|sample| is refused: such a value would carry no
-    significant digits, only the cancellation noise of the samples.
+    discretization error).  A mean smaller than noise_factor * ulp *
+    mean|sample| is refused: such a value would carry no significant digits,
+    only the cancellation noise of the samples.
     """
     n = _START_NODES
     total = 0 + 0j
@@ -106,7 +109,7 @@ def _circle_mean(
         n *= 2
         new_mean = total / n
         if n > start and abs(new_mean - mean) <= eps * max(abs(new_mean), abs_total / n):
-            if noise_factor and abs(new_mean) < noise_factor * _ULP * (abs_total / n):
+            if abs(new_mean) < noise_factor * _ULP * (abs_total / n):
                 raise NoConvergence(
                     "quadrature value sits below the cancellation noise floor "
                     f"(|mean| = {abs(new_mean):.3e} vs samples of size "
@@ -172,9 +175,13 @@ def qlaplace_minus(
 
     Every kernel argument t/tau lies on the one circle |x| = |t|/r, so the
     theta kernel's per-circle invariants (shift, constant factor, factor
-    count, powers of q) are built once per call; each node then costs one
-    loop of the triple product.  ``trunc.log`` counts 2 factors per node per
-    power of q, plus the factors of (q;q)_inf once.
+    count, and the split of the triple product into leading powers and a
+    log-series tail, see :func:`~qconnect.qcore._theta_circle`) are built
+    once per call; each node then multiplies the leading powers and sums
+    the tail series.  ``trunc.log`` counts 2 per leading power plus 2 per
+    tail term at each node (52 to 66 at q = 0.8 for |t| in [0.3, 4],
+    against 316 to 330 for every power), plus the factors of (q;q)_inf
+    once.
 
     The circle rule starts at the node count of :func:`_kernel_start`: 32
     wherever the kernel's Laurent coefficients at ±64 are below eps times
@@ -207,7 +214,7 @@ def qlaplace_minus(
             ) from exc
         return gv * kernel(t / tau)
 
-    return _circle_mean(sample, tr.eps, noise_factor=100.0, start=start)
+    return _circle_mean(sample, tr.eps, start=start)
 
 
 def contour_residue(
@@ -219,6 +226,8 @@ def contour_residue(
     """Residue of f at ``center`` by quadrature on a small surrounding circle.
 
     The circle must separate ``center`` from all other singularities of f.
+    A residue below the cancellation noise floor of its samples raises
+    :class:`~qconnect.errors.NoConvergence`, as in :func:`qlaplace_minus`.
     """
     if not 0.0 < radius < math.inf:
         raise DomainError(f"residue circle radius must be positive and finite, got {radius!r}")

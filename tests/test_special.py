@@ -6,6 +6,7 @@ import pytest
 
 from qconnect import (
     DomainError,
+    NoConvergence,
     PoleHit,
     SolutionAtInfinity,
     Spiral,
@@ -230,6 +231,30 @@ class TestSeriesFactorAtInfinity:
     def test_zero_rejected(self, qmod):
         with pytest.raises(ZeroArgument):
             f_via_residues(qmod, 0)
+
+    @pytest.mark.parametrize("q, t", [(0.8, 0.05), (0.8, 0.1), (0.95, 0.3)])
+    def test_no_digits_left_is_no_convergence(self, q, t):
+        # the 1phi1 series at +-1/t cancel: (0.8, 0.05) was 1.4e6 off and
+        # (0.8, 0.1) 3 % off against A_{q^2}(-q^3 t^2)
+        with pytest.raises(NoConvergence):
+            f_via_residues(q, t)
+
+    @pytest.mark.parametrize("q, t", [(0.5, 1e-12), (0.95, 1e-3)])
+    def test_overflowing_value_is_domain_error(self, q, t):
+        # both returned nan+nanj
+        with pytest.raises(DomainError, match="out of double range"):
+            f_via_residues(q, t)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_value_kept_where_the_condition_leaves_digits(self, q):
+        # |t| >= 0.3 at q <= 0.8, the range of the solution at infinity the
+        # contour quadrature is checked on, keeps its value
+        qm = as_modulus(q)
+        rng = random.Random(f"residues-{q}")
+        for _ in range(20):
+            t = cmath.rect(10 ** rng.uniform(math.log10(0.3), math.log10(4.0)), rng.uniform(-3, 3))
+            want = ramanujan_Aq(qm.squared(), -(qm.q**3) * t * t)
+            assert rel_err(f_via_residues(qm, t), want) < 1e-9
 
 
 class TestResummedDivergentSeries:

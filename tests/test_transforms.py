@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -122,8 +124,11 @@ class TestThetaCircleKernel:
 
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_factor_count_matches_triple_product(self, q):
-        # 2 factors per power per call, against 3 per power in (q, -x0, -q/x0; q)_inf
+        # 2 per leading power and 2 per tail term per call, fewer than the 2
+        # per power of (-x0, -q/x0; q)_inf, which the three-argument product
+        # (q, -x0, -q/x0; q)_inf takes 3 per power of; (q;q)_inf once, at set-up
         qm = as_modulus(q)
+        aq = abs(qm.q)
         for rho in (0.21, 1.0, 4.9, 0.013, 70.0):
             k = _theta_shift(qm, rho)
             x = rho * cmath.exp(0.7j)
@@ -137,7 +142,16 @@ class TestThetaCircleKernel:
             setup = tr.log.terms
             assert setup == qq.log.terms
             kernel(x)
-            assert 3 * (tr.log.terms - setup) == 2 * ref.log.terms
+            # M leading powers, to the first with max(|x0|, |q/x0|) |q|^M <= 0.1,
+            # and K tail terms, to the first remainder bound below eps/10
+            amax = max(abs(x0), abs(qm.q / x0))
+            lead = next(m for m in itertools.count() if amax * aq**m <= 0.1)
+            w = amax * aq**lead
+            tail = next(
+                n for n in itertools.count() if w ** (n + 1) / ((1 - aq) * (1 - w)) < 1e-16
+            )
+            assert tr.log.terms - setup == 2 * (lead + tail)
+            assert 3 * (tr.log.terms - setup) < 2 * ref.log.terms
 
     @pytest.mark.parametrize("n_max", range(30, 90, 3))
     def test_truncation_exceeded_where_theta_raises(self, n_max):
@@ -215,6 +229,27 @@ class TestThetaCircleKernel:
     def test_far_target_is_domain_error_as_in_theta(self):
         with pytest.raises(DomainError, match="out of double range"):
             qlaplace_minus(lambda tau: 1.0, as_modulus(0.5), 1e300)
+
+    @pytest.mark.parametrize("x", [-2.0, -4.0, -0.5, -0.25, -32.0, -1 / 64])
+    def test_exact_zero_on_the_zero_spiral(self, x):
+        # every factor with |a q^n| >= 0.1 stays in the multiplied product, so
+        # the zeros -q^Z of theta come out as exact zero factors
+        assert _theta_circle(as_modulus(0.5), abs(x))(complex(x)) == 0
+
+    def test_plain_loop_where_the_split_saves_nothing(self):
+        # at q = 0.05, |x| = 1.6 the leading powers and the tail terms would
+        # be no fewer than the powers of the plain loop, which runs instead
+        qm = as_modulus(0.05)
+        rho = 1.6
+        x = rho * cmath.exp(0.7j)
+        ref = Truncation(log=TermLog())
+        qpochhammer_inf((qm.q, -x, -qm.q / x), qm, ref)
+        got_log, want_log = TermLog(), TermLog()
+        kernel = _theta_circle(qm, rho, Truncation(log=got_log))
+        plain = running_theta_circle(qm, rho, Truncation(log=want_log))
+        setup = got_log.terms
+        assert kernel(x) == plain(x)
+        assert 3 * (got_log.terms - setup) == 2 * ref.log.terms
 
 
 ALIASED = (
@@ -384,6 +419,11 @@ class TestContourResidue:
         with pytest.raises(DomainError):
             contour_residue(lambda z: 1 / z, 0, radius)
 
+    def test_value_below_the_noise_floor_is_no_convergence(self):
+        # samples of size 1e20 around a residue of 1: no digit of it survives
+        with pytest.raises(NoConvergence):
+            contour_residue(lambda z: 1 / z + 1e20 * (z / 0.1) ** 127, 0, 0.1)
+
 
 class TestCoveringTransform:
     def test_identity_fixed(self):
@@ -462,23 +502,94 @@ def running_theta_circle(qm, rho, tr):
     return value
 
 
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def decimal_theta(q, x):
+    """theta_q(x) = sum_n q^(n(n-1)/2) x^n to 34 digits, as the pair (real
+    part, imaginary part) of decimals.
+
+    The sum cancels its largest term, the one at the integer n nearest
+    1/2 - log|x| / log|q|, down to the value (near the zeros, and on the
+    negative axis as |q| nears 1), so it is summed again with as many more
+    digits as it lost."""
+    q, x = complex(q), complex(x)
+    log_q, log_x = math.log(abs(q)), math.log(abs(x))
+    n = round(0.5 - log_x / log_q)
+    log10_peak = (n * (n - 1) / 2 * log_q + n * log_x) / math.log(10)
+    lost = 0
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = 39 + lost
+            one = (Decimal(1), Decimal(0))
+            qd = (Decimal(q.real), Decimal(q.imag))
+            xd = (Decimal(x.real), Decimal(x.imag))
+            m2 = xd[0] ** 2 + xd[1] ** 2
+            tiny = Decimal(10) ** (math.floor(log10_peak) - ctx.prec - 2)
+            total = one
+            # term ratios q^n x upward (n = 0, 1, ...), q^m / x downward (m = 1, 2, ...)
+            for ratio, power in ((xd, one), ((xd[0] / m2, -xd[1] / m2), qd)):
+                term = one
+                while abs(term[0]) + abs(term[1]) >= tiny:
+                    term = _cmul(term, _cmul(power, ratio))
+                    total = (total[0] + term[0], total[1] + term[1])
+                    power = _cmul(power, qd)
+            size = (total[0] ** 2 + total[1] ** 2).sqrt()
+        now_lost = math.ceil(log10_peak - math.log10(size))
+        if now_lost <= lost:
+            return total
+        lost = now_lost
+
+
+def decimal_rel_err(value, exact):
+    with localcontext() as ctx:
+        ctx.prec = 40
+        dr, di = Decimal(value.real) - exact[0], Decimal(value.imag) - exact[1]
+        return float((dr * dr + di * di).sqrt() / (exact[0] ** 2 + exact[1] ** 2).sqrt())
+
+
+def theta_rounding_bound(q, x):
+    """A-priori relative rounding bound 4 ulp (cond + 4 k^2) of theta_q(x) by
+    the shifted triple product: cond sums 1 + |a q^n| / |1 - a q^n| over the
+    factors of (q, -x, -q/x; q)_inf, and the shift-law powers x^k and
+    q^(k(k-1)/2) add a few ulp per unit of |k|."""
+    cond = 0.0
+    for a in (q, -x, -q / x):
+        aq = complex(a)
+        while abs(aq) > 1e-18:
+            cond += 1.0 + abs(aq) / max(abs(1 - aq), 1e-300)
+            aq *= q
+        cond += 1.0
+    k = round(-math.log(abs(x)) / math.log(abs(q)))
+    return 4 * 2.0**-52 * (cond + 4.0 * k * k)
+
+
 class TestThetaCircleRunningPowers:
     @pytest.mark.parametrize("q", REF_QS)
     def test_kernel_bit_for_bit(self, q):
+        # the kernel multiplies the leading powers and sums a log-series for
+        # the rest of the product, so it is no longer bit-equal to the loop
+        # over every power; both stay within a tenth of the a-priori rounding
+        # bound against 34 digits, and the kernel notes no more factors; on a
+        # fresh instance the first kernel builds the tables, a second reuses them
         rng = random.Random(f"circle-{q}")
-        for _ in range(5):
+        for _ in range(6):
             rho = 10 ** rng.uniform(-1.5, 1.5)
-            # on a fresh instance the first kernel builds the table, the second reuses it
             qm = as_modulus(q)
-            for _ in range(2):
-                got_log, want_log = TermLog(), TermLog()
-                kernel = _theta_circle(qm, rho, Truncation(log=got_log))
-                ref = running_theta_circle(qm, rho, Truncation(log=want_log))
-                for j in range(64):
-                    x = cmath.rect(rho, 2 * math.pi * j / 64)
-                    got, want = kernel(x), ref(x)
-                    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
-                assert got_log.terms == want_log.terms
+            got_log, want_log = TermLog(), TermLog()
+            kernel = _theta_circle(qm, rho, Truncation(log=got_log))
+            again = _theta_circle(qm, rho)
+            ref = running_theta_circle(qm, rho, Truncation(log=want_log))
+            for j in range(32):
+                x = cmath.rect(rho, 2 * math.pi * j / 32)
+                exact = decimal_theta(q, x)
+                bound = 0.1 * theta_rounding_bound(q, x)
+                got = kernel(x)
+                assert decimal_rel_err(got, exact) < bound
+                assert decimal_rel_err(ref(x), exact) < bound
+                assert again(x) == got
+            assert got_log.terms <= want_log.terms
 
     def test_overflowing_target_is_domain_error(self):
         with pytest.raises(DomainError, match="out of double range"):
