@@ -64,23 +64,19 @@ class QModulus:
 
     Each instance carries a private table of its powers q^0, q^1, ..., the
     running product from 1 + 0j that every product and series loop here
-    reads instead of multiplying its own, and a second table of the
-    coefficients c_k = 1/(k (1 - q^k)), k = 1, 2, ..., of the series
-    log (a;q)_inf = -sum_k c_k a^k (|a| < 1) that the theta kernel of
-    :func:`_theta_circle` sums for the tail of its product.  Each table is
-    extended on demand by assigning a longer tuple, so a concurrent reader
-    sees either the old or the new table, never a half-built one.  Two
-    constants of q are set once, at construction: ``_log_q`` = log|q|, and
-    ``_k_cap``, the largest |k| at which |q|^k is representable (the reach
-    of :meth:`Spiral.nearest`).  None of these is a dataclass field:
-    equality, hash and repr depend on q alone.
+    reads instead of multiplying its own.  The table is extended on demand
+    by assigning a longer tuple, so a concurrent reader sees either the old
+    or the new table, never a half-built one.  Two constants of q are set
+    once, at construction: ``_log_q`` = log|q|, and ``_k_cap``, the largest
+    |k| at which |q|^k is representable (the reach of
+    :meth:`Spiral.nearest`).  None of these is a dataclass field: equality,
+    hash and repr depend on q alone.
     """
 
     q: complex
     # class-level starting values, shadowed per instance once set; being
     # unannotated, they are not dataclass fields
     _powers = (1 + 0j,)
-    _log_coeffs = ()
     _squared = None
 
     def __post_init__(self) -> None:
@@ -105,30 +101,6 @@ class QModulus:
         pw = tuple(ext)
         object.__setattr__(self, "_powers", pw)
         return pw
-
-    def _log_coeffs_to(self, n: int) -> tuple[complex, ...]:
-        """The table c_1, c_2, ... of c_k = 1/(k (1 - q^k)), with at least n
-        entries.
-
-        1 - q^k is formed as (1 - q) (1 + q + ... + q^(k-1)), which does not
-        cancel as |q| nears 1; every entry is a function of k and the table
-        of powers alone, so a table grown in steps equals one built at once.
-        """
-        cs = self._log_coeffs
-        if len(cs) >= n:
-            return cs
-        size = max(n, 2 * len(cs), 32)
-        pw = self._powers_to(size)
-        one_minus_q = 1 - self.q
-        ext = list(cs)
-        s = 0j
-        for k in range(1, size + 1):
-            s += pw[k - 1]
-            if k > len(cs):
-                ext.append(1 / (k * (one_minus_q * s)))
-        cs = tuple(ext)
-        object.__setattr__(self, "_log_coeffs", cs)
-        return cs
 
     @property
     def q2(self) -> complex:
@@ -706,8 +678,10 @@ def _theta_circle(
     at both: K is the first with |w|^(K+1) / ((1 - |q|)(1 - |w|)) < eps/10,
     a bound on the series' remainder, |w| = max(|w1|, |w2|).  Where M + K
     would not be fewer than n, the kernel multiplies all n powers instead.
-    Each call notes 2 per leading power plus 2 per tail term in
-    ``trunc.log``; (q;q)_inf is noted once, here.
+    The K coefficients 1/(k (1 - q^k)) are formed here from the table of
+    powers, with 1 - q^k = (1 - q)(1 + q + ... + q^(k-1)), which does not
+    cancel as |q| nears 1.  Each call notes 2 per leading power plus 2 per
+    tail term in ``trunc.log``; (q;q)_inf is noted once, here.
     The bare constant times x^k scales the product wherever that is finite;
     elsewhere the shift-law factor is formed as :func:`theta` forms it.
     Errors are those of :func:`theta`: rho not finite and positive, or a
@@ -754,8 +728,15 @@ def _theta_circle(
     if m + n_tail >= n:  # the split would save nothing
         m, n_tail = n, 0
     lead = pw[:m]
+    # c_k = 1/(k (1 - q)(1 + q + ... + q^(k-1))) = 1/(k (1 - q^k))
+    coeffs = []
+    one_minus_q = 1 - qc
+    s = 0j
+    for j in range(n_tail):
+        s += pw[j]
+        coeffs.append(1 / ((j + 1) * (one_minus_q * s)))
     # c_K, ..., c_1 for Horner's rule, and w = -a q^M = a * w_scale
-    tail = qm._log_coeffs_to(n_tail)[n_tail - 1 :: -1] if n_tail else ()
+    tail = coeffs[::-1]
     w_scale = -pw[m] if n_tail else 0j
     factors = 2 * (m + n_tail)
 

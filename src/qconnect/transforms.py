@@ -69,7 +69,6 @@ _MAX_NODES = 4096
 def _circle_mean(
     sample: Callable[[float], complex],
     eps: float,
-    noise_factor: float = _NOISE_FACTOR,
     start: int = _START_NODES,
 ) -> complex:
     """Mean of sample(angle) over uniform circle nodes, doubling the nodes
@@ -89,7 +88,7 @@ def _circle_mean(
     Agreement is relative to max(|mean|, mean|sample|): once the rules match
     to within the roundoff of summing samples of that magnitude, more nodes
     cannot improve the value (the residual is cancellation noise, not
-    discretization error).  A mean smaller than noise_factor * ulp *
+    discretization error).  A mean smaller than ``_NOISE_FACTOR`` * ulp *
     mean|sample| is refused: such a value would carry no significant digits,
     only the cancellation noise of the samples.
     """
@@ -109,7 +108,7 @@ def _circle_mean(
         n *= 2
         new_mean = total / n
         if n > start and abs(new_mean - mean) <= eps * max(abs(new_mean), abs_total / n):
-            if abs(new_mean) < noise_factor * _ULP * (abs_total / n):
+            if abs(new_mean) < _NOISE_FACTOR * _ULP * (abs_total / n):
                 raise NoConvergence(
                     "quadrature value sits below the cancellation noise floor "
                     f"(|mean| = {abs(new_mean):.3e} vs samples of size "
@@ -228,6 +227,9 @@ def contour_residue(
     The circle must separate ``center`` from all other singularities of f.
     A residue below the cancellation noise floor of its samples raises
     :class:`~qconnect.errors.NoConvergence`, as in :func:`qlaplace_minus`.
+    That includes a residue of zero (f holomorphic at ``center``): its mean
+    is pure cancellation noise, which the quadrature cannot tell from a
+    nonzero residue lost in the noise of larger samples.
     """
     if not 0.0 < radius < math.inf:
         raise DomainError(f"residue circle radius must be positive and finite, got {radius!r}")

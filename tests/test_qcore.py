@@ -808,35 +808,6 @@ class TestPowerTable:
         assert qm._k_cap == int(290 / abs(math.log10(abs(qm.q)))) + 1
 
 
-class TestLogCoefficientTable:
-    """c_k = 1/(k (1 - q^k)), the coefficients of log (a;q)_inf = -sum c_k a^k."""
-
-    @pytest.mark.parametrize("q", REF_QS)
-    def test_growing_in_steps_equals_building_at_once(self, q):
-        grown = QModulus(q)
-        for n in (0, 1, 2, 5, 33, 34, 100, 101, 333):
-            assert len(grown._log_coeffs_to(n)) >= n
-        at_once = QModulus(q)._log_coeffs_to(333)
-        assert [bits(c) for c in grown._log_coeffs[:333]] == [bits(c) for c in at_once[:333]]
-
-    @pytest.mark.parametrize("q", [0.5, 0.999, 1 - 2**-40, 0.6 * cmath.exp(2.1j)])
-    def test_matches_mpmath(self, q):
-        cs = QModulus(q)._log_coeffs_to(40)
-        with mp.workdps(40):
-            for k, c in enumerate(cs[:40], start=1):
-                exact = 1 / (k * (1 - mp.mpc(q) ** k))
-                assert abs(mp.mpc(c) - exact) / abs(exact) < 1e-14
-
-    def test_eq_hash_repr_ignore_the_table(self):
-        used, fresh = QModulus(0.5), QModulus(0.5)
-        used._log_coeffs_to(50)
-        assert "_log_coeffs" in vars(used) and "_log_coeffs" not in vars(fresh)
-        assert used == fresh
-        assert hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh) == "QModulus(q=(0.5+0j))"
-        assert [f.name for f in dataclasses.fields(QModulus)] == ["q"]
-
-
 class TestLoopsMatchRunningPowers:
     @pytest.mark.parametrize("q", REF_QS)
     def test_qpochhammer_inf_any_arity(self, q):

@@ -211,7 +211,7 @@ class TestThetaCircleKernel:
                 sizes.append(abs(v))
                 return v
 
-            ref = transforms._circle_mean(sample, 1e-15, noise_factor=100.0)
+            ref = transforms._circle_mean(sample, 1e-15)
             got = qlaplace_minus(lambda tau: g_borel_image(qm, tau), qm, t)
             cond = max(1.0, sum(sizes) / len(sizes) / abs(ref))
             assert rel_err(got, ref) < 1e-13 * cond
@@ -302,7 +302,7 @@ class TestCircleRuleStart:
         def sample(angle):
             return kernel(t / (r * cmath.exp(1j * angle)))
 
-        assert abs(transforms._circle_mean(sample, 1e-15, noise_factor=100.0, start=32)) > 1e100
+        assert abs(transforms._circle_mean(sample, 1e-15, start=32)) > 1e100
         assert transforms._kernel_start(qm, abs(t) / r, 1e-15) == 64
 
     @pytest.mark.parametrize("q, nodes", [(0.3, 64), (0.5, 64), (0.8, 128)])
@@ -345,7 +345,7 @@ class TestCircleRuleStart:
             outcomes = []
             for run in (
                 lambda: qlaplace_minus(g, qm, t),
-                lambda: transforms._circle_mean(sample, 1e-15, noise_factor=100.0, start=64),
+                lambda: transforms._circle_mean(sample, 1e-15, start=64),
             ):
                 try:
                     outcomes.append(run())
@@ -423,6 +423,13 @@ class TestContourResidue:
         # samples of size 1e20 around a residue of 1: no digit of it survives
         with pytest.raises(NoConvergence):
             contour_residue(lambda z: 1 / z + 1e20 * (z / 0.1) ** 127, 0, 0.1)
+
+    @pytest.mark.parametrize("f", [lambda z: 1.0, cmath.exp, lambda z: 1 / (z - 1)])
+    def test_zero_residue_is_no_convergence(self, f):
+        # f holomorphic at the center: the mean of f(c + w) w is cancellation
+        # noise (or an exact 0), below the noise floor of the samples
+        with pytest.raises(NoConvergence, match="noise floor"):
+            contour_residue(f, 0, 0.1)
 
 
 class TestCoveringTransform:
@@ -572,7 +579,8 @@ class TestThetaCircleRunningPowers:
         # the rest of the product, so it is no longer bit-equal to the loop
         # over every power; both stay within a tenth of the a-priori rounding
         # bound against 34 digits, and the kernel notes no more factors; on a
-        # fresh instance the first kernel builds the tables, a second reuses them
+        # fresh instance the first kernel builds the table of powers, a second
+        # reuses it
         rng = random.Random(f"circle-{q}")
         for _ in range(6):
             rho = 10 ** rng.uniform(-1.5, 1.5)
