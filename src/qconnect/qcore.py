@@ -52,6 +52,10 @@ DEFAULT_PROXIMITY = 1e-6
 #: near-exact relative distance used to recognize terminating series parameters
 _EXACT_TOL = 1e-12
 
+#: 100 ulp: a value below this fraction of the size of the terms it cancels
+#: from carries no significant digits
+_NOISE_FLOOR = 100.0 * 2.2e-16
+
 
 @dataclass(frozen=True)
 class QModulus:
@@ -231,6 +235,25 @@ def _sum_tail(
     if not cmath.isfinite(total):
         raise DomainError(f"{what} is out of double range: the sum overflows")
     return total, abs_sum, scale, count
+
+
+def _condition(weighted: float, mag: float) -> float:
+    """The one condition rule, so conditions compose (Higham, ch. 3): terms whose
+    moduli times their own conditions sum to ``weighted``, combined to modulus
+    ``mag``, give weighted / mag, at least 1; at mag 0, inf (1 if all terms are 0)."""
+    if mag:
+        return max(weighted / mag, 1.0)
+    return math.inf if weighted else 1.0
+
+
+def _weighted_abs(terms: Iterable[tuple[complex, float]]) -> float:
+    """sum |t| * cond over (term, condition) pairs, for :func:`_condition`."""
+    return sum(abs(t) * c for t, c in terms)
+
+
+def _below_noise(cond: float) -> bool:
+    """The noise floor: no digit is left once 100 ulp times ``cond`` reaches 1."""
+    return _NOISE_FLOOR * cond >= 1
 
 
 def _finite_abs(x: complex, what: str, name: str = "x") -> float:
@@ -532,8 +555,7 @@ def theta_sum_with_condition(
         lower(), tr, total, abs_sum, scale, tr.streak, "theta lower tail"
     )
     tr.note(1 + n_up + n_down)
-    cond = abs_sum / abs(total) if total != 0 else math.inf
-    return total, max(cond, 1.0)
+    return total, _condition(abs_sum, abs(total))
 
 
 def theta_sum(
@@ -861,8 +883,7 @@ def rphis_with_condition(
         terms(), tr, 0j, 0.0, 1.0, tr.streak, "r_phi_s series tail"
     )
     tr.note(count)
-    cond = abs_sum / abs(total) if total != 0 else math.inf
-    return total, max(cond, 1.0)
+    return total, _condition(abs_sum, abs(total))
 
 
 def rphis(

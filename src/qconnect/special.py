@@ -45,12 +45,15 @@ from .qcore import (
     rphis,
     rphis_with_condition,
     theta,
+    _below_noise,
+    _condition,
     _finite_abs,
     _sum_tail,
     _trunc,
+    _weighted_abs,
 )
 from .series import QDEOperator
-from .transforms import _NOISE_FACTOR, _ULP, _spiral_sum
+from .transforms import _spiral_sum, _theta_argument
 
 __all__ = [
     "ramanujan_Aq",
@@ -95,8 +98,7 @@ def ramanujan_Aq_with_condition(
         terms(), tr, 0j, 0.0, 1.0, tr.streak, "A_q series tail"
     )
     tr.note(count)
-    cond = abs_sum / abs(total) if total != 0 else float("inf")
-    return total, max(cond, 1.0)
+    return total, _condition(abs_sum, abs(total))
 
 
 def ramanujan_Aq(
@@ -199,12 +201,12 @@ def f_via_residues(
     num = t_p + t_m
     value = num / qpochhammer_inf((qc, -1 + 0j), qm, tr)
     try:
-        cond = (abs(t_p) * cond_p + abs(t_m) * cond_m) / abs(num) if num else math.inf
+        cond = _condition(_weighted_abs(((t_p, cond_p), (t_m, cond_m))), abs(num))
     except OverflowError:
         value = math.nan  # the moduli of the products leave double range
     if not cmath.isfinite(value):
         raise DomainError(f"t={t!r} is out of double range for the residue sum (q={qc!r})")
-    if _NOISE_FACTOR * _ULP * cond >= 1:
+    if _below_noise(cond):
         raise NoConvergence(
             f"the residue sum at t={t!r} (q={qc!r}) has condition {cond:.3e}: "
             "no significant digits survive in double precision"
@@ -273,7 +275,7 @@ def _two_f_zero_closed_parts(
     Spiral(1 + 0j, qm).exclude(lam, "lambda")
     Spiral(-lam, qm).exclude(x)
     th_lam = theta(qm, -lam / qc, tr)
-    th_lx = theta(qm, lam / x, tr)
+    th_lx = theta(qm, _theta_argument(lam / x, x), tr)
     den = th_lam * th_lx
     # each factor may clear the floor while their product underflows to 0
     if abs(th_lam) < _THETA_FLOOR or abs(th_lx) < _THETA_FLOOR or den == 0:
@@ -284,13 +286,13 @@ def _two_f_zero_closed_parts(
     pref = qpochhammer_inf(qc, qm, tr) / den
     even = (
         pref
-        * theta(q2m, -lam * lam / (qc * x), tr)
+        * theta(q2m, _theta_argument(-lam * lam / (qc * x), x), tr)
         * rphis((0j,), (qc,), q2m, qm.q2 / x, tr)
     )
     odd = (
         pref
         * (lam / x)
-        * theta(q2m, -lam * lam / x, tr)
+        * theta(q2m, _theta_argument(-lam * lam / x, x), tr)
         * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
     )
     if not drop_one_minus_q:

@@ -41,6 +41,8 @@ from .qcore import (
     Truncation,
     as_modulus,
     theta,
+    _below_noise,
+    _condition,
     _finite_abs,
     _sum_tail,
     _theta_circle,
@@ -55,11 +57,6 @@ __all__ = [
     "contour_residue",
 ]
 
-
-_ULP = 2.2e-16
-#: a value below this many ulp of the size of the terms it cancels from
-#: carries no significant digits
-_NOISE_FACTOR = 100.0
 
 #: node count of the first circle rule, and the cap of node doubling
 _START_NODES = 32
@@ -88,9 +85,9 @@ def _circle_mean(
     Agreement is relative to max(|mean|, mean|sample|): once the rules match
     to within the roundoff of summing samples of that magnitude, more nodes
     cannot improve the value (the residual is cancellation noise, not
-    discretization error).  A mean smaller than ``_NOISE_FACTOR`` * ulp *
-    mean|sample| is refused: such a value would carry no significant digits,
-    only the cancellation noise of the samples.
+    discretization error).  A mean whose condition mean|sample| / |mean| fails
+    the noise floor (``qcore._below_noise``) is refused: it would carry no
+    significant digits, only the cancellation noise of the samples.
     """
     n = _START_NODES
     total = 0 + 0j
@@ -108,7 +105,7 @@ def _circle_mean(
         n *= 2
         new_mean = total / n
         if n > start and abs(new_mean - mean) <= eps * max(abs(new_mean), abs_total / n):
-            if abs(new_mean) < _NOISE_FACTOR * _ULP * (abs_total / n):
+            if _below_noise(_condition(abs_total / n, abs(new_mean))):
                 raise NoConvergence(
                     "quadrature value sits below the cancellation noise floor "
                     f"(|mean| = {abs(new_mean):.3e} vs samples of size "
@@ -287,6 +284,14 @@ def _spiral_power(qc: complex, n: int) -> complex:
         ) from None
 
 
+def _theta_argument(v: complex, x: complex) -> complex:
+    """v, a theta argument formed from the caller's x (lambda/x and the like);
+    one that leaves double range raises DomainError naming x, not v."""
+    if v == 0 or not cmath.isfinite(v):
+        raise DomainError(f"x={x!r} is out of double range: theta's argument from it is {v!r}")
+    return v
+
+
 def _spiral_sum(
     up: Iterator[complex],
     down: Iterator[complex],
@@ -310,7 +315,7 @@ def _spiral_sum(
     tr = _trunc(trunc)
     Spiral(-lam, qm).exclude(x)
     qc = qm.q
-    ratio = lam / x
+    ratio = _theta_argument(lam / x, x)
     th = theta(qm, ratio, tr)
     streak = max(5, tr.streak)
     w0 = 1 + 0j  # the weight of the n = 0 term

@@ -4,13 +4,14 @@ Every identity is evaluated with disjoint code paths on its two sides (no
 shared memoized subexpression), point by point over a grid that respects the
 identity's exclusion set.  Filtered points and evaluation-time errors (any
 :class:`~qconnect.errors.QConnectError`) become skip records, never silent
-passes or aborted runs.  Each evaluated point carries a
-condition estimate (sum of the magnitudes of the combined summands over the
-result magnitude); where that exceeds 1e3 the tolerance is widened to
-tol * condition, since exact identities with catastrophic cancellation must
-not produce false failures.  The report-level ``max_rel_err`` is the
-condition-adjusted maximum, so ``pass`` is exactly ``max_rel_err <= tol`` with
-at least one evaluated point.
+passes or aborted runs.  Each evaluated point carries a condition composed
+by one rule: sum |t_i| cond_i / max(|lhs|, |rhs|), at least 1, over the
+summands t_i with cond_i the internal condition of the evaluator of t_i (1
+where none is measured).  Above 1e3 the tolerance widens to tol * condition,
+since exact identities with catastrophic cancellation must not produce false
+failures.  The report-level ``max_rel_err`` is the condition-adjusted
+maximum, so ``pass`` is exactly ``max_rel_err <= tol`` with at least one
+evaluated point.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EmptyGrid, QConnectError, SpiralProximity
@@ -40,6 +41,8 @@ from .qcore import (
     theta,
     theta_product,
     theta_sum_with_condition,
+    _condition,
+    _weighted_abs,
 )
 from .series import FormalSeries, borel_minus_operator_image, qborel_minus, qborel_plus
 from .special import (
@@ -64,7 +67,6 @@ __all__ = [
 
 _CONDITION_KNEE = 1e3
 _DEGENERATE = 1e-250
-_FLOOR = 1e-300
 
 
 def default_grid(
@@ -121,6 +123,20 @@ class PointRecord:
     reason: str | None
 
 
+#: PointRecord's fields in order, read once: (name, is complex).  A complex
+#: field is {"re", "im"} in JSON and the two CSV columns name_re, name_im.
+_POINT_FIELDS = tuple((f.name, f.type in ("complex", complex)) for f in fields(PointRecord))
+_CSV_HEADER = tuple(
+    col
+    for name, is_cpx in _POINT_FIELDS
+    for col in ((name + "_re", name + "_im") if is_cpx else (name,))
+)
+
+
+def _cpx(z: complex | None) -> dict | None:
+    return None if z is None else {"re": float(z.real), "im": float(z.imag)}
+
+
 @dataclass
 class IdentityReport:
     identity: str
@@ -141,25 +157,14 @@ class IdentityReport:
         return sum(1 for p in self.points if p.skipped)
 
     def to_json_dict(self) -> dict:
-        def cpx(z: complex | None):
-            if z is None:
-                return None
-            return {"re": float(z.real), "im": float(z.imag)}
-
         return {
             "identity": self.identity,
-            "q": cpx(self.q),
-            "lambda": cpx(self.lam),
+            "q": _cpx(self.q),
+            "lambda": _cpx(self.lam),
             "points": [
                 {
-                    "x": cpx(p.x),
-                    "lhs": cpx(p.lhs),
-                    "rhs": cpx(p.rhs),
-                    "abs_err": float(p.abs_err),
-                    "rel_err": float(p.rel_err),
-                    "condition": float(p.condition),
-                    "skipped": bool(p.skipped),
-                    "reason": p.reason,
+                    name: _cpx(getattr(p, name)) if is_cpx else getattr(p, name)
+                    for name, is_cpx in _POINT_FIELDS
                 }
                 for p in self.points
             ],
@@ -174,37 +179,20 @@ class IdentityReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "x_re",
-                "x_im",
-                "lhs_re",
-                "lhs_im",
-                "rhs_re",
-                "rhs_im",
-                "abs_err",
-                "rel_err",
-                "condition",
-                "skipped",
-                "reason",
-            ]
-        )
+        writer.writerow(_CSV_HEADER)
         for p in self.points:
-            writer.writerow(
-                [
-                    repr(p.x.real),
-                    repr(p.x.imag),
-                    repr(p.lhs.real),
-                    repr(p.lhs.imag),
-                    repr(p.rhs.real),
-                    repr(p.rhs.imag),
-                    repr(p.abs_err),
-                    repr(p.rel_err),
-                    repr(p.condition),
-                    "true" if p.skipped else "false",
-                    p.reason or "",
-                ]
-            )
+            row = []
+            for name, is_cpx in _POINT_FIELDS:
+                v = getattr(p, name)
+                if is_cpx:
+                    row += (repr(v.real), repr(v.imag))
+                elif isinstance(v, float):
+                    row.append(repr(v))
+                elif isinstance(v, bool):
+                    row.append("true" if v else "false")
+                else:
+                    row.append(v or "")  # the optional reason
+            writer.writerow(row)
         return buf.getvalue()
 
     def summary(self) -> str:
@@ -219,19 +207,35 @@ class IdentityReport:
 class _Eval:
     """One evaluated comparison: lhs vs rhs with the summands that formed them.
 
-    ``rel_override`` carries the coefficientwise error of formal (series
-    level) checks, where a single scalar pair cannot express the comparison;
-    ``condition_override`` propagates a condition number measured inside an
-    evaluator (e.g. the internal cancellation of a bilateral theta sum) that
-    the top-level summands cannot see.
+    Each term is a (summand, internal condition) pair, the condition being
+    the cancellation measured inside the evaluator of the summand (a theta
+    sum, an entire series far from its origin), 1 where none is measured
+    (:func:`_plain`).  The point's condition is sum |t| * cond over
+    max(|lhs|, |rhs|), at least 1 (``qcore._condition``).  A formal (series
+    level) comparison passes its worst coefficient pair and no terms.
     """
 
     x: complex
     lhs: complex
     rhs: complex
-    terms: tuple[complex, ...]
-    rel_override: float | None = None
-    condition_override: float | None = None
+    terms: tuple[tuple[complex, float], ...] = ()
+
+
+def _plain(*summands: complex) -> tuple[tuple[complex, float], ...]:
+    """Terms for summands with no internal condition of their own: 1."""
+    return tuple((t, 1.0) for t in summands)
+
+
+def _point(ev: _Eval) -> PointRecord:
+    """The record of one comparison: rel_err |lhs - rhs| / max(|lhs|, |rhs|)
+    and the composed condition; a skip where both sides are below 1e-250."""
+    mag = max(abs(ev.lhs), abs(ev.rhs))
+    if mag < _DEGENERATE:
+        reason = "both sides below 1e-250 (degenerate point)"
+        return PointRecord(ev.x, ev.lhs, ev.rhs, 0.0, 0.0, 0.0, True, reason)
+    abs_err = abs(ev.lhs - ev.rhs)
+    cond = _condition(_weighted_abs(ev.terms), mag)
+    return PointRecord(ev.x, ev.lhs, ev.rhs, abs_err, abs_err / mag, cond, False, None)
 
 
 def _series_worst(lhs: FormalSeries, rhs: FormalSeries) -> tuple[complex, complex, float]:
@@ -316,7 +320,7 @@ def _eval_watson(chk, qm, x, tr, mutations):
         / den2
         * rphis((b, b * qc / c), (b * qc / a,), qm, arg, tr)
     )
-    return [_Eval(x, lhs, t1 + t2, (t1, t2))]
+    return [_Eval(x, lhs, t1 + t2, _plain(t1, t2))]
 
 
 def _eval_ismail_zhang(chk, qm, x, tr, mutations):
@@ -335,7 +339,7 @@ def _eval_ismail_zhang(chk, qm, x, tr, mutations):
         / ((1 - qc) * c0)
         * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
     )
-    return [_Eval(x, lhs, t1 - t2, (t1, -t2))]
+    return [_Eval(x, lhs, t1 - t2, _plain(t1, -t2))]
 
 
 def _eval_thm_ramanujan_qairy(chk, qm, x, tr, mutations):
@@ -346,16 +350,14 @@ def _eval_thm_ramanujan_qairy(chk, qm, x, tr, mutations):
     a2, c2 = qairy_Ai_with_condition(qm, x, tr)
     t1 = theta(qm, x / qc, tr) * a1 / den
     t2 = theta(qm, -x / qc, tr) * a2 / den
-    mag = max(abs(lhs), abs(t1 + t2), _FLOOR)
-    cond = (abs(lhs) * c0 + abs(t1) * c1 + abs(t2) * c2) / mag
-    return [_Eval(x, lhs, t1 + t2, (t1, t2), condition_override=cond)]
+    return [_Eval(x, lhs, t1 + t2, ((lhs, c0), (t1, c1), (t2, c2)))]
 
 
 def _eval_thm_eq_Eq(chk, qm, x, tr, mutations):
     qc = qm.q
     lhs = e_exp(qm, x, tr, mode="series")
     rhs = qpochhammer_inf(qc, qm, tr) * E_exp(qm, -qc / x, tr) / theta(qm, -x, tr)
-    return [_Eval(x, lhs, rhs, (rhs,))]
+    return [_Eval(x, lhs, rhs, _plain(rhs))]
 
 
 def _eval_lemma_alt(chk, qm, x, tr, mutations):
@@ -369,14 +371,14 @@ def _eval_lemma_alt(chk, qm, x, tr, mutations):
         / ((1 - qc) * x)
         * rphis((), (qc**3,), qm.squared(), qc**7 / (x * x), tr)
     )
-    return [_Eval(x, lhs, t1 + t2, (t1, t2))]
+    return [_Eval(x, lhs, t1 + t2, _plain(t1, t2))]
 
 
 def _eval_thm_2f0(chk, qm, x, tr, mutations):
     lam = _need_lam(chk)
     lhs = two_f_zero(qm, lam, x, tr)
     even, odd = _two_f_zero_closed_parts(qm, lam, x, tr, "drop-one-minus-q" in mutations)
-    return [_Eval(x, lhs, even + odd, (even, odd))]
+    return [_Eval(x, lhs, even + odd, _plain(even, odd))]
 
 
 def _eval_qde_ramanujan(chk, qm, x, tr, mutations):
@@ -384,7 +386,7 @@ def _eval_qde_ramanujan(chk, qm, x, tr, mutations):
     t1 = qc * x * ramanujan_Aq(qm, qm.q2 * x, tr)
     t2 = ramanujan_Aq(qm, x, tr)
     t3 = ramanujan_Aq(qm, qc * x, tr)
-    return [_Eval(x, t1 + t2, t3, (t1, t2, t3))]
+    return [_Eval(x, t1 + t2, t3, _plain(t1, t2, t3))]
 
 
 def _eval_qde_qairy(chk, qm, x, tr, mutations):
@@ -393,30 +395,22 @@ def _eval_qde_qairy(chk, qm, x, tr, mutations):
     a2, c2 = qairy_Ai_with_condition(qm, qc * x, tr)
     t3, c3 = qairy_Ai_with_condition(qm, x, tr)
     t1, t2 = a1, x * a2
-    mag = max(abs(t1 + t2), abs(t3), _FLOOR)
-    cond = (abs(t1) * c1 + abs(t2) * c2 + abs(t3) * c3) / mag
-    return [_Eval(x, t1 + t2, t3, (t1, t2, t3), condition_override=cond)]
+    return [_Eval(x, t1 + t2, t3, ((t1, c1), (t2, c2), (t3, c3)))]
 
 
 def _eval_qde_theta(chk, qm, x, tr, mutations):
     # lhs by the bilateral sum, rhs through the triple product: fully disjoint
     # paths, and no shift-law renormalization anywhere (that would be
     # circular).  The sum side's internal cancellation is the honest
-    # condition of the comparison.
+    # condition of the comparison; the worst of the four shifts is reported.
     qc = qm.q
     base = theta_product(qm, x, tr)
-    worst: _Eval | None = None
-    worst_adj = -1.0
+    evals = []
     for k in range(1, 5):
         lhs, cond = theta_sum_with_condition(qm, qc**k * x, tr)
         rhs = qc ** (-(k * (k - 1) // 2)) * x ** (-k) * base
-        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), _FLOOR)
-        adj = _adjusted(rel, cond)
-        if adj > worst_adj:
-            worst_adj = adj
-            worst = _Eval(x, lhs, rhs, (lhs, rhs), condition_override=cond)
-    assert worst is not None
-    return [worst]
+        evals.append(_Eval(x, lhs, rhs, ((lhs, cond),)))
+    return [max(evals, key=lambda ev: _adjusted(_point(ev)))]
 
 
 def _eval_qde_2f0(chk, qm, x, tr, mutations):
@@ -429,7 +423,7 @@ def _eval_qde_2f0(chk, qm, x, tr, mutations):
     t1 = qc * x * u(qm.q2 * x)
     t2 = u(x)
     t3 = u(qc * x)
-    return [_Eval(x, t1 + t2, t3, (t1, t2, t3))]
+    return [_Eval(x, t1 + t2, t3, _plain(t1, t2, t3))]
 
 
 _RESIDUE_K_QUAD = 5
@@ -453,12 +447,12 @@ def _eval_residue_lemma(chk, qm, lam, tr, mutations):
             * qc ** (k * (k + 1) // 2)
             / (qpochhammer_n(qc, qm, k) * qq_inf)
         )
-        out.append(_Eval(center, lhs, rhs, (lhs, rhs)))
+        out.append(_Eval(center, lhs, rhs, _plain(lhs, rhs)))
     for k in range(_RESIDUE_K_PRODUCT + 1):
         pt = lam * qc**-k
         lhs = 1 / qpochhammer_inf(pt, qm, tr)
         rhs = qpochhammer_inf_shifted_pole(lam, qm, k, tr)
-        out.append(_Eval(pt, lhs, rhs, (lhs, rhs)))
+        out.append(_Eval(pt, lhs, rhs, _plain(lhs, rhs)))
     return out
 
 
@@ -468,9 +462,8 @@ _FORMAL_ORDER = 40
 def _eval_operational_lemma(chk, qm, x, tr, mutations):
     m, l = int(round(x.real)), int(round(x.imag))
     f = _random_series(qm, _FORMAL_ORDER, seed=9173)
-    lhs_s, rhs_s = borel_minus_operator_image(m, l, f)
-    wl, wr, rel = _series_worst(lhs_s, rhs_s)
-    return [_Eval(x, wl, wr, (), rel_override=rel)]
+    wl, wr, _ = _series_worst(*borel_minus_operator_image(m, l, f))
+    return [_Eval(x, wl, wr)]
 
 
 def _eval_formal_inverses(chk, qm, x, tr, mutations):
@@ -479,11 +472,9 @@ def _eval_formal_inverses(chk, qm, x, tr, mutations):
     back1 = qborel_plus(qborel_minus(f))
     back2 = qborel_minus(qborel_plus(f))
     n = min(back1.order, back2.order)
-    wl1, wr1, rel1 = _series_worst(back1, f.prefix(n))
-    wl2, wr2, rel2 = _series_worst(back2, f.prefix(n))
-    if rel1 >= rel2:
-        return [_Eval(x, wl1, wr1, (), rel_override=rel1)]
-    return [_Eval(x, wl2, wr2, (), rel_override=rel2)]
+    pairs = (_series_worst(back1, f.prefix(n)), _series_worst(back2, f.prefix(n)))
+    wl, wr, _ = max(pairs, key=lambda w: w[2])
+    return [_Eval(x, wl, wr)]
 
 
 @dataclass(frozen=True)
@@ -542,10 +533,10 @@ _REGISTRY: Mapping[str, _IdentitySpec] = {
 IDENTITY_IDS = tuple(_REGISTRY)
 
 
-def _adjusted(rel: float, cond: float) -> float:
-    """A relative error with the conditioning it explains divided out: above
-    the condition knee, the tolerance widens by the condition itself."""
-    return rel / cond if cond > _CONDITION_KNEE else rel
+def _adjusted(p: PointRecord) -> float:
+    """A point's relative error with the conditioning it explains divided
+    out: above the condition knee, the tolerance widens by the condition."""
+    return p.rel_err / p.condition if p.condition > _CONDITION_KNEE else p.rel_err
 
 
 def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> IdentityReport:
@@ -574,40 +565,20 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
     max_adj = 0.0
     n_eval = 0
     for x, reason in zip(grid, reasons):
+        if reason is None:
+            try:
+                evals = spec.evaluate(chk, qm, x, chk.trunc, mutations)
+            except QConnectError as exc:
+                reason = str(exc)
         if reason is not None:
             points.append(PointRecord(x, 0j, 0j, 0.0, 0.0, 0.0, True, reason))
             continue
-        try:
-            evals = spec.evaluate(chk, qm, x, chk.trunc, mutations)
-        except QConnectError as exc:
-            points.append(PointRecord(x, 0j, 0j, 0.0, 0.0, 0.0, True, str(exc)))
-            continue
         for ev in evals:
-            mag = max(abs(ev.lhs), abs(ev.rhs))
-            if ev.rel_override is None and mag < _DEGENERATE:
-                points.append(
-                    PointRecord(
-                        ev.x, ev.lhs, ev.rhs, 0.0, 0.0, 0.0, True,
-                        "both sides below 1e-250 (degenerate point)",
-                    )
-                )
-                continue
-            abs_err = abs(ev.lhs - ev.rhs)
-            if ev.rel_override is not None:
-                rel = ev.rel_override
-                cond = 1.0
-            else:
-                rel = abs_err / max(mag, _FLOOR)
-                if ev.condition_override is not None:
-                    cond = max(ev.condition_override, 1.0)
-                else:
-                    cond = max(
-                        sum(abs(t) for t in ev.terms) / max(mag, _FLOOR), 1.0
-                    )
-            adj = _adjusted(rel, cond)
-            max_adj = max(max_adj, adj)
-            n_eval += 1
-            points.append(PointRecord(ev.x, ev.lhs, ev.rhs, abs_err, rel, cond, False, None))
+            p = _point(ev)
+            points.append(p)
+            if not p.skipped:
+                max_adj = max(max_adj, _adjusted(p))
+                n_eval += 1
 
     passed = n_eval >= 1 and max_adj <= tol
     return IdentityReport(

@@ -478,6 +478,17 @@ class TestOutOfDoubleRange:
         assert f"tau={tau!r}" in str(exc.value)
         assert "a=(inf" not in str(exc.value)
 
+    @pytest.mark.parametrize("fn", [two_f_zero, two_f_zero_closed])
+    @pytest.mark.parametrize("x", [1e308 + 1e308j, 1e-320])
+    def test_two_f_zero_names_x_when_lambda_over_x_leaves_range(self, fn, x):
+        # lambda/x underflows to 0 (its complex division overflows the
+        # denominator) or overflows; theta would blame an x = 0 or inf
+        with pytest.raises(DomainError, match="out of double range") as exc:
+            fn(0.05, 0.7, x)
+        assert not isinstance(exc.value, ZeroArgument)
+        assert f"x={x!r}" in str(exc.value)
+        assert "x = 0" not in str(exc.value)
+
     def test_borel_image_still_finite_below_overflow(self):
         # a large tau whose product stays finite keeps its (small) value
         v = g_borel_image(0.5, 1e10 + 0.5j)

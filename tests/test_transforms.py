@@ -431,6 +431,11 @@ class TestContourResidue:
         with pytest.raises(NoConvergence, match="noise floor"):
             contour_residue(f, 0, 0.1)
 
+    def test_identically_zero_integrand_is_exact(self):
+        # every sample is 0: nothing cancels, so 0 is exact, not noise
+        assert contour_residue(lambda z: 0.0, 0, 0.1) == 0
+        assert qlaplace_minus(lambda tau: 0j, 0.5, 1.3) == 0
+
 
 class TestCoveringTransform:
     def test_identity_fixed(self):

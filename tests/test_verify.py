@@ -1,4 +1,6 @@
 import cmath
+import csv
+import dataclasses
 import json
 import math
 
@@ -12,9 +14,14 @@ from qconnect import (
     check,
     default_grid,
     default_suite,
+    qairy_Ai_with_condition,
+    qpochhammer_inf,
+    ramanujan_Aq_with_condition,
     run_suite,
+    theta,
 )
 from qconnect.qcore import Truncation
+from qconnect.verify import PointRecord
 
 
 class TestDefaultGrid:
@@ -109,6 +116,14 @@ class TestCheckBehavior:
         rep = check(IdentityCheck("thm-ramanujan-qairy", 0.5))
         assert all(p.condition >= 1.0 for p in rep.points if not p.skipped)
 
+    def test_watson_internal_condition_is_not_forgiven(self):
+        # the lhs 2phi1 cancels with internal condition ~2.1e9 at this abc and
+        # is really 6.6e-8 off; the point's condition (~2.5) does not fold
+        # that into the tolerance, so the check must not PASS
+        rep = check(IdentityCheck("watson", 0.8, abc=(2j, -3, 0.25)))
+        assert rep.n_evaluated >= 1
+        assert not rep.passed
+
     def test_custom_tolerance_can_fail(self):
         rep = check(IdentityCheck("qde-ramanujan", 0.5, tol=1e-30))
         assert not rep.passed
@@ -126,6 +141,57 @@ class TestCheckBehavior:
         rep = check(IdentityCheck("thm-2f0", 0.99, lam=0.7, grid=(x,)))
         (point,) = rep.points
         assert point.skipped and "numerically zero" in point.reason
+
+
+def _ramanujan_qairy_terms(q, x):
+    """(summand, internal condition) of thm-ramanujan-qairy at x, from the
+    public evaluators: A_{q^2}(-q^3/x^2) and the two theta-weighted Ai_q."""
+    lhs, c0 = ramanujan_Aq_with_condition(q * q, -(q**3) / (x * x))
+    den = qpochhammer_inf((q, -1 + 0j), q)
+    a1, c1 = qairy_Ai_with_condition(q, -x)
+    a2, c2 = qairy_Ai_with_condition(q, x)
+    return [(lhs, c0), (theta(q, x / q) * a1 / den, c1), (theta(q, -x / q) * a2 / den, c2)]
+
+
+def _qde_qairy_terms(q, x):
+    """(summand, internal condition) of qde-qairy at x:
+    Ai_q(q^2 x) + x Ai_q(q x) = Ai_q(x)."""
+    a1, c1 = qairy_Ai_with_condition(q, q * q * x)
+    a2, c2 = qairy_Ai_with_condition(q, q * x)
+    a3, c3 = qairy_Ai_with_condition(q, x)
+    return [(a1, c1), (x * a2, c2), (a3, c3)]
+
+
+class TestConditionComposition:
+    @pytest.mark.parametrize(
+        "ident, terms",
+        [("thm-ramanujan-qairy", _ramanujan_qairy_terms), ("qde-qairy", _qde_qairy_terms)],
+    )
+    def test_point_condition_composes_internal_conditions(self, ident, terms):
+        # condition = sum |t_i| cond_i / max(|lhs|, |rhs|), at least 1
+        q = 0.5
+        rep = check(IdentityCheck(ident, q))
+        points = [p for p in rep.points if not p.skipped]
+        assert points
+        dropped_seen = [False, False, False]
+        for p in points:
+            ts = terms(q, p.x)
+            mag = max(abs(p.lhs), abs(p.rhs))
+            composed = max(sum(abs(t) * c for t, c in ts) / mag, 1.0)
+            assert p.condition == pytest.approx(composed, rel=1e-12)
+            # dropping one term's internal condition must show at some point
+            for i in range(len(ts)):
+                without = sum(abs(t) * (1.0 if j == i else c) for j, (t, c) in enumerate(ts))
+                if p.condition > 1.01 * max(without / mag, 1.0):
+                    dropped_seen[i] = True
+        assert all(dropped_seen)
+
+    @pytest.mark.parametrize("ident", ["operational-lemma", "formal-inverses"])
+    def test_formal_point_is_its_worst_coefficient_pair(self, ident):
+        rep = check(IdentityCheck(ident, 0.5))
+        for p in rep.points:
+            assert not p.skipped and p.condition == 1.0
+            assert p.rel_err == abs(p.lhs - p.rhs) / max(abs(p.lhs), abs(p.rhs))
 
 
 class TestSuite:
@@ -187,6 +253,28 @@ class TestReportSerialization:
             "condition,skipped,reason"
         )
         assert len(lines) == 1 + len(report.points)
+
+    def test_csv_cells_match_json(self, report):
+        tricky = PointRecord(
+            0.3 - 2j, 0j, 0j, 0.0, 0.0, 0.0, True, 'excluded, "on purpose", here'
+        )
+        rep = dataclasses.replace(report, points=report.points + [tricky])
+        header, *rows = list(csv.reader(rep.to_csv().splitlines()))
+        points = rep.to_json_dict()["points"]
+        assert len(rows) == len(points) == len(report.points) + 1
+        for row, point in zip(rows, points):
+            cells = dict(zip(header, row, strict=True))
+            for key, value in point.items():
+                if isinstance(value, dict):
+                    assert float(cells[key + "_re"]) == value["re"]
+                    assert float(cells[key + "_im"]) == value["im"]
+                elif isinstance(value, bool):
+                    assert cells[key] == ("true" if value else "false")
+                elif isinstance(value, float):
+                    assert float(cells[key]) == value
+                else:
+                    assert cells[key] == (value or "")
+        assert dict(zip(header, rows[-1]))["reason"] == 'excluded, "on purpose", here'
 
     def test_deterministic(self):
         a = check(IdentityCheck("ismail-zhang", 0.5)).to_json()
