@@ -364,32 +364,50 @@ def qpochhammer_n(a: complex, q: QModulus | complex, n: int) -> complex:
     return prod
 
 
-#: powers beyond _lead_count's count plus the streak that the streak test
+#: powers beyond the closed-form count plus the streak that the streak walk
 #: usually consumes (the count's margin), so one table request covers both
 _STREAK_SLACK = 4
 
 
-def _lead_count(amax: float, q: QModulus | complex, tr: Truncation) -> int:
-    """Number of leading factors of (a_1, ..., a_m; q)_inf, max|a_i| = amax,
-    that certainly come before the streak rule can stop.
+def _factor_count(
+    avals: Sequence[complex], amax: float, qm: QModulus, tr: Truncation
+) -> int:
+    """Factors per argument of (a_1, ..., a_m; q)_inf, max|a_i| = amax, by
+    the streak rule: the first n after which ``tr.streak`` consecutive
+    powers had |a_i q^n| < eps for every i.
 
-    That is the first n with amax |q|^n < eps, in closed form, less a margin
-    for the rounding of the running power q^n.  Raises
-    :class:`~qconnect.errors.TruncationExceeded` when the count already
-    leaves no room for the streak below ``n_max``.
+    The moduli shrink geometrically, so the walk starts at the first n with
+    amax |q|^n < eps, in closed form, less a margin for the rounding of the
+    running power q^n; only the last few powers run the test.  A count
+    above ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`, at
+    once when the closed form already leaves no room for the streak.  On
+    return the table of powers holds at least n + 1 entries.
     """
-    if not tr.eps < amax < math.inf:
-        return 0
-    log_q = q._log_q if isinstance(q, QModulus) else math.log(abs(q))
-    n_est = math.log(tr.eps / amax) / log_q
-    # the running power q^n drifts from |q|^n by at most ~2.5e-16 relative
-    # per factor (complex multiplication), i.e. by n_est * 2.5e-16 / |log q|
-    # factors in all; the margin covers four times that plus two factors
-    # for the rounding of the logs and of |a q^n|
-    n = max(0, math.ceil(n_est - n_est * 1e-15 / -log_q) - 2)
-    if n + tr.streak > tr.n_max:
+    eps, streak, n_max = tr.eps, tr.streak, tr.n_max
+    n = 0
+    if eps < amax:
+        n_est = math.log(eps / amax) / qm._log_q
+        # the running power q^n drifts from |q|^n by at most ~2.5e-16 relative
+        # per factor (complex multiplication), i.e. by n_est * 2.5e-16 / |log q|
+        # factors in all; the margin covers four times that plus two factors
+        # for the rounding of the logs and of |a q^n|
+        n = max(0, math.ceil(n_est + n_est * 1e-15 / qm._log_q) - 2)
+    small = 0
+    if n + streak <= n_max:
+        pw = qm._powers_to(n + streak + _STREAK_SLACK)
+        while small < streak and n < n_max:
+            if n + 1 >= len(pw):
+                pw = qm._powers_to(n + streak + 1)
+            qn = pw[n]
+            small += 1
+            for av in avals:
+                if abs(av * qn) >= eps:
+                    small = 0
+                    break
+            n += 1
+    if small < streak:
         raise TruncationExceeded(
-            f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
+            f"(a;q)_inf tail not below eps={eps} after n_max={n_max} factors"
         )
     return n
 
@@ -408,15 +426,11 @@ def qpochhammer_inf(
     double range, or a product that overflows raises
     :class:`~qconnect.errors.DomainError`.
 
-    The factor magnitudes decrease geometrically, so the first n with
-    max|a| |q|^n < eps is known in closed form up to the rounding of the
-    running power q^n.  Factors safely before that n are multiplied in a loop
-    with no tail test (written out for one, two and three arguments); the
-    last few run the streak test itself, so the factor count, the product
-    (same factors, same order) and the point at which ``n_max`` is exceeded
-    are those of the streak rule alone.  The powers q^n come from the
-    table of the :class:`QModulus`, so a caller that passes the same
-    instance again skips forming them.
+    The factor count n comes from :func:`_factor_count` (which raises where
+    ``n_max`` is exceeded); the n factors are then multiplied in a loop with
+    no tail test, written out for one, two and three arguments.  The powers
+    q^n come from the table of the :class:`QModulus`, so a caller that
+    passes the same instance again skips forming them.
     """
     tr = _trunc(trunc)
     qm = q if isinstance(q, QModulus) else as_modulus(q)
@@ -430,47 +444,30 @@ def qpochhammer_inf(
     amax = 0.0
     for av in avals:
         amax = max(amax, _finite_abs(av, "(a;q)_inf", "a"))
-    eps, streak, n_max = tr.eps, tr.streak, tr.n_max
-    n = _lead_count(amax, qm, tr)
-    pw = qm._powers_to(n + streak + _STREAK_SLACK)
+    n = _factor_count(avals, amax, qm, tr)
+    pw = qm._powers[:n]
     one = 1 + 0j
     prod = one
     m = len(avals)
     if m == 1:
         (a0,) = avals
-        for qn in pw[:n]:
+        for qn in pw:
             prod *= one - a0 * qn
     elif m == 2:
         a0, a1 = avals
-        for qn in pw[:n]:
+        for qn in pw:
             prod *= one - a0 * qn
             prod *= one - a1 * qn
     elif m == 3:
         a0, a1, a2 = avals
-        for qn in pw[:n]:
+        for qn in pw:
             prod *= one - a0 * qn
             prod *= one - a1 * qn
             prod *= one - a2 * qn
     else:
-        for qn in pw[:n]:
+        for qn in pw:
             for av in avals:
                 prod *= one - av * qn
-    small = 0
-    while small < streak:
-        if n >= len(pw):
-            pw = qm._powers_to(n + streak)
-        qn = pw[n]
-        small += 1
-        for av in avals:
-            f = av * qn
-            prod *= one - f
-            if abs(f) >= eps:
-                small = 0
-        n += 1
-        if n > n_max:
-            raise TruncationExceeded(
-                f"(a;q)_inf tail not below eps={eps} after n_max={n_max} factors"
-            )
     if not cmath.isfinite(prod):
         raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product overflows")
     if tr.log is not None:
@@ -574,7 +571,9 @@ def theta_sum(
 def theta_product(
     q: QModulus | complex, x: complex, trunc: Truncation | None = None
 ) -> complex:
-    """Theta via the triple product theta_q(x) = (q, -x, -q/x; q)_inf.
+    """Theta via the bare triple product theta_q(x) = (q, -x, -q/x; q)_inf,
+    with no shift law: the reference path of ``qde-theta``, disjoint from
+    :func:`theta` and from the bilateral sum.
 
     Exact zeros on the spiral -q^Z come out as exact zero factors here,
     which the bilateral sum can only approach through cancellation.
@@ -592,33 +591,23 @@ def theta(
 ) -> complex:
     """Jacobi theta function theta_q(x), x != 0.
 
-    Evaluates the cancellation-free triple product, after renormalizing |x|
-    outside [0.2, 5] into that annulus with the shift law
-    theta_q(x) = q^(k(k-1)/2) x^k theta_q(q^k x).  The bilateral sum
-    (:func:`theta_sum`) cancels catastrophically near the zero spiral (badly
-    so for |q| close to 1, where the zeros crowd in modulus); the two
-    evaluators cross-check each other in the test suite.  Non-finite x, and
-    x so large or small that the shift-law factor leaves double range, raise
-    :class:`~qconnect.errors.DomainError`.
+    The one evaluation path is the kernel of :func:`_theta_circle` at the
+    single point x: the shift law brings |x| into [0.2, 5], and the triple
+    product (q, -x0, -q/x0; q)_inf at x0 = q^k x is split into a few
+    multiplied leading factors, which keep the zeros on -q^Z exact, and one
+    log-series tail factor.  ``trunc.log`` counts 3 per leading power plus
+    3 per tail term (2 per power where the split saves nothing, plus the
+    factors of (q;q)_inf).  The bilateral sum (:func:`theta_sum`) cancels
+    catastrophically near the zero spiral (badly so for |q| close to 1,
+    where the zeros crowd in modulus); it and :func:`theta_product`
+    cross-check this path in the test suite.  Non-finite x, and x so large
+    or small that theta_q(x) or the shift-law factor leaves double range,
+    raise :class:`~qconnect.errors.DomainError`; a factor count above
+    ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`.
     """
     if x == 0:
         raise ZeroArgument("theta is undefined at x = 0")
-    ax = _finite_abs(x, "theta")
-    qm = as_modulus(q)
-    k = _theta_shift(qm, ax)
-    if k == 0:
-        return theta_product(qm, x, trunc)
-    try:
-        x0 = qm.q**k * x
-        value = _shift_law_factor(qm.q, x, x0, k) * theta_product(qm, x0, trunc)
-    except OverflowError:
-        value = math.inf
-    if not cmath.isfinite(value):
-        raise DomainError(
-            f"x={x!r} is out of double range for theta (q={qm.q!r}): theta_q(x) "
-            "or its shift-law factor q^(k(k-1)/2) x^k overflows"
-        )
-    return value
+    return _theta_circle(as_modulus(q), _finite_abs(x, "theta"), trunc)(x)
 
 
 def _shift_law_factor(qc: complex, x: complex, x0: complex, k: int) -> complex:
@@ -688,67 +677,62 @@ def _theta_circle(
     """:func:`theta` for arguments on one circle |x| = rho, as a function of x.
 
     Everything that depends only on |x| is computed once: the shift k of
-    :func:`_theta_shift`, the constant (q;q)_inf q^(k(k-1)/2), the factor
-    count n of (-x0, -q/x0; q)_inf with x0 = q^k x (the count the
-    three-argument product (q, -x0, -q/x0; q)_inf would use, by its streak
-    rule, so ``n_max`` is exceeded exactly where :func:`theta` exceeds it),
-    and the split of that product.  The leading M powers, up to the first
-    with max(|x0|, |q/x0|) |q|^M <= ``_TAIL_SPLIT``, are multiplied out, so
-    the zeros of theta stay exact zero factors.  The rest is one factor
-    exp(-S), from log (w;q)_inf = -sum_k w^k / (k (1 - q^k)) at
-    w1 = -x0 q^M and w2 = -(q/x0) q^M, with S the sum of the first K terms
-    at both: K is the first with |w|^(K+1) / ((1 - |q|)(1 - |w|)) < eps/10,
-    a bound on the series' remainder, |w| = max(|w1|, |w2|).  Where M + K
-    would not be fewer than n, the kernel multiplies all n powers instead.
-    The K coefficients 1/(k (1 - q^k)) are formed here from the table of
-    powers, with 1 - q^k = (1 - q)(1 + q + ... + q^(k-1)), which does not
-    cancel as |q| nears 1.  Each call notes 2 per leading power plus 2 per
-    tail term in ``trunc.log``; (q;q)_inf is noted once, here.
-    The bare constant times x^k scales the product wherever that is finite;
-    elsewhere the shift-law factor is formed as :func:`theta` forms it.
-    Errors are those of :func:`theta`: rho not finite and positive, or a
-    value (or tail factor) out of double range, raises
-    :class:`~qconnect.errors.DomainError`; a factor count above ``n_max``
-    raises :class:`~qconnect.errors.TruncationExceeded`.
+    :func:`_theta_shift`, the factor count n of (q, -x0, -q/x0; q)_inf with
+    x0 = q^k x (by :func:`_factor_count`, so ``n_max`` is exceeded where the
+    triple product exceeds it), the split of that product, and the constant
+    (q;q)_inf q^(k(k-1)/2).  The leading M powers, up to the first with
+    max(|x0|, |q/x0|) |q|^M <= ``_TAIL_SPLIT``, are multiplied out, so the
+    zeros of theta stay exact zero factors.  The rest is one factor exp(-S),
+    from log (w;q)_inf = -sum_k c_k w^k, c_k = 1/(k (1 - q^k)) (Gasper &
+    Rahman, section 1.3), at w1 = -x0 q^M and w2 = -(q/x0) q^M, with S the
+    sum of the first K terms at both: K is the first with
+    |w|^(K+1) / ((1 - |q|)(1 - |w|)) < eps/10, a bound on the series'
+    remainder, |w| = max(|w1|, |w2|).  (q;q)_inf takes the same split: the
+    factors 1 - q^(j+1), j < M, and the tail at w = q^(M+1), which the same
+    K terms cover since |q| < |w|.  The coefficients c_k are formed here
+    from the table of powers, with 1 - q^k = (1 - q)(1 + q + ... + q^(k-1)),
+    which does not cancel as |q| nears 1.  Where M + K would not be fewer
+    than n, the kernel multiplies all n powers instead, and (q;q)_inf all
+    the factors its own streak rule takes.
+
+    ``trunc.log`` notes the factors and tail terms of (q;q)_inf once, here,
+    and 2 per leading power plus 2 per tail term at each call.  The
+    constant times the bare x^k scales the product wherever that is finite;
+    elsewhere the shift-law factor comes from :func:`_shift_law_factor`.
+    rho not finite and positive, or a value (or factor) out of double
+    range, raises :class:`~qconnect.errors.DomainError`; a factor count
+    above ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`.
     """
     if not 0.0 < rho < math.inf:
         raise DomainError(f"theta needs a finite nonzero argument, got |x|={rho!r}")
     tr = _trunc(trunc)
     qc = qm.q
     k = _theta_shift(qm, rho)
-    qq = qpochhammer_inf(qc, qm, tr)
     try:
         qk = qc**k
-        const = qq * qc ** (k * (k - 1) // 2)
+        q_shift = qc ** (k * (k - 1) // 2)
     except OverflowError:
         raise DomainError(
             f"|x|={rho!r} is out of double range for theta (q={qc!r}): the "
             "shift-law factor q^(k(k-1)/2) overflows"
         ) from None
-    # the factor moduli |a q^n| are the same at every x on the circle
+    # the factor moduli |a q^n| are the same at every x on the circle, and
+    # max(|x0|, |q/x0|) >= |q|^(1/2) > |q|
     avals = (qc, -qk * rho, -qc / (qk * rho))
-    n = _lead_count(max(abs(av) for av in avals), qm, tr)
-    pw = qm._powers_to(n + tr.streak + _STREAK_SLACK)
-    small = 0
-    while small < tr.streak:
-        if n >= len(pw):
-            pw = qm._powers_to(n + tr.streak)
-        qn = pw[n]
-        small = small + 1 if max(abs(av * qn) for av in avals) < tr.eps else 0
-        n += 1
-        if n > tr.n_max:
-            raise TruncationExceeded(
-                f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
-            )
     amax = max(abs(avals[1]), abs(avals[2]))
+    n = _factor_count(avals, amax, qm, tr)
+    pw = qm._powers
     m = max(0, math.ceil(math.log(_TAIL_SPLIT / amax) / qm._log_q))
     n_tail = 0
     if m < n:
         w = amax * abs(pw[m])
         remainder = tr.eps / 10 * (1 - abs(qc)) * (1 - w)
         n_tail = max(0, math.floor(math.log(remainder) / math.log(w)))
-    if m + n_tail >= n:  # the split would save nothing
+    if m + n_tail < n:
+        lead_q = pw[1 : m + 1]
+    else:  # the split would save nothing
         m, n_tail = n, 0
+        lead_q = pw[1 : _factor_count((qc,), abs(qc), qm, tr) + 1]
     lead = pw[:m]
     # c_k = 1/(k (1 - q)(1 + q + ... + q^(k-1))) = 1/(k (1 - q^k))
     coeffs = []
@@ -760,12 +744,23 @@ def _theta_circle(
     # c_K, ..., c_1 for Horner's rule, and w = -a q^M = a * w_scale
     tail = coeffs[::-1]
     w_scale = -pw[m] if n_tail else 0j
+    one = 1 + 0j
+    qq = one
+    for qn in lead_q:
+        qq *= one - qn
+    if tail:
+        wq = pw[m + 1]
+        s0 = 0j
+        for c in tail:
+            s0 = (s0 + c) * wq
+        qq *= cmath.exp(-s0)
+    tr.note(len(lead_q) + n_tail)
+    const = qq * q_shift
     factors = 2 * (m + n_tail)
 
     def value(x: complex) -> complex:
         x0 = qk * x
         y = qc / x0
-        one = 1 + 0j
         prod = one
         for qn in lead:
             prod *= (one + x0 * qn) * (one + y * qn)
@@ -777,24 +772,20 @@ def _theta_circle(
                 s2 = (s2 + c) * w2
             try:
                 prod *= cmath.exp(-(s1 + s2))
-            except OverflowError:
-                raise DomainError(
-                    f"x={x!r} is out of double range for theta (q={qc!r}): the "
-                    "tail factor of its triple product overflows"
-                ) from None
+            except OverflowError:  # fails the range check below
+                prod = complex(math.inf)
         tr.note(factors)
         try:
             v = const * x**k * prod
-            if cmath.isfinite(v):
-                return v
         except (OverflowError, ZeroDivisionError):
-            pass
-        v = qq * _shift_law_factor(qc, x, x0, k) * prod
+            v = math.nan
         if not cmath.isfinite(v):
-            raise DomainError(
-                f"x={x!r} is out of double range for theta (q={qc!r}): theta_q(x) "
-                "or its shift-law factor q^(k(k-1)/2) x^k overflows"
-            )
+            v = qq * _shift_law_factor(qc, x, x0, k) * prod
+            if not cmath.isfinite(v):
+                raise DomainError(
+                    f"x={x!r} is out of double range for theta (q={qc!r}): theta_q(x), "
+                    "its shift-law factor q^(k(k-1)/2) x^k or its product overflows"
+                )
         return v
 
     return value

@@ -53,7 +53,7 @@ from .qcore import (
     _weighted_abs,
 )
 from .series import QDEOperator
-from .transforms import _spiral_sum, _theta_argument
+from .transforms import _spiral_sum, _theta_from_x
 
 __all__ = [
     "ramanujan_Aq",
@@ -258,24 +258,16 @@ def two_f_zero(
 
 
 def _two_f_zero_closed_parts(
-    qm: QModulus,
-    lam: complex,
-    x: complex,
-    tr: Truncation,
-    drop_one_minus_q: bool = False,
+    qm: QModulus, lam: complex, x: complex, tr: Truncation
 ) -> tuple[complex, complex]:
-    """The even and odd terms of :func:`two_f_zero_closed`.
-
-    ``drop_one_minus_q`` deliberately corrupts the odd term; only the
-    verification harness sets it, to prove that it detects a wrong formula.
-    """
+    """The even and odd terms of :func:`two_f_zero_closed`."""
     if x == 0:
         raise ZeroArgument("x must be nonzero")
     qc = qm.q
     Spiral(1 + 0j, qm).exclude(lam, "lambda")
     Spiral(-lam, qm).exclude(x)
     th_lam = theta(qm, -lam / qc, tr)
-    th_lx = theta(qm, _theta_argument(lam / x, x), tr)
+    th_lx = _theta_from_x(qm, lam / x, x, tr)
     den = th_lam * th_lx
     # each factor may clear the floor while their product underflows to 0
     if abs(th_lam) < _THETA_FLOOR or abs(th_lx) < _THETA_FLOOR or den == 0:
@@ -286,17 +278,16 @@ def _two_f_zero_closed_parts(
     pref = qpochhammer_inf(qc, qm, tr) / den
     even = (
         pref
-        * theta(q2m, _theta_argument(-lam * lam / (qc * x), x), tr)
+        * _theta_from_x(q2m, -lam * lam / (qc * x), x, tr)
         * rphis((0j,), (qc,), q2m, qm.q2 / x, tr)
     )
     odd = (
         pref
         * (lam / x)
-        * theta(q2m, _theta_argument(-lam * lam / x, x), tr)
+        * _theta_from_x(q2m, -lam * lam / x, x, tr)
         * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
+        / (1 - qc)
     )
-    if not drop_one_minus_q:
-        odd /= 1 - qc
     return even, odd
 
 

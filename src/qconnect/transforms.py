@@ -170,14 +170,14 @@ def qlaplace_minus(
     irrecoverable in doubles.
 
     Every kernel argument t/tau lies on the one circle |x| = |t|/r, so the
-    theta kernel's per-circle invariants (shift, constant factor, factor
-    count, and the split of the triple product into leading powers and a
-    log-series tail, see :func:`~qconnect.qcore._theta_circle`) are built
+    theta kernel's per-circle invariants (shift, factor count, the split of
+    the triple product into leading powers and a log-series tail, and the
+    constant factor, see :func:`~qconnect.qcore._theta_circle`) are built
     once per call; each node then multiplies the leading powers and sums
     the tail series.  ``trunc.log`` counts 2 per leading power plus 2 per
     tail term at each node (52 to 66 at q = 0.8 for |t| in [0.3, 4],
-    against 316 to 330 for every power), plus the factors of (q;q)_inf
-    once.
+    against 316 to 330 for every power), plus once the leading factors
+    and tail terms of (q;q)_inf, which takes the same split.
 
     The circle rule starts at the node count of :func:`_kernel_start`: 32
     wherever the kernel's Laurent coefficients at ±64 are below eps times
@@ -284,12 +284,16 @@ def _spiral_power(qc: complex, n: int) -> complex:
         ) from None
 
 
-def _theta_argument(v: complex, x: complex) -> complex:
-    """v, a theta argument formed from the caller's x (lambda/x and the like);
-    one that leaves double range raises DomainError naming x, not v."""
-    if v == 0 or not cmath.isfinite(v):
-        raise DomainError(f"x={x!r} is out of double range: theta's argument from it is {v!r}")
-    return v
+def _theta_from_x(qm: QModulus, v: complex, x: complex, tr: Truncation) -> complex:
+    """theta_q(v) for an argument v formed from the caller's x (lambda/x and
+    the like); where v, or theta of it, leaves double range, the
+    :class:`~qconnect.errors.DomainError` names x, not v."""
+    try:
+        return theta(qm, v, tr)
+    except DomainError:  # ZeroArgument too: v underflowed to 0
+        raise DomainError(
+            f"x={x!r} is out of double range for the theta factors formed from it"
+        ) from None
 
 
 def _spiral_sum(
@@ -315,8 +319,8 @@ def _spiral_sum(
     tr = _trunc(trunc)
     Spiral(-lam, qm).exclude(x)
     qc = qm.q
-    ratio = _theta_argument(lam / x, x)
-    th = theta(qm, ratio, tr)
+    ratio = lam / x
+    th = _theta_from_x(qm, ratio, x, tr)
     streak = max(5, tr.streak)
     w0 = 1 + 0j  # the weight of the n = 0 term
 

@@ -377,7 +377,9 @@ def _eval_lemma_alt(chk, qm, x, tr, mutations):
 def _eval_thm_2f0(chk, qm, x, tr, mutations):
     lam = _need_lam(chk)
     lhs = two_f_zero(qm, lam, x, tr)
-    even, odd = _two_f_zero_closed_parts(qm, lam, x, tr, "drop-one-minus-q" in mutations)
+    even, odd = _two_f_zero_closed_parts(qm, lam, x, tr)
+    if "drop-one-minus-q" in mutations:
+        odd *= 1 - qm.q
     return [_Eval(x, lhs, even + odd, _plain(even, odd))]
 
 

@@ -117,6 +117,14 @@ class TestEval:
         assert err.startswith("domain error:")
         assert "x = 0" not in err and "Traceback" not in out + err
 
+    @pytest.mark.parametrize("fn", ["2f0", "2f0-closed"])
+    def test_theta_of_lambda_over_x_out_of_range_names_the_given_x(self, capsys, fn):
+        argv = ("eval", fn, "--q", "0.05", "--lambda", "0.7", "--x", "1.5e308")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err.startswith("domain error:") and "1.5e+308" in err
+        assert "Traceback" not in out + err
+
     def test_missing_lambda_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "2f0", "--q", "0.5", "--x", "2.4")
         assert code == 2

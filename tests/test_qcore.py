@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+from decimal import Decimal
 
 import mpmath as mp
 import pytest
@@ -38,7 +39,7 @@ from qconnect import (
     theta_sum_with_condition,
 )
 from qconnect.qcore import _sum_tail, _terminating_degree
-from conftest import rel_err
+from conftest import decimal_rel_err, decimal_theta, rel_err, theta_rounding_bound
 
 mp.mp.dps = 40
 
@@ -453,10 +454,33 @@ class TestThetaFarFromUnitCircle:
 
     @pytest.mark.parametrize("q, x", [(0.5, 1e9), (0.5, 1.3e-9 + 2e-10j), (0.3, -2e8j)])
     def test_bare_shift_law_kept_where_it_fits(self, q, x):
-        qc = complex(q)
-        k = round(-math.log(abs(x)) / math.log(abs(qc)))
-        bare = qc ** (k * (k - 1) // 2) * x**k * theta_product(qc, qc**k * x)
-        assert theta(q, x) == bare
+        # the bare powers q^(k(k-1)/2) x^k scale the kernel's product here;
+        # theta is within a tenth of the a-priori rounding bound of 34 digits
+        got = theta(q, x)
+        assert decimal_rel_err(got, decimal_theta(q, x)) < 0.1 * theta_rounding_bound(q, x)
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.8, 0.95, 0.6 * cmath.exp(2.1j)])
+    def test_single_points_against_34_digits(self, q):
+        # |x| from 1e-9 to 1e9 on both sides of the annulus [0.2, 5]: within a
+        # tenth of the a-priori bound, or a DomainError where theta_q(x)
+        # itself leaves double range (at once where its largest term,
+        # q^(n(n-1)/2) x^n, is above 1e310, off the zeros)
+        rng = random.Random(f"single-{q}")
+        log_q = math.log(abs(q))
+        for e in range(-18, 19):
+            x = cmath.rect(10 ** (e / 2), rng.uniform(-math.pi, math.pi))
+            n = round(0.5 - math.log(abs(x)) / log_q)
+            if (n * (n - 1) / 2 * log_q + n * math.log(abs(x))) / math.log(10) > 310:
+                with pytest.raises(DomainError, match="out of double range"):
+                    theta(q, x)
+                continue
+            exact = decimal_theta(q, x)
+            if (exact[0] ** 2 + exact[1] ** 2).sqrt() > Decimal("1.7e308"):
+                with pytest.raises(DomainError, match="out of double range"):
+                    theta(q, x)
+                continue
+            got = theta(q, x)
+            assert decimal_rel_err(got, exact) < 0.1 * theta_rounding_bound(q, x)
 
     @pytest.mark.parametrize(
         "q, x", [(0.5, 3e10 + 1e10j), (0.3, -1.3159718445627704e16 + 2.875450939299445e16j)]

@@ -489,6 +489,19 @@ class TestOutOfDoubleRange:
         assert f"x={x!r}" in str(exc.value)
         assert "x = 0" not in str(exc.value)
 
+    @pytest.mark.parametrize("fn", [two_f_zero, two_f_zero_closed])
+    @pytest.mark.parametrize(
+        "q, x", [(0.05, 1.5e308), (0.05, 1e300 + 1e300j), (0.05, 1e-300), (0.5, 3e-308)]
+    )
+    def test_two_f_zero_names_x_when_theta_of_lambda_over_x_leaves_range(self, fn, q, x):
+        # lambda/x stays nonzero and finite, but theta of it (or of
+        # -lambda^2/x at base q^2) leaves double range
+        with pytest.raises(DomainError, match="out of double range") as exc:
+            fn(q, 0.7, x)
+        assert repr(x) in str(exc.value)
+        for internal in (0.7 / x, -0.49 / x, -0.49 / (q * x)):
+            assert repr(internal) not in str(exc.value)
+
     def test_borel_image_still_finite_below_overflow(self):
         # a large tau whose product stays finite keeps its (small) value
         v = g_borel_image(0.5, 1e10 + 0.5j)

@@ -2,7 +2,6 @@ import cmath
 import itertools
 import math
 import random
-from decimal import Decimal, localcontext
 
 import pytest
 
@@ -30,8 +29,8 @@ from qconnect import (
     theta,
 )
 from qconnect import transforms, verify
-from qconnect.qcore import _lead_count, _theta_circle, _theta_shift
-from conftest import random_series, rel_err
+from qconnect.qcore import _theta_circle, _theta_shift
+from conftest import decimal_rel_err, decimal_theta, random_series, rel_err, theta_rounding_bound
 
 LAMBDAS = (0.7, 1.3, 0.9 * cmath.exp(0.3j))
 
@@ -126,7 +125,9 @@ class TestThetaCircleKernel:
     def test_factor_count_matches_triple_product(self, q):
         # 2 per leading power and 2 per tail term per call, fewer than the 2
         # per power of (-x0, -q/x0; q)_inf, which the three-argument product
-        # (q, -x0, -q/x0; q)_inf takes 3 per power of; (q;q)_inf once, at set-up
+        # (q, -x0, -q/x0; q)_inf takes 3 per power of; (q;q)_inf takes the
+        # same split, M factors and K tail terms, noted once, at set-up, and
+        # no more than the factors of its own product
         qm = as_modulus(q)
         aq = abs(qm.q)
         for rho in (0.21, 1.0, 4.9, 0.013, 70.0):
@@ -140,7 +141,6 @@ class TestThetaCircleKernel:
             tr = Truncation(log=TermLog())
             kernel = _theta_circle(qm, rho, tr)
             setup = tr.log.terms
-            assert setup == qq.log.terms
             kernel(x)
             # M leading powers, to the first with max(|x0|, |q/x0|) |q|^M <= 0.1,
             # and K tail terms, to the first remainder bound below eps/10
@@ -150,6 +150,7 @@ class TestThetaCircleKernel:
             tail = next(
                 n for n in itertools.count() if w ** (n + 1) / ((1 - aq) * (1 - w)) < 1e-16
             )
+            assert setup == lead + tail <= qq.log.terms
             assert tr.log.terms - setup == 2 * (lead + tail)
             assert 3 * (tr.log.terms - setup) < 2 * ref.log.terms
 
@@ -250,6 +251,10 @@ class TestThetaCircleKernel:
         setup = got_log.terms
         assert kernel(x) == plain(x)
         assert 3 * (got_log.terms - setup) == 2 * ref.log.terms
+        # (q;q)_inf by its own streak rule, as qpochhammer_inf takes it
+        qq = TermLog()
+        qpochhammer_inf(qm.q, qm, Truncation(log=qq))
+        assert setup == qq.terms
 
 
 ALIASED = (
@@ -488,12 +493,8 @@ def running_theta_circle(qm, rho, tr):
     qk = qc**k
     const = qpochhammer_inf(qc, qm, tr) * qc ** (k * (k - 1) // 2)
     avals = (qc, -qk * rho, -qc / (qk * rho))
-    n = _lead_count(max(abs(av) for av in avals), qc, tr)
     qn = 1 + 0j
     powers = []
-    for _ in range(n):
-        powers.append(qn)
-        qn *= qc
     small = 0
     while small < tr.streak:
         powers.append(qn)
@@ -512,69 +513,6 @@ def running_theta_circle(qm, rho, tr):
         return const * x**k * prod
 
     return value
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def decimal_theta(q, x):
-    """theta_q(x) = sum_n q^(n(n-1)/2) x^n to 34 digits, as the pair (real
-    part, imaginary part) of decimals.
-
-    The sum cancels its largest term, the one at the integer n nearest
-    1/2 - log|x| / log|q|, down to the value (near the zeros, and on the
-    negative axis as |q| nears 1), so it is summed again with as many more
-    digits as it lost."""
-    q, x = complex(q), complex(x)
-    log_q, log_x = math.log(abs(q)), math.log(abs(x))
-    n = round(0.5 - log_x / log_q)
-    log10_peak = (n * (n - 1) / 2 * log_q + n * log_x) / math.log(10)
-    lost = 0
-    while True:
-        with localcontext() as ctx:
-            ctx.prec = 39 + lost
-            one = (Decimal(1), Decimal(0))
-            qd = (Decimal(q.real), Decimal(q.imag))
-            xd = (Decimal(x.real), Decimal(x.imag))
-            m2 = xd[0] ** 2 + xd[1] ** 2
-            tiny = Decimal(10) ** (math.floor(log10_peak) - ctx.prec - 2)
-            total = one
-            # term ratios q^n x upward (n = 0, 1, ...), q^m / x downward (m = 1, 2, ...)
-            for ratio, power in ((xd, one), ((xd[0] / m2, -xd[1] / m2), qd)):
-                term = one
-                while abs(term[0]) + abs(term[1]) >= tiny:
-                    term = _cmul(term, _cmul(power, ratio))
-                    total = (total[0] + term[0], total[1] + term[1])
-                    power = _cmul(power, qd)
-            size = (total[0] ** 2 + total[1] ** 2).sqrt()
-        now_lost = math.ceil(log10_peak - math.log10(size))
-        if now_lost <= lost:
-            return total
-        lost = now_lost
-
-
-def decimal_rel_err(value, exact):
-    with localcontext() as ctx:
-        ctx.prec = 40
-        dr, di = Decimal(value.real) - exact[0], Decimal(value.imag) - exact[1]
-        return float((dr * dr + di * di).sqrt() / (exact[0] ** 2 + exact[1] ** 2).sqrt())
-
-
-def theta_rounding_bound(q, x):
-    """A-priori relative rounding bound 4 ulp (cond + 4 k^2) of theta_q(x) by
-    the shifted triple product: cond sums 1 + |a q^n| / |1 - a q^n| over the
-    factors of (q, -x, -q/x; q)_inf, and the shift-law powers x^k and
-    q^(k(k-1)/2) add a few ulp per unit of |k|."""
-    cond = 0.0
-    for a in (q, -x, -q / x):
-        aq = complex(a)
-        while abs(aq) > 1e-18:
-            cond += 1.0 + abs(aq) / max(abs(1 - aq), 1e-300)
-            aq *= q
-        cond += 1.0
-    k = round(-math.log(abs(x)) / math.log(abs(q)))
-    return 4 * 2.0**-52 * (cond + 4.0 * k * k)
 
 
 class TestThetaCircleRunningPowers:
