@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -66,11 +67,11 @@ class QModulus:
     :meth:`squared` / :meth:`sqrt` when a :class:`QModulus` at the derived base
     is needed; :meth:`squared` returns the same instance on every call.
 
-    Each instance carries a private table of its powers q^0, q^1, ..., the
-    running product from 1 + 0j that every product and series loop here
-    reads instead of multiplying its own.  The table is extended on demand
-    by assigning a longer tuple, so a concurrent reader sees either the old
-    or the new table, never a half-built one.  Two constants of q are set
+    Each instance carries private tables, extended on demand by assigning a
+    longer tuple (so a concurrent reader never sees a half-built one): its
+    powers q^0, q^1, ..., the running product from 1 + 0j that every loop
+    here reads instead of multiplying its own, and the theta kernel's
+    log-series coefficients.  Two constants of q are set
     once, at construction: ``_log_q`` = log|q|, and ``_k_cap``, the largest
     |k| at which |q|^k is representable (the reach of
     :meth:`Spiral.nearest`).  None of these is a dataclass field: equality,
@@ -81,6 +82,7 @@ class QModulus:
     # class-level starting values, shadowed per instance once set; being
     # unannotated, they are not dataclass fields
     _powers = (1 + 0j,)
+    _log_coeffs = ()
     _squared = None
 
     def __post_init__(self) -> None:
@@ -105,6 +107,19 @@ class QModulus:
         pw = tuple(ext)
         object.__setattr__(self, "_powers", pw)
         return pw
+
+    def _log_coeffs_to(self, n: int) -> tuple[complex, ...]:
+        """The table c_1, c_2, ... of log (w;q)_inf = -sum_k c_k w^k, at least n
+        long: c_k = 1/(k (1 - q)(1 + q + ... + q^(k-1))), free of cancellation."""
+        cs = self._log_coeffs
+        if len(cs) >= n:
+            return cs
+        size = max(n, 2 * len(cs))
+        one_minus_q = 1 - self.q
+        sums = accumulate(self._powers_to(size)[:size])  # 1 + q + ... + q^(k-1)
+        cs = tuple([1 / (k * (one_minus_q * s)) for k, s in enumerate(sums, 1)])
+        object.__setattr__(self, "_log_coeffs", cs)
+        return cs
 
     @property
     def q2(self) -> complex:
@@ -151,10 +166,10 @@ class Truncation:
     ``eps`` relative to the running scale (the largest of the partial sum and
     the largest term seen; the guard keeps bilateral sums terminating at theta
     zeros, where the partial sum itself cancels to ~0), a product once
-    ``streak`` consecutive factors 1 - a q^n have |a q^n| < ``eps``.
-    ``n_max`` is the most terms one tail, or factors per argument one product,
-    may take: a tail that needs one more raises
-    :class:`~qconnect.errors.TruncationExceeded`.
+    ``streak`` consecutive factors 1 - a q^n have |a q^n| < ``eps`` (a count
+    set in closed form before any factor is multiplied).  ``n_max`` is the
+    most terms one tail, or factors per argument one product, may take: a
+    tail that needs one more raises :class:`~qconnect.errors.TruncationExceeded`.
     """
 
     eps: float = 1e-15
@@ -364,9 +379,12 @@ def qpochhammer_n(a: complex, q: QModulus | complex, n: int) -> complex:
     return prod
 
 
-#: powers beyond the closed-form count plus the streak that the streak walk
-#: usually consumes (the count's margin), so one table request covers both
-_STREAK_SLACK = 4
+def _below(avals: Sequence[complex], qn: complex, eps: float) -> bool:
+    """The streak rule's test at one power q^n: |a_i q^n| < eps for every i."""
+    for av in avals:
+        if abs(av * qn) >= eps:
+            return False
+    return True
 
 
 def _factor_count(
@@ -376,36 +394,25 @@ def _factor_count(
     the streak rule: the first n after which ``tr.streak`` consecutive
     powers had |a_i q^n| < eps for every i.
 
-    The moduli shrink geometrically, so the walk starts at the first n with
-    amax |q|^n < eps, in closed form, less a margin for the rounding of the
-    running power q^n; only the last few powers run the test.  A count
-    above ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`, at
-    once when the closed form already leaves no room for the streak.  On
-    return the table of powers holds at least n + 1 entries.
+    The moduli shrink geometrically, so that is n0 + streak, n0 the first
+    n with every |a_i q^n| < eps: the nearest integer j to (log eps - log
+    amax) / log|q| (a difference of logs, as eps/amax may underflow) or
+    j + 1.  The rounding of the logs and of the running power q^n moves
+    that estimate by far less than half a factor, so one test of the rule
+    at j decides.  A count above ``n_max`` raises
+    :class:`~qconnect.errors.TruncationExceeded`.  On return the table of
+    powers holds at least n + 1 entries.
     """
     eps, streak, n_max = tr.eps, tr.streak, tr.n_max
-    n = 0
-    if eps < amax:
-        n_est = math.log(eps / amax) / qm._log_q
-        # the running power q^n drifts from |q|^n by at most ~2.5e-16 relative
-        # per factor (complex multiplication), i.e. by n_est * 2.5e-16 / |log q|
-        # factors in all; the margin covers four times that plus two factors
-        # for the rounding of the logs and of |a q^n|
-        n = max(0, math.ceil(n_est + n_est * 1e-15 / qm._log_q) - 2)
-    small = 0
-    if n + streak <= n_max:
-        pw = qm._powers_to(n + streak + _STREAK_SLACK)
-        while small < streak and n < n_max:
-            if n + 1 >= len(pw):
-                pw = qm._powers_to(n + streak + 1)
-            qn = pw[n]
-            small += 1
-            for av in avals:
-                if abs(av * qn) >= eps:
-                    small = 0
-                    break
-            n += 1
-    if small < streak:
+    if amax < eps:  # n0 = 0: every |a_i q^0| = |a_i| is below eps
+        n = streak
+        qm._powers_to(n + 1)
+    else:
+        j = round((math.log(eps) - math.log(amax)) / qm._log_q)
+        n = j + streak
+        if n <= n_max and not _below(avals, qm._powers_to(n + 2)[j], eps):
+            n += 1  # n0 = j + 1
+    if n > n_max:
         raise TruncationExceeded(
             f"(a;q)_inf tail not below eps={eps} after n_max={n_max} factors"
         )
@@ -426,24 +433,21 @@ def qpochhammer_inf(
     double range, or a product that overflows raises
     :class:`~qconnect.errors.DomainError`.
 
-    The factor count n comes from :func:`_factor_count` (which raises where
-    ``n_max`` is exceeded); the n factors are then multiplied in a loop with
-    no tail test, written out for one, two and three arguments.  The powers
-    q^n come from the table of the :class:`QModulus`, so a caller that
-    passes the same instance again skips forming them.
+    The factor count n comes in closed form from :func:`_factor_count`
+    (which raises where ``n_max`` is exceeded); the n factors from the
+    table of powers are then multiplied in a loop with no tail test,
+    written out for one, two and three arguments.
     """
-    tr = _trunc(trunc)
+    tr = DEFAULT_TRUNCATION if trunc is None else trunc
     qm = q if isinstance(q, QModulus) else as_modulus(q)
-    avals: tuple[complex, ...]
     if isinstance(a, (list, tuple)):
         avals = tuple(map(complex, a))
+        if not avals:
+            return 1 + 0j
+        amax = max([_finite_abs(av, "(a;q)_inf", "a") for av in avals])
     else:
         avals = (complex(a),)
-    if not avals:
-        return 1 + 0j
-    amax = 0.0
-    for av in avals:
-        amax = max(amax, _finite_abs(av, "(a;q)_inf", "a"))
+        amax = _finite_abs(avals[0], "(a;q)_inf", "a")
     n = _factor_count(avals, amax, qm, tr)
     pw = qm._powers[:n]
     one = 1 + 0j
@@ -471,7 +475,7 @@ def qpochhammer_inf(
     if not cmath.isfinite(prod):
         raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product overflows")
     if tr.log is not None:
-        tr.log.note(n * m)
+        tr.log.terms += n * m
     return prod
 
 
@@ -689,11 +693,10 @@ def _theta_circle(
     |w|^(K+1) / ((1 - |q|)(1 - |w|)) < eps/10, a bound on the series'
     remainder, |w| = max(|w1|, |w2|).  (q;q)_inf takes the same split: the
     factors 1 - q^(j+1), j < M, and the tail at w = q^(M+1), which the same
-    K terms cover since |q| < |w|.  The coefficients c_k are formed here
-    from the table of powers, with 1 - q^k = (1 - q)(1 + q + ... + q^(k-1)),
-    which does not cancel as |q| nears 1.  Where M + K would not be fewer
-    than n, the kernel multiplies all n powers instead, and (q;q)_inf all
-    the factors its own streak rule takes.
+    K terms cover since |q| < |w|.  The c_k come from the table of
+    :meth:`QModulus._log_coeffs_to`.  Where M + K would not be fewer than
+    n, the kernel multiplies all n powers instead, and (q;q)_inf all the
+    factors its own streak rule takes.
 
     ``trunc.log`` notes the factors and tail terms of (q;q)_inf once, here,
     and 2 per leading power plus 2 per tail term at each call.  The
@@ -734,15 +737,8 @@ def _theta_circle(
         m, n_tail = n, 0
         lead_q = pw[1 : _factor_count((qc,), abs(qc), qm, tr) + 1]
     lead = pw[:m]
-    # c_k = 1/(k (1 - q)(1 + q + ... + q^(k-1))) = 1/(k (1 - q^k))
-    coeffs = []
-    one_minus_q = 1 - qc
-    s = 0j
-    for j in range(n_tail):
-        s += pw[j]
-        coeffs.append(1 / ((j + 1) * (one_minus_q * s)))
     # c_K, ..., c_1 for Horner's rule, and w = -a q^M = a * w_scale
-    tail = coeffs[::-1]
+    tail = qm._log_coeffs_to(n_tail)[:n_tail][::-1]
     w_scale = -pw[m] if n_tail else 0j
     one = 1 + 0j
     qq = one
@@ -756,7 +752,9 @@ def _theta_circle(
         qq *= cmath.exp(-s0)
     tr.note(len(lead_q) + n_tail)
     const = qq * q_shift
+    const_x0 = const * (1 + 0j)  # const * x**0, bit for bit, signs of zeros too
     factors = 2 * (m + n_tail)
+    log = tr.log
 
     def value(x: complex) -> complex:
         x0 = qk * x
@@ -774,9 +772,10 @@ def _theta_circle(
                 prod *= cmath.exp(-(s1 + s2))
             except OverflowError:  # fails the range check below
                 prod = complex(math.inf)
-        tr.note(factors)
+        if log is not None:
+            log.terms += factors
         try:
-            v = const * x**k * prod
+            v = (const * x**k if k else const_x0) * prod
         except (OverflowError, ZeroDivisionError):
             v = math.nan
         if not cmath.isfinite(v):

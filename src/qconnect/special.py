@@ -146,9 +146,9 @@ def g_borel_image(
     so large that the product overflows, raises
     :class:`~qconnect.errors.DomainError`.
     """
-    qm = as_modulus(q)
+    qm = q if isinstance(q, QModulus) else as_modulus(q)
     _finite_abs(tau, "the Borel image", "tau")
-    q2t = qm.q2 * tau
+    q2t = qm.q * qm.q * tau
     if not abs(q2t) < 1 - 2 * DEFAULT_PROXIMITY:
         anchor = qm.q**-2
         for sgn in (1, -1):

@@ -11,6 +11,7 @@ from qconnect import (
     E_exp,
     QConnectError,
     SolutionAtInfinity,
+    Truncation,
     ZeroArgument,
     e_exp,
     f_via_residues,
@@ -83,6 +84,12 @@ def test_finite_value_or_typed_error(name):
         (lambda: qpochhammer_inf_shifted_pole(0.0, 0.05, 3), ZeroArgument),
         (lambda: qpochhammer_inf_shifted_pole(1e-300, 0.05, 3), DomainError),
         (lambda: qpochhammer_n(1e300, 0.5, 5), DomainError),
+        # eps / max|a| underflows to 0 at a small eps: the factor count
+        # takes a difference of logs, so the product overflows as at the
+        # default eps
+        (lambda: qpochhammer_inf(1.7e308, 0.5, Truncation(eps=1e-17)), DomainError),
+        (lambda: qpochhammer_inf(1e308 + 1e308j, 0.5, Truncation(eps=1e-17)), DomainError),
+        (lambda: E_exp(0.5, 1.7e308, Truncation(eps=1e-17), mode="product"), DomainError),
     ],
 )
 def test_edge_of_double_range_error_class(call, error):

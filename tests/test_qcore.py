@@ -26,6 +26,8 @@ from qconnect import (
     ZeroArgument,
     as_modulus,
     e_exp,
+    g_borel_image,
+    qlaplace_minus,
     qpochhammer_inf,
     qpochhammer_inf_shifted_pole,
     qpochhammer_n,
@@ -319,6 +321,60 @@ class TestQPochhammerInf:
                     qpochhammer_inf(avals, q, tr)
             else:
                 assert bits(qpochhammer_inf(avals, q, tr)) == want
+
+    @pytest.mark.parametrize("streak", [1, 3])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.95, 0.99, 0.6 * cmath.exp(2.1j)])
+    def test_closed_form_count_at_the_eps_boundary(self, q, streak):
+        # max|a| |q^n| within a few ulp of eps, on both sides: the count in
+        # closed form is the streak rule's, with its bits, and n_max one
+        # below it raises while n_max equal to it does not
+        qm = QModulus(q)
+        straddled = False
+        for n in (1, 2, 7, 30, 200):
+            amax = DEFAULT_TRUNCATION.eps / abs(qm._powers_to(n + 1)[n])
+            if amax > 1e10:  # the product would overflow
+                continue
+            for _ in range(4):
+                amax = math.nextafter(amax, 0.0)
+            rows_seen = set()
+            for _ in range(9):
+                for avals in ((cmath.rect(amax, 0.7),), (complex(amax), cmath.rect(amax, -2.3))):
+                    log = TermLog()
+                    tr = Truncation(streak=streak, log=log)
+                    want, factors = streak_product(avals, qm.q, tr)
+                    arg = avals if len(avals) > 1 else avals[0]
+                    assert bits(qpochhammer_inf(arg, qm, tr)) == bits(want)
+                    assert log.terms == factors
+                    rows = factors // len(avals)
+                    rows_seen.add(rows)
+                    with pytest.raises(TruncationExceeded):
+                        qpochhammer_inf(arg, qm, Truncation(streak=streak, n_max=rows - 1))
+                    got = qpochhammer_inf(arg, qm, Truncation(streak=streak, n_max=rows))
+                    assert bits(got) == bits(want)
+                amax = math.nextafter(amax, math.inf)
+            straddled = straddled or len(rows_seen) > 1
+        # the ulp steps crossed eps for at least one n: both sides were tested
+        assert straddled
+
+    @pytest.mark.parametrize("q", [0.3, 0.8, 0.6 * cmath.exp(2.1j)])
+    def test_term_log_leaves_values_alone(self, q):
+        # the counts go straight into log.terms: with and without a log, the
+        # evaluators give the same bits
+        rng = random.Random(f"log-{q}")
+        qm = QModulus(q)
+        plain, logged = Truncation(), Truncation(log=TermLog())
+        for _ in range(20):
+            a, b = point(rng, -3, 3), point(rng, -3, 3)
+            x, tau, t = point(rng, -2, 2), point(rng, -1, 0), point(rng, -0.5, 0.6)
+            for fn in (
+                lambda tr: qpochhammer_inf(a, qm, tr),
+                lambda tr: qpochhammer_inf((a, b, x), qm, tr),
+                lambda tr: theta(qm, x, tr),
+                lambda tr: g_borel_image(qm, tau, tr),
+                lambda tr: qlaplace_minus(lambda s: g_borel_image(qm, s, tr), qm, t, trunc=tr),
+            ):
+                assert bits(fn(plain)) == bits(fn(logged))
+        assert logged.log.terms > 0
 
 
 class TestShiftedPoleContinuation:
@@ -817,13 +873,36 @@ class TestPowerTable:
     def test_eq_hash_repr_ignore_the_table(self):
         used, fresh = QModulus(0.5), QModulus(0.5)
         used._powers_to(300)
+        used._log_coeffs_to(50)
         used.squared()
-        assert vars(used).keys() >= {"_log_q", "_k_cap", "_powers", "_squared"}
+        assert vars(used).keys() >= {"_log_q", "_k_cap", "_powers", "_log_coeffs", "_squared"}
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "QModulus(q=(0.5+0j))"
         assert [f.name for f in dataclasses.fields(QModulus)] == ["q"]
         assert QModulus(0.5) != QModulus(0.25)
+
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_log_coefficients_are_the_running_sum(self, q):
+        # c_k = 1/(k (1 - q)(1 + q + ... + q^(k-1))) by a running sum, bit
+        # for bit, whether the table grows in steps or at once
+        qm = QModulus(q)
+        want, s = [], 0j
+        for j, qj in enumerate(running_powers(qm.q, 300)):
+            s += qj
+            want.append(bits(1 / ((j + 1) * ((1 - qm.q) * s))))
+        for n in (0, 1, 3, 17, 40, 41, 300):
+            assert len(qm._log_coeffs_to(n)) >= n
+        assert [bits(c) for c in qm._log_coeffs[:300]] == want
+        assert [bits(c) for c in QModulus(q)._log_coeffs_to(300)[:300]] == want
+
+    def test_theta_reuses_the_coefficient_table(self):
+        qm = QModulus(0.8)
+        theta(qm, 1.3 + 0.4j)
+        table = qm._log_coeffs
+        assert table
+        theta(qm, -0.4 + 1.3j)  # the same circle: the table is long enough
+        assert qm._log_coeffs is table
 
     @pytest.mark.parametrize("q", REF_QS)
     def test_cached_logs_are_the_bare_expressions(self, q):
