@@ -133,6 +133,8 @@ class QModulus:
     def squared(self) -> "QModulus":
         sq = self._squared
         if sq is None:
+            if self.q * self.q == 0:
+                raise DomainError(f"q={self.q!r} is out of double range: q^2 underflows to 0")
             sq = QModulus(self.q * self.q)
             object.__setattr__(self, "_squared", sq)
         return sq
@@ -327,11 +329,12 @@ class Spiral:
         for k in range(math.floor(k0) - 2, math.ceil(k0) + 3):
             if abs(k) > k_cap:
                 continue
-            s = anchor * q**k
             try:
+                s = anchor * q**k
                 a_s = abs(s)
                 d = abs(x - s) / (a_s if a_s > ax else ax)
-            except OverflowError:  # |s| or |x - s| beyond double range: x is far from s
+            except (OverflowError, ZeroDivisionError):
+                # q^k, |s| or |x - s| beyond double range: x is far from s
                 continue
             if d < best_d:
                 best_k, best_d = k, d
@@ -514,6 +517,33 @@ def qpochhammer_inf_shifted_pole(
     return value
 
 
+def _theta_tails(qm: QModulus, z: complex) -> tuple[Iterator[complex], Iterator[complex]]:
+    """The terms n = 1, 2, ... (ratio q^(n-1) z) and n = -1, -2, ... (ratio
+    q^m / z at n = -m) of theta_q(z) = sum_n q^(n(n-1)/2) z^n, as running
+    products over the table of powers: the series of :func:`theta_sum` and
+    the weights of the first-kind spiral sum (``transforms._spiral_sum``)."""
+
+    def upper() -> Iterator[complex]:
+        pw, t, n = qm._powers, 1 + 0j, 0
+        while True:
+            if n >= len(pw):
+                pw = qm._powers_to(n + 1)
+            t *= pw[n] * z
+            n += 1
+            yield t
+
+    def lower() -> Iterator[complex]:
+        pw, u, m = qm._powers, 1 + 0j, 1
+        while True:
+            if m >= len(pw):
+                pw = qm._powers_to(m + 1)
+            u *= pw[m] / z
+            m += 1
+            yield u
+
+    return upper(), lower()
+
+
 def theta_sum_with_condition(
     q: QModulus | complex, x: complex, trunc: Truncation | None = None
 ) -> tuple[complex, float]:
@@ -527,33 +557,12 @@ def theta_sum_with_condition(
         raise ZeroArgument("theta is undefined at x = 0")
     _finite_abs(x, "theta")
     tr = _trunc(trunc)
-    qm = as_modulus(q)
-
-    def upper() -> Iterator[complex]:
-        # term(n) for n = 1, 2, ...: ratio q^(n-1) x
-        pw, t, n = qm._powers, 1 + 0j, 0
-        while True:
-            if n >= len(pw):
-                pw = qm._powers_to(n + 1)
-            t *= pw[n] * x
-            n += 1
-            yield t
-
-    def lower() -> Iterator[complex]:
-        # term(-m) for m = 1, 2, ...: ratio q^m / x
-        pw, u, m = qm._powers, 1 + 0j, 1
-        while True:
-            if m >= len(pw):
-                pw = qm._powers_to(m + 1)
-            u *= pw[m] / x
-            m += 1
-            yield u
-
+    upper, lower = _theta_tails(as_modulus(q), x)
     total, abs_sum, scale, n_up = _sum_tail(
-        upper(), tr, 1 + 0j, 1.0, 1.0, tr.streak, "theta upper tail"
+        upper, tr, 1 + 0j, 1.0, 1.0, tr.streak, "theta upper tail"
     )
     total, abs_sum, _, n_down = _sum_tail(
-        lower(), tr, total, abs_sum, scale, tr.streak, "theta lower tail"
+        lower, tr, total, abs_sum, scale, tr.streak, "theta lower tail"
     )
     tr.note(1 + n_up + n_down)
     return total, _condition(abs_sum, abs(total))
@@ -604,35 +613,16 @@ def theta(
     factors of (q;q)_inf).  The bilateral sum (:func:`theta_sum`) cancels
     catastrophically near the zero spiral (badly so for |q| close to 1,
     where the zeros crowd in modulus); it and :func:`theta_product`
-    cross-check this path in the test suite.  Non-finite x, and x so large
-    or small that theta_q(x) or the shift-law factor leaves double range,
-    raise :class:`~qconnect.errors.DomainError`; a factor count above
-    ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`.
+    cross-check this path in the test suite.  Where the bare x^k leaves
+    double range, the shift-law factor is x0^k q^(-k(k+1)/2) with the power
+    of q in chunks.  Non-finite x, and x so large or small that theta_q(x)
+    or the shift-law factor leaves double range, raise
+    :class:`~qconnect.errors.DomainError`; a factor count above ``n_max``
+    raises :class:`~qconnect.errors.TruncationExceeded`.
     """
     if x == 0:
         raise ZeroArgument("theta is undefined at x = 0")
     return _theta_circle(as_modulus(q), _finite_abs(x, "theta"), trunc)(x)
-
-
-def _shift_law_factor(qc: complex, x: complex, x0: complex, k: int) -> complex:
-    """The shift-law factor q^(k(k-1)/2) x^k of :func:`theta`, given
-    x0 = q^k x; not finite when it leaves double range.
-
-    It is the bare product of the two powers wherever that is finite.
-    Otherwise it is x0^k q^(-k(k+1)/2), the same factor with x = x0 q^(-k):
-    |x0| is near 1, so x0^k stays in range, and :func:`_weighted` applies
-    the power of q in chunks (skipped when the factor's modulus, estimated
-    by its log, is out of range anyway: for |q| near 1 the chunks are many).
-    """
-    e = k * (k - 1) // 2
-    try:
-        shift = qc**e * x**k
-        if cmath.isfinite(shift):
-            return shift
-    except (OverflowError, ZeroDivisionError):
-        pass
-    log_mod = k * math.log10(abs(x)) + e * math.log10(abs(qc))
-    return _weighted(x0**k, qc, e - k * k) if log_mod < 309 else math.inf
 
 
 def _weighted(c: complex, q: complex, e: int) -> complex:
@@ -701,7 +691,8 @@ def _theta_circle(
     ``trunc.log`` notes the factors and tail terms of (q;q)_inf once, here,
     and 2 per leading power plus 2 per tail term at each call.  The
     constant times the bare x^k scales the product wherever that is finite;
-    elsewhere the shift-law factor comes from :func:`_shift_law_factor`.
+    elsewhere the one fallback is x0^k q^(-k(k+1)/2) times (q;q)_inf, with
+    the power of q applied in chunks by :func:`_weighted`.
     rho not finite and positive, or a value (or factor) out of double
     range, raises :class:`~qconnect.errors.DomainError`; a factor count
     above ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`.
@@ -714,11 +705,15 @@ def _theta_circle(
     try:
         qk = qc**k
         q_shift = qc ** (k * (k - 1) // 2)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # q^k at k < 0 leaves double range
         raise DomainError(
             f"|x|={rho!r} is out of double range for theta (q={qc!r}): the "
             "shift-law factor q^(k(k-1)/2) overflows"
         ) from None
+    if not qk:  # then |x| > |q|^(-k), beyond double range, and so is theta
+        raise DomainError(
+            f"|x|={rho!r} is out of double range for theta (q={qc!r}): q^{k} underflows to 0"
+        )
     # the factor moduli |a q^n| are the same at every x on the circle, and
     # max(|x0|, |q/x0|) >= |q|^(1/2) > |q|
     avals = (qc, -qk * rho, -qc / (qk * rho))
@@ -779,7 +774,11 @@ def _theta_circle(
         except (OverflowError, ZeroDivisionError):
             v = math.nan
         if not cmath.isfinite(v):
-            v = qq * _shift_law_factor(qc, x, x0, k) * prod
+            # x0^k q^(-k(k+1)/2), |x0| near 1, the power of q in chunks,
+            # unless the factor's log-modulus is out of range anyway
+            e = k * (k - 1) // 2
+            if k * math.log10(abs(x)) + e * math.log10(abs(qc)) < 309:
+                v = qq * _weighted(x0**k, qc, e - k * k) * prod
             if not cmath.isfinite(v):
                 raise DomainError(
                     f"x={x!r} is out of double range for theta (q={qc!r}): theta_q(x), "

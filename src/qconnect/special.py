@@ -158,8 +158,9 @@ def g_borel_image(
                     f"tau={tau!r} lies within {DEFAULT_PROXIMITY} of the pole "
                     f"{sgn}*q^({-2 + k}) of the Borel image"
                 )
+    q2m = qm.squared()
     try:
-        return 1 / qpochhammer_inf(q2t * q2t, qm.squared(), trunc)
+        return 1 / qpochhammer_inf(q2t * q2t, q2m, trunc)
     except DomainError:
         raise DomainError(
             f"tau={tau!r} is out of double range for the Borel image (q={qm.q!r}): "
@@ -248,7 +249,7 @@ def two_f_zero(
             a *= qc
 
     def down() -> Iterator[complex]:
-        phi, b = phi0, lam / (qc * qc)  # b = lambda q^(n-2)
+        phi, b = phi0, lam / qm.squared().q  # b = lambda q^(n-2); q^2 checked for underflow
         while True:
             phi /= 1 - b
             b /= qc
@@ -340,7 +341,11 @@ class SolutionAtInfinity:
         return 1 / theta(self.q, -self.q.q2 * self.t, trunc)
 
     def series_factor(self, trunc: Truncation | None = None) -> complex:
-        return ramanujan_Aq(self.q.squared(), -self.q.q**3 * self.t**2, trunc)
+        try:
+            x = -self.q.q**3 * self.t**2
+        except OverflowError:
+            raise DomainError(f"t={self.t!r} is out of double range for the series factor") from None
+        return ramanujan_Aq(self.q.squared(), x, trunc)
 
     def value(self, trunc: Truncation | None = None) -> complex:
         return self.prefactor(trunc) * self.series_factor(trunc)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from operator import mul, truediv
 from typing import Callable, Iterator
 
 from .errors import (
@@ -46,6 +47,7 @@ from .qcore import (
     _finite_abs,
     _sum_tail,
     _theta_circle,
+    _theta_tails,
     _trunc,
 )
 from .series import QDEOperator
@@ -192,7 +194,8 @@ def qlaplace_minus(
     at = _finite_abs(t, "the q-Laplace transform", "t")
     tr = _trunc(trunc)
     qm = as_modulus(q)
-    r_max = 1.0 / abs(qm.q) ** 2
+    aq2 = abs(qm.q) ** 2
+    r_max = 1.0 / aq2 if aq2 else math.inf  # |q|^2 may underflow to 0
     if r is None:
         r = min(1.0, 0.5 * r_max)
     if not 0.0 < r < r_max:
@@ -278,7 +281,7 @@ def _spiral_power(qc: complex, n: int) -> complex:
     :class:`~qconnect.errors.DomainError` instead of ``OverflowError``."""
     try:
         return qc**n
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # q^(-n) may underflow to 0
         raise DomainError(
             f"the spiral sum's lower tail ran past double range: q^{n} overflows (q={qc!r})"
         ) from None
@@ -310,7 +313,9 @@ def _spiral_sum(
 
     Each tail draws values only until it is truncated, so a caller that knows
     a recurrence along the spiral can generate them without evaluating phi
-    pointwise.
+    pointwise.  By the shift law, 1/theta_q(lambda q^n/x) is the theta
+    series' term q^(n(n-1)/2) (lambda/x)^n over theta_q(lambda/x): the
+    weights are the tails of ``qcore._theta_tails`` at lambda/x.
     """
     if lam == 0:
         raise ZeroArgument("the spiral anchor lambda must be nonzero")
@@ -318,36 +323,18 @@ def _spiral_sum(
         raise ZeroArgument("x must be nonzero")
     tr = _trunc(trunc)
     Spiral(-lam, qm).exclude(x)
-    qc = qm.q
     ratio = lam / x
     th = _theta_from_x(qm, ratio, x, tr)
     streak = max(5, tr.streak)
-    w0 = 1 + 0j  # the weight of the n = 0 term
-
-    def upper() -> Iterator[complex]:
-        # w_{n+1} = w_n * q^n * (lambda/x)
-        pw, w, n = qm._powers, w0, 0
-        while True:
-            if n >= len(pw):
-                pw = qm._powers_to(n + 1)
-            w *= pw[n] * ratio
-            n += 1
-            yield next(up) * w / th
-
-    def lower() -> Iterator[complex]:
-        # w_{n-1} = w_n * q^(1-n) * (x/lambda)
-        w, n = w0, 0
-        while True:
-            w *= _spiral_power(qc, 1 - n) / ratio
-            n -= 1
-            yield next(down) * w / th
-
-    total = next(up) * w0 / th
+    upper, lower = _theta_tails(qm, ratio)
+    total = next(up) * (1 + 0j) / th  # the n = 0 term, of weight 1
     total, _, scale, n_up = _sum_tail(
-        upper(), tr, total, 0.0, max(abs(total), 1e-300), streak, "spiral sum upper tail"
+        map(truediv, map(mul, up, upper), itertools.repeat(th)),
+        tr, total, 0.0, max(abs(total), 1e-300), streak, "spiral sum upper tail",
     )
     total, _, _, n_down = _sum_tail(
-        lower(), tr, total, 0.0, scale, streak, "spiral sum lower tail"
+        map(truediv, map(mul, down, lower), itertools.repeat(th)),
+        tr, total, 0.0, scale, streak, "spiral sum lower tail",
     )
     tr.note(1 + n_up + n_down)
     return total

@@ -101,6 +101,10 @@ class TestEval:
             ("eval", "Aq", "--q", "0.5", "--x", "1e300"),
             # theta(lambda/x) is undefined at x = 0
             ("eval", "2f0-closed", "--q", "0.5", "--lambda", "0.7", "--x", "0"),
+            # tiny bases: q^k underflows to 0 in theta's shift law, and q^2
+            # in the spiral sum's lower tail
+            ("eval", "theta", "--q", "1e-120", "--x", "1e308+1e308i"),
+            ("eval", "2f0", "--q", "1e-300", "--lambda", "0.7", "--x", "2.1"),
         ],
     )
     def test_domain_edge_exit_three(self, capsys, argv):

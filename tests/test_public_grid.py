@@ -20,6 +20,8 @@ from qconnect import (
     qpochhammer_inf,
     qpochhammer_inf_shifted_pole,
     qpochhammer_n,
+    qlaplace_minus,
+    qlaplace_plus,
     ramanujan_Aq,
     rphis,
     theta,
@@ -29,7 +31,21 @@ from qconnect import (
     two_f_zero_closed,
 )
 
-QS = (0.05, 0.5, 0.95, 0.999, -0.9, 0.6 * cmath.exp(2.1j))
+# the tiny bases put q^2, q^k or 1/|q|^2 past double range
+QS = (
+    0.05,
+    0.5,
+    0.95,
+    0.999,
+    -0.9,
+    0.6 * cmath.exp(2.1j),
+    1e-60,
+    1e-100,
+    1e-155,
+    1e-200,
+    1e-300,
+    1e-200j,
+)
 ARGS = (
     0j,
     1e-300,
@@ -61,6 +77,8 @@ EVALUATORS = {
     "two_f_zero": lambda q, x: two_f_zero(q, 0.7, x),
     "two_f_zero_closed": lambda q, x: two_f_zero_closed(q, 0.7, x),
     "SolutionAtInfinity": lambda q, x: SolutionAtInfinity(q, x).value(),
+    "qlaplace_plus": lambda q, x: qlaplace_plus(lambda s: 1.0, q, 0.7, x),
+    "qlaplace_minus": lambda q, x: qlaplace_minus(lambda tau: 1.0, q, x),
 }
 
 
@@ -90,11 +108,24 @@ def test_finite_value_or_typed_error(name):
         (lambda: qpochhammer_inf(1.7e308, 0.5, Truncation(eps=1e-17)), DomainError),
         (lambda: qpochhammer_inf(1e308 + 1e308j, 0.5, Truncation(eps=1e-17)), DomainError),
         (lambda: E_exp(0.5, 1.7e308, Truncation(eps=1e-17), mode="product"), DomainError),
+        # tiny bases: q^k, q^(-n) or q^2 underflows to 0 on the way
+        (lambda: theta(1e-120, 1e308 + 1e308j), DomainError),
+        (lambda: qlaplace_plus(lambda s: 1.0, 1e-60, 0.7, 1e100), DomainError),
+        (lambda: g_borel_image(1e-200, 0.5), DomainError),
+        (lambda: two_f_zero(1e-300, 0.7, 2.1), DomainError),
     ],
 )
 def test_edge_of_double_range_error_class(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_tiny_base_values():
+    # spiral points q^k past double range are skipped in the distance test,
+    # and 1/|q|^2 overflows to an unbounded contour radius
+    assert cmath.isfinite(two_f_zero_closed(1e-100, 0.7, 1e-100))
+    assert qpochhammer_inf_shifted_pole(1e-100, 1e-155, 3) == 0  # ~1e-630 underflows
+    assert abs(qlaplace_minus(lambda tau: 1.0, 1e-200, 1.0) - 1) < 1e-15
 
 
 @pytest.mark.parametrize("fn", [two_f_zero, two_f_zero_closed])

@@ -39,6 +39,7 @@ from qconnect import (
     theta_product,
     theta_sum,
     theta_sum_with_condition,
+    two_f_zero,
 )
 from qconnect.qcore import _sum_tail, _terminating_degree
 from conftest import decimal_rel_err, decimal_theta, rel_err, theta_rounding_bound
@@ -827,6 +828,57 @@ def running_rphis(ups, lows, qm, x, tr):
     return total, max(cond, 1.0)
 
 
+def running_two_f_zero(q, lam, x, tr):
+    """The first-kind spiral sum of two_f_zero with its own running powers:
+    the weights are the bilateral theta series' terms at lambda/x, running
+    products of q^n (lambda/x) upward and of q^m / (lambda/x) downward,
+    over theta_q(lambda/x); the reference for the spiral sum's loops."""
+    qm = as_modulus(q)
+    qc = qm.q
+    phi0 = e_exp(qm, lam / qc, tr, mode="product")
+    ratio = lam / x
+    th = theta(qm, ratio, tr)
+    streak = max(5, tr.streak)
+
+    def upper():
+        # phi(lambda q^(n+1)) = (1 - lambda q^(n-1)) phi(lambda q^n)
+        phi, a, w, qn = phi0, lam / qc, 1 + 0j, 1 + 0j
+        while True:
+            phi *= 1 - a
+            a *= qc
+            w *= qn * ratio
+            qn *= qc
+            yield phi * w / th
+
+    def lower():
+        # phi(lambda q^(n-1)) = phi(lambda q^n) / (1 - lambda q^(n-2))
+        phi, b, u, qm_ = phi0, lam / (qc * qc), 1 + 0j, qc
+        while True:
+            phi /= 1 - b
+            b /= qc
+            u *= qm_ / ratio
+            qm_ *= qc
+            yield phi * u / th
+
+    def tail(total, scale, terms):
+        small = count = 0
+        for t in terms:
+            if count == tr.n_max:
+                raise TruncationExceeded("reference spiral tail exceeded n_max")
+            total += t
+            count += 1
+            scale = max(scale, abs(total), abs(t))
+            small = small + 1 if abs(t) <= tr.eps * scale else 0
+            if small == streak:
+                return total, scale, count
+
+    total = phi0 * (1 + 0j) / th
+    total, scale, n_up = tail(total, max(abs(total), 1e-300), upper())
+    total, _, n_down = tail(total, scale, lower())
+    tr.note(1 + n_up + n_down)
+    return total
+
+
 def outcome(fn, *args, **kw):
     """(value bits, condition, TermLog terms) of one call, or the error type."""
     log = TermLog()
@@ -948,6 +1000,19 @@ class TestLoopsMatchRunningPowers:
             want = outcome(running_theta_sum, qm.q, x)
             assert outcome(theta_sum_with_condition, qm, x) == want
             assert outcome(theta_sum_with_condition, q, x) == want
+
+    @pytest.mark.parametrize("q", REF_QS)
+    def test_first_kind_spiral_sum(self, q):
+        # two_f_zero's spiral sum weights its terms by the theta series'
+        # tails at lambda/x, which read q^n from the table
+        rng = random.Random(f"spiral-{q}")
+        qm = QModulus(q)
+        for _ in range(20):
+            lam = rng.choice((0.7, 1.3, 0.9 * cmath.exp(0.3j)))
+            x = point(rng, -0.8, 0.9)
+            want = outcome(running_two_f_zero, qm.q, lam, x)
+            assert outcome(two_f_zero, qm, lam, x) == want
+            assert outcome(two_f_zero, q, lam, x) == want
 
     @pytest.mark.parametrize("q", REF_QS)
     def test_rphis(self, q):

@@ -27,6 +27,7 @@ from qconnect import (
     qpochhammer_inf,
     ramanujan_operator,
     theta,
+    theta_sum_with_condition,
 )
 from qconnect import transforms, verify
 from qconnect.qcore import _theta_circle, _theta_shift
@@ -398,6 +399,17 @@ class TestQLaplacePlus:
         # phi(0.7 q^-1) = 2.4e308 overflows, so the lower tail's terms are nan
         with pytest.raises(DomainError, match="out of double range"):
             qlaplace_plus(lambda s: 1e308 * (1 + s), 0.5, 0.7, 2.4)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.9])
+    @pytest.mark.parametrize("lam", LAMBDAS, ids=["0.7", "1.3", "complex"])
+    def test_constant_sums_to_one_within_theta_condition(self, q, lam):
+        # the spiral weights are theta's own series terms at lambda/x over
+        # theta_q(lambda/x), so phi = 1 sums to 1, within 64 ulp times the
+        # condition of that series
+        for x in verify.default_grid():
+            _, cond = theta_sum_with_condition(q, lam / x)
+            got = qlaplace_plus(lambda s: 1.0, q, lam, x)
+            assert abs(got - 1) <= 64 * 2.0**-52 * cond, (x, got, cond)
 
     def test_spiral_power_out_of_range_is_domain_error(self):
         assert transforms._spiral_power(0.5 + 0j, -3) == 8
