@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
@@ -57,6 +58,11 @@ _EXACT_TOL = 1e-12
 #: from carries no significant digits
 _NOISE_FLOOR = 100.0 * 2.2e-16
 
+#: a product's split multiplies the factors 1 - a q^n with |a q^n| above this
+#: and sums the log-series of the rest (:func:`_product_plan`)
+_TAIL_SPLIT = 0.1
+_LOG_TAIL_SPLIT = math.log(_TAIL_SPLIT)
+
 
 @dataclass(frozen=True)
 class QModulus:
@@ -70,12 +76,13 @@ class QModulus:
     Each instance carries private tables, extended on demand by assigning a
     longer tuple (so a concurrent reader never sees a half-built one): its
     powers q^0, q^1, ..., the running product from 1 + 0j that every loop
-    here reads instead of multiplying its own, and the theta kernel's
-    log-series coefficients.  Two constants of q are set
-    once, at construction: ``_log_q`` = log|q|, and ``_k_cap``, the largest
+    here reads instead of multiplying its own, and the log-series
+    coefficients of the products' split.  Three constants of q are set
+    once, at construction: ``_log_q`` = log|q|, ``_k_cap``, the largest
     |k| at which |q|^k is representable (the reach of
-    :meth:`Spiral.nearest`).  None of these is a dataclass field: equality,
-    hash and repr depend on q alone.
+    :meth:`Spiral.nearest`), and ``_log_tail_room``, of the split's
+    remainder bound (:func:`_product_plan`).  None of these is a dataclass
+    field: equality, hash and repr depend on q alone.
     """
 
     q: complex
@@ -92,6 +99,10 @@ class QModulus:
             raise ValueError(f"base must satisfy 0 < |q| < 1, got |q| = {abs(qc)!r}")
         object.__setattr__(self, "_log_q", math.log(abs(qc)))
         object.__setattr__(self, "_k_cap", int(290 / abs(math.log10(abs(qc)))) + 1)
+        # log((1 - |q|)(1 - _TAIL_SPLIT) / 10), of the split's remainder bound
+        object.__setattr__(
+            self, "_log_tail_room", math.log((1 - abs(qc)) * (1 - _TAIL_SPLIT) / 10)
+        )
 
     def _powers_to(self, n: int) -> tuple[complex, ...]:
         """The table q^0, q^1, ..., with at least n entries."""
@@ -390,36 +401,64 @@ def _below(avals: Sequence[complex], qn: complex, eps: float) -> bool:
     return True
 
 
-def _factor_count(
-    avals: Sequence[complex], amax: float, qm: QModulus, tr: Truncation
-) -> int:
-    """Factors per argument of (a_1, ..., a_m; q)_inf, max|a_i| = amax, by
-    the streak rule: the first n after which ``tr.streak`` consecutive
-    powers had |a_i q^n| < eps for every i.
+def _product_plan(
+    avals: Sequence[complex], amax: float, qm: QModulus, tr: Truncation, split: bool
+) -> tuple[int, int]:
+    """How (a_1, ..., a_m; q)_inf, max|a_i| = amax, is taken: (n, 0), the
+    n powers of the streak rule, or, with ``split``, (M, K), the leading M
+    powers multiplied and K >= 1 terms of the log-series
+    log (w;q)_inf = -sum_k c_k w^k at w = a q^M summed (Gasper & Rahman,
+    section 1.3; c_k from :meth:`QModulus._log_coeffs_to`).
 
-    The moduli shrink geometrically, so that is n0 + streak, n0 the first
-    n with every |a_i q^n| < eps: the nearest integer j to (log eps - log
-    amax) / log|q| (a difference of logs, as eps/amax may underflow) or
-    j + 1.  The rounding of the logs and of the running power q^n moves
-    that estimate by far less than half a factor, so one test of the rule
-    at j decides.  A count above ``n_max`` raises
-    :class:`~qconnect.errors.TruncationExceeded`.  On return the table of
-    powers holds at least n + 1 entries.
+    The streak rule takes the first n after which ``tr.streak`` consecutive
+    powers had |a_i q^n| < eps for every i.  The moduli shrink
+    geometrically, so that is n0 + streak, n0 the first n with every
+    |a_i q^n| < eps: the nearest integer j >= 0 to
+    (log eps - log amax) / log|q| (a difference of logs, as eps/amax may
+    underflow) or j + 1.  The rounding of the logs and of the running power
+    q^n moves that estimate by far less than half a factor, so one test of
+    the rule at j decides.
+
+    M is the first with amax |q|^M <= ``_TAIL_SPLIT``, so every factor with
+    |a q^n| above it is multiplied and exact zeros stay exact; K is the
+    first, and at least 1, with
+    |w|^(K+1) / ((1 - |q|)(1 - _TAIL_SPLIT)) < eps/10, a bound on the
+    series' remainder.  The split is taken where M + K < j + streak: the
+    set-up of its tail (a slice of the coefficients and one exp) costs no
+    more than the plain loop's test of the streak rule at j, so the split
+    is the cheaper wherever it takes fewer powers.  ``n_max`` caps the
+    powers taken, M + K or n: above it raises
+    :class:`~qconnect.errors.TruncationExceeded`.  On return the tables
+    hold the M + 1 or n + 1 powers and the K coefficients.
     """
     eps, streak, n_max = tr.eps, tr.streak, tr.n_max
-    if amax < eps:  # n0 = 0: every |a_i q^0| = |a_i| is below eps
+    k = 0
+    if not amax:  # every factor is 1
         n = streak
         qm._powers_to(n + 1)
     else:
-        j = round((math.log(eps) - math.log(amax)) / qm._log_q)
+        log_q = qm._log_q
+        log_eps = math.log(eps)
+        log_a = math.log(amax)
+        j = max(0, round((log_eps - log_a) / log_q))  # n0 = 0 where amax < eps
         n = j + streak
-        if n <= n_max and not _below(avals, qm._powers_to(n + 2)[j], eps):
+        if split:
+            m = math.ceil((_LOG_TAIL_SPLIT - log_a) / log_q) if amax > _TAIL_SPLIT else 0
+            # log|w| = log amax + M log|q|
+            k = int((log_eps + qm._log_tail_room) / (log_a + m * log_q)) or 1
+            if m + k < n:
+                n = m
+                qm._powers_to(n + 1)
+                qm._log_coeffs_to(k)
+            else:
+                k = 0
+        if not k and n <= n_max and not _below(avals, qm._powers_to(n + 2)[j], eps):
             n += 1  # n0 = j + 1
-    if n > n_max:
+    if n + k > n_max:
         raise TruncationExceeded(
             f"(a;q)_inf tail not below eps={eps} after n_max={n_max} factors"
         )
-    return n
+    return n, k
 
 
 def qpochhammer_inf(
@@ -436,10 +475,13 @@ def qpochhammer_inf(
     double range, or a product that overflows raises
     :class:`~qconnect.errors.DomainError`.
 
-    The factor count n comes in closed form from :func:`_factor_count`
-    (which raises where ``n_max`` is exceeded); the n factors from the
-    table of powers are then multiplied in a loop with no tail test,
-    written out for one, two and three arguments.
+    The plan comes in closed form from :func:`_product_plan` (which raises
+    where ``n_max`` is exceeded); the factors from the table of powers are
+    then multiplied in a loop with no tail test, written out for one, two
+    and three arguments.  One argument takes the split where it is cheaper:
+    the leading M factors times exp(-S), S the first K terms of the
+    log-series at w = a q^M; ``trunc.log`` counts M + K.  More arguments
+    take the n factors of the streak rule, n per argument in the count.
     """
     tr = DEFAULT_TRUNCATION if trunc is None else trunc
     qm = q if isinstance(q, QModulus) else as_modulus(q)
@@ -451,15 +493,25 @@ def qpochhammer_inf(
     else:
         avals = (complex(a),)
         amax = _finite_abs(avals[0], "(a;q)_inf", "a")
-    n = _factor_count(avals, amax, qm, tr)
+    m = len(avals)
+    n, n_tail = _product_plan(avals, amax, qm, tr, m == 1)
     pw = qm._powers[:n]
     one = 1 + 0j
     prod = one
-    m = len(avals)
     if m == 1:
         (a0,) = avals
         for qn in pw:
             prod *= one - a0 * qn
+        if n_tail:
+            # Horner's rule from c_K down to c_1
+            w = a0 * qm._powers[n]
+            s = 0j
+            for c in qm._log_coeffs[n_tail - 1 :: -1]:
+                s = (s + c) * w
+            try:
+                prod *= cmath.exp(-s)
+            except OverflowError:  # fails the range check below
+                prod = complex(math.inf)
     elif m == 2:
         a0, a1 = avals
         for qn in pw:
@@ -478,7 +530,7 @@ def qpochhammer_inf(
     if not cmath.isfinite(prod):
         raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product overflows")
     if tr.log is not None:
-        tr.log.terms += n * m
+        tr.log.terms += (n + n_tail) * m
     return prod
 
 
@@ -660,42 +712,30 @@ def _theta_shift(qm: QModulus, ax: float) -> int:
     return round(-math.log(ax) / qm._log_q)
 
 
-#: the theta kernel multiplies the factors 1 + a q^n with |a q^n| above this
-#: and sums the log-series of the rest of the product
-_TAIL_SPLIT = 0.1
-
-
 def _theta_circle(
     qm: QModulus, rho: float, trunc: Truncation | None = None
 ) -> Callable[[complex], complex]:
     """:func:`theta` for arguments on one circle |x| = rho, as a function of x.
 
     Everything that depends only on |x| is computed once: the shift k of
-    :func:`_theta_shift`, the factor count n of (q, -x0, -q/x0; q)_inf with
-    x0 = q^k x (by :func:`_factor_count`, so ``n_max`` is exceeded where the
-    triple product exceeds it), the split of that product, and the constant
-    (q;q)_inf q^(k(k-1)/2).  The leading M powers, up to the first with
-    max(|x0|, |q/x0|) |q|^M <= ``_TAIL_SPLIT``, are multiplied out, so the
-    zeros of theta stay exact zero factors.  The rest is one factor exp(-S),
-    from log (w;q)_inf = -sum_k c_k w^k, c_k = 1/(k (1 - q^k)) (Gasper &
-    Rahman, section 1.3), at w1 = -x0 q^M and w2 = -(q/x0) q^M, with S the
-    sum of the first K terms at both: K is the first with
-    |w|^(K+1) / ((1 - |q|)(1 - |w|)) < eps/10, a bound on the series'
-    remainder, |w| = max(|w1|, |w2|).  (q;q)_inf takes the same split: the
-    factors 1 - q^(j+1), j < M, and the tail at w = q^(M+1), which the same
-    K terms cover since |q| < |w|.  The c_k come from the table of
-    :meth:`QModulus._log_coeffs_to`.  Where M + K would not be fewer than
-    n, the kernel multiplies all n powers instead, and (q;q)_inf all the
-    factors its own streak rule takes.
+    :func:`_theta_shift`, the plan of (-x0, -q/x0; q)_inf with x0 = q^k x
+    (by :func:`_product_plan`, which caps the powers taken at ``n_max``),
+    and the constant (q;q)_inf q^(k(k-1)/2), with (q;q)_inf from
+    :func:`qpochhammer_inf`.  Where the plan splits, the leading M powers,
+    up to the first with max(|x0|, |q/x0|) |q|^M <= ``_TAIL_SPLIT``, are
+    multiplied out, so the zeros of theta stay exact zero factors, and the
+    rest is one factor exp(-S), with S the first K terms of the log-series
+    at both w1 = -x0 q^M and w2 = -(q/x0) q^M; elsewhere every power of
+    the streak rule is multiplied.
 
-    ``trunc.log`` notes the factors and tail terms of (q;q)_inf once, here,
-    and 2 per leading power plus 2 per tail term at each call.  The
+    ``trunc.log`` notes the count of (q;q)_inf once, here, and 2 per
+    leading power plus 2 per tail term at each call.  The
     constant times the bare x^k scales the product wherever that is finite;
     elsewhere the one fallback is x0^k q^(-k(k+1)/2) times (q;q)_inf, with
     the power of q applied in chunks by :func:`_weighted`.
     rho not finite and positive, or a value (or factor) out of double
-    range, raises :class:`~qconnect.errors.DomainError`; a factor count
-    above ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`.
+    range, raises :class:`~qconnect.errors.DomainError`; a plan above
+    ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`.
     """
     if not 0.0 < rho < math.inf:
         raise DomainError(f"theta needs a finite nonzero argument, got |x|={rho!r}")
@@ -714,38 +754,18 @@ def _theta_circle(
         raise DomainError(
             f"|x|={rho!r} is out of double range for theta (q={qc!r}): q^{k} underflows to 0"
         )
-    # the factor moduli |a q^n| are the same at every x on the circle, and
-    # max(|x0|, |q/x0|) >= |q|^(1/2) > |q|
-    avals = (qc, -qk * rho, -qc / (qk * rho))
-    amax = max(abs(avals[1]), abs(avals[2]))
-    n = _factor_count(avals, amax, qm, tr)
+    # the factor moduli |a q^n| are the same at every x on the circle
+    avals = (-qk * rho, -qc / (qk * rho))
+    m, n_tail = _product_plan(avals, max(map(abs, avals)), qm, tr, True)
     pw = qm._powers
-    m = max(0, math.ceil(math.log(_TAIL_SPLIT / amax) / qm._log_q))
-    n_tail = 0
-    if m < n:
-        w = amax * abs(pw[m])
-        remainder = tr.eps / 10 * (1 - abs(qc)) * (1 - w)
-        n_tail = max(0, math.floor(math.log(remainder) / math.log(w)))
-    if m + n_tail < n:
-        lead_q = pw[1 : m + 1]
-    else:  # the split would save nothing
-        m, n_tail = n, 0
-        lead_q = pw[1 : _factor_count((qc,), abs(qc), qm, tr) + 1]
     lead = pw[:m]
     # c_K, ..., c_1 for Horner's rule, and w = -a q^M = a * w_scale
-    tail = qm._log_coeffs_to(n_tail)[:n_tail][::-1]
-    w_scale = -pw[m] if n_tail else 0j
+    tail = qm._log_coeffs[n_tail - 1 :: -1] if n_tail else ()
+    w_scale = -pw[m]
     one = 1 + 0j
-    qq = one
-    for qn in lead_q:
-        qq *= one - qn
-    if tail:
-        wq = pw[m + 1]
-        s0 = 0j
-        for c in tail:
-            s0 = (s0 + c) * wq
-        qq *= cmath.exp(-s0)
-    tr.note(len(lead_q) + n_tail)
+    qq = qpochhammer_inf(qc, qm, tr)
+    if abs(qq) < sys.float_info.min:  # from |q| ~ 0.9978 on; theta is never 0 there
+        raise DomainError(f"theta is out of double range at q={qc!r}: (q;q)_inf underflows")
     const = qq * q_shift
     const_x0 = const * (1 + 0j)  # const * x**0, bit for bit, signs of zeros too
     factors = 2 * (m + n_tail)
@@ -929,7 +949,12 @@ def e_exp(
             f"x={x!r} lies within {DEFAULT_PROXIMITY} of the e_q pole q^{k} "
             f"(half-spiral of [1;q], q={qm.q!r})"
         )
-    return 1 / qpochhammer_inf(x, qm, trunc)
+    try:
+        return 1 / qpochhammer_inf(x, qm, trunc)
+    except ZeroDivisionError:
+        raise DomainError(
+            f"x={x!r} is out of double range for e_q (q={qm.q!r}): (x;q)_inf underflows to 0"
+        ) from None
 
 
 def E_exp(

@@ -161,10 +161,10 @@ def g_borel_image(
     q2m = qm.squared()
     try:
         return 1 / qpochhammer_inf(q2t * q2t, q2m, trunc)
-    except DomainError:
+    except (DomainError, ZeroDivisionError):
         raise DomainError(
             f"tau={tau!r} is out of double range for the Borel image (q={qm.q!r}): "
-            "the product (q^4 tau^2; q^2)_inf overflows"
+            "the product (q^4 tau^2; q^2)_inf overflows or underflows"
         ) from None
 
 
@@ -251,7 +251,8 @@ def two_f_zero(
     def down() -> Iterator[complex]:
         phi, b = phi0, lam / qm.squared().q  # b = lambda q^(n-2); q^2 checked for underflow
         while True:
-            phi /= 1 - b
+            if phi:  # once phi underflows to 0, b may overflow to inf+nanj
+                phi /= 1 - b
             b /= qc
             yield phi
 

@@ -172,14 +172,13 @@ def qlaplace_minus(
     irrecoverable in doubles.
 
     Every kernel argument t/tau lies on the one circle |x| = |t|/r, so the
-    theta kernel's per-circle invariants (shift, factor count, the split of
-    the triple product into leading powers and a log-series tail, and the
-    constant factor, see :func:`~qconnect.qcore._theta_circle`) are built
-    once per call; each node then multiplies the leading powers and sums
-    the tail series.  ``trunc.log`` counts 2 per leading power plus 2 per
-    tail term at each node (52 to 66 at q = 0.8 for |t| in [0.3, 4],
-    against 316 to 330 for every power), plus once the leading factors
-    and tail terms of (q;q)_inf, which takes the same split.
+    theta kernel's per-circle invariants (shift, the split of the triple
+    product into leading powers and a log-series tail, and the constant
+    factor, see :func:`~qconnect.qcore._theta_circle`) are built once per
+    call; each node then multiplies the leading powers and sums the tail
+    series.  ``trunc.log`` counts 2 per leading power plus 2 per tail term
+    at each node (52 to 68 at q = 0.8 for |t| in [0.3, 4], against 316 to
+    330 for every power), plus once the count of (q;q)_inf.
 
     The circle rule starts at the node count of :func:`_kernel_start`: 32
     wherever the kernel's Laurent coefficients at ±64 are below eps times

@@ -30,6 +30,7 @@ from qconnect import (
     two_f_zero,
     two_f_zero_closed,
 )
+from conftest import rel_err
 
 # the tiny bases put q^2, q^k or 1/|q|^2 past double range
 QS = (
@@ -126,6 +127,14 @@ def test_tiny_base_values():
     assert cmath.isfinite(two_f_zero_closed(1e-100, 0.7, 1e-100))
     assert qpochhammer_inf_shifted_pole(1e-100, 1e-155, 3) == 0  # ~1e-630 underflows
     assert abs(qlaplace_minus(lambda tau: 1.0, 1e-200, 1.0) - 1) < 1e-15
+
+
+@pytest.mark.parametrize("q", [1e-60, 1e-100, 1e-100j])
+@pytest.mark.parametrize("x", [2.1, 2.1 + 0.3j, 1e3])
+def test_tiny_base_spiral_sum_matches_closed_form(q, x):
+    # once the Borel image underflows to 0 down the spiral, lambda q^(n-2)
+    # overflows to inf and then to inf+nanj; the zero terms stay zero
+    assert rel_err(two_f_zero(q, 0.7, x), two_f_zero_closed(q, 0.7, x)) < 1e-14
 
 
 @pytest.mark.parametrize("fn", [two_f_zero, two_f_zero_closed])

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -54,6 +55,16 @@ def mp_qp(a, q, n=None):
 def mp_theta(q, x):
     q, x = mp.mpc(q), mp.mpc(x)
     return complex(mp.qp(q, q) * mp.qp(-x, q) * mp.qp(-q / x, q))
+
+
+def mp_qp_long(a, q):
+    """(a;q)_inf at 40 digits for |q| up to 0.997 (beyond mpmath's default
+    factor cap)."""
+    return mp.qp(mp.mpc(a), mp.mpc(q), maxterms=10**6)
+
+
+def mp_theta_long(q, x):
+    return mp_qp_long(q, q) * mp_qp_long(-x, q) * mp_qp_long(-q / x, q)
 
 
 def streak_product(avals, q, tr):
@@ -281,6 +292,8 @@ class TestQPochhammerInf:
 
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.8, 0.95, 0.99, 0.6 * cmath.exp(2.1j)])
     def test_matches_streak_rule_bit_for_bit(self, q):
+        # two to four arguments: the plain loop of the streak rule (one
+        # argument takes the split: TestOneArgumentProduct)
         rng = random.Random(f"qpoch-{q}")
         qm = as_modulus(q)
         for _ in range(60):
@@ -288,11 +301,10 @@ class TestQPochhammerInf:
                 0j
                 if rng.random() < 0.15
                 else cmath.rect(10 ** rng.uniform(-18, 12), rng.uniform(-math.pi, math.pi))
-                for _ in range(rng.randint(1, 4))
+                for _ in range(rng.randint(2, 4))
             )
             want, factors = streak_product(avals, qm.q, DEFAULT_TRUNCATION)
             log = TermLog()
-            arg = avals if len(avals) > 1 else avals[0]
             # n_max one below the reference's factor rows must raise; equal to it, not
             rows = factors // len(avals)
             with pytest.raises(TruncationExceeded):
@@ -301,19 +313,23 @@ class TestQPochhammerInf:
                 # a product that overflows is a DomainError, not nan+nanj
                 for tr in (Truncation(log=log), Truncation(n_max=rows)):
                     with pytest.raises(DomainError, match="out of double range"):
-                        qpochhammer_inf(arg, qm, tr)
+                        qpochhammer_inf(avals, qm, tr)
                 continue
-            got = qpochhammer_inf(arg, qm, Truncation(log=log))
+            got = qpochhammer_inf(avals, qm, Truncation(log=log))
             assert bits(got) == bits(want)
             assert log.terms == factors
             assert bits(qpochhammer_inf(avals, qm, Truncation(n_max=rows))) == bits(want)
 
     @pytest.mark.parametrize("n_max", [1, 2, 5, 17, 40])
     def test_truncation_exceeded_where_streak_rule_raises(self, n_max):
+        # two arguments, the plain loop
         rng = random.Random(n_max)
         for _ in range(40):
             q = rng.choice((0.05, 0.5, 0.8, 0.95, 0.99))
-            avals = (cmath.rect(10 ** rng.uniform(-18, 12), rng.uniform(-math.pi, math.pi)),)
+            avals = tuple(
+                cmath.rect(10 ** rng.uniform(-18, 12), rng.uniform(-math.pi, math.pi))
+                for _ in range(2)
+            )
             tr = Truncation(n_max=n_max, streak=rng.choice((1, 3)))
             try:
                 want = bits(streak_product(avals, q, tr)[0])
@@ -328,7 +344,8 @@ class TestQPochhammerInf:
     def test_closed_form_count_at_the_eps_boundary(self, q, streak):
         # max|a| |q^n| within a few ulp of eps, on both sides: the count in
         # closed form is the streak rule's, with its bits, and n_max one
-        # below it raises while n_max equal to it does not
+        # below it raises while n_max equal to it does not (two arguments,
+        # the plain loop)
         qm = QModulus(q)
         straddled = False
         for n in (1, 2, 7, 30, 200):
@@ -339,18 +356,17 @@ class TestQPochhammerInf:
                 amax = math.nextafter(amax, 0.0)
             rows_seen = set()
             for _ in range(9):
-                for avals in ((cmath.rect(amax, 0.7),), (complex(amax), cmath.rect(amax, -2.3))):
+                for avals in ((complex(amax), cmath.rect(amax, -2.3)), (cmath.rect(amax, 0.7), 0j)):
                     log = TermLog()
                     tr = Truncation(streak=streak, log=log)
                     want, factors = streak_product(avals, qm.q, tr)
-                    arg = avals if len(avals) > 1 else avals[0]
-                    assert bits(qpochhammer_inf(arg, qm, tr)) == bits(want)
+                    assert bits(qpochhammer_inf(avals, qm, tr)) == bits(want)
                     assert log.terms == factors
                     rows = factors // len(avals)
                     rows_seen.add(rows)
                     with pytest.raises(TruncationExceeded):
-                        qpochhammer_inf(arg, qm, Truncation(streak=streak, n_max=rows - 1))
-                    got = qpochhammer_inf(arg, qm, Truncation(streak=streak, n_max=rows))
+                        qpochhammer_inf(avals, qm, Truncation(streak=streak, n_max=rows - 1))
+                    got = qpochhammer_inf(avals, qm, Truncation(streak=streak, n_max=rows))
                     assert bits(got) == bits(want)
                 amax = math.nextafter(amax, math.inf)
             straddled = straddled or len(rows_seen) > 1
@@ -376,6 +392,146 @@ class TestQPochhammerInf:
             ):
                 assert bits(fn(plain)) == bits(fn(logged))
         assert logged.log.terms > 0
+
+
+def split_plan(a, q, eps=DEFAULT_TRUNCATION.eps):
+    """(M, K) of the one-argument split, from its definition: M leading
+    powers to the first with |a| |q|^M <= 0.1, K >= 1 log-series terms to
+    the first remainder bound |w|^(K+1) / ((1 - |q|)(1 - 0.1)) below eps/10."""
+    aq = abs(q)
+    lead = next(m for m in itertools.count() if abs(a) * aq**m <= 0.1)
+    w = abs(a) * aq**lead
+    tail = next(k for k in itertools.count(1) if w ** (k + 1) / ((1 - aq) * 0.9) < eps / 10)
+    return lead, tail
+
+
+SPLIT_QS = (0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.6 * cmath.exp(2.1j), -0.7 + 0.1j)
+
+
+class TestOneArgumentProduct:
+    # one argument: the leading factors with |a q^n| > 0.1 times exp(-S),
+    # S the first K terms of log (w;q)_inf at w = a q^M, where M + K is
+    # fewer than the streak rule's n; else the plain loop
+
+    @pytest.mark.parametrize("q", SPLIT_QS)
+    def test_matches_mpmath(self, q):
+        # |a| from 1e-18 to 1e12: a few ulp per power taken, plus the tail
+        # the plain loop drops below eps; fewer draws where the reference
+        # takes thousands of factors
+        qm = QModulus(q)
+        rng = random.Random(f"split-{q}")
+        for _ in range({0.95: 16, 0.99: 8}.get(q, 40)):
+            a = point(rng, -18, 12)
+            want = mp_qp_long(a, qm.q)
+            log = TermLog()
+            try:
+                got = qpochhammer_inf(a, qm, Truncation(log=log))
+            except DomainError:
+                assert abs(want) > 1e300  # the product overflows on its way
+                continue
+            tol = 4 * 2**-52 * log.terms + min(abs(a), 1e-15) / (1 - abs(qm.q))
+            assert abs(got - want) <= tol * abs(want), (a, got)
+
+    @pytest.mark.parametrize("q, limit", [(0.8, 1e-15), (0.95, 5e-15)])
+    def test_median_error(self, q, limit):
+        # the leading factors are fewer than the streak rule's, so fewer
+        # roundings of the drifting table of powers enter the product
+        rng = random.Random(f"median-{q}")
+        errs = sorted(
+            float(abs(qpochhammer_inf(a, q) - want) / abs(want))
+            for a, want in (
+                (a, mp_qp_long(a, q))
+                for a in (point(rng, -1, 1) for _ in range(40))
+            )
+        )
+        assert (errs[19] + errs[20]) / 2 <= limit
+
+    @pytest.mark.parametrize("q", SPLIT_QS + (0.05,))
+    def test_counts_and_n_max(self, q):
+        # TermLog counts M + K where the split is taken and the streak rule's
+        # n where not (both at M + K = n - 1, where the rule's estimate of n
+        # decides); n_max caps exactly the powers taken
+        qm = QModulus(q)
+        rng = random.Random(f"count-{q}")
+        for _ in range(40):
+            a = point(rng, -18, 3)
+            lead, tail = split_plan(a, qm.q)
+            want, n = streak_product((a,), qm.q, DEFAULT_TRUNCATION)
+            if not cmath.isfinite(want):
+                continue  # out of double range: TestQPochhammerInf
+            log = TermLog()
+            got = qpochhammer_inf(a, qm, Truncation(log=log))
+            if lead + tail < n - 1:
+                assert log.terms == lead + tail
+            elif lead + tail >= n:
+                assert log.terms == n
+                assert bits(got) == bits(want)  # the plain loop
+            else:
+                assert log.terms in (lead + tail, n)
+            taken = log.terms
+            assert bits(qpochhammer_inf(a, qm, Truncation(n_max=taken))) == bits(got)
+            if taken > 1:
+                with pytest.raises(TruncationExceeded):
+                    qpochhammer_inf(a, qm, Truncation(n_max=taken - 1))
+
+    @pytest.mark.parametrize("q", [0.5, 0.99, 0.6 * cmath.exp(2.1j)])
+    @pytest.mark.parametrize(
+        "a", [1e-18j, -3e-17 + 1e-18j, 1e-14, 1e-14j, -3e-15, 2e-13 * cmath.exp(0.4j)]
+    )
+    def test_tiny_argument_keeps_its_first_order_term(self, q, a):
+        # the split sums K >= 1 terms, so (a;q)_inf = 1 - a/(1 - q) + ...
+        # keeps its first-order term, imaginary part and all; below eps too
+        qm = QModulus(q)
+        want = complex(mp_qp_long(a, qm.q))
+        got = qpochhammer_inf(a, qm)
+        assert got != 1
+        assert abs(got.imag - want.imag) <= 1e-12 * abs(want.imag)
+        assert rel_err(got, want) < 2e-16
+
+    @pytest.mark.parametrize("q", [1e-60, 1e-100, 1e-155, 1e-200, 1e-300, 1e-200j])
+    @pytest.mark.parametrize("a", [1e-300, 1e-100, 0.37 + 0.21j, 3e100 + 1e99j, 3e150j, 3e300])
+    def test_edge_of_double_range(self, q, a):
+        # at a tiny base the split's w = a q^M may underflow to 0: the value
+        # still agrees with mpmath, or the product overflows (DomainError)
+        want = mp_qp_long(a, q)
+        if not abs(want) < 1e308:
+            with pytest.raises(DomainError, match="out of double range"):
+                qpochhammer_inf(a, q)
+        else:
+            assert rel_err(qpochhammer_inf(a, q), complex(want)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "fn, want",
+        [
+            (lambda: theta(0.997, 1.3), lambda: mp_theta_long(0.997, 1.3)),
+            (
+                lambda: e_exp(0.997, 1.3 + 0.2j, mode="product"),
+                lambda: 1 / mp_qp_long(1.3 + 0.2j, 0.997),
+            ),
+            (lambda: E_exp(0.997, 1.3, mode="product"), lambda: mp_qp_long(-1.3, 0.997)),
+            (lambda: qpochhammer_inf(0.997, 0.997), lambda: mp_qp_long(0.997, 0.997)),
+        ],
+    )
+    def test_n_max_caps_the_powers_taken(self, fn, want):
+        # the streak rule would take about 11 500 powers, above the default
+        # n_max = 10 000; the split takes fewer than 900
+        assert rel_err(fn(), complex(want())) < 1e-12
+
+    def test_plain_loop_still_raises_above_n_max(self):
+        # two arguments take the plain loop, whose n is above n_max at q = 0.997
+        with pytest.raises(TruncationExceeded):
+            qpochhammer_inf((0.997, 1.3), 0.997)
+        # one argument at a small base takes the plain loop where the split
+        # saves nothing; its n still counts against n_max
+        a, q = 9.9, 0.01  # |a q| just below 0.1: K = 16
+        lead, tail = split_plan(a, q)
+        want, n = streak_product((a,), q, DEFAULT_TRUNCATION)
+        assert lead + tail >= n
+        log = TermLog()
+        assert bits(qpochhammer_inf(a, q, Truncation(log=log))) == bits(want)
+        assert log.terms == n
+        with pytest.raises(TruncationExceeded):
+            qpochhammer_inf(a, q, Truncation(n_max=n - 1))
 
 
 class TestShiftedPoleContinuation:
@@ -966,20 +1122,20 @@ class TestPowerTable:
 class TestLoopsMatchRunningPowers:
     @pytest.mark.parametrize("q", REF_QS)
     def test_qpochhammer_inf_any_arity(self, q):
-        # arities 1-3 run written-out loops, 4 and 5 the general one; the
-        # instance is shared (its table reused) or a bare number (built afresh)
+        # arities 2 and 3 run written-out loops, 4 and 5 the general one; the
+        # instance is shared (its table reused) or a bare number (built
+        # afresh); one argument takes the split (TestOneArgumentProduct)
         rng = random.Random(f"arity-{q}")
         qm = QModulus(q)
         for _ in range(50):
-            avals = tuple(point(rng, -18, 12) for _ in range(rng.randint(1, 5)))
+            avals = tuple(point(rng, -18, 12) for _ in range(rng.randint(2, 5)))
             want, factors = streak_product(avals, qm.q, DEFAULT_TRUNCATION)
-            arg = avals if len(avals) > 1 else avals[0]
             for base in (qm, q):
                 if cmath.isfinite(want):
-                    assert outcome(qpochhammer_inf, arg, base) == (bits(want), factors)
+                    assert outcome(qpochhammer_inf, avals, base) == (bits(want), factors)
                 else:
                     with pytest.raises(DomainError, match="out of double range"):
-                        qpochhammer_inf(arg, base)
+                        qpochhammer_inf(avals, base)
 
     @pytest.mark.parametrize("q", REF_QS)
     def test_qpochhammer_n(self, q):

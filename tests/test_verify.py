@@ -20,7 +20,7 @@ from qconnect import (
     run_suite,
     theta,
 )
-from qconnect.qcore import Truncation
+from qconnect.qcore import TermLog, Truncation
 from qconnect.verify import PointRecord
 
 
@@ -141,6 +141,17 @@ class TestCheckBehavior:
         rep = check(IdentityCheck("thm-2f0", 0.99, lam=0.7, grid=(x,)))
         (point,) = rep.points
         assert point.skipped and "numerically zero" in point.reason
+
+
+    @pytest.mark.parametrize("q, plain_terms", [(0.8, 129_338), (0.99, 37_356_688)])
+    def test_residue_lemma_work(self, q, plain_terms):
+        # a deterministic work guard: the one-argument products of the
+        # residue integrand take the log-series split, at most half the
+        # TermLog count the check takes with every product on the plain loop
+        log = TermLog()
+        rep = check(IdentityCheck("residue-lemma", q, trunc=Truncation(log=log)))
+        assert rep.passed
+        assert 2 * log.terms <= plain_terms
 
 
 def _ramanujan_qairy_terms(q, x):
