@@ -440,16 +440,18 @@ def _product_plan(
         log_q = qm._log_q
         log_eps = math.log(eps)
         log_a = math.log(amax)
-        j = max(0, round((log_eps - log_a) / log_q))  # n0 = 0 where amax < eps
+        j = round((log_eps - log_a) / log_q) if amax >= eps else 0  # else n0 = 0
         n = j + streak
         if split:
             m = math.ceil((_LOG_TAIL_SPLIT - log_a) / log_q) if amax > _TAIL_SPLIT else 0
             # log|w| = log amax + M log|q|
-            k = int((log_eps + qm._log_tail_room) / (log_a + m * log_q)) or 1
+            k = math.floor((log_eps + qm._log_tail_room) / (log_a + m * log_q)) or 1
             if m + k < n:
                 n = m
-                qm._powers_to(n + 1)
-                qm._log_coeffs_to(k)
+                if len(qm._powers) <= n:  # the calls cost more than the tests
+                    qm._powers_to(n + 1)
+                if len(qm._log_coeffs) < k:
+                    qm._log_coeffs_to(k)
             else:
                 k = 0
         if not k and n <= n_max and not _below(avals, qm._powers_to(n + 2)[j], eps):
@@ -756,7 +758,7 @@ def _theta_circle(
         )
     # the factor moduli |a q^n| are the same at every x on the circle
     avals = (-qk * rho, -qc / (qk * rho))
-    m, n_tail = _product_plan(avals, max(map(abs, avals)), qm, tr, True)
+    m, n_tail = _product_plan(avals, max(abs(avals[0]), abs(avals[1])), qm, tr, True)
     pw = qm._powers
     lead = pw[:m]
     # c_K, ..., c_1 for Horner's rule, and w = -a q^M = a * w_scale
