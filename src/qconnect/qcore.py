@@ -63,6 +63,9 @@ _NOISE_FLOOR = 100.0 * 2.2e-16
 _TAIL_SPLIT = 0.1
 _LOG_TAIL_SPLIT = math.log(_TAIL_SPLIT)
 
+#: the smallest normal double: a product below it has lost its digits
+_TINY = sys.float_info.min
+
 
 @dataclass(frozen=True)
 class QModulus:
@@ -428,14 +431,14 @@ def _product_plan(
     more than the plain loop's test of the streak rule at j, so the split
     is the cheaper wherever it takes fewer powers.  ``n_max`` caps the
     powers taken, M + K or n: above it raises
-    :class:`~qconnect.errors.TruncationExceeded`.  On return the tables
+    :class:`~qconnect.errors.TruncationExceeded`, before either table grows
+    (M alone is about 2.3 / (1 - |q|) near |q| = 1).  On return the tables
     hold the M + 1 or n + 1 powers and the K coefficients.
     """
     eps, streak, n_max = tr.eps, tr.streak, tr.n_max
     k = 0
     if not amax:  # every factor is 1
         n = streak
-        qm._powers_to(n + 1)
     else:
         log_q = qm._log_q
         log_eps = math.log(eps)
@@ -448,18 +451,18 @@ def _product_plan(
             k = math.floor((log_eps + qm._log_tail_room) / (log_a + m * log_q)) or 1
             if m + k < n:
                 n = m
-                if len(qm._powers) <= n:  # the calls cost more than the tests
-                    qm._powers_to(n + 1)
-                if len(qm._log_coeffs) < k:
-                    qm._log_coeffs_to(k)
             else:
                 k = 0
         if not k and n <= n_max and not _below(avals, qm._powers_to(n + 2)[j], eps):
             n += 1  # n0 = j + 1
-    if n + k > n_max:
+    if n + k > n_max:  # before the tables grow to the count
         raise TruncationExceeded(
             f"(a;q)_inf tail not below eps={eps} after n_max={n_max} factors"
         )
+    if len(qm._powers) <= n:  # the calls cost more than the tests
+        qm._powers_to(n + 1)
+    if len(qm._log_coeffs) < k:
+        qm._log_coeffs_to(k)
     return n, k
 
 
@@ -474,8 +477,9 @@ def qpochhammer_inf(
     Factors are accumulated until |a q^n| stays below ``trunc.eps`` for
     ``trunc.streak`` consecutive n; the product converges absolutely for any
     finite a since |q| < 1.  A non-finite argument, one whose modulus leaves
-    double range, or a product that overflows raises
-    :class:`~qconnect.errors.DomainError`.
+    double range, a product that overflows, or one below the normal double
+    range with no exactly zero factor (so callers never divide by an
+    underflowed product) raises :class:`~qconnect.errors.DomainError`.
 
     The plan comes in closed form from :func:`_product_plan` (which raises
     where ``n_max`` is exceeded); the factors from the table of powers are
@@ -531,6 +535,8 @@ def qpochhammer_inf(
                 prod *= one - av * qn
     if not cmath.isfinite(prod):
         raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product overflows")
+    if abs(prod) < _TINY and 0 not in [one - av * qn for qn in pw for av in avals]:
+        raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product underflows")
     if tr.log is not None:
         tr.log.terms += (n + n_tail) * m
     return prod
@@ -765,9 +771,7 @@ def _theta_circle(
     tail = qm._log_coeffs[n_tail - 1 :: -1] if n_tail else ()
     w_scale = -pw[m]
     one = 1 + 0j
-    qq = qpochhammer_inf(qc, qm, tr)
-    if abs(qq) < sys.float_info.min:  # from |q| ~ 0.9978 on; theta is never 0 there
-        raise DomainError(f"theta is out of double range at q={qc!r}: (q;q)_inf underflows")
+    qq = qpochhammer_inf(qc, qm, tr)  # raises from |q| ~ 0.9978 on, where it underflows
     const = qq * q_shift
     const_x0 = const * (1 + 0j)  # const * x**0, bit for bit, signs of zeros too
     factors = 2 * (m + n_tail)
@@ -951,12 +955,7 @@ def e_exp(
             f"x={x!r} lies within {DEFAULT_PROXIMITY} of the e_q pole q^{k} "
             f"(half-spiral of [1;q], q={qm.q!r})"
         )
-    try:
-        return 1 / qpochhammer_inf(x, qm, trunc)
-    except ZeroDivisionError:
-        raise DomainError(
-            f"x={x!r} is out of double range for e_q (q={qm.q!r}): (x;q)_inf underflows to 0"
-        ) from None
+    return 1 / qpochhammer_inf(x, qm, trunc)
 
 
 def E_exp(

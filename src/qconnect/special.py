@@ -161,7 +161,7 @@ def g_borel_image(
     q2m = qm.squared()
     try:
         return 1 / qpochhammer_inf(q2t * q2t, q2m, trunc)
-    except (DomainError, ZeroDivisionError):
+    except DomainError:
         raise DomainError(
             f"tau={tau!r} is out of double range for the Borel image (q={qm.q!r}): "
             "the product (q^4 tau^2; q^2)_inf overflows or underflows"

@@ -252,6 +252,13 @@ class TestCheck:
         assert out.startswith("FAIL") and "skipped=3" in out
         assert "Traceback" not in out + err
 
+    def test_underflowed_product_skips_without_traceback(self, capsys):
+        # (q;q)_inf underflows at q = 0.998: both lambdas skip with a domain error
+        code, out, err = run_cli(capsys, "check", "residue-lemma", "--q", "0.998")
+        assert code == 1
+        assert out.startswith("FAIL") and "evaluated=0 skipped=2" in out
+        assert "Traceback" not in out + err
+
 
 class TestParser:
     def test_built_once(self):

@@ -533,6 +533,47 @@ class TestOneArgumentProduct:
         with pytest.raises(TruncationExceeded):
             qpochhammer_inf(a, q, Truncation(n_max=n - 1))
 
+    @pytest.mark.parametrize("q", [0.999999, 1 - 1e-9])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda qm: qpochhammer_inf(0.5, qm),
+            lambda qm: theta(qm, 1.0),
+            lambda qm: e_exp(qm, 1.3 + 0.2j, mode="product"),
+            lambda qm: E_exp(qm, 1.3, mode="product"),
+        ],
+    )
+    def test_n_max_is_checked_before_the_tables_grow(self, q, fn):
+        # M alone is about 2.3 / (1 - q) powers (2.3e9 at 1 - 1e-9): the plan
+        # raises before the table of powers or of coefficients grows to it
+        qm = QModulus(q)
+        with pytest.raises(TruncationExceeded):
+            fn(qm)
+        assert len(qm._powers) <= DEFAULT_TRUNCATION.n_max + 2
+        assert len(qm._log_coeffs) <= DEFAULT_TRUNCATION.n_max
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda: qpochhammer_inf(0.998, 0.998),  # (q;q)_inf ~ 8e-356
+            lambda: qpochhammer_inf(0.5, 0.9995),  # ~ 2e-506
+            lambda: qpochhammer_inf(0.99, 0.9978),  # subnormal, ~ 5e-315
+            lambda: e_exp(0.9995, 0.5, mode="product"),
+            lambda: g_borel_image(0.9995, 0.9),
+            lambda: theta(0.998, 1.3),
+        ],
+    )
+    def test_underflowed_product_is_domain_error(self, fn):
+        # below the normal double range with no exactly zero factor, the
+        # product has lost its digits; a caller dividing by a zero there would
+        # raise ZeroDivisionError
+        with pytest.raises(DomainError, match="underflows"):
+            fn()
+
+    @pytest.mark.parametrize("a, q", [(1.0, 0.998), (8.0, 0.5), ((0.3, 8.0), 0.5)])
+    def test_exact_zero_factor_stays_zero(self, a, q):
+        assert qpochhammer_inf(a, q) == 0
+
 
 class TestShiftedPoleContinuation:
     def test_k_zero_reduces_to_reciprocal(self, qmod):
