@@ -405,13 +405,20 @@ def _below(avals: Sequence[complex], qn: complex, eps: float) -> bool:
 
 
 def _product_plan(
-    avals: Sequence[complex], amax: float, qm: QModulus, tr: Truncation, split: bool
+    avals: Sequence[complex], amax: float, qm: QModulus, tr: Truncation
 ) -> tuple[int, int]:
-    """How (a_1, ..., a_m; q)_inf, max|a_i| = amax, is taken: (n, 0), the
-    n powers of the streak rule, or, with ``split``, (M, K), the leading M
-    powers multiplied and K >= 1 terms of the log-series
+    """How (a_1, ..., a_m; q)_inf, max|a_i| = amax, is taken; the arity
+    decides.  One argument takes the split (M, K): the leading M powers
+    multiplied and K >= 1 terms of the log-series
     log (w;q)_inf = -sum_k c_k w^k at w = a q^M summed (Gasper & Rahman,
-    section 1.3; c_k from :meth:`QModulus._log_coeffs_to`).
+    section 1.3; c_k from :meth:`QModulus._log_coeffs_to`).  More arguments
+    take (n, 0), the n powers of the streak rule.
+
+    M is the first with amax |q|^M <= ``_TAIL_SPLIT``, so every factor with
+    |a q^n| above it is multiplied and exact zeros stay exact; K is the
+    first, and at least 1, with
+    |w|^(K+1) / ((1 - |q|)(1 - _TAIL_SPLIT)) < eps/10, a bound on the
+    series' remainder.  The split reads only amax.
 
     The streak rule takes the first n after which ``tr.streak`` consecutive
     powers had |a_i q^n| < eps for every i.  The moduli shrink
@@ -422,38 +429,25 @@ def _product_plan(
     q^n moves that estimate by far less than half a factor, so one test of
     the rule at j decides.
 
-    M is the first with amax |q|^M <= ``_TAIL_SPLIT``, so every factor with
-    |a q^n| above it is multiplied and exact zeros stay exact; K is the
-    first, and at least 1, with
-    |w|^(K+1) / ((1 - |q|)(1 - _TAIL_SPLIT)) < eps/10, a bound on the
-    series' remainder.  The split is taken where M + K < j + streak: the
-    set-up of its tail (a slice of the coefficients and one exp) costs no
-    more than the plain loop's test of the streak rule at j, so the split
-    is the cheaper wherever it takes fewer powers.  ``n_max`` caps the
-    powers taken, M + K or n: above it raises
+    ``n_max`` caps the powers taken, M + K or n: above it raises
     :class:`~qconnect.errors.TruncationExceeded`, before either table grows
     (M alone is about 2.3 / (1 - |q|) near |q| = 1).  On return the tables
     hold the M + 1 or n + 1 powers and the K coefficients.
     """
     eps, streak, n_max = tr.eps, tr.streak, tr.n_max
+    log_q = qm._log_q
     k = 0
-    if not amax:  # every factor is 1
+    if len(avals) == 1:
+        log_a = math.log(amax) if amax else -math.inf  # a = 0: w = 0 and K = 1
+        n = math.ceil((_LOG_TAIL_SPLIT - log_a) / log_q) if amax > _TAIL_SPLIT else 0
+        # log|w| = log amax + M log|q|
+        k = math.floor((math.log(eps) + qm._log_tail_room) / (log_a + n * log_q)) or 1
+    elif not amax:  # every factor is 1
         n = streak
     else:
-        log_q = qm._log_q
-        log_eps = math.log(eps)
-        log_a = math.log(amax)
-        j = round((log_eps - log_a) / log_q) if amax >= eps else 0  # else n0 = 0
+        j = round((math.log(eps) - math.log(amax)) / log_q) if amax >= eps else 0  # else n0 = 0
         n = j + streak
-        if split:
-            m = math.ceil((_LOG_TAIL_SPLIT - log_a) / log_q) if amax > _TAIL_SPLIT else 0
-            # log|w| = log amax + M log|q|
-            k = math.floor((log_eps + qm._log_tail_room) / (log_a + m * log_q)) or 1
-            if m + k < n:
-                n = m
-            else:
-                k = 0
-        if not k and n <= n_max and not _below(avals, qm._powers_to(n + 2)[j], eps):
+        if n <= n_max and not _below(avals, qm._powers_to(n + 2)[j], eps):
             n += 1  # n0 = j + 1
     if n + k > n_max:  # before the tables grow to the count
         raise TruncationExceeded(
@@ -484,10 +478,10 @@ def qpochhammer_inf(
     The plan comes in closed form from :func:`_product_plan` (which raises
     where ``n_max`` is exceeded); the factors from the table of powers are
     then multiplied in a loop with no tail test, written out for one, two
-    and three arguments.  One argument takes the split where it is cheaper:
-    the leading M factors times exp(-S), S the first K terms of the
-    log-series at w = a q^M; ``trunc.log`` counts M + K.  More arguments
-    take the n factors of the streak rule, n per argument in the count.
+    and three arguments.  One argument always takes the split: the leading
+    M factors times exp(-S), S the first K >= 1 terms of the log-series at
+    w = a q^M; ``trunc.log`` counts M + K.  More arguments take the n
+    factors of the streak rule, n per argument in the count.
     """
     tr = DEFAULT_TRUNCATION if trunc is None else trunc
     qm = q if isinstance(q, QModulus) else as_modulus(q)
@@ -500,7 +494,7 @@ def qpochhammer_inf(
         avals = (complex(a),)
         amax = _finite_abs(avals[0], "(a;q)_inf", "a")
     m = len(avals)
-    n, n_tail = _product_plan(avals, amax, qm, tr, m == 1)
+    n, n_tail = _product_plan(avals, amax, qm, tr)
     pw = qm._powers[:n]
     one = 1 + 0j
     prod = one
@@ -508,16 +502,15 @@ def qpochhammer_inf(
         (a0,) = avals
         for qn in pw:
             prod *= one - a0 * qn
-        if n_tail:
-            # Horner's rule from c_K down to c_1
-            w = a0 * qm._powers[n]
-            s = 0j
-            for c in qm._log_coeffs[n_tail - 1 :: -1]:
-                s = (s + c) * w
-            try:
-                prod *= cmath.exp(-s)
-            except OverflowError:  # fails the range check below
-                prod = complex(math.inf)
+        # Horner's rule from c_K down to c_1
+        w = a0 * qm._powers[n]
+        s = 0j
+        for c in qm._log_coeffs[n_tail - 1 :: -1]:
+            s = (s + c) * w
+        try:
+            prod *= cmath.exp(-s)
+        except OverflowError:  # fails the range check below
+            prod = complex(math.inf)
     elif m == 2:
         a0, a1 = avals
         for qn in pw:
@@ -668,21 +661,35 @@ def theta(
     single point x: the shift law brings |x| into [0.2, 5], and the triple
     product (q, -x0, -q/x0; q)_inf at x0 = q^k x is split into a few
     multiplied leading factors, which keep the zeros on -q^Z exact, and one
-    log-series tail factor.  ``trunc.log`` counts 3 per leading power plus
-    3 per tail term (2 per power where the split saves nothing, plus the
-    factors of (q;q)_inf).  The bilateral sum (:func:`theta_sum`) cancels
-    catastrophically near the zero spiral (badly so for |q| close to 1,
-    where the zeros crowd in modulus); it and :func:`theta_product`
-    cross-check this path in the test suite.  Where the bare x^k leaves
-    double range, the shift-law factor is x0^k q^(-k(k+1)/2) with the power
-    of q in chunks.  Non-finite x, and x so large or small that theta_q(x)
-    or the shift-law factor leaves double range, raise
-    :class:`~qconnect.errors.DomainError`; a factor count above ``n_max``
-    raises :class:`~qconnect.errors.TruncationExceeded`.
+    log-series tail factor.  ``trunc.log`` counts 2 per leading power plus
+    2 per tail term, plus the M + K of (q;q)_inf.  The bilateral sum
+    (:func:`theta_sum`) cancels catastrophically near the zero spiral (badly
+    so for |q| close to 1, where the zeros crowd in modulus); it and
+    :func:`theta_product` cross-check this path in the test suite.  Where
+    the bare x^k leaves double range, the shift-law factor is
+    x0^k q^(-k(k+1)/2) with the power of q in chunks.  Non-finite x, and x
+    so large or small that theta_q(x) or the shift-law factor leaves double
+    range, raise :class:`~qconnect.errors.DomainError`; a factor count above
+    ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`.  A value
+    below the normal double range with no exactly zero factor raises
+    DomainError too, the underflow rule of :func:`qpochhammer_inf`, so no
+    caller divides by an underflowed theta (at q = 0.995,
+    theta_q(-0.7 + 0.05i) underflows); the zeros on -q^Z stay 0.
     """
     if x == 0:
         raise ZeroArgument("theta is undefined at x = 0")
-    return _theta_circle(as_modulus(q), _finite_abs(x, "theta"), trunc)(x)
+    qm = as_modulus(q)
+    ax = _finite_abs(x, "theta")
+    v = _theta_circle(qm, ax, trunc)(x)
+    if abs(v) < _TINY:
+        # the kernel's factors 1 + x0 q^n and 1 + (q/x0) q^n, x0 = q^k x
+        x0 = qm.q ** _theta_shift(qm, ax) * x
+        y = qm.q / x0
+        if 0 not in [f for qn in qm._powers for f in (1 + x0 * qn, 1 + y * qn)]:
+            raise DomainError(
+                f"x={x!r} is out of double range for theta (q={qm.q!r}): theta_q(x) underflows"
+            )
+    return v
 
 
 def _weighted(c: complex, q: complex, e: int) -> complex:
@@ -729,12 +736,12 @@ def _theta_circle(
     :func:`_theta_shift`, the plan of (-x0, -q/x0; q)_inf with x0 = q^k x
     (by :func:`_product_plan`, which caps the powers taken at ``n_max``),
     and the constant (q;q)_inf q^(k(k-1)/2), with (q;q)_inf from
-    :func:`qpochhammer_inf`.  Where the plan splits, the leading M powers,
-    up to the first with max(|x0|, |q/x0|) |q|^M <= ``_TAIL_SPLIT``, are
-    multiplied out, so the zeros of theta stay exact zero factors, and the
-    rest is one factor exp(-S), with S the first K terms of the log-series
-    at both w1 = -x0 q^M and w2 = -(q/x0) q^M; elsewhere every power of
-    the streak rule is multiplied.
+    :func:`qpochhammer_inf`.  The pair is planned as one argument of
+    modulus max(|x0|, |q/x0|), since the split reads only that: the leading
+    M powers, up to the first with max(|x0|, |q/x0|) |q|^M <= ``_TAIL_SPLIT``,
+    are multiplied out, so the zeros of theta stay exact zero factors, and
+    the rest is one factor exp(-S), with S the first K >= 1 terms of the
+    log-series at both w1 = -x0 q^M and w2 = -(q/x0) q^M.
 
     ``trunc.log`` notes the count of (q;q)_inf once, here, and 2 per
     leading power plus 2 per tail term at each call.  The
@@ -743,7 +750,9 @@ def _theta_circle(
     the power of q applied in chunks by :func:`_weighted`.
     rho not finite and positive, or a value (or factor) out of double
     range, raises :class:`~qconnect.errors.DomainError`; a plan above
-    ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`.
+    ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`.  A value
+    that underflows is returned: :func:`theta` applies the underflow rule,
+    while a quadrature sample that underflows is only summed.
     """
     if not 0.0 < rho < math.inf:
         raise DomainError(f"theta needs a finite nonzero argument, got |x|={rho!r}")
@@ -762,13 +771,14 @@ def _theta_circle(
         raise DomainError(
             f"|x|={rho!r} is out of double range for theta (q={qc!r}): q^{k} underflows to 0"
         )
-    # the factor moduli |a q^n| are the same at every x on the circle
-    avals = (-qk * rho, -qc / (qk * rho))
-    m, n_tail = _product_plan(avals, max(abs(avals[0]), abs(avals[1])), qm, tr, True)
+    # the factor moduli |a q^n| are the same at every x on the circle, and
+    # the split reads only the larger: one argument of that modulus
+    amax = max(abs(qk * rho), abs(qc / (qk * rho)))
+    m, n_tail = _product_plan((amax,), amax, qm, tr)
     pw = qm._powers
     lead = pw[:m]
     # c_K, ..., c_1 for Horner's rule, and w = -a q^M = a * w_scale
-    tail = qm._log_coeffs[n_tail - 1 :: -1] if n_tail else ()
+    tail = qm._log_coeffs[n_tail - 1 :: -1]
     w_scale = -pw[m]
     one = 1 + 0j
     qq = qpochhammer_inf(qc, qm, tr)  # raises from |q| ~ 0.9978 on, where it underflows
@@ -783,16 +793,15 @@ def _theta_circle(
         prod = one
         for qn in lead:
             prod *= (one + x0 * qn) * (one + y * qn)
-        if tail:
-            w1, w2 = x0 * w_scale, y * w_scale
-            s1 = s2 = 0j
-            for c in tail:
-                s1 = (s1 + c) * w1
-                s2 = (s2 + c) * w2
-            try:
-                prod *= cmath.exp(-(s1 + s2))
-            except OverflowError:  # fails the range check below
-                prod = complex(math.inf)
+        w1, w2 = x0 * w_scale, y * w_scale
+        s1 = s2 = 0j
+        for c in tail:
+            s1 = (s1 + c) * w1
+            s2 = (s2 + c) * w2
+        try:
+            prod *= cmath.exp(-(s1 + s2))
+        except OverflowError:  # fails the range check below
+            prod = complex(math.inf)
         if log is not None:
             log.terms += factors
         try:

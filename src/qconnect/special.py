@@ -278,9 +278,13 @@ def _two_f_zero_closed_parts(
         )
     q2m = qm.squared()
     pref = qpochhammer_inf(qc, qm, tr) / den
+    try:
+        v_even = -lam * lam / (qc * x)
+    except ZeroDivisionError:  # q x underflows to 0: theta of v_even leaves range
+        v_even = complex(math.inf)
     even = (
         pref
-        * _theta_from_x(q2m, -lam * lam / (qc * x), x, tr)
+        * _theta_from_x(q2m, v_even, x, tr)
         * rphis((0j,), (qc,), q2m, qm.q2 / x, tr)
     )
     odd = (
@@ -290,6 +294,12 @@ def _two_f_zero_closed_parts(
         * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
         / (1 - qc)
     )
+    # an overflowing denominator would make both terms 0 or nan
+    if not (cmath.isfinite(den) and cmath.isfinite(even + odd)):
+        raise DomainError(
+            f"x={x!r} is out of double range for the closed form of 2f0 (q={qc!r}, "
+            f"lambda={lam!r}): its theta factors or their products leave double range"
+        )
     return even, odd
 
 
@@ -349,4 +359,12 @@ class SolutionAtInfinity:
         return ramanujan_Aq(self.q.squared(), x, trunc)
 
     def value(self, trunc: Truncation | None = None) -> complex:
-        return self.prefactor(trunc) * self.series_factor(trunc)
+        """z(t); a value out of double range raises
+        :class:`~qconnect.errors.DomainError`."""
+        v = self.prefactor(trunc) * self.series_factor(trunc)
+        if not cmath.isfinite(v):
+            raise DomainError(
+                f"t={self.t!r} is out of double range for the solution at infinity "
+                f"(q={self.q.q!r}): the gauge times the series factor overflows"
+            )
+        return v

@@ -173,12 +173,15 @@ def qlaplace_minus(
 
     Every kernel argument t/tau lies on the one circle |x| = |t|/r, so the
     theta kernel's per-circle invariants (shift, the split of the triple
-    product into leading powers and a log-series tail, and the constant
-    factor, see :func:`~qconnect.qcore._theta_circle`) are built once per
-    call; each node then multiplies the leading powers and sums the tail
-    series.  ``trunc.log`` counts 2 per leading power plus 2 per tail term
-    at each node (52 to 68 at q = 0.8 for |t| in [0.3, 4], against 316 to
-    330 for every power), plus once the count of (q;q)_inf.
+    product into leading powers and a log-series tail, taken at every base,
+    and the constant factor, see :func:`~qconnect.qcore._theta_circle`) are
+    built once per call; each node then multiplies the leading powers and
+    sums the tail series.  ``trunc.log`` counts 2 per leading power plus 2
+    per tail term at each node (52 to 68 at q = 0.8 for |t| in [0.3, 4],
+    against 316 to 330 for every power), plus once the count of (q;q)_inf.
+    A kernel value that underflows enters the mean as it is: theta's
+    underflow rule is for callers that divide by it, and at q = 0.993 the
+    circle for t = 0.5 passes through the zero -q^2 of theta.
 
     The circle rule starts at the node count of :func:`_kernel_start`: 32
     wherever the kernel's Laurent coefficients at ±64 are below eps times

@@ -228,7 +228,12 @@ def _plain(*summands: complex) -> tuple[tuple[complex, float], ...]:
 
 def _point(ev: _Eval) -> PointRecord:
     """The record of one comparison: rel_err |lhs - rhs| / max(|lhs|, |rhs|)
-    and the composed condition; a skip where both sides are below 1e-250."""
+    and the composed condition; a skip where a side is not finite (a nan
+    error would drop out of the report's maximum unseen) or both sides are
+    below 1e-250."""
+    if not (cmath.isfinite(ev.lhs) and cmath.isfinite(ev.rhs)):
+        reason = "a side is out of double range (not finite)"
+        return PointRecord(ev.x, 0j, 0j, 0.0, 0.0, 0.0, True, reason)
     mag = max(abs(ev.lhs), abs(ev.rhs))
     if mag < _DEGENERATE:
         reason = "both sides below 1e-250 (degenerate point)"
@@ -293,7 +298,10 @@ def _filter_watson(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
     a, b, c = chk.abc  # validated already
     if abs(x) >= 1:
         return f"|x|={abs(x):.6g} outside the |x|<1 domain"
-    arg = c * qm.q / (a * b * x)
+    try:
+        arg = c * qm.q / (a * b * x)
+    except ZeroDivisionError:  # a b x is 0, or underflows to 0
+        arg = complex(math.inf)
     if abs(arg) >= 1:
         return f"|cq/(abx)|={abs(arg):.6g} outside the overlap domain"
     return _off_spiral(Spiral(1 + 0j, qm), x)
@@ -547,8 +555,9 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
     ``mutations`` deliberately corrupts a formula ("drop-one-minus-q" on
     thm-2f0) so the harness itself can be tested; it is never part of a
     normal run.  Any package error at a point (a domain exclusion, a
-    truncation cap, a quadrature that does not settle) becomes a skip record
-    carrying its message.
+    truncation cap, a quadrature that does not settle), and an argument
+    formed from x that leaves double range (x = 0 on a custom grid, or an
+    x*x that underflows to 0), becomes a skip record carrying its message.
     """
     qm = as_modulus(chk.q)
     spec = _REGISTRY[chk.identity]
@@ -572,6 +581,8 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
                 evals = spec.evaluate(chk, qm, x, chk.trunc, mutations)
             except QConnectError as exc:
                 reason = str(exc)
+            except ArithmeticError as exc:  # an argument formed from x leaves double range
+                reason = f"an argument formed from x={x!r} leaves double range: {exc}"
         if reason is not None:
             points.append(PointRecord(x, 0j, 0j, 0.0, 0.0, 0.0, True, reason))
             continue

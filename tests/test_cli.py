@@ -105,6 +105,19 @@ class TestEval:
             # in the spiral sum's lower tail
             ("eval", "theta", "--q", "1e-120", "--x", "1e308+1e308i"),
             ("eval", "2f0", "--q", "1e-300", "--lambda", "0.7", "--x", "2.1"),
+            # the closed 2f0: theta(-lambda/q) theta(lambda/x) overflows (it
+            # printed nan+nani with exit 0), and q x underflows to 0 (a
+            # ZeroDivisionError traceback)
+            (
+                "eval", "2f0-closed", "--q", "1.3941465272413474e-48",
+                "--lambda=-0.005378541608418432+0.0018798344886986364i",
+                "--x=-1.1013363134775243e+193-3.480201140742112e+192i",
+            ),
+            (
+                "eval", "2f0-closed", "--q", "2.0118859755897055e-162",
+                "--lambda", "2.272212050433223+13.66354344196615i",
+                "--x", "9.929724116268112e-182-1.9589323927271065e-181i",
+            ),
         ],
     )
     def test_domain_edge_exit_three(self, capsys, argv):
@@ -136,6 +149,20 @@ class TestEval:
     def test_bad_literal_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "Aq", "--q", "0.5", "--x", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["eval", "check"])
+    def test_n_max_zero_is_usage_error(self, capsys, command):
+        argv = ("Aq", "--x", "0.3") if command == "eval" else ("qde-ramanujan",)
+        code, out, err = run_cli(capsys, command, *argv, "--q", "0.5", "--n-max", "0")
+        assert code == 2
+        assert err.startswith("error: n_max must be at least 1")
+        assert "Traceback" not in out + err
+
+    def test_truncation_cap_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "Aq", "--q", "0.5", "--x", "100", "--n-max", "3")
+        assert code == 1
+        assert err.startswith("error: A_q series tail not below eps=1e-15 after n_max=3 terms")
+        assert out == ""
 
     def test_env_overrides_eps(self, capsys, monkeypatch):
         monkeypatch.setenv("Q_CONNECT_TRUNC_EPS", "1e-6")
@@ -205,6 +232,14 @@ class TestCheck:
         assert code == 1
         assert out.startswith("FAIL")
 
+    def test_bad_grid_literal_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "ismail-zhang", "--q", "0.5", "--grid", "1+0.3i;nope"
+        )
+        assert code == 2
+        assert err.startswith("error: cannot parse 'nope'")
+        assert out == ""
+
     def test_explicit_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "ismail-zhang", "--q", "0.5", "--grid", "1+0.3i;0.4-0.2i"
@@ -247,9 +282,25 @@ class TestCheck:
         assert main(["frobnicate"]) == 2
 
     def test_underflowed_denominator_fails_without_traceback(self, capsys):
+        # the fourth skip is the point whose closed form overflows to nan
         code, out, err = run_cli(capsys, "check", "thm-2f0", "--q", "0.99", "--lambda", "0.7")
         assert code == 1
-        assert out.startswith("FAIL") and "skipped=3" in out
+        assert out.startswith("FAIL") and "skipped=4" in out
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "thm-2f0", "--q", "0.995", "--lambda", "0.7"),
+            ("check", "thm-eq-Eq", "--q", "0.997"),
+        ],
+    )
+    def test_underflowed_theta_skips_without_traceback(self, capsys, argv):
+        # theta values below the double range: a ZeroDivisionError traceback
+        # before they were domain errors
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.startswith("FAIL") and "skipped=" in out
         assert "Traceback" not in out + err
 
     def test_underflowed_product_skips_without_traceback(self, capsys):

@@ -3,16 +3,21 @@ and up to the edge of double range: each call gives a finite value or a
 ``QConnectError``, never a bare Python error or a nan."""
 
 import cmath
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qconnect import (
     DomainError,
     E_exp,
+    IdentityCheck,
     QConnectError,
     SolutionAtInfinity,
     Truncation,
     ZeroArgument,
+    check,
     e_exp,
     f_via_residues,
     g_borel_image,
@@ -93,6 +98,64 @@ def test_finite_value_or_typed_error(name):
             except QConnectError:
                 continue
             assert cmath.isfinite(value), (name, q, x, value)
+
+
+def powers_of_ten(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
+# |q| log-uniform from 1e-300 to 0.999, and uniform over [0.5, 0.999] and
+# [0.99, 0.999] for the bases near 1, where products and theta values
+# underflow; real (either sign) or complex
+BASES = st.builds(
+    lambda m, a: m if a is None else cmath.rect(m, a),
+    st.one_of(
+        powers_of_ten(-300, math.log10(0.999)), st.floats(0.5, 0.999), st.floats(0.99, 0.999)
+    ),
+    st.one_of(st.none(), st.just(math.pi), ANGLES),
+)
+# 0, non-finite parts, and moduli from subnormal up to 1.78e308
+POINTS = st.one_of(
+    st.sampled_from(
+        (0j, complex(math.nan), complex(math.inf), complex(1.0, -math.inf), complex(1e308, 1e308))
+    ),
+    st.builds(cmath.rect, powers_of_ten(-320, 308.25), ANGLES),
+)
+# derandomized, so tier-1 draws the same inputs on every run
+PROPERTY = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+@PROPERTY
+@given(q=BASES, x=POINTS)
+def test_finite_value_or_typed_error_property(name, q, x):
+    try:
+        value = EVALUATORS[name](q, x)
+    except QConnectError:
+        return
+    assert cmath.isfinite(value), (q, x, value)
+
+
+@pytest.mark.parametrize("identity", ["thm-eq-Eq", "lemma-alt", "thm-2f0", "qde-2f0-resummed"])
+@PROPERTY
+@given(q=BASES, x=POINTS)
+def test_check_reports_or_typed_error_property(identity, q, x):
+    # the identities that divide by theta: a report whose evaluated points
+    # are finite, or a typed error
+    try:
+        rep = check(IdentityCheck(identity, q, lam=0.7, grid=(x,)))
+    except QConnectError:
+        return
+    assert math.isfinite(rep.max_rel_err)
+    for p in rep.points:
+        assert p.skipped or (cmath.isfinite(p.lhs) and cmath.isfinite(p.rhs)), (q, x, p)
 
 
 @pytest.mark.parametrize(

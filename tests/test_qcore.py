@@ -230,6 +230,10 @@ class TestQPochhammerN:
         # (1 - a q) = 0 at a=2, q=0.5
         assert qpochhammer_n(2, 0.5, 2) == 0
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            qpochhammer_n(0.5, 0.5, -1)
+
     def test_three_term_product(self):
         # (0.5)(0.75)(0.875)
         assert qpochhammer_n(0.5, 0.5, 3) == pytest.approx(0.328125, abs=0)
@@ -242,6 +246,12 @@ class TestQPochhammerN:
 class TestQPochhammerInf:
     def test_zero_argument(self, qmod):
         assert qpochhammer_inf(0, qmod) == 1
+
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_no_arguments_is_the_empty_product(self, qmod, empty):
+        log = TermLog()
+        assert qpochhammer_inf(empty, qmod, Truncation(log=log)) == 1
+        assert log.terms == 0
 
     def test_unit_argument(self, qmod):
         assert qpochhammer_inf(1, qmod) == 0
@@ -409,9 +419,8 @@ SPLIT_QS = (0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.6 * cmath.exp(2.1j), -0.7 + 0.1j)
 
 
 class TestOneArgumentProduct:
-    # one argument: the leading factors with |a q^n| > 0.1 times exp(-S),
-    # S the first K terms of log (w;q)_inf at w = a q^M, where M + K is
-    # fewer than the streak rule's n; else the plain loop
+    # one argument, at every base: the leading factors with |a q^n| > 0.1
+    # times exp(-S), S the first K >= 1 terms of log (w;q)_inf at w = a q^M
 
     @pytest.mark.parametrize("q", SPLIT_QS)
     def test_matches_mpmath(self, q):
@@ -446,28 +455,21 @@ class TestOneArgumentProduct:
         )
         assert (errs[19] + errs[20]) / 2 <= limit
 
-    @pytest.mark.parametrize("q", SPLIT_QS + (0.05,))
+    @pytest.mark.parametrize("q", SPLIT_QS + (0.05, 0.01))
     def test_counts_and_n_max(self, q):
-        # TermLog counts M + K where the split is taken and the streak rule's
-        # n where not (both at M + K = n - 1, where the rule's estimate of n
-        # decides); n_max caps exactly the powers taken
+        # TermLog counts M + K at every base, also at small ones, where the
+        # streak rule's n can be fewer; n_max caps exactly the powers taken
         qm = QModulus(q)
         rng = random.Random(f"count-{q}")
         for _ in range(40):
             a = point(rng, -18, 3)
             lead, tail = split_plan(a, qm.q)
-            want, n = streak_product((a,), qm.q, DEFAULT_TRUNCATION)
-            if not cmath.isfinite(want):
-                continue  # out of double range: TestQPochhammerInf
             log = TermLog()
-            got = qpochhammer_inf(a, qm, Truncation(log=log))
-            if lead + tail < n - 1:
-                assert log.terms == lead + tail
-            elif lead + tail >= n:
-                assert log.terms == n
-                assert bits(got) == bits(want)  # the plain loop
-            else:
-                assert log.terms in (lead + tail, n)
+            try:
+                got = qpochhammer_inf(a, qm, Truncation(log=log))
+            except DomainError:
+                continue  # out of double range: TestQPochhammerInf
+            assert log.terms == lead + tail
             taken = log.terms
             assert bits(qpochhammer_inf(a, qm, Truncation(n_max=taken))) == bits(got)
             if taken > 1:
@@ -517,21 +519,23 @@ class TestOneArgumentProduct:
         # n_max = 10 000; the split takes fewer than 900
         assert rel_err(fn(), complex(want())) < 1e-12
 
-    def test_plain_loop_still_raises_above_n_max(self):
+    def test_n_max_counts_the_powers_of_either_plan(self):
         # two arguments take the plain loop, whose n is above n_max at q = 0.997
         with pytest.raises(TruncationExceeded):
             qpochhammer_inf((0.997, 1.3), 0.997)
-        # one argument at a small base takes the plain loop where the split
-        # saves nothing; its n still counts against n_max
+        # one argument takes the split also at a small base, where its
+        # M + K is more than the streak rule's n; M + K counts against n_max
         a, q = 9.9, 0.01  # |a q| just below 0.1: K = 16
         lead, tail = split_plan(a, q)
-        want, n = streak_product((a,), q, DEFAULT_TRUNCATION)
-        assert lead + tail >= n
+        _, n = streak_product((a,), q, DEFAULT_TRUNCATION)
+        assert lead + tail > n
         log = TermLog()
-        assert bits(qpochhammer_inf(a, q, Truncation(log=log))) == bits(want)
-        assert log.terms == n
+        got = qpochhammer_inf(a, q, Truncation(log=log))
+        assert rel_err(got, complex(mp_qp_long(a, q))) < 2e-16
+        assert log.terms == lead + tail
+        assert qpochhammer_inf(a, q, Truncation(n_max=lead + tail)) == got
         with pytest.raises(TruncationExceeded):
-            qpochhammer_inf(a, q, Truncation(n_max=n - 1))
+            qpochhammer_inf(a, q, Truncation(n_max=lead + tail - 1))
 
     @pytest.mark.parametrize("q", [0.999999, 1 - 1e-9])
     @pytest.mark.parametrize(
@@ -656,6 +660,28 @@ class TestTheta:
     def test_shift_law_overflow_is_domain_error(self, x):
         with pytest.raises(DomainError, match="out of double range"):
             theta(0.5, x)
+
+    @pytest.mark.parametrize(
+        "q, x",
+        [
+            (0.995, -0.7 + 0.05j),  # it returned -0j
+            (0.997, -(0.997**2) * (2.0135 + 0.2084j)),  # about 1e-630, it returned 0j
+            (0.997, -2.0),
+            (0.997, -1.0000005),  # about -2.3e-715, 5e-7 from the zero -1
+        ],
+    )
+    def test_underflowed_value_is_domain_error(self, q, x):
+        # the rule of qpochhammer_inf: below the normal double range with no
+        # exactly zero factor, theta has lost its digits, and callers divide
+        # by it
+        with pytest.raises(DomainError, match="theta_q\\(x\\) underflows"):
+            theta(q, x)
+
+    @pytest.mark.parametrize("q", [0.995, 0.997])
+    @pytest.mark.parametrize("x", [lambda q: -1.0, lambda q: -q])
+    def test_exact_zero_factor_stays_zero_where_values_underflow(self, q, x):
+        # 1 + x0 q^0 = 0 at x = -1, and 1 + (q/x0) q^0 = 0 at x = -q
+        assert theta(q, x(q)) == 0
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, complex(1.0, math.nan)])
     def test_sum_rejects_non_finite_argument_up_front(self, x):
@@ -888,6 +914,11 @@ class TestQExponentials:
     def test_non_finite_argument_is_domain_error(self, mode):
         with pytest.raises(DomainError, match="finite"):
             e_exp(0.5, math.nan, mode=mode)
+
+    @pytest.mark.parametrize("fn", [e_exp, E_exp])
+    def test_unknown_mode_rejected(self, fn):
+        with pytest.raises(ValueError, match="unknown E?e?_exp mode 'taylor'"):
+            fn(0.5, 0.3, mode="taylor")
 
     def test_E_entire_modes_agree(self, qmod):
         for x in (4.2 - 1.1j, 0.3 + 0.1j):

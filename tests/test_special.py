@@ -387,6 +387,19 @@ class TestSolutionAtInfinity:
         with pytest.raises(ZeroArgument):
             SolutionAtInfinity(qmod, 0)
 
+    def test_underflowed_gauge_denominator_is_domain_error(self):
+        # theta(-q^2 t) is about 1e-630: 1 / theta raised ZeroDivisionError
+        with pytest.raises(DomainError, match="underflows"):
+            SolutionAtInfinity(0.997, 2.01348852699586 + 0.20842525299536835j).value()
+
+    def test_overflowing_value_is_domain_error(self):
+        # both factors are finite (about 4e37 and 3e277); their product is
+        # not, and it returned -inf+nanj
+        sol = SolutionAtInfinity(0.997, 1.0680543499144963 - 4.975511401930275j)
+        assert cmath.isfinite(sol.prefactor()) and cmath.isfinite(sol.series_factor())
+        with pytest.raises(DomainError, match="out of double range"):
+            sol.value()
+
 
 # ---------------------------------------------------------------------------
 # Loops that read q^n from the base's table, against their running-power form
@@ -501,6 +514,28 @@ class TestOutOfDoubleRange:
         assert repr(x) in str(exc.value)
         for internal in (0.7 / x, -0.49 / x, -0.49 / (q * x)):
             assert repr(internal) not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "q, lam, x",
+        [
+            # theta(-lambda/q) theta(lambda/x) overflows: it returned nan+nanj
+            (
+                1.3941465272413474e-48,
+                -0.005378541608418432 + 0.0018798344886986364j,
+                -1.1013363134775243e193 - 3.480201140742112e192j,
+            ),
+            # q x underflows to 0 in -lambda^2/(q x): it raised ZeroDivisionError
+            (
+                2.0118859755897055e-162,
+                2.272212050433223 + 13.66354344196615j,
+                9.929724116268112e-182 - 1.9589323927271065e-181j,
+            ),
+        ],
+    )
+    def test_closed_2f0_out_of_range_is_domain_error(self, q, lam, x):
+        with pytest.raises(DomainError, match="out of double range") as exc:
+            two_f_zero_closed(q, lam, x)
+        assert f"x={x!r}" in str(exc.value)
 
     def test_borel_image_still_finite_below_overflow(self):
         # a large tau whose product stays finite keeps its (small) value

@@ -20,6 +20,7 @@ from qconnect import (
     run_suite,
     theta,
 )
+from qconnect import verify
 from qconnect.qcore import TermLog, Truncation
 from qconnect.verify import PointRecord
 
@@ -96,6 +97,45 @@ class TestCheckBehavior:
         assert not rep.passed
         assert all(p.skipped for p in rep.points)
         assert any("q^(-N)" in (p.reason or "") for p in rep.points)
+
+    def test_watson_custom_grid_outside_the_disc_is_skipped(self):
+        rep = check(IdentityCheck("watson", 0.5, abc=(-4, 3, 0.5), grid=(0.3 + 0.2j, 1.5)))
+        assert rep.passed and rep.n_evaluated == 1
+        assert rep.points[1].skipped
+        assert rep.points[1].reason == "|x|=1.5 outside the |x|<1 domain"
+
+    @pytest.mark.parametrize(
+        "identity", ["watson", "ismail-zhang", "thm-ramanujan-qairy", "thm-eq-Eq"]
+    )
+    @pytest.mark.parametrize("x", [0j, 1e-170])
+    def test_argument_out_of_range_on_a_custom_grid_is_skipped(self, identity, x):
+        # the evaluators divide by x (or x*x, or a b x): a ZeroDivisionError
+        # ended the check, and `qconnect check` printed a traceback
+        chk = IdentityCheck(identity, 0.5, abc=(-4, 3, 0.5), grid=(x, 0.3 + 0.2j))
+        rep = check(chk)
+        assert rep.points[0].skipped and rep.n_evaluated >= 1
+
+    def test_degenerate_point_is_skipped(self):
+        p = verify._point(verify._Eval(0.5, 1e-260 + 0j, -3e-251j))
+        assert p.skipped and p.reason == "both sides below 1e-250 (degenerate point)"
+        assert (p.lhs, p.rhs) == (1e-260, -3e-251j)
+
+    @pytest.mark.parametrize("side", [complex(math.nan, math.nan), complex(math.inf, 0.0)])
+    def test_non_finite_side_is_skipped(self, side):
+        # a nan error dropped out of the report's maximum: the point counted
+        # as evaluated and the report could pass
+        for lhs, rhs in ((side, 1 + 0j), (1 + 0j, side)):
+            p = verify._point(verify._Eval(0.5, lhs, rhs, verify._plain(lhs, rhs)))
+            assert p.skipped and "not finite" in p.reason
+            assert (p.lhs, p.rhs, p.rel_err) == (0j, 0j, 0.0)
+
+    def test_overflowing_side_is_a_skip_in_the_report(self):
+        # at q = 0.995 this point's connection side was nan+nanj
+        x = 0.08333553495294034 + 0.12472044184538178j
+        rep = check(IdentityCheck("ismail-zhang", 0.995, grid=(x,)))
+        (point,) = rep.points
+        assert point.skipped and "not finite" in point.reason
+        assert rep.n_evaluated == 0 and not rep.passed
 
     def test_exclusion_spiral_points_skipped(self):
         lam = 0.7
@@ -221,6 +261,17 @@ class TestSuite:
         assert all(r.passed for r in reports)
         assert {r.identity for r in reports} == set(IDENTITY_IDS)
 
+    @pytest.mark.parametrize("q", [0.995, 0.997])
+    def test_suite_near_one_reports_every_identity(self, q):
+        # theta values that underflow are domain errors, skips of their
+        # points, not a ZeroDivisionError that ended the run; no report
+        # carries a non-finite side
+        reports = run_suite(default_suite(qs=(q,)))
+        assert [r.identity for r in reports] == list(IDENTITY_IDS)
+        for r in reports:
+            text = r.to_json()
+            assert "NaN" not in text and "Infinity" not in text
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -228,6 +279,15 @@ def report():
 
 
 class TestReportSerialization:
+    def test_summary_line(self, report):
+        # the line the README quick start prints
+        assert report.summary() == (
+            f"PASS thm-eq-Eq q=(0.5+0j) max_rel_err={report.max_rel_err:.3e} "
+            f"evaluated={report.n_evaluated} skipped={report.n_skipped}"
+        )
+        failed = check(IdentityCheck("qde-ramanujan", 0.5, tol=1e-30))
+        assert failed.summary().startswith("FAIL qde-ramanujan q=(0.5+0j) ")
+
     def test_json_schema_keys(self, report):
         d = report.to_json_dict()
         assert list(d.keys()) == [
