@@ -42,7 +42,7 @@ from qconnect import (
     theta_sum_with_condition,
     two_f_zero,
 )
-from qconnect.qcore import _sum_tail, _terminating_degree
+from qconnect.qcore import DEFAULT_PROXIMITY, _EXACT_TOL, _sum_tail, _terminating_degree
 from conftest import decimal_rel_err, decimal_theta, rel_err, theta_rounding_bound
 
 mp.mp.dps = 40
@@ -220,6 +220,40 @@ class TestSpiral:
     def test_non_finite_point_is_domain_error(self, x):
         with pytest.raises(DomainError, match="finite"):
             Spiral(1, as_modulus(0.5)).nearest(x)
+
+    @pytest.mark.parametrize("delta", [DEFAULT_PROXIMITY, _EXACT_TOL])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.6 * cmath.exp(2.1j)])
+    def test_half_hit_is_the_full_scan(self, q, delta):
+        # half_hit returns None without a scan well inside |anchor|; the full
+        # scan is nearest() and its threshold, for every x
+        def full_scan(sp, x):
+            k, d = sp.nearest(x)
+            return k if d < sp.delta and k <= 0 else None
+
+        qm = QModulus(q)
+        rng = random.Random(f"half-hit-{q}-{delta}")
+        for anchor in (1, -1, 0.9 * cmath.exp(0.3j), qm.q**-2):
+            sp = Spiral(anchor, qm, delta)
+            ra = abs(anchor)
+            xs = [0, 0j, ra * (1 - 2 * delta), ra * (1 - 2 * delta) * 1j, ra, -ra]
+            # spiral points moved by 0.3, 1 or 3 delta; moduli over four
+            # decades; moduli around the early return's threshold
+            xs += [
+                anchor * qm.q**k * (1 + rng.choice((0.3, 1, 3)) * delta * rng.uniform(-1, 1))
+                for k in range(-4, 5)
+            ]
+            xs += [ra * point(rng, -3, 1) for _ in range(60)]
+            xs += [
+                cmath.rect(ra * (1 - 2 * delta * rng.uniform(0.5, 2)), rng.uniform(-3.2, 3.2))
+                for _ in range(20)
+            ]
+            for x in xs:
+                assert sp.half_hit(x) == full_scan(sp, x), (anchor, x)
+            for x in (math.nan, math.inf, complex(0.3, math.nan), complex(-math.inf, 0.2), BIG):
+                with pytest.raises(DomainError):
+                    full_scan(sp, x)
+                with pytest.raises(DomainError):
+                    sp.half_hit(x)
 
 
 class TestQPochhammerN:
@@ -855,6 +889,21 @@ class TestRphis:
             total += num / den * ((-1) ** n * q ** (n * (n - 1) / 2)) ** -1 * 0.3**n
         assert rel_err(got, total) < 1e-13
 
+    def test_closed_tail_counts_against_n_max(self):
+        # 2phi1(0.3, 0.2; 0.3; 0.5, 0.9) closes its tail at N = 55: N terms
+        # plus the tail; with n_max = N the streak rule alone runs past it
+        ups, lows, tr = (0.3, 0.2), (0.3,), DEFAULT_TRUNCATION
+        n_close = closed_tail_start(ups, lows, QModulus(0.5), tr)
+        assert n_close == 55
+        log = TermLog()
+        got = rphis(ups, lows, 0.5, 0.9, Truncation(n_max=n_close + 1, log=log))
+        assert log.terms == n_close + 1
+        assert got == rphis(ups, lows, 0.5, 0.9)
+        want = complex(mp.qhyper([0.3, 0.2], [0.3], mp.mpf(0.5), 0.9))
+        assert rel_err(got, want) < 1e-15
+        with pytest.raises(TruncationExceeded):
+            rphis(ups, lows, 0.5, 0.9, Truncation(n_max=n_close))
+
     def test_outside_radius(self, qmod):
         with pytest.raises(OutsideRadius):
             rphis((0.3, 0.4), (0.6,), qmod, 1.0)
@@ -927,6 +976,35 @@ class TestQExponentials:
             # the series cancels internally far out; compare loosely there
             tol = 1e-13 if abs(x) <= 1 else 1e-9
             assert rel_err(s, p) < tol
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("x", [0.999, 0.9999, -0.99999, 0.99999j])
+    def test_series_up_to_the_unit_circle(self, q, x):
+        # e_q = 1phi0(0; -; q, x) = 1/(x; q)_inf and a 2phi1 by Heine's
+        # transformation (Gasper & Rahman (1.4.1)),
+        # 2phi1(a, b; c; q, x) = (b, ax; q)_inf / (c, x; q)_inf 2phi1(c/b, x; ax; q, b);
+        # the plain streak rule runs past n_max on every one of these
+        qm = QModulus(q)
+        a, b, c = 0.3 + 0.2j, 0.4 - 0.3j, 0.6j
+        mq, mx = mp.mpf(q), mp.mpc(x)
+        heine = (
+            mp.qp(b, mq) * mp.qp(a * mx, mq) / (mp.qp(c, mq) * mp.qp(mx, mq))
+            * mp.qhyper([mp.mpc(c) / b, mx], [a * mx], mq, mp.mpc(b))
+        )
+        calls = [
+            ((0j,), (), 1 / mp.qp(mx, mq), lambda tr: e_exp(qm, x, tr)),
+            ((0j,), (), 1 / mp.qp(mx, mq), lambda tr: e_exp(qm, x, tr, mode="series")),
+            ((a, b), (c,), heine, lambda tr: rphis((a, b), (c,), qm, x, tr)),
+        ]
+        for ups, lows, want, call in calls:
+            value, abs_sum = mp_geometric_series(ups, lows, q, x)
+            assert abs(value - want) <= 1e-30 * abs(want)
+            with pytest.raises(TruncationExceeded):
+                running_rphis(ups, lows, qm, x, DEFAULT_TRUNCATION)
+            log = TermLog()
+            got = call(Truncation(log=log))
+            err = float(abs(got - want) / abs(want))
+            assert err <= closed_tail_bound(float(abs_sum / abs(want)), log.terms, False)
 
     def test_inverse_base_coefficient_identity(self):
         # coefficient n of sum x^n/(q^-1;q^-1)_n equals coefficient n of
@@ -1054,6 +1132,60 @@ def running_rphis(ups, lows, qm, x, tr):
     tr.note(n)
     cond = abs_sum / abs(total) if total != 0 else math.inf
     return total, max(cond, 1.0)
+
+
+def closed_tail_start(ups, lows, qm, tr):
+    """The first n with C |q|^n / (1 - |q|) <= eps/10, C = sum|a_i| + sum|b_j|
+    + |q|, by a plain loop: where rphis_with_condition closes the tail of a
+    nonterminating r = s + 1 series, or None (no closure, or it would not fit
+    in n_max)."""
+    if len(ups) != len(lows) + 1 or _terminating_degree(ups, qm) is not None:
+        return None
+    aq = abs(qm.q)
+    c = sum(abs(a) for a in ups) + sum(abs(b) for b in lows) + aq
+    n = 0
+    while c * aq**n / (1 - aq) > tr.eps / 10:
+        n += 1
+    return n if n < tr.n_max else None
+
+
+def mp_geometric_series(ups, lows, q, x):
+    """(sum t_n, sum |t_n|) of a nonterminating r = s + 1 series at 40 digits,
+    |x| < 1: the terms one by one while C |q|^n / (1 - |q|) > 1e-45, then the
+    rest as t_N x^k, whose relative drift that bound caps (every later ratio
+    t_(n+1)/t_n is x times a factor within it of 1)."""
+    aq = abs(q)
+    c = sum(abs(a) for a in ups) + sum(abs(b) for b in lows) + aq
+    n_terms = max(0, math.ceil((math.log(1e-45 * (1 - aq)) - math.log(c)) / math.log(aq)))
+    q, x = mp.mpc(q), mp.mpc(x)
+    ups = [mp.mpc(a) for a in ups]
+    lows = [mp.mpc(b) for b in lows]
+    t, qn, total, abs_sum = mp.mpc(1), mp.mpc(1), mp.mpc(0), mp.mpf(0)
+    for _ in range(n_terms):
+        total += t
+        abs_sum += abs(t)
+        num = den = mp.mpc(1)
+        for a in ups:
+            num *= 1 - a * qn
+        for b in lows:
+            den *= 1 - b * qn
+        t *= num / (den * (1 - qn * q)) * x
+        qn *= q
+    return total + t / (1 - x), abs_sum + abs(t) / (1 - abs(x))
+
+
+#: unit roundoff of a double
+U = 2.0**-53
+
+
+def closed_tail_bound(cond, terms, streak_finishes):
+    """The error bound of a series whose tail is closed, relative to its
+    value: 16 u cond where the plain streak rule also finishes (on those
+    inputs of test_rphis that rule is up to 25 u cond off, the closed tail
+    up to 6), and (terms / 2) u cond, at least 16, where it runs past n_max,
+    near |x| = 1, as each term t_n carries the rounding of n running
+    products (Higham, ch. 3)."""
+    return (16 if streak_finishes else max(16, terms / 2)) * U * cond
 
 
 def running_two_f_zero(q, lam, x, tr):
@@ -1244,6 +1376,8 @@ class TestLoopsMatchRunningPowers:
 
     @pytest.mark.parametrize("q", REF_QS)
     def test_rphis(self, q):
+        # bit for bit wherever the streak rule ends the sum before the closed
+        # tail's point N; where the tail is closed, against mpmath
         rng = random.Random(f"rphis-{q}")
         qm = QModulus(q)
         cases = [((), (), point(rng, -1, 1)), ((0j,), (), point(rng, -1, -0.05))]
@@ -1255,10 +1389,39 @@ class TestLoopsMatchRunningPowers:
                 ((0j,), (-qm.q,), point(rng, -1, 1)),  # Ai_q
                 ((qm.q**-3, a), (), point(rng, -1, 0)),  # terminating 2phi0
             ]
+        # r = s + 1 at |x| in [0.5, 0.9999]: e_q, 1phi0 and 2phi1
+        xs = [-0.9999, -0.99 + 0j, 0.9999j, -0.7j]
+        xs += [
+            cmath.rect(1 - 10 ** rng.uniform(-4, -0.31), rng.uniform(-math.pi, math.pi))
+            for _ in range(4)
+        ]
+        for x in xs:
+            a, b, c = (point(rng, -1, 1) for _ in range(3))
+            cases += [((0j,), (), x), ((a,), (), x), ((a, b), (c,), x)]
+        closed = 0
         for ups, lows, x in cases:
             want = outcome(lambda tr: running_rphis(ups, lows, qm, x, tr))
-            assert outcome(rphis_with_condition, ups, lows, qm, x) == want
-            assert outcome(rphis_with_condition, ups, lows, q, x) == want
+            n_close = closed_tail_start(ups, lows, qm, DEFAULT_TRUNCATION)
+            if n_close is None or want[-1] <= n_close and want[0] != "TruncationExceeded":
+                assert outcome(rphis_with_condition, ups, lows, qm, x) == want
+                assert outcome(rphis_with_condition, ups, lows, q, x) == want
+                continue
+            closed += 1
+            log = TermLog()
+            got, cond = rphis_with_condition(ups, lows, qm, x, Truncation(log=log))
+            assert log.terms == n_close + 1  # the closed tail counts as one term
+            assert outcome(rphis_with_condition, ups, lows, q, x)[:2] == (bits(got), cond.hex())
+            value, abs_sum = mp_geometric_series(ups, lows, qm.q, x)
+            want_cond = float(abs_sum / abs(value))
+            err = float(abs(got - value) / abs(value))
+            streak_finishes = want[0] != "TruncationExceeded"
+            assert err <= closed_tail_bound(want_cond, log.terms, streak_finishes)
+            # the closed tail adds |t_N| / (1 - |x|) to sum|term|, a bound on
+            # its terms' moduli: the condition is not below mpmath's, but for
+            # the rounding of the running sums and the error of the value it
+            # divides by
+            assert cond >= want_cond * (1 - 1e-12) / (1 + err)
+        assert closed >= 9  # at least the points with |x| >= 0.99
 
 
 class TestModulusOverflow:
