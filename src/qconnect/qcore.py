@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     BadLowerParameter,
@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     OutsideRadius,
     PoleHit,
+    QConnectError,
     SpiralProximity,
     TruncationExceeded,
     ZeroArgument,
@@ -65,6 +66,12 @@ _LOG_TAIL_SPLIT = math.log(_TAIL_SPLIT)
 
 #: the smallest normal double: a product below it has lost its digits
 _TINY = sys.float_info.min
+
+#: auto mode of e_exp and E_exp keeps a series value only below this internal
+#: condition; above it the series has lost digits that the product keeps
+_SERIES_COND_MAX = 10.0
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -287,6 +294,31 @@ def _below_noise(cond: float) -> bool:
     return _NOISE_FLOOR * cond >= 1
 
 
+def _once(form: Callable[[], _T]) -> Callable[[], _T]:
+    """``form`` called at the first use only: later uses return its value,
+    or raise its error again.  An identity check forms its x-free factors so
+    (``verify``), and so do the per-parameter forms of ``special``: each is
+    formed at the step where a point first needs it, and a factor that
+    cannot be formed fails every point at that same step, with the same
+    error (a package error, or an arithmetic one that leaves double range,
+    the errors a check records as skips).  The memo lives as long as the
+    returned function."""
+    memo: list = []
+
+    def get() -> _T:
+        if not memo:
+            try:
+                memo.append((form(), None))
+            except (QConnectError, ArithmeticError) as exc:
+                memo.append((None, exc))
+        value, err = memo[0]
+        if err is not None:
+            raise err.with_traceback(None)
+        return value
+
+    return get
+
+
 def _finite_abs(x: complex, what: str, name: str = "x") -> float:
     """|x| for the argument ``name`` of ``what``; a non-finite x, or a finite
     x whose modulus leaves double range, raises
@@ -465,6 +497,46 @@ def _product_plan(
     return n, k
 
 
+def _product_range(prod: complex, avals: Sequence[complex], pw: Sequence[complex], a) -> None:
+    """The range rule of :func:`qpochhammer_inf`: a product that overflows, or
+    one below the normal double range with no exactly zero factor
+    1 - a_i q^n over the powers ``pw``, raises
+    :class:`~qconnect.errors.DomainError` naming the argument ``a``."""
+    if not cmath.isfinite(prod):
+        raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product overflows")
+    if abs(prod) < _TINY and 0 not in [1 - av * qn for qn in pw for av in avals]:
+        raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product underflows")
+
+
+def _qpochhammer_one(
+    a0: complex, amax: float, qm: QModulus, tr: Truncation, a: object
+) -> complex:
+    """The one-argument (a0; q)_inf of :func:`qpochhammer_inf`, |a0| = amax
+    finite, after its argument checks: the split, the range rule (errors
+    name ``a``, the argument as given) and the count M + K.  ``theta``'s
+    set-up takes its (q;q)_inf here."""
+    n, n_tail = _product_plan((a0,), amax, qm, tr)
+    pw = qm._powers[:n]
+    one = 1 + 0j
+    prod = one
+    for qn in pw:
+        prod *= one - a0 * qn
+    # Horner's rule from c_K down to c_1
+    w = a0 * qm._powers[n]
+    s = 0j
+    for c in qm._log_coeffs[n_tail - 1 :: -1]:
+        s = (s + c) * w
+    try:
+        prod *= cmath.exp(-s)
+    except OverflowError:  # fails the range check below
+        prod = complex(math.inf)
+    if not (cmath.isfinite(prod) and abs(prod) >= _TINY):  # no call on the common path
+        _product_range(prod, (a0,), pw, a)
+    if tr.log is not None:
+        tr.log.terms += n + n_tail
+    return prod
+
+
 def qpochhammer_inf(
     a: complex | Sequence[complex],
     q: QModulus | complex,
@@ -490,33 +562,21 @@ def qpochhammer_inf(
     """
     tr = DEFAULT_TRUNCATION if trunc is None else trunc
     qm = q if isinstance(q, QModulus) else as_modulus(q)
-    if isinstance(a, (list, tuple)):
-        avals = tuple(map(complex, a))
-        if not avals:
-            return 1 + 0j
-        amax = max([_finite_abs(av, "(a;q)_inf", "a") for av in avals])
-    else:
-        avals = (complex(a),)
-        amax = _finite_abs(avals[0], "(a;q)_inf", "a")
+    if not isinstance(a, (list, tuple)):
+        a0 = complex(a)
+        return _qpochhammer_one(a0, _finite_abs(a0, "(a;q)_inf", "a"), qm, tr, a)
+    avals = tuple(map(complex, a))
+    if not avals:
+        return 1 + 0j
+    amax = max([_finite_abs(av, "(a;q)_inf", "a") for av in avals])
     m = len(avals)
-    n, n_tail = _product_plan(avals, amax, qm, tr)
+    if m == 1:
+        return _qpochhammer_one(avals[0], amax, qm, tr, a)
+    n, _ = _product_plan(avals, amax, qm, tr)
     pw = qm._powers[:n]
     one = 1 + 0j
     prod = one
-    if m == 1:
-        (a0,) = avals
-        for qn in pw:
-            prod *= one - a0 * qn
-        # Horner's rule from c_K down to c_1
-        w = a0 * qm._powers[n]
-        s = 0j
-        for c in qm._log_coeffs[n_tail - 1 :: -1]:
-            s = (s + c) * w
-        try:
-            prod *= cmath.exp(-s)
-        except OverflowError:  # fails the range check below
-            prod = complex(math.inf)
-    elif m == 2:
+    if m == 2:
         a0, a1 = avals
         for qn in pw:
             prod *= one - a0 * qn
@@ -531,12 +591,10 @@ def qpochhammer_inf(
         for qn in pw:
             for av in avals:
                 prod *= one - av * qn
-    if not cmath.isfinite(prod):
-        raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product overflows")
-    if abs(prod) < _TINY and 0 not in [one - av * qn for qn in pw for av in avals]:
-        raise DomainError(f"a={a!r} is out of double range for (a;q)_inf: the product underflows")
+    if not (cmath.isfinite(prod) and abs(prod) >= _TINY):
+        _product_range(prod, avals, pw, a)
     if tr.log is not None:
-        tr.log.terms += (n + n_tail) * m
+        tr.log.terms += n * m
     return prod
 
 
@@ -740,8 +798,9 @@ def _theta_circle(
     Everything that depends only on |x| is computed once: the shift k of
     :func:`_theta_shift`, the plan of (-x0, -q/x0; q)_inf with x0 = q^k x
     (by :func:`_product_plan`, which caps the powers taken at ``n_max``),
-    and the constant (q;q)_inf q^(k(k-1)/2), with (q;q)_inf from
-    :func:`qpochhammer_inf`.  The pair is planned as one argument of
+    and the constant (q;q)_inf q^(k(k-1)/2), with (q;q)_inf from the
+    one-argument path of :func:`qpochhammer_inf` past its argument checks
+    (its plan, loop, range rule and count).  The pair is planned as one argument of
     modulus max(|x0|, |q/x0|), since the split reads only that: the leading
     M powers, up to the first with max(|x0|, |q/x0|) |q|^M <= ``_TAIL_SPLIT``,
     are multiplied out, so the zeros of theta stay exact zero factors, and
@@ -786,7 +845,8 @@ def _theta_circle(
     tail = qm._log_coeffs[n_tail - 1 :: -1]
     w_scale = -pw[m]
     one = 1 + 0j
-    qq = qpochhammer_inf(qc, qm, tr)  # raises from |q| ~ 0.9978 on, where it underflows
+    # (q;q)_inf past the argument checks; raises from |q| ~ 0.9978 on, where it underflows
+    qq = _qpochhammer_one(qc, abs(qc), qm, tr, qc)
     const = qq * q_shift
     const_x0 = const * (1 + 0j)  # const * x**0, bit for bit, signs of zeros too
     factors = 2 * (m + n_tail)
@@ -986,15 +1046,23 @@ def e_exp(
 
     The defining series converges only for |x| < 1; the product form
     e_q(x) = 1/(x; q)_inf continues it to all x off the pole half-spiral
-    {q^(-k) : k >= 0}.  ``mode`` selects "series", "product" or "auto"
-    (series inside the unit disc, product outside).  The series closes its
-    geometric tail (:func:`rphis`), so it converges up to |x| -> 1, auto mode
-    included: at q = 0.5 and x = 0.9999 it takes 55 terms.  Product mode
+    {q^(-k) : k >= 0}.  ``mode`` selects "series", "product" or "auto".
+    Auto mode takes the series inside the unit disc where its internal
+    condition (:func:`rphis_with_condition`) is below ``_SERIES_COND_MAX``,
+    and the product elsewhere: the product has no cancellation, and the
+    series with condition c loses about log10(c) digits (at q = 0.95 and
+    x = -0.9 it is 21x off, at condition 4.8e16).  The series closes its
+    geometric tail (:func:`rphis`), so it converges up to |x| -> 1: at
+    q = 0.5 and x = 0.9999 auto mode takes it, 55 terms.  Product mode
     raises :class:`PoleHit` within ``DEFAULT_PROXIMITY`` of a pole.
     """
     qm = as_modulus(q)
     if mode == "auto":
-        mode = "series" if _finite_abs(x, "e_q") < 1 else "product"
+        if _finite_abs(x, "e_q") < 1:
+            v, cond = rphis_with_condition((0j,), (), qm, x, trunc)
+            if cond < _SERIES_COND_MAX:
+                return v
+        mode = "product"
     if mode == "series":
         return rphis((0j,), (), qm, x, trunc)
     if mode != "product":
@@ -1017,12 +1085,17 @@ def E_exp(
     """q-exponential E_q(x) = 0phi0(-; -; q, -x) = sum q^(n(n-1)/2) x^n/(q;q)_n.
 
     Entire in x, with product form E_q(x) = (-x; q)_inf.  "auto" uses the
-    series inside the closed unit disc and the (cancellation-free) product
-    outside.
+    series inside the closed unit disc where its internal condition is
+    below ``_SERIES_COND_MAX``, as :func:`e_exp` does, and the
+    (cancellation-free) product elsewhere.
     """
     qm = as_modulus(q)
     if mode == "auto":
-        mode = "series" if _finite_abs(x, "E_q") <= 1 else "product"
+        if _finite_abs(x, "E_q") <= 1:
+            v, cond = rphis_with_condition((), (), qm, -x, trunc)
+            if cond < _SERIES_COND_MAX:
+                return v
+        mode = "product"
     if mode == "series":
         return rphis((), (), qm, -x, trunc)
     if mode != "product":

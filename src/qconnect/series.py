@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log10
+from typing import Callable
 
 from .errors import BaseMismatch
-from .qcore import QModulus, _weighted
+from .qcore import QModulus, _once, _weighted
 
 __all__ = [
     "FormalSeries",
@@ -194,6 +195,31 @@ def _shift_coefficients(f: FormalSeries, lpow: int) -> FormalSeries:
     )
 
 
+def _borel_minus_operator_image_of(
+    f: FormalSeries,
+) -> Callable[[int, int], tuple[FormalSeries, FormalSeries]]:
+    """:func:`borel_minus_operator_image` for one series f, as a function of
+    (m, l): B_q^- f, which only the right-hand side reads, is formed at the
+    first call, once."""
+    bf = _once(lambda: qborel_minus(f))
+    qc = f.base.q
+
+    def image(m: int, l: int) -> tuple[FormalSeries, FormalSeries]:
+        if m < 0 or l < 0:
+            raise ValueError("m and l must be nonnegative")
+        lhs = qborel_minus(apply_operator(QDEOperator(((m, 1 + 0j, l),)), f))
+
+        g = _shift_coefficients(bf(), l - m)
+        qf = qc ** (-(m * (m - 1) // 2))
+        shifted = [0 + 0j] * m + [qf * c for c in g.coeffs]
+        rhs = FormalSeries(f.base, tuple(shifted[: f.order - m + 1]))
+
+        n = min(lhs.order, rhs.order)
+        return lhs.prefix(n), rhs.prefix(n)
+
+    return image
+
+
 def borel_minus_operator_image(
     m: int, l: int, f: FormalSeries
 ) -> tuple[FormalSeries, FormalSeries]:
@@ -204,14 +230,4 @@ def borel_minus_operator_image(
     computed along independent coefficient paths and truncated to a common
     order for testing.
     """
-    if m < 0 or l < 0:
-        raise ValueError("m and l must be nonnegative")
-    lhs = qborel_minus(apply_operator(QDEOperator(((m, 1 + 0j, l),)), f))
-
-    g = _shift_coefficients(qborel_minus(f), l - m)
-    qf = f.base.q ** (-(m * (m - 1) // 2))
-    shifted = [0 + 0j] * m + [qf * c for c in g.coeffs]
-    rhs = FormalSeries(f.base, tuple(shifted[: f.order - m + 1]))
-
-    n = min(lhs.order, rhs.order)
-    return lhs.prefix(n), rhs.prefix(n)
+    return _borel_minus_operator_image_of(f)(m, l)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     DomainError,
@@ -48,6 +48,7 @@ from .qcore import (
     _below_noise,
     _condition,
     _finite_abs,
+    _once,
     _sum_tail,
     _trunc,
     _weighted_abs,
@@ -215,6 +216,43 @@ def f_via_residues(
     return value
 
 
+def _two_f_zero_at(
+    qm: QModulus, lam: complex, tr: Truncation
+) -> Callable[[complex], complex]:
+    """:func:`two_f_zero` at one (q, lambda), as a function of x.  The check
+    of lambda and phi(lambda) are formed at the first call, once
+    (``qcore._once``: an error there is raised again at every call)."""
+    qc = qm.q
+
+    def start() -> complex:
+        Spiral(1 + 0j, qm).exclude(lam, "lambda")
+        return e_exp(qm, lam / qc, tr, mode="product")
+
+    phi_lam = _once(start)
+
+    def value(x: complex) -> complex:
+        phi0 = phi_lam()
+
+        def up() -> Iterator[complex]:
+            phi, a = phi0, lam / qc  # a = lambda q^(n-1)
+            while True:
+                yield phi
+                phi *= 1 - a
+                a *= qc
+
+        def down() -> Iterator[complex]:
+            phi, b = phi0, lam / qm.squared().q  # b = lambda q^(n-2); q^2 checked for underflow
+            while True:
+                if phi:  # once phi underflows to 0, b may overflow to inf+nanj
+                    phi /= 1 - b
+                b /= qc
+                yield phi
+
+        return _spiral_sum(up(), down(), qm, lam, x, tr)
+
+    return value
+
+
 def two_f_zero(
     q: QModulus | complex,
     lam: complex,
@@ -235,72 +273,68 @@ def two_f_zero(
     No other spiral point needs a pole check: the relative distance of
     lambda q^n from q^Z is that of lambda.
     """
-    tr = _trunc(trunc)
-    qm = as_modulus(q)
+    return _two_f_zero_at(as_modulus(q), lam, _trunc(trunc))(x)
+
+
+def _two_f_zero_closed_parts_at(
+    qm: QModulus, lam: complex, tr: Truncation
+) -> Callable[[complex], tuple[complex, complex]]:
+    """:func:`_two_f_zero_closed_parts` at one (q, lambda), as a function of
+    x.  The check of lambda, theta_q(-lambda/q) and (q;q)_inf are formed at
+    their first use, once (``qcore._once``), each at the step where the
+    closed form first needs it, so an error keeps its place."""
     qc = qm.q
-    Spiral(1 + 0j, qm).exclude(lam, "lambda")
-    phi0 = e_exp(qm, lam / qc, tr, mode="product")
+    lam_off_qz = _once(lambda: Spiral(1 + 0j, qm).exclude(lam, "lambda"))
+    theta_lam = _once(lambda: theta(qm, -lam / qc, tr))
+    qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
 
-    def up() -> Iterator[complex]:
-        phi, a = phi0, lam / qc  # a = lambda q^(n-1)
-        while True:
-            yield phi
-            phi *= 1 - a
-            a *= qc
+    def parts(x: complex) -> tuple[complex, complex]:
+        if x == 0:
+            raise ZeroArgument("x must be nonzero")
+        lam_off_qz()
+        Spiral(-lam, qm).exclude(x)
+        th_lam = theta_lam()
+        th_lx = _theta_from_x(qm, lam / x, x, tr)
+        den = th_lam * th_lx
+        # each factor may clear the floor while their product underflows to 0
+        if abs(th_lam) < _THETA_FLOOR or abs(th_lx) < _THETA_FLOOR or den == 0:
+            raise ThetaZero(
+                "the denominator theta_q(-lambda/q) theta_q(lambda/x) is numerically zero"
+            )
+        q2m = qm.squared()
+        pref = qq() / den
+        try:
+            v_even = -lam * lam / (qc * x)
+        except ZeroDivisionError:  # q x underflows to 0: theta of v_even leaves range
+            v_even = complex(math.inf)
+        even = (
+            pref
+            * _theta_from_x(q2m, v_even, x, tr)
+            * rphis((0j,), (qc,), q2m, qm.q2 / x, tr)
+        )
+        odd = (
+            pref
+            * (lam / x)
+            * _theta_from_x(q2m, -lam * lam / x, x, tr)
+            * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
+            / (1 - qc)
+        )
+        # an overflowing denominator would make both terms 0 or nan
+        if not (cmath.isfinite(den) and cmath.isfinite(even + odd)):
+            raise DomainError(
+                f"x={x!r} is out of double range for the closed form of 2f0 (q={qc!r}, "
+                f"lambda={lam!r}): its theta factors or their products leave double range"
+            )
+        return even, odd
 
-    def down() -> Iterator[complex]:
-        phi, b = phi0, lam / qm.squared().q  # b = lambda q^(n-2); q^2 checked for underflow
-        while True:
-            if phi:  # once phi underflows to 0, b may overflow to inf+nanj
-                phi /= 1 - b
-            b /= qc
-            yield phi
-
-    return _spiral_sum(up(), down(), qm, lam, x, tr)
+    return parts
 
 
 def _two_f_zero_closed_parts(
     qm: QModulus, lam: complex, x: complex, tr: Truncation
 ) -> tuple[complex, complex]:
     """The even and odd terms of :func:`two_f_zero_closed`."""
-    if x == 0:
-        raise ZeroArgument("x must be nonzero")
-    qc = qm.q
-    Spiral(1 + 0j, qm).exclude(lam, "lambda")
-    Spiral(-lam, qm).exclude(x)
-    th_lam = theta(qm, -lam / qc, tr)
-    th_lx = _theta_from_x(qm, lam / x, x, tr)
-    den = th_lam * th_lx
-    # each factor may clear the floor while their product underflows to 0
-    if abs(th_lam) < _THETA_FLOOR or abs(th_lx) < _THETA_FLOOR or den == 0:
-        raise ThetaZero(
-            "the denominator theta_q(-lambda/q) theta_q(lambda/x) is numerically zero"
-        )
-    q2m = qm.squared()
-    pref = qpochhammer_inf(qc, qm, tr) / den
-    try:
-        v_even = -lam * lam / (qc * x)
-    except ZeroDivisionError:  # q x underflows to 0: theta of v_even leaves range
-        v_even = complex(math.inf)
-    even = (
-        pref
-        * _theta_from_x(q2m, v_even, x, tr)
-        * rphis((0j,), (qc,), q2m, qm.q2 / x, tr)
-    )
-    odd = (
-        pref
-        * (lam / x)
-        * _theta_from_x(q2m, -lam * lam / x, x, tr)
-        * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
-        / (1 - qc)
-    )
-    # an overflowing denominator would make both terms 0 or nan
-    if not (cmath.isfinite(den) and cmath.isfinite(even + odd)):
-        raise DomainError(
-            f"x={x!r} is out of double range for the closed form of 2f0 (q={qc!r}, "
-            f"lambda={lam!r}): its theta factors or their products leave double range"
-        )
-    return even, odd
+    return _two_f_zero_closed_parts_at(qm, lam, tr)(x)
 
 
 def two_f_zero_closed(

@@ -2,14 +2,17 @@
 
 Every identity is evaluated with disjoint code paths on its two sides (no
 shared memoized subexpression), point by point over a grid that respects the
-identity's exclusion set.  Filtered points and evaluation-time errors (any
-:class:`~qconnect.errors.QConnectError`) become skip records, never silent
-passes or aborted runs.  Each evaluated point carries a condition composed
-by one rule: sum |t_i| cond_i / max(|lhs|, |rhs|), at least 1, over the
-summands t_i with cond_i the internal condition of the evaluator of t_i (1
-where none is measured).  Above 1e3 the tolerance widens to tol * condition,
-since exact identities with catastrophic cancellation must not produce false
-failures.  The report-level ``max_rel_err`` is the condition-adjusted
+identity's exclusion set.  Each check first prepares its per-point function:
+the factors that do not depend on x are formed once per check and per side,
+each at the step where a point first needs it (``qcore._once``), and none
+outlives the check or is read by the other side.  Filtered points and
+evaluation-time errors (any :class:`~qconnect.errors.QConnectError`) become
+skip records, never silent passes or aborted runs.  Each evaluated point
+carries a condition composed by one rule: sum |t_i| cond_i / max(|lhs|,
+|rhs|), at least 1, over the summands t_i with cond_i the internal condition
+of the evaluator of t_i (1 where none is measured).  Above 1e3 the
+tolerance widens to tol * condition, since exact identities with
+catastrophic cancellation must not produce false failures.  The report-level ``max_rel_err`` is the condition-adjusted
 maximum, so ``pass`` is exactly ``max_rel_err <= tol`` with at least one
 evaluated point.
 """
@@ -42,15 +45,21 @@ from .qcore import (
     theta_product,
     theta_sum_with_condition,
     _condition,
+    _once,
     _weighted_abs,
 )
-from .series import FormalSeries, borel_minus_operator_image, qborel_minus, qborel_plus
+from .series import (
+    FormalSeries,
+    _borel_minus_operator_image_of,
+    qborel_minus,
+    qborel_plus,
+)
 from .special import (
-    _two_f_zero_closed_parts,
+    _two_f_zero_at,
+    _two_f_zero_closed_parts_at,
     qairy_Ai_with_condition,
     ramanujan_Aq,
     ramanujan_Aq_with_condition,
-    two_f_zero,
 )
 from .transforms import contour_residue
 
@@ -311,187 +320,267 @@ def _filter_neg_lam_spiral(chk: IdentityCheck, qm: QModulus, x: complex) -> str 
     return _off_spiral(Spiral(-_need_lam(chk), qm), x)
 
 
-def _eval_watson(chk, qm, x, tr, mutations):
+def _prep_watson(chk, qm, tr, mutations):
     a, b, c = chk.abc
     qc = qm.q
-    arg = c * qc / (a * b * x)
-    lhs = rphis((a, b), (c,), qm, x, tr)
-    den = qpochhammer_inf((c, b / a, x, qc / x), qm, tr)
-    t1 = (
-        qpochhammer_inf((b, c / a, a * x, qc / (a * x)), qm, tr)
-        / den
-        * rphis((a, a * qc / c), (a * qc / b,), qm, arg, tr)
+    # the connection side's x-free factors, K1 = (b, c/a; q)_inf / (c, b/a; q)_inf
+    # and K2 = (a, c/b; q)_inf / (c, a/b; q)_inf, each at the term that needs it
+    k1 = _once(
+        lambda: qpochhammer_inf((b, c / a), qm, tr) / qpochhammer_inf((c, b / a), qm, tr)
     )
-    den2 = qpochhammer_inf((c, a / b, x, qc / x), qm, tr)
-    t2 = (
-        qpochhammer_inf((a, c / b, b * x, qc / (b * x)), qm, tr)
-        / den2
-        * rphis((b, b * qc / c), (b * qc / a,), qm, arg, tr)
+    k2 = _once(
+        lambda: qpochhammer_inf((a, c / b), qm, tr) / qpochhammer_inf((c, a / b), qm, tr)
     )
-    return [_Eval(x, lhs, t1 + t2, _plain(t1, t2))]
+
+    def point(x):
+        arg = c * qc / (a * b * x)
+        lhs = rphis((a, b), (c,), qm, x, tr)
+        c1 = k1()
+        th_x = qpochhammer_inf((x, qc / x), qm, tr)
+        t1 = (
+            c1
+            * qpochhammer_inf((a * x, qc / (a * x)), qm, tr)
+            / th_x
+            * rphis((a, a * qc / c), (a * qc / b,), qm, arg, tr)
+        )
+        t2 = (
+            k2()
+            * qpochhammer_inf((b * x, qc / (b * x)), qm, tr)
+            / th_x
+            * rphis((b, b * qc / c), (b * qc / a,), qm, arg, tr)
+        )
+        return [_Eval(x, lhs, t1 + t2, _plain(t1, t2))]
+
+    return point
 
 
-def _eval_ismail_zhang(chk, qm, x, tr, mutations):
+def _prep_ismail_zhang(chk, qm, tr, mutations):
     qc = qm.q
-    q2m = qm.squared()
-    lhs = ramanujan_Aq(qm, x, tr)
-    c0 = qpochhammer_inf(qc, q2m, tr)
-    t1 = (
-        qpochhammer_inf((qc * x, qc / x), q2m, tr)
-        / c0
-        * rphis((0j,), (qc,), q2m, qm.q2 / x, tr)
-    )
-    t2 = (
-        qc
-        * qpochhammer_inf((qm.q2 * x, 1 / x), q2m, tr)
-        / ((1 - qc) * c0)
-        * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
-    )
-    return [_Eval(x, lhs, t1 - t2, _plain(t1, -t2))]
+    c0 = _once(lambda: qpochhammer_inf(qc, qm.squared(), tr))
+
+    def point(x):
+        q2m = qm.squared()
+        lhs = ramanujan_Aq(qm, x, tr)
+        c = c0()
+        t1 = (
+            qpochhammer_inf((qc * x, qc / x), q2m, tr)
+            / c
+            * rphis((0j,), (qc,), q2m, qm.q2 / x, tr)
+        )
+        t2 = (
+            qc
+            * qpochhammer_inf((qm.q2 * x, 1 / x), q2m, tr)
+            / ((1 - qc) * c)
+            * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
+        )
+        return [_Eval(x, lhs, t1 - t2, _plain(t1, -t2))]
+
+    return point
 
 
-def _eval_thm_ramanujan_qairy(chk, qm, x, tr, mutations):
+def _prep_thm_ramanujan_qairy(chk, qm, tr, mutations):
     qc = qm.q
-    lhs, c0 = ramanujan_Aq_with_condition(qm.squared(), -(qc**3) / (x * x), tr)
-    den = qpochhammer_inf((qc, -1 + 0j), qm, tr)
-    a1, c1 = qairy_Ai_with_condition(qm, -x, tr)
-    a2, c2 = qairy_Ai_with_condition(qm, x, tr)
-    t1 = theta(qm, x / qc, tr) * a1 / den
-    t2 = theta(qm, -x / qc, tr) * a2 / den
-    return [_Eval(x, lhs, t1 + t2, ((lhs, c0), (t1, c1), (t2, c2)))]
+    den = _once(lambda: qpochhammer_inf((qc, -1 + 0j), qm, tr))
+
+    def point(x):
+        lhs, c0 = ramanujan_Aq_with_condition(qm.squared(), -(qc**3) / (x * x), tr)
+        d = den()
+        a1, c1 = qairy_Ai_with_condition(qm, -x, tr)
+        a2, c2 = qairy_Ai_with_condition(qm, x, tr)
+        t1 = theta(qm, x / qc, tr) * a1 / d
+        t2 = theta(qm, -x / qc, tr) * a2 / d
+        return [_Eval(x, lhs, t1 + t2, ((lhs, c0), (t1, c1), (t2, c2)))]
+
+    return point
 
 
-def _eval_thm_eq_Eq(chk, qm, x, tr, mutations):
+def _prep_thm_eq_Eq(chk, qm, tr, mutations):
     qc = qm.q
-    lhs = e_exp(qm, x, tr, mode="series")
-    rhs = qpochhammer_inf(qc, qm, tr) * E_exp(qm, -qc / x, tr) / theta(qm, -x, tr)
-    return [_Eval(x, lhs, rhs, _plain(rhs))]
+    qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
+
+    def point(x):
+        lhs = e_exp(qm, x, tr, mode="series")
+        rhs = qq() * E_exp(qm, -qc / x, tr) / theta(qm, -x, tr)
+        return [_Eval(x, lhs, rhs, _plain(rhs))]
+
+    return point
 
 
-def _eval_lemma_alt(chk, qm, x, tr, mutations):
+def _prep_lemma_alt(chk, qm, tr, mutations):
     qc = qm.q
-    lhs = e_exp(qm, x / qc, tr, mode="product")
-    pref = qpochhammer_inf(qc, qm, tr) / theta(qm, -x / qc, tr)
-    t1 = pref * rphis((), (qc,), qm.squared(), qc**5 / (x * x), tr)
-    t2 = (
-        -pref
-        * qm.q2
-        / ((1 - qc) * x)
-        * rphis((), (qc**3,), qm.squared(), qc**7 / (x * x), tr)
-    )
-    return [_Eval(x, lhs, t1 + t2, _plain(t1, t2))]
+    qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
+
+    def point(x):
+        lhs = e_exp(qm, x / qc, tr, mode="product")
+        pref = qq() / theta(qm, -x / qc, tr)
+        t1 = pref * rphis((), (qc,), qm.squared(), qc**5 / (x * x), tr)
+        t2 = (
+            -pref
+            * qm.q2
+            / ((1 - qc) * x)
+            * rphis((), (qc**3,), qm.squared(), qc**7 / (x * x), tr)
+        )
+        return [_Eval(x, lhs, t1 + t2, _plain(t1, t2))]
+
+    return point
 
 
-def _eval_thm_2f0(chk, qm, x, tr, mutations):
+def _prep_thm_2f0(chk, qm, tr, mutations):
     lam = _need_lam(chk)
-    lhs = two_f_zero(qm, lam, x, tr)
-    even, odd = _two_f_zero_closed_parts(qm, lam, x, tr)
-    if "drop-one-minus-q" in mutations:
-        odd *= 1 - qm.q
-    return [_Eval(x, lhs, even + odd, _plain(even, odd))]
+    resummed = _two_f_zero_at(qm, lam, tr)
+    closed_parts = _two_f_zero_closed_parts_at(qm, lam, tr)
+
+    def point(x):
+        lhs = resummed(x)
+        even, odd = closed_parts(x)
+        if "drop-one-minus-q" in mutations:
+            odd *= 1 - qm.q
+        return [_Eval(x, lhs, even + odd, _plain(even, odd))]
+
+    return point
 
 
-def _eval_qde_ramanujan(chk, qm, x, tr, mutations):
+def _prep_qde_ramanujan(chk, qm, tr, mutations):
     qc = qm.q
-    t1 = qc * x * ramanujan_Aq(qm, qm.q2 * x, tr)
-    t2 = ramanujan_Aq(qm, x, tr)
-    t3 = ramanujan_Aq(qm, qc * x, tr)
-    return [_Eval(x, t1 + t2, t3, _plain(t1, t2, t3))]
+
+    def point(x):
+        t1 = qc * x * ramanujan_Aq(qm, qm.q2 * x, tr)
+        t2 = ramanujan_Aq(qm, x, tr)
+        t3 = ramanujan_Aq(qm, qc * x, tr)
+        return [_Eval(x, t1 + t2, t3, _plain(t1, t2, t3))]
+
+    return point
 
 
-def _eval_qde_qairy(chk, qm, x, tr, mutations):
+def _prep_qde_qairy(chk, qm, tr, mutations):
     qc = qm.q
-    a1, c1 = qairy_Ai_with_condition(qm, qm.q2 * x, tr)
-    a2, c2 = qairy_Ai_with_condition(qm, qc * x, tr)
-    t3, c3 = qairy_Ai_with_condition(qm, x, tr)
-    t1, t2 = a1, x * a2
-    return [_Eval(x, t1 + t2, t3, ((t1, c1), (t2, c2), (t3, c3)))]
+
+    def point(x):
+        a1, c1 = qairy_Ai_with_condition(qm, qm.q2 * x, tr)
+        a2, c2 = qairy_Ai_with_condition(qm, qc * x, tr)
+        t3, c3 = qairy_Ai_with_condition(qm, x, tr)
+        t1, t2 = a1, x * a2
+        return [_Eval(x, t1 + t2, t3, ((t1, c1), (t2, c2), (t3, c3)))]
+
+    return point
 
 
-def _eval_qde_theta(chk, qm, x, tr, mutations):
+def _prep_qde_theta(chk, qm, tr, mutations):
     # lhs by the bilateral sum, rhs through the triple product: fully disjoint
     # paths, and no shift-law renormalization anywhere (that would be
     # circular).  The sum side's internal cancellation is the honest
     # condition of the comparison; the worst of the four shifts is reported.
     qc = qm.q
-    base = theta_product(qm, x, tr)
-    evals = []
-    for k in range(1, 5):
-        lhs, cond = theta_sum_with_condition(qm, qc**k * x, tr)
-        rhs = qc ** (-(k * (k - 1) // 2)) * x ** (-k) * base
-        evals.append(_Eval(x, lhs, rhs, ((lhs, cond),)))
-    return [max(evals, key=lambda ev: _adjusted(_point(ev)))]
+
+    def point(x):
+        base = theta_product(qm, x, tr)
+        evals = []
+        for k in range(1, 5):
+            lhs, cond = theta_sum_with_condition(qm, qc**k * x, tr)
+            rhs = qc ** (-(k * (k - 1) // 2)) * x ** (-k) * base
+            evals.append(_Eval(x, lhs, rhs, ((lhs, cond),)))
+        return [max(evals, key=lambda ev: _adjusted(_point(ev)))]
+
+    return point
 
 
-def _eval_qde_2f0(chk, qm, x, tr, mutations):
+def _prep_qde_2f0(chk, qm, tr, mutations):
     lam = _need_lam(chk)
     qc = qm.q
+    # each side resums along [lambda; q] with its own per-lambda form
+    resummed_lhs = _two_f_zero_at(qm, lam, tr)
+    resummed_rhs = _two_f_zero_at(qm, lam, tr)
 
-    def u(y: complex) -> complex:
-        return theta(qm, y, tr) * two_f_zero(qm, lam, y, tr)
+    def u(resummed, y: complex) -> complex:
+        return theta(qm, y, tr) * resummed(y)
 
-    t1 = qc * x * u(qm.q2 * x)
-    t2 = u(x)
-    t3 = u(qc * x)
-    return [_Eval(x, t1 + t2, t3, _plain(t1, t2, t3))]
+    def point(x):
+        t1 = qc * x * u(resummed_lhs, qm.q2 * x)
+        t2 = u(resummed_lhs, x)
+        t3 = u(resummed_rhs, qc * x)
+        return [_Eval(x, t1 + t2, t3, _plain(t1, t2, t3))]
+
+    return point
 
 
 _RESIDUE_K_QUAD = 5
 _RESIDUE_K_PRODUCT = 8
 
 
-def _eval_residue_lemma(chk, qm, lam, tr, mutations):
+def _prep_residue_lemma(chk, qm, tr, mutations):
+    # the grid points are the anchors lambda
     qc = qm.q
-    out = []
-    qq_inf = qpochhammer_inf(qc, qm, tr)
-    for k in range(_RESIDUE_K_QUAD + 1):
-        center = lam * qc**-k
-        rho = 0.25 * abs(center) * min(abs(1 - qc), 1.0)
+    qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
 
-        def integrand(tau: complex) -> complex:
-            return 1 / (qpochhammer_inf(tau / lam, qm, tr) * tau)
+    def point(lam):
+        out = []
+        qq_inf = qq()
+        for k in range(_RESIDUE_K_QUAD + 1):
+            center = lam * qc**-k
+            rho = 0.25 * abs(center) * min(abs(1 - qc), 1.0)
 
-        lhs = contour_residue(integrand, center, rho, tr)
-        rhs = (
-            (-1) ** (k + 1)
-            * qc ** (k * (k + 1) // 2)
-            / (qpochhammer_n(qc, qm, k) * qq_inf)
-        )
-        out.append(_Eval(center, lhs, rhs, _plain(lhs, rhs)))
-    for k in range(_RESIDUE_K_PRODUCT + 1):
-        pt = lam * qc**-k
-        lhs = 1 / qpochhammer_inf(pt, qm, tr)
-        rhs = qpochhammer_inf_shifted_pole(lam, qm, k, tr)
-        out.append(_Eval(pt, lhs, rhs, _plain(lhs, rhs)))
-    return out
+            def integrand(tau: complex) -> complex:
+                return 1 / (qpochhammer_inf(tau / lam, qm, tr) * tau)
+
+            lhs = contour_residue(integrand, center, rho, tr)
+            rhs = (
+                (-1) ** (k + 1)
+                * qc ** (k * (k + 1) // 2)
+                / (qpochhammer_n(qc, qm, k) * qq_inf)
+            )
+            out.append(_Eval(center, lhs, rhs, _plain(lhs, rhs)))
+        for k in range(_RESIDUE_K_PRODUCT + 1):
+            pt = lam * qc**-k
+            lhs = 1 / qpochhammer_inf(pt, qm, tr)
+            rhs = qpochhammer_inf_shifted_pole(lam, qm, k, tr)
+            out.append(_Eval(pt, lhs, rhs, _plain(lhs, rhs)))
+        return out
+
+    return point
 
 
 _FORMAL_ORDER = 40
 
 
-def _eval_operational_lemma(chk, qm, x, tr, mutations):
-    m, l = int(round(x.real)), int(round(x.imag))
-    f = _random_series(qm, _FORMAL_ORDER, seed=9173)
-    wl, wr, _ = _series_worst(*borel_minus_operator_image(m, l, f))
-    return [_Eval(x, wl, wr)]
+def _prep_operational_lemma(chk, qm, tr, mutations):
+    # one series under test, and its B_q^- f formed once for the rhs
+    image = _borel_minus_operator_image_of(_random_series(qm, _FORMAL_ORDER, seed=9173))
+
+    def point(x):
+        m, l = int(round(x.real)), int(round(x.imag))
+        wl, wr, _ = _series_worst(*image(m, l))
+        return [_Eval(x, wl, wr)]
+
+    return point
 
 
-def _eval_formal_inverses(chk, qm, x, tr, mutations):
-    order, seed = int(round(x.real)), int(round(x.imag))
-    f = _random_series(qm, order, seed=7000 + seed)
-    back1 = qborel_plus(qborel_minus(f))
-    back2 = qborel_minus(qborel_plus(f))
-    n = min(back1.order, back2.order)
-    pairs = (_series_worst(back1, f.prefix(n)), _series_worst(back2, f.prefix(n)))
-    wl, wr, _ = max(pairs, key=lambda w: w[2])
-    return [_Eval(x, wl, wr)]
+def _prep_formal_inverses(chk, qm, tr, mutations):
+    def point(x):
+        order, seed = int(round(x.real)), int(round(x.imag))
+        f = _random_series(qm, order, seed=7000 + seed)
+        back1 = qborel_plus(qborel_minus(f))
+        back2 = qborel_minus(qborel_plus(f))
+        n = min(back1.order, back2.order)
+        pairs = (_series_worst(back1, f.prefix(n)), _series_worst(back2, f.prefix(n)))
+        wl, wr, _ = max(pairs, key=lambda w: w[2])
+        return [_Eval(x, wl, wr)]
+
+    return point
 
 
 @dataclass(frozen=True)
 class _IdentitySpec:
+    """One identity: its default tolerance and grid, and ``prepare``, which
+    takes (check, base, truncation, mutations) and returns the function of
+    one grid point x that gives its comparisons.  Whatever does not depend
+    on x is formed inside ``prepare``, for each side apart, and lives as
+    long as that function: one check."""
+
     tol: float
     grid: tuple[complex, ...]
-    evaluate: Callable
+    prepare: Callable[
+        [IdentityCheck, QModulus, Truncation, frozenset], Callable[[complex], list[_Eval]]
+    ]
     prefilter: Callable[[IdentityCheck, QModulus, complex], str | None] | None = None
     validate: Callable[[IdentityCheck, QModulus], None] | None = None
 
@@ -507,35 +596,35 @@ def _validate_watson(chk: IdentityCheck, qm: QModulus) -> None:
 
 _REGISTRY: Mapping[str, _IdentitySpec] = {
     "watson": _IdentitySpec(
-        1e-9, _GRID_SUBUNIT, _eval_watson, _filter_watson, _validate_watson
+        1e-9, _GRID_SUBUNIT, _prep_watson, _filter_watson, _validate_watson
     ),
-    "ismail-zhang": _IdentitySpec(1e-10, _GRID_FULL, _eval_ismail_zhang),
-    "thm-ramanujan-qairy": _IdentitySpec(1e-9, _GRID_FULL, _eval_thm_ramanujan_qairy),
+    "ismail-zhang": _IdentitySpec(1e-10, _GRID_FULL, _prep_ismail_zhang),
+    "thm-ramanujan-qairy": _IdentitySpec(1e-9, _GRID_FULL, _prep_thm_ramanujan_qairy),
     "thm-eq-Eq": _IdentitySpec(
-        1e-12, _GRID_SUBUNIT, _eval_thm_eq_Eq, _filter_unit_disc_off_one_spiral
+        1e-12, _GRID_SUBUNIT, _prep_thm_eq_Eq, _filter_unit_disc_off_one_spiral
     ),
     "lemma-alt": _IdentitySpec(
-        1e-12, _GRID_SUBUNIT, _eval_lemma_alt, _filter_unit_disc_off_one_spiral
+        1e-12, _GRID_SUBUNIT, _prep_lemma_alt, _filter_unit_disc_off_one_spiral
     ),
     "thm-2f0": _IdentitySpec(
-        1e-8, _GRID_FULL, _eval_thm_2f0, _filter_neg_lam_spiral, _validate_lam_off_qz
+        1e-8, _GRID_FULL, _prep_thm_2f0, _filter_neg_lam_spiral, _validate_lam_off_qz
     ),
-    "qde-ramanujan": _IdentitySpec(1e-9, _GRID_FULL, _eval_qde_ramanujan),
-    "qde-qairy": _IdentitySpec(1e-9, _GRID_FULL, _eval_qde_qairy),
-    "qde-theta": _IdentitySpec(1e-9, _GRID_FULL, _eval_qde_theta),
+    "qde-ramanujan": _IdentitySpec(1e-9, _GRID_FULL, _prep_qde_ramanujan),
+    "qde-qairy": _IdentitySpec(1e-9, _GRID_FULL, _prep_qde_qairy),
+    "qde-theta": _IdentitySpec(1e-9, _GRID_FULL, _prep_qde_theta),
     "qde-2f0-resummed": _IdentitySpec(
-        1e-9, _GRID_FULL, _eval_qde_2f0, _filter_neg_lam_spiral, _validate_lam_off_qz
+        1e-9, _GRID_FULL, _prep_qde_2f0, _filter_neg_lam_spiral, _validate_lam_off_qz
     ),
     "residue-lemma": _IdentitySpec(
-        1e-8, (0.3 + 0j, 2.0 * cmath.exp(0.7j)), _eval_residue_lemma
+        1e-8, (0.3 + 0j, 2.0 * cmath.exp(0.7j)), _prep_residue_lemma
     ),
     "operational-lemma": _IdentitySpec(
         1e-13,
         tuple(complex(m, l) for m in range(6) for l in range(6)),
-        _eval_operational_lemma,
+        _prep_operational_lemma,
     ),
     "formal-inverses": _IdentitySpec(
-        1e-13, tuple(complex(30, s) for s in range(5)), _eval_formal_inverses
+        1e-13, tuple(complex(30, s) for s in range(5)), _prep_formal_inverses
     ),
 }
 
@@ -554,10 +643,15 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
 
     ``mutations`` deliberately corrupts a formula ("drop-one-minus-q" on
     thm-2f0) so the harness itself can be tested; it is never part of a
-    normal run.  Any package error at a point (a domain exclusion, a
-    truncation cap, a quadrature that does not settle), and an argument
-    formed from x that leaves double range (x = 0 on a custom grid, or an
-    x*x that underflows to 0), becomes a skip record carrying its message.
+    normal run.  The identity's ``prepare`` runs once and returns the
+    function of one grid point; the factors free of x that it forms (such
+    as (q;q)_inf or Watson's K1 and K2) live as long as this call, one per
+    side.  Any package error at a point (a domain exclusion, a truncation
+    cap, a quadrature that does not settle), and an argument formed from x
+    that leaves double range (x = 0 on a custom grid, or an x*x that
+    underflows to 0), becomes a skip record carrying its message; a factor
+    free of x that cannot be formed raises its error again at every point
+    that needs it, at the same step, so each point keeps its skip reason.
     """
     qm = as_modulus(chk.q)
     spec = _REGISTRY[chk.identity]
@@ -572,13 +666,14 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
             f"every grid point of {chk.identity!r} is excluded; first reason: {reasons[0]}"
         )
 
+    point = spec.prepare(chk, qm, chk.trunc, mutations)
     points: list[PointRecord] = []
     max_adj = 0.0
     n_eval = 0
     for x, reason in zip(grid, reasons):
         if reason is None:
             try:
-                evals = spec.evaluate(chk, qm, x, chk.trunc, mutations)
+                evals = point(x)
             except QConnectError as exc:
                 reason = str(exc)
             except ArithmeticError as exc:  # an argument formed from x leaves double range

@@ -42,6 +42,7 @@ from qconnect import (
     theta_sum_with_condition,
     two_f_zero,
 )
+from qconnect import qcore
 from qconnect.qcore import DEFAULT_PROXIMITY, _EXACT_TOL, _sum_tail, _terminating_degree
 from conftest import decimal_rel_err, decimal_theta, rel_err, theta_rounding_bound
 
@@ -685,6 +686,30 @@ class TestTheta:
             s, cond = theta_sum_with_condition(qmod, x)
             assert rel_err(theta(qmod, x), s) < 1e-11 * max(cond, 1.0)
 
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.8, 0.95])
+    def test_setup_takes_q_q_infinity_past_the_public_checks(self, q, monkeypatch):
+        # the set-up's (q;q)_inf is the one-argument product itself: the same
+        # bits and TermLog count as the public call, without that call
+        x = 1.3 - 0.4j
+        log = TermLog()
+        want = theta(QModulus(q), x, Truncation(log=log))
+        qq_log = TermLog()
+        qpochhammer_inf(q, QModulus(q), Truncation(log=qq_log))
+        m, k = qcore._product_plan((1.3,), max(abs(x), q / abs(x)), QModulus(q), DEFAULT_TRUNCATION)
+        assert log.terms == qq_log.terms + 2 * (m + k)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("theta called the public qpochhammer_inf")
+
+        monkeypatch.setattr(qcore, "qpochhammer_inf", refuse)
+        log2 = TermLog()
+        assert bits(theta(QModulus(q), x, Truncation(log=log2))) == bits(want)
+        assert log2.terms == log.terms
+
+    def test_setup_keeps_the_underflow_of_q_q_infinity(self):
+        with pytest.raises(DomainError, match=r"a=\(0\.998\+0j\) .* the product underflows"):
+            theta(0.998, 0.5 + 0.5j)
+
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
     def test_non_finite_argument_rejected(self, x):
         with pytest.raises(DomainError, match="finite"):
@@ -976,6 +1001,41 @@ class TestQExponentials:
             # the series cancels internally far out; compare loosely there
             tol = 1e-13 if abs(x) <= 1 else 1e-9
             assert rel_err(s, p) < tol
+
+    @pytest.mark.parametrize(
+        "fn, q, x, want",
+        [
+            (e_exp, 0.95, -0.9, lambda q, x: 1 / mp.qp(x, q)),
+            (e_exp, 0.9, -0.95, lambda q, x: 1 / mp.qp(x, q)),
+            (E_exp, 0.95, -0.9, lambda q, x: mp.qp(-x, q)),
+        ],
+    )
+    def test_auto_mode_takes_the_product_where_the_series_lost_its_digits(self, fn, q, x, want):
+        # the series is 21x, 2.8e-8 and 9.9x off here (conditions 4.8e16,
+        # about 1e8, 9.9e16)
+        ref = want(mp.mpf(q), mp.mpf(x))
+        assert float(abs(fn(q, x) - ref) / abs(ref)) < 1e-14
+        assert fn(q, x) == fn(q, x, mode="product")
+        assert float(abs(fn(q, x, mode="series") - ref) / abs(ref)) > 1e-9
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.9, 0.95])
+    def test_auto_mode_below_the_condition_bound_is_the_series(self, q):
+        # the series' own value, bit for bit, wherever its condition is
+        # below the fixed bound; the product elsewhere
+        qm = QModulus(q)
+        rng = random.Random(19)
+        seen = set()
+        for _ in range(60):
+            x = cmath.rect(rng.uniform(0.05, 0.999), rng.uniform(-math.pi, math.pi))
+            for fn, ups, arg in ((e_exp, (0j,), x), (E_exp, (), -x)):
+                _, cond = rphis_with_condition(ups, (), qm, arg)
+                below = cond < qcore._SERIES_COND_MAX
+                seen.add(below)
+                want = fn(qm, x, mode="series" if below else "product")
+                assert bits(fn(qm, x)) == bits(want)
+        assert e_exp(0.5, 0.9999) == e_exp(0.5, 0.9999, mode="series")
+        if q >= 0.8:
+            assert seen == {True, False}
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("x", [0.999, 0.9999, -0.99999, 0.99999j])
