@@ -188,11 +188,15 @@ class Truncation:
     A series tail is accepted once ``streak`` consecutive terms fall below
     ``eps`` relative to the running scale (the largest of the partial sum and
     the largest term seen; the guard keeps bilateral sums terminating at theta
-    zeros, where the partial sum itself cancels to ~0), a product once
-    ``streak`` consecutive factors 1 - a q^n have |a q^n| < ``eps`` (a count
-    set in closed form before any factor is multiplied).  ``n_max`` is the
-    most terms one tail, or factors per argument one product, may take: a
+    zeros, where the partial sum itself cancels to ~0).  A product of two or
+    more arguments is accepted once ``streak`` consecutive factors
+    1 - a q^n have |a q^n| < ``eps``; a one-argument product, and the theta
+    kernel's pair, multiply the leading factors and sum the rest as a
+    log-series whose remainder is below ``eps``/10 (both counts are set in
+    closed form before any factor is multiplied; ``qcore._product_plan``).
+    ``n_max`` is the most terms one tail, or powers one product, may take: a
     tail that needs one more raises :class:`~qconnect.errors.TruncationExceeded`.
+    ``eps`` must be positive and finite.
     """
 
     eps: float = 1e-15
@@ -201,8 +205,8 @@ class Truncation:
     log: TermLog | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.streak < 1:
@@ -545,12 +549,12 @@ def qpochhammer_inf(
     """Infinite q-shifted factorial (a; q)_inf, or the multi-argument product
     (a_1, ..., a_m; q)_inf when ``a`` is a sequence.
 
-    Factors are accumulated until |a q^n| stays below ``trunc.eps`` for
-    ``trunc.streak`` consecutive n; the product converges absolutely for any
-    finite a since |q| < 1.  A non-finite argument, one whose modulus leaves
-    double range, a product that overflows, or one below the normal double
-    range with no exactly zero factor (so callers never divide by an
-    underflowed product) raises :class:`~qconnect.errors.DomainError`.
+    The product converges absolutely for any finite a since |q| < 1.  One
+    argument is taken by the log-series split, two or more by the streak
+    rule (see below; ``trunc`` sets both).  A non-finite argument, one whose
+    modulus leaves double range, a product that overflows, or one below the
+    normal double range with no exactly zero factor (so callers never divide
+    by an underflowed product) raises :class:`~qconnect.errors.DomainError`.
 
     The plan comes in closed form from :func:`_product_plan` (which raises
     where ``n_max`` is exceeded); the factors from the table of powers are
@@ -761,7 +765,10 @@ def _weighted(c: complex, q: complex, e: int) -> complex:
     Large exponents are applied in chunks of q^(+-chunk); since every chunk
     moves the magnitude monotonically toward the final value, intermediates
     stay representable whenever the result is.  This keeps the error at a few
-    ulp (an exp/log route would lose accuracy proportional to |e|).
+    ulp (an exp/log route would lose accuracy proportional to |e|).  Once the
+    running product is 0 or not finite, no further chunk can bring it back,
+    and it is returned as it stands (a weight like q^(10^9) costs no more
+    than the chunks that reach 0).
     """
     if e == 0 or c == 0:
         return c
@@ -776,6 +783,8 @@ def _weighted(c: complex, q: complex, e: int) -> complex:
     while rem >= chunk:
         out *= qch
         rem -= chunk
+        if not out or not cmath.isfinite(out):
+            return out
     if rem:
         out *= q ** (sign * rem)
     return out

@@ -2,19 +2,22 @@
 
 Every identity is evaluated with disjoint code paths on its two sides (no
 shared memoized subexpression), point by point over a grid that respects the
-identity's exclusion set.  Each check first prepares its per-point function:
-the factors that do not depend on x are formed once per check and per side,
-each at the step where a point first needs it (``qcore._once``), and none
-outlives the check or is read by the other side.  Filtered points and
-evaluation-time errors (any :class:`~qconnect.errors.QConnectError`) become
-skip records, never silent passes or aborted runs.  Each evaluated point
-carries a condition composed by one rule: sum |t_i| cond_i / max(|lhs|,
-|rhs|), at least 1, over the summands t_i with cond_i the internal condition
-of the evaluator of t_i (1 where none is measured).  Above 1e3 the
-tolerance widens to tol * condition, since exact identities with
-catastrophic cancellation must not produce false failures.  The report-level ``max_rel_err`` is the condition-adjusted
-maximum, so ``pass`` is exactly ``max_rel_err <= tol`` with at least one
-evaluated point.
+identity's exclusion set.  Each check first calls the identity's one hook,
+``prepare``: it refuses parameters the identity cannot take, before any grid
+point is filtered, and returns the per-point function.  The factors that do
+not depend on x are formed once per check and per side, each at the step
+where a point first needs it (``qcore._once``), and none outlives the check
+or is read by the other side.  The per-point function returns the point's
+records, each made by :func:`_record`.  Filtered points and evaluation-time
+errors (any :class:`~qconnect.errors.QConnectError`) become skip records,
+never silent passes or aborted runs.  Each evaluated point carries a
+condition composed by one rule: sum |t_i| cond_i / max(|lhs|, |rhs|), at
+least 1, over the summands t_i with cond_i the internal condition of the
+evaluator of t_i (1 where none is measured).  Above 1e3 the tolerance widens
+to tol * condition, since exact identities with catastrophic cancellation
+must not produce false failures.  The report-level ``max_rel_err`` is the
+condition-adjusted maximum over the evaluated records, so ``pass`` is
+exactly ``max_rel_err <= tol`` with at least one evaluated point.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import random
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EmptyGrid, QConnectError, SpiralProximity
+from .errors import EmptyGrid, QConnectError, SpiralProximity, TruncationExceeded
 from .qcore import (
     DEFAULT_TRUNCATION,
     E_exp,
@@ -212,44 +215,34 @@ class IdentityReport:
         )
 
 
-@dataclass(frozen=True)
-class _Eval:
-    """One evaluated comparison: lhs vs rhs with the summands that formed them.
-
-    Each term is a (summand, internal condition) pair, the condition being
-    the cancellation measured inside the evaluator of the summand (a theta
-    sum, an entire series far from its origin), 1 where none is measured
-    (:func:`_plain`).  The point's condition is sum |t| * cond over
-    max(|lhs|, |rhs|), at least 1 (``qcore._condition``).  A formal (series
-    level) comparison passes its worst coefficient pair and no terms.
-    """
-
-    x: complex
-    lhs: complex
-    rhs: complex
-    terms: tuple[tuple[complex, float], ...] = ()
-
-
 def _plain(*summands: complex) -> tuple[tuple[complex, float], ...]:
     """Terms for summands with no internal condition of their own: 1."""
     return tuple((t, 1.0) for t in summands)
 
 
-def _point(ev: _Eval) -> PointRecord:
-    """The record of one comparison: rel_err |lhs - rhs| / max(|lhs|, |rhs|)
-    and the composed condition; a skip where a side is not finite (a nan
-    error would drop out of the report's maximum unseen) or both sides are
-    below 1e-250."""
-    if not (cmath.isfinite(ev.lhs) and cmath.isfinite(ev.rhs)):
+def _record(
+    x: complex, lhs: complex, rhs: complex, terms: tuple[tuple[complex, float], ...] = ()
+) -> PointRecord:
+    """The record of one comparison of lhs with rhs: rel_err |lhs - rhs| /
+    max(|lhs|, |rhs|) and the condition sum |t| * cond over max(|lhs|,
+    |rhs|), at least 1 (``qcore._condition``), over ``terms``, the
+    (summand, internal condition) pairs that formed the sides.  The
+    condition of a summand is the cancellation measured inside its evaluator
+    (a theta sum, an entire series far from its origin), 1 where none is
+    measured (:func:`_plain`); a formal (series level) comparison passes its
+    worst coefficient pair and no terms.  A skip where a side is not finite
+    (a nan error would drop out of the report's maximum unseen) or both
+    sides are below 1e-250."""
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
         reason = "a side is out of double range (not finite)"
-        return PointRecord(ev.x, 0j, 0j, 0.0, 0.0, 0.0, True, reason)
-    mag = max(abs(ev.lhs), abs(ev.rhs))
+        return PointRecord(x, 0j, 0j, 0.0, 0.0, 0.0, True, reason)
+    mag = max(abs(lhs), abs(rhs))
     if mag < _DEGENERATE:
         reason = "both sides below 1e-250 (degenerate point)"
-        return PointRecord(ev.x, ev.lhs, ev.rhs, 0.0, 0.0, 0.0, True, reason)
-    abs_err = abs(ev.lhs - ev.rhs)
-    cond = _condition(_weighted_abs(ev.terms), mag)
-    return PointRecord(ev.x, ev.lhs, ev.rhs, abs_err, abs_err / mag, cond, False, None)
+        return PointRecord(x, lhs, rhs, 0.0, 0.0, 0.0, True, reason)
+    abs_err = abs(lhs - rhs)
+    cond = _condition(_weighted_abs(terms), mag)
+    return PointRecord(x, lhs, rhs, abs_err, abs_err / mag, cond, False, None)
 
 
 def _series_worst(lhs: FormalSeries, rhs: FormalSeries) -> tuple[complex, complex, float]:
@@ -276,14 +269,13 @@ def _random_series(base: QModulus, order: int, seed: int) -> FormalSeries:
 # per-identity evaluators
 
 
-def _need_lam(chk: IdentityCheck) -> complex:
+def _lam_off_qz(chk: IdentityCheck, qm: QModulus) -> complex:
+    """The check's lambda, which it must have, off the spiral q^Z."""
     if chk.lam is None:
         raise ValueError(f"identity {chk.identity!r} needs a lambda parameter")
-    return complex(chk.lam)
-
-
-def _validate_lam_off_qz(chk: IdentityCheck, qm: QModulus) -> None:
-    Spiral(1 + 0j, qm).exclude(_need_lam(chk), "lambda")
+    lam = complex(chk.lam)
+    Spiral(1 + 0j, qm).exclude(lam, "lambda")
+    return lam
 
 
 def _off_spiral(spiral: Spiral, x: complex) -> str | None:
@@ -304,7 +296,7 @@ def _filter_unit_disc_off_one_spiral(
 
 
 def _filter_watson(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
-    a, b, c = chk.abc  # validated already
+    a, b, c = chk.abc  # present: prepare runs first
     if abs(x) >= 1:
         return f"|x|={abs(x):.6g} outside the |x|<1 domain"
     try:
@@ -317,10 +309,12 @@ def _filter_watson(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
 
 
 def _filter_neg_lam_spiral(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
-    return _off_spiral(Spiral(-_need_lam(chk), qm), x)
+    return _off_spiral(Spiral(-complex(chk.lam), qm), x)  # present: prepare runs first
 
 
 def _prep_watson(chk, qm, tr, mutations):
+    if chk.abc is None:
+        raise ValueError("the watson identity needs the (a, b, c) parameters")
     a, b, c = chk.abc
     qc = qm.q
     # the connection side's x-free factors, K1 = (b, c/a; q)_inf / (c, b/a; q)_inf
@@ -349,7 +343,7 @@ def _prep_watson(chk, qm, tr, mutations):
             / th_x
             * rphis((b, b * qc / c), (b * qc / a,), qm, arg, tr)
         )
-        return [_Eval(x, lhs, t1 + t2, _plain(t1, t2))]
+        return [_record(x, lhs, t1 + t2, _plain(t1, t2))]
 
     return point
 
@@ -373,7 +367,7 @@ def _prep_ismail_zhang(chk, qm, tr, mutations):
             / ((1 - qc) * c)
             * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
         )
-        return [_Eval(x, lhs, t1 - t2, _plain(t1, -t2))]
+        return [_record(x, lhs, t1 - t2, _plain(t1, -t2))]
 
     return point
 
@@ -389,7 +383,7 @@ def _prep_thm_ramanujan_qairy(chk, qm, tr, mutations):
         a2, c2 = qairy_Ai_with_condition(qm, x, tr)
         t1 = theta(qm, x / qc, tr) * a1 / d
         t2 = theta(qm, -x / qc, tr) * a2 / d
-        return [_Eval(x, lhs, t1 + t2, ((lhs, c0), (t1, c1), (t2, c2)))]
+        return [_record(x, lhs, t1 + t2, ((lhs, c0), (t1, c1), (t2, c2)))]
 
     return point
 
@@ -401,7 +395,7 @@ def _prep_thm_eq_Eq(chk, qm, tr, mutations):
     def point(x):
         lhs = e_exp(qm, x, tr, mode="series")
         rhs = qq() * E_exp(qm, -qc / x, tr) / theta(qm, -x, tr)
-        return [_Eval(x, lhs, rhs, _plain(rhs))]
+        return [_record(x, lhs, rhs, _plain(rhs))]
 
     return point
 
@@ -420,13 +414,13 @@ def _prep_lemma_alt(chk, qm, tr, mutations):
             / ((1 - qc) * x)
             * rphis((), (qc**3,), qm.squared(), qc**7 / (x * x), tr)
         )
-        return [_Eval(x, lhs, t1 + t2, _plain(t1, t2))]
+        return [_record(x, lhs, t1 + t2, _plain(t1, t2))]
 
     return point
 
 
 def _prep_thm_2f0(chk, qm, tr, mutations):
-    lam = _need_lam(chk)
+    lam = _lam_off_qz(chk, qm)
     resummed = _two_f_zero_at(qm, lam, tr)
     closed_parts = _two_f_zero_closed_parts_at(qm, lam, tr)
 
@@ -435,7 +429,7 @@ def _prep_thm_2f0(chk, qm, tr, mutations):
         even, odd = closed_parts(x)
         if "drop-one-minus-q" in mutations:
             odd *= 1 - qm.q
-        return [_Eval(x, lhs, even + odd, _plain(even, odd))]
+        return [_record(x, lhs, even + odd, _plain(even, odd))]
 
     return point
 
@@ -447,7 +441,7 @@ def _prep_qde_ramanujan(chk, qm, tr, mutations):
         t1 = qc * x * ramanujan_Aq(qm, qm.q2 * x, tr)
         t2 = ramanujan_Aq(qm, x, tr)
         t3 = ramanujan_Aq(qm, qc * x, tr)
-        return [_Eval(x, t1 + t2, t3, _plain(t1, t2, t3))]
+        return [_record(x, t1 + t2, t3, _plain(t1, t2, t3))]
 
     return point
 
@@ -460,7 +454,7 @@ def _prep_qde_qairy(chk, qm, tr, mutations):
         a2, c2 = qairy_Ai_with_condition(qm, qc * x, tr)
         t3, c3 = qairy_Ai_with_condition(qm, x, tr)
         t1, t2 = a1, x * a2
-        return [_Eval(x, t1 + t2, t3, ((t1, c1), (t2, c2), (t3, c3)))]
+        return [_record(x, t1 + t2, t3, ((t1, c1), (t2, c2), (t3, c3)))]
 
     return point
 
@@ -474,18 +468,18 @@ def _prep_qde_theta(chk, qm, tr, mutations):
 
     def point(x):
         base = theta_product(qm, x, tr)
-        evals = []
+        records = []
         for k in range(1, 5):
             lhs, cond = theta_sum_with_condition(qm, qc**k * x, tr)
             rhs = qc ** (-(k * (k - 1) // 2)) * x ** (-k) * base
-            evals.append(_Eval(x, lhs, rhs, ((lhs, cond),)))
-        return [max(evals, key=lambda ev: _adjusted(_point(ev)))]
+            records.append(_record(x, lhs, rhs, ((lhs, cond),)))
+        return [max(records, key=_adjusted)]
 
     return point
 
 
 def _prep_qde_2f0(chk, qm, tr, mutations):
-    lam = _need_lam(chk)
+    lam = _lam_off_qz(chk, qm)
     qc = qm.q
     # each side resums along [lambda; q] with its own per-lambda form
     resummed_lhs = _two_f_zero_at(qm, lam, tr)
@@ -498,7 +492,7 @@ def _prep_qde_2f0(chk, qm, tr, mutations):
         t1 = qc * x * u(resummed_lhs, qm.q2 * x)
         t2 = u(resummed_lhs, x)
         t3 = u(resummed_rhs, qc * x)
-        return [_Eval(x, t1 + t2, t3, _plain(t1, t2, t3))]
+        return [_record(x, t1 + t2, t3, _plain(t1, t2, t3))]
 
     return point
 
@@ -528,12 +522,12 @@ def _prep_residue_lemma(chk, qm, tr, mutations):
                 * qc ** (k * (k + 1) // 2)
                 / (qpochhammer_n(qc, qm, k) * qq_inf)
             )
-            out.append(_Eval(center, lhs, rhs, _plain(lhs, rhs)))
+            out.append(_record(center, lhs, rhs, _plain(lhs, rhs)))
         for k in range(_RESIDUE_K_PRODUCT + 1):
             pt = lam * qc**-k
             lhs = 1 / qpochhammer_inf(pt, qm, tr)
             rhs = qpochhammer_inf_shifted_pole(lam, qm, k, tr)
-            out.append(_Eval(pt, lhs, rhs, _plain(lhs, rhs)))
+            out.append(_record(pt, lhs, rhs, _plain(lhs, rhs)))
         return out
 
     return point
@@ -549,7 +543,7 @@ def _prep_operational_lemma(chk, qm, tr, mutations):
     def point(x):
         m, l = int(round(x.real)), int(round(x.imag))
         wl, wr, _ = _series_worst(*image(m, l))
-        return [_Eval(x, wl, wr)]
+        return [_record(x, wl, wr)]
 
     return point
 
@@ -557,13 +551,17 @@ def _prep_operational_lemma(chk, qm, tr, mutations):
 def _prep_formal_inverses(chk, qm, tr, mutations):
     def point(x):
         order, seed = int(round(x.real)), int(round(x.imag))
+        if order < 0:
+            raise ValueError("the series order (the real part of x) must be nonnegative")
+        if order > tr.n_max:  # before any coefficient is drawn
+            raise TruncationExceeded(f"series order {order} is above n_max={tr.n_max}")
         f = _random_series(qm, order, seed=7000 + seed)
         back1 = qborel_plus(qborel_minus(f))
         back2 = qborel_minus(qborel_plus(f))
         n = min(back1.order, back2.order)
         pairs = (_series_worst(back1, f.prefix(n)), _series_worst(back2, f.prefix(n)))
         wl, wr, _ = max(pairs, key=lambda w: w[2])
-        return [_Eval(x, wl, wr)]
+        return [_record(x, wl, wr)]
 
     return point
 
@@ -571,33 +569,28 @@ def _prep_formal_inverses(chk, qm, tr, mutations):
 @dataclass(frozen=True)
 class _IdentitySpec:
     """One identity: its default tolerance and grid, and ``prepare``, which
-    takes (check, base, truncation, mutations) and returns the function of
-    one grid point x that gives its comparisons.  Whatever does not depend
-    on x is formed inside ``prepare``, for each side apart, and lives as
-    long as that function: one check."""
+    takes (check, base, truncation, mutations), refuses parameters the
+    identity cannot take, and returns the function of one grid point x that
+    gives the records of its comparisons (:func:`_record`).  Whatever does
+    not depend on x is formed inside ``prepare``, for each side apart, and
+    lives as long as that function: one check.  ``prefilter`` gives the skip
+    reason of a grid point outside the identity's domain, or None."""
 
     tol: float
     grid: tuple[complex, ...]
     prepare: Callable[
-        [IdentityCheck, QModulus, Truncation, frozenset], Callable[[complex], list[_Eval]]
+        [IdentityCheck, QModulus, Truncation, frozenset],
+        Callable[[complex], list[PointRecord]],
     ]
     prefilter: Callable[[IdentityCheck, QModulus, complex], str | None] | None = None
-    validate: Callable[[IdentityCheck, QModulus], None] | None = None
 
 
 _GRID_FULL = default_grid(0.15, 8.0)
 _GRID_SUBUNIT = default_grid(0.15, 0.9)
 
 
-def _validate_watson(chk: IdentityCheck, qm: QModulus) -> None:
-    if chk.abc is None:
-        raise ValueError("the watson identity needs the (a, b, c) parameters")
-
-
 _REGISTRY: Mapping[str, _IdentitySpec] = {
-    "watson": _IdentitySpec(
-        1e-9, _GRID_SUBUNIT, _prep_watson, _filter_watson, _validate_watson
-    ),
+    "watson": _IdentitySpec(1e-9, _GRID_SUBUNIT, _prep_watson, _filter_watson),
     "ismail-zhang": _IdentitySpec(1e-10, _GRID_FULL, _prep_ismail_zhang),
     "thm-ramanujan-qairy": _IdentitySpec(1e-9, _GRID_FULL, _prep_thm_ramanujan_qairy),
     "thm-eq-Eq": _IdentitySpec(
@@ -606,14 +599,12 @@ _REGISTRY: Mapping[str, _IdentitySpec] = {
     "lemma-alt": _IdentitySpec(
         1e-12, _GRID_SUBUNIT, _prep_lemma_alt, _filter_unit_disc_off_one_spiral
     ),
-    "thm-2f0": _IdentitySpec(
-        1e-8, _GRID_FULL, _prep_thm_2f0, _filter_neg_lam_spiral, _validate_lam_off_qz
-    ),
+    "thm-2f0": _IdentitySpec(1e-8, _GRID_FULL, _prep_thm_2f0, _filter_neg_lam_spiral),
     "qde-ramanujan": _IdentitySpec(1e-9, _GRID_FULL, _prep_qde_ramanujan),
     "qde-qairy": _IdentitySpec(1e-9, _GRID_FULL, _prep_qde_qairy),
     "qde-theta": _IdentitySpec(1e-9, _GRID_FULL, _prep_qde_theta),
     "qde-2f0-resummed": _IdentitySpec(
-        1e-9, _GRID_FULL, _prep_qde_2f0, _filter_neg_lam_spiral, _validate_lam_off_qz
+        1e-9, _GRID_FULL, _prep_qde_2f0, _filter_neg_lam_spiral
     ),
     "residue-lemma": _IdentitySpec(
         1e-8, (0.3 + 0j, 2.0 * cmath.exp(0.7j)), _prep_residue_lemma
@@ -643,20 +634,22 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
 
     ``mutations`` deliberately corrupts a formula ("drop-one-minus-q" on
     thm-2f0) so the harness itself can be tested; it is never part of a
-    normal run.  The identity's ``prepare`` runs once and returns the
-    function of one grid point; the factors free of x that it forms (such
-    as (q;q)_inf or Watson's K1 and K2) live as long as this call, one per
-    side.  Any package error at a point (a domain exclusion, a truncation
-    cap, a quadrature that does not settle), and an argument formed from x
-    that leaves double range (x = 0 on a custom grid, or an x*x that
-    underflows to 0), becomes a skip record carrying its message; a factor
-    free of x that cannot be formed raises its error again at every point
-    that needs it, at the same step, so each point keeps its skip reason.
+    normal run.  The identity's ``prepare`` runs once, before the grid is
+    filtered, so a missing or excluded parameter raises ahead of
+    :class:`~qconnect.errors.EmptyGrid`; it returns the function of one grid
+    point, which gives that point's records.  The factors free of x that
+    ``prepare`` forms (such as (q;q)_inf or Watson's K1 and K2) live as long
+    as this call, one per side.  Any package error at a point (a domain
+    exclusion, a truncation cap, a quadrature that does not settle), and an
+    argument formed from x that leaves double range (x = 0 on a custom grid,
+    or an x*x that underflows to 0), becomes a skip record carrying its
+    message; a factor free of x that cannot be formed raises its error again
+    at every point that needs it, at the same step, so each point keeps its
+    skip reason.
     """
     qm = as_modulus(chk.q)
     spec = _REGISTRY[chk.identity]
-    if spec.validate is not None:
-        spec.validate(chk, qm)
+    point = spec.prepare(chk, qm, chk.trunc, mutations)  # refuses bad parameters first
     grid = chk.grid if chk.grid is not None else spec.grid
     tol = chk.tol if chk.tol is not None else spec.tol
 
@@ -666,29 +659,21 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
             f"every grid point of {chk.identity!r} is excluded; first reason: {reasons[0]}"
         )
 
-    point = spec.prepare(chk, qm, chk.trunc, mutations)
     points: list[PointRecord] = []
-    max_adj = 0.0
-    n_eval = 0
     for x, reason in zip(grid, reasons):
         if reason is None:
             try:
-                evals = point(x)
+                points += point(x)
+                continue
             except QConnectError as exc:
                 reason = str(exc)
             except ArithmeticError as exc:  # an argument formed from x leaves double range
                 reason = f"an argument formed from x={x!r} leaves double range: {exc}"
-        if reason is not None:
-            points.append(PointRecord(x, 0j, 0j, 0.0, 0.0, 0.0, True, reason))
-            continue
-        for ev in evals:
-            p = _point(ev)
-            points.append(p)
-            if not p.skipped:
-                max_adj = max(max_adj, _adjusted(p))
-                n_eval += 1
+        points.append(PointRecord(x, 0j, 0j, 0.0, 0.0, 0.0, True, reason))
 
-    passed = n_eval >= 1 and max_adj <= tol
+    adjusted = [_adjusted(p) for p in points if not p.skipped]
+    max_adj = max(adjusted, default=0.0)
+    passed = bool(adjusted) and max_adj <= tol
     return IdentityReport(
         identity=chk.identity,
         q=qm.q,

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,19 @@ class TestEval:
         assert err.startswith("error: n_max must be at least 1")
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("by_env", [False, True])
+    def test_infinite_eps_is_usage_error(self, capsys, monkeypatch, by_env):
+        # the product plan took round/floor of log(inf): an OverflowError traceback
+        argv = ("eval", "theta", "--q", "0.5", "--x", "1")
+        if by_env:
+            monkeypatch.setenv("Q_CONNECT_TRUNC_EPS", "inf")
+        else:
+            argv += ("--eps", "inf")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: eps must be positive and finite")
+        assert "Traceback" not in out + err
+
     def test_truncation_cap_exit_one(self, capsys):
         code, out, err = run_cli(capsys, "eval", "Aq", "--q", "0.5", "--x", "100", "--n-max", "3")
         assert code == 1
@@ -309,6 +326,43 @@ class TestCheck:
         assert code == 1
         assert out.startswith("FAIL") and "evaluated=0 skipped=2" in out
         assert "Traceback" not in out + err
+
+
+class TestFormalGridPoints:
+    """The formal identities read a grid point as integers (order, seed) or
+    (m, l); points out of their range end without a traceback."""
+
+    def test_negative_order_is_usage_error(self, capsys):
+        # an IndexError traceback from drawing a series of no coefficients
+        code, out, err = run_cli(capsys, "check", "formal-inverses", "--q", "0.5", "--grid=-5")
+        assert code == 2
+        assert err.startswith("error: the series order")
+        assert "Traceback" not in out + err
+
+    def test_order_above_n_max_is_a_skip(self, capsys, tmp_path):
+        # refused before any coefficient is drawn: 1e300 of them never allocate
+        out_file = tmp_path / "r.json"
+        argv = ("check", "formal-inverses", "--q", "0.5", "--grid=1e300", "--out", str(out_file))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.startswith("FAIL") and "evaluated=0 skipped=1" in out
+        (point,) = json.loads(out_file.read_text(encoding="utf-8"))["points"]
+        assert point["reason"] == f"series order {int(1e300)} is above n_max=10000"
+
+    def test_huge_shift_ends(self):
+        # sigma_q^l with l = 1e9: the chunked weight q^(l n) kept multiplying
+        # after it reached 0 and did not end; run apart, so a hang fails the test
+        argv = ["check", "operational-lemma", "--q", "0.5", "--grid=0+1e9i"]
+        code = f"from qconnect.cli import main\nraise SystemExit(main({argv!r}))\n"
+        src = str(Path(qc.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.startswith("FAIL") and "evaluated=0 skipped=1" in proc.stdout
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 class TestParser:

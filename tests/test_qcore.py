@@ -129,7 +129,9 @@ class TestQModulus:
 
 
 class TestTruncation:
-    @pytest.mark.parametrize("kw", [{"eps": 0}, {"eps": -1e-3}, {"n_max": 0}, {"streak": 0}])
+    @pytest.mark.parametrize(
+        "kw", [{"eps": 0}, {"eps": -1e-3}, {"eps": math.inf}, {"n_max": 0}, {"streak": 0}]
+    )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             Truncation(**kw)

@@ -73,6 +73,16 @@ class TestCheckBehavior:
         with pytest.raises(SpiralProximity):
             check(IdentityCheck("thm-2f0", 0.5, lam=1.0))
 
+    # the parameters are refused before the grid is filtered: a grid whose
+    # every point is excluded still reports the bad parameter, not EmptyGrid
+    def test_lambda_on_base_spiral_is_refused_before_the_grid_filter(self):
+        with pytest.raises(SpiralProximity, match="lambda="):
+            check(IdentityCheck("thm-2f0", 0.5, lam=0.25, grid=(-0.25,)))
+
+    def test_missing_abc_is_refused_before_the_grid_filter(self):
+        with pytest.raises(ValueError, match=r"\(a, b, c\)"):
+            check(IdentityCheck("watson", 0.5, grid=(2.0,)))
+
     def test_empty_grid_raises(self):
         grid = (2.0 + 1.0j, 3.0)  # all outside |x| < 1
         with pytest.raises(EmptyGrid):
@@ -116,7 +126,7 @@ class TestCheckBehavior:
         assert rep.points[0].skipped and rep.n_evaluated >= 1
 
     def test_degenerate_point_is_skipped(self):
-        p = verify._point(verify._Eval(0.5, 1e-260 + 0j, -3e-251j))
+        p = verify._record(0.5, 1e-260 + 0j, -3e-251j)
         assert p.skipped and p.reason == "both sides below 1e-250 (degenerate point)"
         assert (p.lhs, p.rhs) == (1e-260, -3e-251j)
 
@@ -125,7 +135,7 @@ class TestCheckBehavior:
         # a nan error dropped out of the report's maximum: the point counted
         # as evaluated and the report could pass
         for lhs, rhs in ((side, 1 + 0j), (1 + 0j, side)):
-            p = verify._point(verify._Eval(0.5, lhs, rhs, verify._plain(lhs, rhs)))
+            p = verify._record(0.5, lhs, rhs, verify._plain(lhs, rhs))
             assert p.skipped and "not finite" in p.reason
             assert (p.lhs, p.rhs, p.rel_err) == (0j, 0j, 0.0)
 
