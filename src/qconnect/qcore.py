@@ -67,10 +67,6 @@ _LOG_TAIL_SPLIT = math.log(_TAIL_SPLIT)
 #: the smallest normal double: a product below it has lost its digits
 _TINY = sys.float_info.min
 
-#: auto mode of e_exp and E_exp keeps a series value only below this internal
-#: condition; above it the series has lost digits that the product keeps
-_SERIES_COND_MAX = 10.0
-
 _T = TypeVar("_T")
 
 
@@ -196,7 +192,8 @@ class Truncation:
     closed form before any factor is multiplied; ``qcore._product_plan``).
     ``n_max`` is the most terms one tail, or powers one product, may take: a
     tail that needs one more raises :class:`~qconnect.errors.TruncationExceeded`.
-    ``eps`` must be positive and finite.
+    ``eps`` is a relative tolerance, 0 < eps < 1; the product plan's
+    log-series count K is at least 1 only for such an eps.
     """
 
     eps: float = 1e-15
@@ -205,8 +202,8 @@ class Truncation:
     log: TermLog | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.eps < math.inf:
-            raise ValueError("eps must be positive and finite")
+        if not 0 < self.eps < 1:
+            raise ValueError("eps must satisfy 0 < eps < 1")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.streak < 1:
@@ -1049,29 +1046,21 @@ def e_exp(
     q: QModulus | complex,
     x: complex,
     trunc: Truncation | None = None,
-    mode: str = "auto",
+    mode: str = "product",
 ) -> complex:
     """q-exponential e_q(x) = 1phi0(0; -; q, x) = sum x^n/(q;q)_n.
 
-    The defining series converges only for |x| < 1; the product form
-    e_q(x) = 1/(x; q)_inf continues it to all x off the pole half-spiral
-    {q^(-k) : k >= 0}.  ``mode`` selects "series", "product" or "auto".
-    Auto mode takes the series inside the unit disc where its internal
-    condition (:func:`rphis_with_condition`) is below ``_SERIES_COND_MAX``,
-    and the product elsewhere: the product has no cancellation, and the
-    series with condition c loses about log10(c) digits (at q = 0.95 and
-    x = -0.9 it is 21x off, at condition 4.8e16).  The series closes its
-    geometric tail (:func:`rphis`), so it converges up to |x| -> 1: at
-    q = 0.5 and x = 0.9999 auto mode takes it, 55 terms.  Product mode
-    raises :class:`PoleHit` within ``DEFAULT_PROXIMITY`` of a pole.
+    ``mode`` selects "product" (the default) or "series".  The product form
+    e_q(x) = 1/(x; q)_inf holds for all x off the pole half-spiral
+    {q^(-k) : k >= 0}, has no cancellation, and raises :class:`PoleHit`
+    within ``DEFAULT_PROXIMITY`` of a pole, on either side of it.  The
+    defining series converges only for |x| < 1 and loses about log10 of its
+    internal condition (:func:`rphis_with_condition`) in digits: at
+    q = 0.95 and x = -0.9 it is 21x off, at condition 4.8e16.  The series
+    closes its geometric tail (:func:`rphis`), so it converges up to
+    |x| -> 1: at q = 0.5 and x = 0.9999 it takes 55 terms.
     """
     qm = as_modulus(q)
-    if mode == "auto":
-        if _finite_abs(x, "e_q") < 1:
-            v, cond = rphis_with_condition((0j,), (), qm, x, trunc)
-            if cond < _SERIES_COND_MAX:
-                return v
-        mode = "product"
     if mode == "series":
         return rphis((0j,), (), qm, x, trunc)
     if mode != "product":
@@ -1089,22 +1078,15 @@ def E_exp(
     q: QModulus | complex,
     x: complex,
     trunc: Truncation | None = None,
-    mode: str = "auto",
+    mode: str = "product",
 ) -> complex:
     """q-exponential E_q(x) = 0phi0(-; -; q, -x) = sum q^(n(n-1)/2) x^n/(q;q)_n.
 
-    Entire in x, with product form E_q(x) = (-x; q)_inf.  "auto" uses the
-    series inside the closed unit disc where its internal condition is
-    below ``_SERIES_COND_MAX``, as :func:`e_exp` does, and the
-    (cancellation-free) product elsewhere.
+    Entire in x.  ``mode`` selects "product" (the default), the
+    cancellation-free E_q(x) = (-x; q)_inf, or "series", which loses digits
+    where its terms cancel, as :func:`e_exp`'s does.
     """
     qm = as_modulus(q)
-    if mode == "auto":
-        if _finite_abs(x, "E_q") <= 1:
-            v, cond = rphis_with_condition((), (), qm, -x, trunc)
-            if cond < _SERIES_COND_MAX:
-                return v
-        mode = "product"
     if mode == "series":
         return rphis((), (), qm, -x, trunc)
     if mode != "product":

@@ -85,11 +85,14 @@ class TestEval:
 
         assert abs(first_value(out) - rphis((-4, 3), (0.5,), 0.5, 0.1)) < 1e-12
 
-    def test_domain_exclusion_exit_code(self, capsys):
-        # x = q^-1 is a pole of the product form of e_q
-        code, _, err = run_cli(capsys, "eval", "eq", "--q", "0.5", "--x", "2")
+    # x = q^-1 and x = 1 are poles of the product form of e_q, the default;
+    # 1 is excluded from inside the unit disc as well as from outside
+    @pytest.mark.parametrize("x", ["2", "0.9999999", "1.0000001"])
+    def test_domain_exclusion_exit_code(self, capsys, x):
+        code, out, err = run_cli(capsys, "eval", "eq", "--q", "0.5", "--x", x)
         assert code == 3
         assert "pole" in err
+        assert "Traceback" not in out + err
 
     def test_theta_out_of_double_range_exit_three(self, capsys):
         code, out, err = run_cli(capsys, "eval", "theta", "--q", "0.5", "--x", "1e300")
@@ -172,8 +175,17 @@ class TestEval:
             argv += ("--eps", "inf")
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert err.startswith("error: eps must be positive and finite")
+        assert err.startswith("error: eps must satisfy 0 < eps < 1")
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("eps", ["1", "30", "1e300"])
+    def test_eps_of_one_or_more_is_usage_error(self, capsys, eps):
+        # the product plan's log-series count went negative: theta printed terms=-736
+        argv = ("eval", "theta", "--q", "0.5", "--x", "1", "--eps", eps)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: eps must satisfy 0 < eps < 1")
+        assert out == "" and "Traceback" not in err
 
     def test_truncation_cap_exit_one(self, capsys):
         code, out, err = run_cli(capsys, "eval", "Aq", "--q", "0.5", "--x", "100", "--n-max", "3")
@@ -256,6 +268,14 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error: cannot parse 'nope'")
         assert out == ""
+
+    def test_grid_flags_exclude_each_other(self, capsys):
+        # the custom grid used to win silently
+        argv = ("check", "qde-theta", "--q", "0.5", "--grid-default", "--grid", "0.5+0.1i")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "not allowed with argument --grid-default" in err
+        assert out == "" and "Traceback" not in err
 
     def test_explicit_grid(self, capsys):
         code, out, _ = run_cli(
