@@ -87,8 +87,10 @@ class QModulus:
     once, at construction: ``_log_q`` = log|q|, ``_k_cap``, the largest
     |k| at which |q|^k is representable (the reach of
     :meth:`Spiral.nearest`), and ``_log_tail_room``, of the split's
-    remainder bound (:func:`_product_plan`).  None of these is a dataclass
-    field: equality, hash and repr depend on q alone.
+    remainder bound (:func:`_product_plan`).  The two pole spirals [1; q]
+    (:meth:`_pole_spiral`, :meth:`_exact_pole_spiral`) are formed at their
+    first use and kept.  None of these is a dataclass field: equality, hash
+    and repr depend on q alone.
     """
 
     q: complex
@@ -97,6 +99,8 @@ class QModulus:
     _powers = (1 + 0j,)
     _log_coeffs = ()
     _squared = None
+    _poles = None
+    _exact_poles = None
 
     def __post_init__(self) -> None:
         qc = complex(self.q)
@@ -158,6 +162,26 @@ class QModulus:
 
     def sqrt(self) -> "QModulus":
         return QModulus(cmath.sqrt(self.q))
+
+    def _pole_spiral(self) -> "Spiral":
+        """The spiral [1; q] = q^Z at ``DEFAULT_PROXIMITY``: the poles of e_q
+        and of the r_phi_s denominators, and the lambda exclusion.  Formed at
+        the first use and then kept, as :meth:`squared` is; a :class:`Spiral`
+        depends on q alone."""
+        sp = self._poles
+        if sp is None:
+            sp = Spiral(1 + 0j, self)
+            object.__setattr__(self, "_poles", sp)
+        return sp
+
+    def _exact_pole_spiral(self) -> "Spiral":
+        """[1; q] at the near-exact ``_EXACT_TOL`` that recognizes terminating
+        parameters (:func:`_terminating_degree`), kept as :meth:`_pole_spiral` is."""
+        sp = self._exact_poles
+        if sp is None:
+            sp = Spiral(1 + 0j, self, _EXACT_TOL)
+            object.__setattr__(self, "_exact_poles", sp)
+        return sp
 
 
 def as_modulus(q: "QModulus | complex | float") -> QModulus:
@@ -408,9 +432,11 @@ class Spiral:
         ``delta`` of x, or None: at once where |x| < |anchor| (1 - 2 delta),
         x = 0 included, and otherwise from :meth:`nearest`."""
         # every half-spiral point has modulus >= |anchor|, so an x well inside
-        # that circle is farther than delta from all of them; |Re x| + |Im x|
-        # bounds |x| and, unlike abs(), neither overflows nor passes nan or inf
-        if abs(x.real) + abs(x.imag) < abs(self.anchor) * (1 - 2 * self.delta):
+        # that circle is farther than delta from all of them; |x|^2 from the
+        # parts, unlike abs(), raises no OverflowError, and a nan or an inf
+        # (or a square that overflows) fails the test and goes to nearest()
+        r = abs(self.anchor) * (1 - 2 * self.delta)
+        if x.real * x.real + x.imag * x.imag < r * r:
             return None
         k, d = self.nearest(x)
         return k if d < self.delta and k <= 0 else None
@@ -617,20 +643,36 @@ def qpochhammer_inf_shifted_pole(
         raise ValueError("k must be nonnegative")
     if lam == 0:
         raise ZeroArgument("the closed form of 1/(lambda q^(-k); q)_inf needs lambda != 0")
-    qm = as_modulus(q)
-    Spiral(1 + 0j, qm).exclude(lam, "lambda")
-    try:
-        qk = qm.q ** (k * (k + 1) // 2)
-        num = (-lam) ** (-k) * qk
-        den = qpochhammer_inf(lam, qm, trunc) * qpochhammer_n(qm.q / lam, qm, k)
-        value = num / den
-    except (OverflowError, ZeroDivisionError):
-        value = math.nan
-    if not cmath.isfinite(value):
-        raise DomainError(
-            f"lambda={lam!r} is out of double range for the closed form of "
-            f"1/(lambda q^(-k); q)_inf (q={qm.q!r}, k={k}): a factor overflows"
-        )
+    return _shifted_pole_at(lam, as_modulus(q), trunc)(k)
+
+
+def _shifted_pole_at(
+    lam: complex, qm: QModulus, trunc: Truncation | None
+) -> Callable[[int], complex]:
+    """:func:`qpochhammer_inf_shifted_pole` at one (lambda, q), lambda != 0,
+    as a function of k >= 0.  The check of lambda and (lambda; q)_inf are
+    formed once (``_once``), each at the step where the closed form first
+    needs it, so an error keeps its place."""
+    qc = qm.q
+    lam_off_qz = _once(lambda: qm._pole_spiral().exclude(lam, "lambda"))
+    lam_inf = _once(lambda: qpochhammer_inf(lam, qm, trunc))
+
+    def value(k: int) -> complex:
+        lam_off_qz()
+        try:
+            qk = qc ** (k * (k + 1) // 2)
+            num = (-lam) ** (-k) * qk
+            den = lam_inf() * qpochhammer_n(qc / lam, qm, k)
+            v = num / den
+        except (OverflowError, ZeroDivisionError):
+            v = math.nan
+        if not cmath.isfinite(v):
+            raise DomainError(
+                f"lambda={lam!r} is out of double range for the closed form of "
+                f"1/(lambda q^(-k); q)_inf (q={qc!r}, k={k}): a factor overflows"
+            )
+        return v
+
     return value
 
 
@@ -897,13 +939,145 @@ def _theta_circle(
 
 def _terminating_degree(upper: Sequence[complex], qm: QModulus) -> int | None:
     """Degree at which an upper parameter a = q^(-m), m >= 0 kills the series."""
-    spiral = Spiral(1 + 0j, qm, _EXACT_TOL)
+    spiral = qm._exact_pole_spiral()
     best: int | None = None
     for a in upper:
         k = spiral.half_hit(a)
         if k is not None and (best is None or -k < best):
             best = -k
     return best
+
+
+class _SeriesPlan:
+    """The part of r_phi_s(upper; lower; q, x) that does not depend on x,
+    under one truncation: formed once, then called at any number of x, each
+    call returning (value, condition) as :func:`rphis_with_condition` does.
+
+    Forming it runs the pole test of each lower parameter
+    (:class:`BadLowerParameter`).  The terminating degree, the test for a
+    divergent series and the closed tail's N (:func:`rphis`) are set at the
+    first x != 0, once.  The term ratio t_(n+1) / t_n = ratio_n x, times
+    (-q^n)^d where d = 1 + s - r != 0, has the x-free factor
+    ratio_n = prod(1 - a_i q^n) / (prod(1 - b_j q^n)(1 - q^(n+1))) in a
+    table, each entry added the first time any evaluation reaches n: every
+    evaluation multiplies the same bits a loop forming the ratio afresh
+    would.  A zero denominator raises at the n where it appears, in every
+    evaluation that reaches it.
+    """
+
+    __slots__ = ("ups", "lows", "qm", "tr", "d", "_tail", "_ratios", "_shifts")
+
+    def __init__(
+        self, upper: Sequence[complex], lower: Sequence[complex], qm: QModulus, tr: Truncation
+    ) -> None:
+        self.qm, self.tr = qm, tr
+        self.ups = tuple(map(complex, upper))
+        self.lows = lows = tuple(map(complex, lower))
+        self.d = 1 + len(lows) - len(self.ups)
+        for b in lows:
+            if qm._pole_spiral().half_hit(b) is not None:
+                raise BadLowerParameter(
+                    f"lower parameter {b!r} lies within {DEFAULT_PROXIMITY} of q^(-N) "
+                    f"(q={qm.q!r}); the series has a vanishing denominator"
+                )
+        self._tail: tuple[int | None, int] | None = None
+        self._ratios: list[complex] = []  # ratio_n
+        self._shifts: list[complex] = []  # (-q^n)^d, where d != 0
+
+    def _form_tail(self) -> tuple[int | None, int]:
+        """(terminating degree or None, the closed tail's N or -1), set once;
+        a divergent series raises, at every call."""
+        ups, lows, qm, tr = self.ups, self.lows, self.qm, self.tr
+        term_deg = _terminating_degree(ups, qm)
+        if self.d < 0 and term_deg is None:
+            raise DivergentSeries(
+                f"r-s = {len(ups) - len(lows)} > 1 with nonterminating upper parameters: "
+                "radius of convergence is zero"
+            )
+        n_close = -1  # the point N of the closed tail; -1: none
+        if self.d == 0 and term_deg is None:
+            # every |a_i|, |b_j| is finite here (the spiral tests raise otherwise)
+            aq = abs(qm.q)
+            c = sum([abs(a) for a in ups]) + sum([abs(b) for b in lows]) + aq
+            # the first n with c |q|^n / (1 - |q|) <= eps/10, from logs (c may be
+            # huge, eps/10 subnormal); above n_max - 1 the closed tail would not
+            # fit in the cap
+            n_f = (math.log(tr.eps) + math.log((1 - aq) / 10) - math.log(c)) / qm._log_q
+            if n_f <= tr.n_max - 1:
+                n_close = max(math.ceil(n_f), 0)
+        self._tail = (term_deg, n_close)
+        return self._tail
+
+    def __call__(self, x: complex) -> tuple[complex, float]:
+        return self._at(x, _finite_abs(x, "r_phi_s"))
+
+    def _at(self, x: complex, ax: float) -> tuple[complex, float]:
+        """The evaluation at x, |x| = ax finite."""
+        if x == 0:
+            return 1 + 0j, 1.0
+        term_deg, n_close = self._tail or self._form_tail()
+        d = self.d
+        if d == 0 and ax >= 1 and term_deg is None:
+            raise OutsideRadius(
+                f"|x| = {ax} >= 1 outside the radius of convergence of a "
+                f"{len(self.ups)}phi{len(self.lows)} series"
+            )
+        ups, lows, qm = self.ups, self.lows, self.qm
+        ratios, shifts = self._ratios, self._shifts
+        last = -1 if term_deg is None else term_deg  # an int compares faster than None
+        closed = 0.0  # what the closed tail adds to sum|term| beyond |its value|
+
+        def terms() -> Iterator[complex]:
+            nonlocal closed
+            one = 1 + 0j
+            pw, t, n, known = qm._powers, one, 0, len(ratios)
+            n_pw = len(pw)
+            add_ratio, add_shift = ratios.append, shifts.append
+            while True:
+                if n == n_close:
+                    # the terms from here on are t_N x^m to within eps/10 in all
+                    tail = t / (1 - x)
+                    closed = abs(t) / (1 - ax) - abs(tail)
+                    yield tail
+                    return
+                yield t
+                if n == last:
+                    return
+                if n < known:
+                    t *= ratios[n] * x
+                    if d:
+                        t *= shifts[n]
+                    n += 1
+                    continue
+                # the table's entry n, formed by the first evaluation that reaches it
+                if n + 1 >= n_pw:
+                    pw = qm._powers_to(n + 2)
+                    n_pw = len(pw)
+                qn = pw[n]
+                num = one
+                for a in ups:
+                    num *= one - a * qn
+                den = one
+                for b in lows:
+                    den *= one - b * qn
+                den *= one - pw[n + 1]
+                if not den:
+                    raise BadLowerParameter("vanishing denominator factor in series term")
+                ratio = num / den
+                t *= ratio * x
+                if d:
+                    shift = (-qn) ** d
+                    t *= shift
+                    add_shift(shift)
+                add_ratio(ratio)
+                n += 1
+
+        tr = self.tr
+        total, abs_sum, _, count = _sum_tail(
+            terms(), tr, 0j, 0.0, 1.0, tr.streak, "r_phi_s series tail"
+        )
+        tr.note(count)
+        return total, _condition(abs_sum + closed, abs(total))
 
 
 def rphis_with_condition(
@@ -922,85 +1096,7 @@ def rphis_with_condition(
     the moduli of the terms the tail replaces, so the condition never drops.
     """
     ax = _finite_abs(x, "r_phi_s")
-    tr = _trunc(trunc)
-    qm = as_modulus(q)
-    ups = tuple(complex(a) for a in upper)
-    lows = tuple(complex(b) for b in lower)
-    r, s = len(ups), len(lows)
-    d = 1 + s - r
-
-    pole_spiral = Spiral(1 + 0j, qm)
-    for b in lows:
-        if pole_spiral.half_hit(b) is not None:
-            raise BadLowerParameter(
-                f"lower parameter {b!r} lies within {DEFAULT_PROXIMITY} of q^(-N) "
-                f"(q={qm.q!r}); the series has a vanishing denominator"
-            )
-
-    if x == 0:
-        return 1 + 0j, 1.0
-
-    term_deg = _terminating_degree(ups, qm)
-    if d < 0 and term_deg is None:
-        raise DivergentSeries(
-            f"r-s = {r - s} > 1 with nonterminating upper parameters: "
-            "radius of convergence is zero"
-        )
-    if d == 0 and ax >= 1 and term_deg is None:
-        raise OutsideRadius(
-            f"|x| = {ax} >= 1 outside the radius of convergence of a "
-            f"{r}phi{s} series"
-        )
-
-    n_close = -1  # the point N of the closed tail; -1: none
-    if d == 0 and term_deg is None:
-        # every |a_i|, |b_j| is finite here (the spiral tests raise otherwise)
-        aq = abs(qm.q)
-        c = sum([abs(a) for a in ups]) + sum([abs(b) for b in lows]) + aq
-        # the first n with c |q|^n / (1 - |q|) <= eps/10, from logs (c may be
-        # huge, eps/10 subnormal); above n_max - 1 the closed tail would not
-        # fit in the cap
-        n_f = (math.log(tr.eps) + math.log((1 - aq) / 10) - math.log(c)) / qm._log_q
-        if n_f <= tr.n_max - 1:
-            n_close = max(math.ceil(n_f), 0)
-    closed = 0.0  # what the closed tail adds to sum|term| beyond |its value|
-
-    def terms() -> Iterator[complex]:
-        nonlocal closed
-        one = 1 + 0j
-        pw, t, n = qm._powers, one, 0
-        while True:
-            if n == n_close:
-                # the terms from here on are t_N x^m to within eps/10 in all
-                tail = t / (1 - x)
-                closed = abs(t) / (1 - ax) - abs(tail)
-                yield tail
-                return
-            yield t
-            if n == term_deg:
-                return
-            if n + 1 >= len(pw):
-                pw = qm._powers_to(n + 2)
-            qn = pw[n]
-            num = one
-            for a in ups:
-                num *= one - a * qn
-            den = one
-            for b in lows:
-                den *= one - b * qn
-            den *= one - pw[n + 1]
-            if den == 0:
-                raise BadLowerParameter("vanishing denominator factor in series term")
-            t *= num / den * x
-            if d:
-                t *= (-qn) ** d
-            n += 1
-
-    total, abs_sum, _, count = _sum_tail(
-        terms(), tr, 0j, 0.0, 1.0, tr.streak, "r_phi_s series tail"
-    )
-    tr.note(count)
-    return total, _condition(abs_sum + closed, abs(total))
+    return _SeriesPlan(upper, lower, as_modulus(q), _trunc(trunc))._at(x, ax)
 
 
 def rphis(
@@ -1038,6 +1134,12 @@ def rphis(
 
     The base may be any :class:`QModulus` (q, q^2, sqrt(q), ...), which is how
     the even/odd split identities at base q^2 are evaluated.
+
+    The term ratios' factors prod(1 - a_i q^n) / (prod(1 - b_j q^n)(1 - q^(n+1)))
+    do not depend on x.  A call forms them in a plan (``_SeriesPlan``) with
+    the parameter checks, then evaluates it at x; an identity check forms
+    one plan per series and side, once, and evaluates it at every grid
+    point, with the same bits as these calls.
     """
     return rphis_with_condition(upper, lower, q, x, trunc)[0]
 
@@ -1058,19 +1160,21 @@ def e_exp(
     internal condition (:func:`rphis_with_condition`) in digits: at
     q = 0.95 and x = -0.9 it is 21x off, at condition 4.8e16.  The series
     closes its geometric tail (:func:`rphis`), so it converges up to
-    |x| -> 1: at q = 0.5 and x = 0.9999 it takes 55 terms.
+    |x| -> 1: at q = 0.5 and x = 0.9999 it takes 55 terms.  Both modes
+    raise :class:`PoleHit` within ``DEFAULT_PROXIMITY`` of a pole; the
+    series' closed tail would otherwise sum to the pole's value.
     """
     qm = as_modulus(q)
-    if mode == "series":
-        return rphis((0j,), (), qm, x, trunc)
-    if mode != "product":
+    if mode not in ("series", "product"):
         raise ValueError(f"unknown e_exp mode {mode!r}")
-    k = Spiral(1 + 0j, qm).half_hit(x)
+    k = qm._pole_spiral().half_hit(x)
     if k is not None:
         raise PoleHit(
             f"x={x!r} lies within {DEFAULT_PROXIMITY} of the e_q pole q^{k} "
             f"(half-spiral of [1;q], q={qm.q!r})"
         )
+    if mode == "series":
+        return rphis((0j,), (), qm, x, trunc)
     return 1 / qpochhammer_inf(x, qm, trunc)
 
 

@@ -42,13 +42,12 @@ from .qcore import (
     as_modulus,
     e_exp,
     qpochhammer_inf,
-    rphis,
-    rphis_with_condition,
     theta,
     _below_noise,
     _condition,
     _finite_abs,
     _once,
+    _SeriesPlan,
     _sum_tail,
     _trunc,
     _weighted_abs,
@@ -116,16 +115,21 @@ def qairy_Ai(
     q: QModulus | complex, x: complex, trunc: Truncation | None = None
 ) -> complex:
     """The q-Airy function Ai_q(x) = 1phi1(0; -q; q, -x), entire in x."""
-    qm = as_modulus(q)
-    return rphis((0j,), (-qm.q,), qm, -x, trunc)
+    return qairy_Ai_with_condition(q, x, trunc)[0]
 
 
 def qairy_Ai_with_condition(
     q: QModulus | complex, x: complex, trunc: Truncation | None = None
 ) -> tuple[complex, float]:
     """:func:`qairy_Ai` plus the internal condition of its defining series."""
-    qm = as_modulus(q)
-    return rphis_with_condition((0j,), (-qm.q,), qm, -x, trunc)
+    return _qairy_plan(as_modulus(q), _trunc(trunc))(-x)
+
+
+def _qairy_plan(qm: QModulus, tr: Truncation) -> _SeriesPlan:
+    """The plan of the series 1phi1(0; -q; q, y) of Ai_q at one base
+    (``qcore._SeriesPlan``): called at y = -x, it gives Ai_q(x) and the
+    series' condition."""
+    return _SeriesPlan((0j,), (-qm.q,), qm, tr)
 
 
 def g_borel_image(
@@ -196,8 +200,9 @@ def f_via_residues(
     qm = as_modulus(q)
     qc = qm.q
     q2t = qm.q2 * t
-    s_p, cond_p = rphis_with_condition((0j,), (-qc,), qm, 1 / t, tr)
-    s_m, cond_m = rphis_with_condition((0j,), (-qc,), qm, -1 / t, tr)
+    series = _SeriesPlan((0j,), (-qc,), qm, tr)  # one plan for +-1/t
+    s_p, cond_p = series(1 / t)
+    s_m, cond_m = series(-1 / t)
     t_p = theta(qm, q2t, tr) * s_p
     t_m = theta(qm, -q2t, tr) * s_m
     num = t_p + t_m
@@ -225,7 +230,7 @@ def _two_f_zero_at(
     qc = qm.q
 
     def start() -> complex:
-        Spiral(1 + 0j, qm).exclude(lam, "lambda")
+        qm._pole_spiral().exclude(lam, "lambda")
         return e_exp(qm, lam / qc, tr, mode="product")
 
     phi_lam = _once(start)
@@ -280,13 +285,16 @@ def _two_f_zero_closed_parts_at(
     qm: QModulus, lam: complex, tr: Truncation
 ) -> Callable[[complex], tuple[complex, complex]]:
     """:func:`_two_f_zero_closed_parts` at one (q, lambda), as a function of
-    x.  The check of lambda, theta_q(-lambda/q) and (q;q)_inf are formed at
-    their first use, once (``qcore._once``), each at the step where the
-    closed form first needs it, so an error keeps its place."""
+    x.  The check of lambda, theta_q(-lambda/q), (q;q)_inf and the plans of
+    the two 1phi1 at base q^2 (``qcore._SeriesPlan``) are formed at their
+    first use, once (``qcore._once``), each at the step where the closed
+    form first needs it, so an error keeps its place."""
     qc = qm.q
-    lam_off_qz = _once(lambda: Spiral(1 + 0j, qm).exclude(lam, "lambda"))
+    lam_off_qz = _once(lambda: qm._pole_spiral().exclude(lam, "lambda"))
     theta_lam = _once(lambda: theta(qm, -lam / qc, tr))
     qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
+    even_series = _once(lambda: _SeriesPlan((0j,), (qc,), qm.squared(), tr))
+    odd_series = _once(lambda: _SeriesPlan((0j,), (qc**3,), qm.squared(), tr))
 
     def parts(x: complex) -> tuple[complex, complex]:
         if x == 0:
@@ -310,13 +318,13 @@ def _two_f_zero_closed_parts_at(
         even = (
             pref
             * _theta_from_x(q2m, v_even, x, tr)
-            * rphis((0j,), (qc,), q2m, qm.q2 / x, tr)
+            * even_series()(qm.q2 / x)[0]
         )
         odd = (
             pref
             * (lam / x)
             * _theta_from_x(q2m, -lam * lam / x, x, tr)
-            * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
+            * odd_series()(qc**3 / x)[0]
             / (1 - qc)
         )
         # an overflowing denominator would make both terms 0 or nan
@@ -380,7 +388,7 @@ class SolutionAtInfinity:
         object.__setattr__(self, "q", as_modulus(self.q))
         if self.t == 0:
             raise ZeroArgument("t must be nonzero")
-        Spiral(1 + 0j, self.q).exclude(self.t, "t")
+        self.q._pole_spiral().exclude(self.t, "t")
 
     def prefactor(self, trunc: Truncation | None = None) -> complex:
         return 1 / theta(self.q, -self.q.q2 * self.t, trunc)

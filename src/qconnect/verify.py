@@ -7,10 +7,14 @@ identity's exclusion set.  Each check first calls the identity's one hook,
 point is filtered, and returns the per-point function.  The factors that do
 not depend on x are formed once per check and per side, each at the step
 where a point first needs it (``qcore._once``), and none outlives the check
-or is read by the other side.  The per-point function returns the point's
-records, each made by :func:`_record`.  Filtered points and evaluation-time
-errors (any :class:`~qconnect.errors.QConnectError`) become skip records,
-never silent passes or aborted runs.  Each evaluated point carries a
+or is read by the other side.  Among them are the plans of the basic
+hypergeometric series (``qcore._SeriesPlan``): the term ratios
+prod(1 - a_i q^n) / (prod(1 - b_j q^n)(1 - q^(n+1))) are x-free, so each
+side forms them once per series and reads them at every grid point.  The
+per-point function returns the point's records, each made by
+:func:`_record`.  Filtered points and evaluation-time errors (any
+:class:`~qconnect.errors.QConnectError`) become skip records, never silent
+passes or aborted runs.  Each evaluated point carries a
 condition composed by one rule: sum |t_i| cond_i / max(|lhs|, |rhs|), at
 least 1, over the summands t_i with cond_i the internal condition of the
 evaluator of t_i (1 where none is measured).  Above 1e3 the tolerance widens
@@ -41,14 +45,14 @@ from .qcore import (
     as_modulus,
     e_exp,
     qpochhammer_inf,
-    qpochhammer_inf_shifted_pole,
     qpochhammer_n,
-    rphis,
     theta,
     theta_product,
     theta_sum_with_condition,
     _condition,
     _once,
+    _SeriesPlan,
+    _shifted_pole_at,
     _weighted_abs,
 )
 from .series import (
@@ -58,9 +62,9 @@ from .series import (
     qborel_plus,
 )
 from .special import (
+    _qairy_plan,
     _two_f_zero_at,
     _two_f_zero_closed_parts_at,
-    qairy_Ai_with_condition,
     ramanujan_Aq,
     ramanujan_Aq_with_condition,
 )
@@ -274,7 +278,7 @@ def _lam_off_qz(chk: IdentityCheck, qm: QModulus) -> complex:
     if chk.lam is None:
         raise ValueError(f"identity {chk.identity!r} needs a lambda parameter")
     lam = complex(chk.lam)
-    Spiral(1 + 0j, qm).exclude(lam, "lambda")
+    qm._pole_spiral().exclude(lam, "lambda")
     return lam
 
 
@@ -292,7 +296,7 @@ def _filter_unit_disc_off_one_spiral(
 ) -> str | None:
     if abs(x) >= 1:
         return f"|x|={abs(x):.6g} outside the |x|<1 domain"
-    return _off_spiral(Spiral(1 + 0j, qm), x)
+    return _off_spiral(qm._pole_spiral(), x)
 
 
 def _filter_watson(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
@@ -305,7 +309,7 @@ def _filter_watson(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
         arg = complex(math.inf)
     if abs(arg) >= 1:
         return f"|cq/(abx)|={abs(arg):.6g} outside the overlap domain"
-    return _off_spiral(Spiral(1 + 0j, qm), x)
+    return _off_spiral(qm._pole_spiral(), x)
 
 
 def _filter_neg_lam_spiral(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
@@ -325,23 +329,27 @@ def _prep_watson(chk, qm, tr, mutations):
     k2 = _once(
         lambda: qpochhammer_inf((a, c / b), qm, tr) / qpochhammer_inf((c, a / b), qm, tr)
     )
+    # the plans of the lhs 2phi1 and of the connection side's two
+    lhs_series = _once(lambda: _SeriesPlan((a, b), (c,), qm, tr))
+    series_a = _once(lambda: _SeriesPlan((a, a * qc / c), (a * qc / b,), qm, tr))
+    series_b = _once(lambda: _SeriesPlan((b, b * qc / c), (b * qc / a,), qm, tr))
 
     def point(x):
         arg = c * qc / (a * b * x)
-        lhs = rphis((a, b), (c,), qm, x, tr)
+        lhs = lhs_series()(x)[0]
         c1 = k1()
         th_x = qpochhammer_inf((x, qc / x), qm, tr)
         t1 = (
             c1
             * qpochhammer_inf((a * x, qc / (a * x)), qm, tr)
             / th_x
-            * rphis((a, a * qc / c), (a * qc / b,), qm, arg, tr)
+            * series_a()(arg)[0]
         )
         t2 = (
             k2()
             * qpochhammer_inf((b * x, qc / (b * x)), qm, tr)
             / th_x
-            * rphis((b, b * qc / c), (b * qc / a,), qm, arg, tr)
+            * series_b()(arg)[0]
         )
         return [_record(x, lhs, t1 + t2, _plain(t1, t2))]
 
@@ -351,6 +359,8 @@ def _prep_watson(chk, qm, tr, mutations):
 def _prep_ismail_zhang(chk, qm, tr, mutations):
     qc = qm.q
     c0 = _once(lambda: qpochhammer_inf(qc, qm.squared(), tr))
+    series_1 = _once(lambda: _SeriesPlan((0j,), (qc,), qm.squared(), tr))
+    series_3 = _once(lambda: _SeriesPlan((0j,), (qc**3,), qm.squared(), tr))
 
     def point(x):
         q2m = qm.squared()
@@ -359,13 +369,13 @@ def _prep_ismail_zhang(chk, qm, tr, mutations):
         t1 = (
             qpochhammer_inf((qc * x, qc / x), q2m, tr)
             / c
-            * rphis((0j,), (qc,), q2m, qm.q2 / x, tr)
+            * series_1()(qm.q2 / x)[0]
         )
         t2 = (
             qc
             * qpochhammer_inf((qm.q2 * x, 1 / x), q2m, tr)
             / ((1 - qc) * c)
-            * rphis((0j,), (qc**3,), q2m, qc**3 / x, tr)
+            * series_3()(qc**3 / x)[0]
         )
         return [_record(x, lhs, t1 - t2, _plain(t1, -t2))]
 
@@ -375,12 +385,13 @@ def _prep_ismail_zhang(chk, qm, tr, mutations):
 def _prep_thm_ramanujan_qairy(chk, qm, tr, mutations):
     qc = qm.q
     den = _once(lambda: qpochhammer_inf((qc, -1 + 0j), qm, tr))
+    ai = _once(lambda: _qairy_plan(qm, tr))  # Ai_q(y) is the plan at -y
 
     def point(x):
         lhs, c0 = ramanujan_Aq_with_condition(qm.squared(), -(qc**3) / (x * x), tr)
         d = den()
-        a1, c1 = qairy_Ai_with_condition(qm, -x, tr)
-        a2, c2 = qairy_Ai_with_condition(qm, x, tr)
+        a1, c1 = ai()(x)  # Ai_q(-x); -(-x) is x, bit for bit
+        a2, c2 = ai()(-x)
         t1 = theta(qm, x / qc, tr) * a1 / d
         t2 = theta(qm, -x / qc, tr) * a2 / d
         return [_record(x, lhs, t1 + t2, ((lhs, c0), (t1, c1), (t2, c2)))]
@@ -391,9 +402,11 @@ def _prep_thm_ramanujan_qairy(chk, qm, tr, mutations):
 def _prep_thm_eq_Eq(chk, qm, tr, mutations):
     qc = qm.q
     qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
+    # e_q's series 1phi0(0; -; q, x); the prefilter keeps x off its poles
+    e_series = _once(lambda: _SeriesPlan((0j,), (), qm, tr))
 
     def point(x):
-        lhs = e_exp(qm, x, tr, mode="series")
+        lhs = e_series()(x)[0]
         rhs = qq() * E_exp(qm, -qc / x, tr) / theta(qm, -x, tr)
         return [_record(x, lhs, rhs, _plain(rhs))]
 
@@ -403,16 +416,18 @@ def _prep_thm_eq_Eq(chk, qm, tr, mutations):
 def _prep_lemma_alt(chk, qm, tr, mutations):
     qc = qm.q
     qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
+    series_1 = _once(lambda: _SeriesPlan((), (qc,), qm.squared(), tr))
+    series_3 = _once(lambda: _SeriesPlan((), (qc**3,), qm.squared(), tr))
 
     def point(x):
         lhs = e_exp(qm, x / qc, tr, mode="product")
         pref = qq() / theta(qm, -x / qc, tr)
-        t1 = pref * rphis((), (qc,), qm.squared(), qc**5 / (x * x), tr)
+        t1 = pref * series_1()(qc**5 / (x * x))[0]
         t2 = (
             -pref
             * qm.q2
             / ((1 - qc) * x)
-            * rphis((), (qc**3,), qm.squared(), qc**7 / (x * x), tr)
+            * series_3()(qc**7 / (x * x))[0]
         )
         return [_record(x, lhs, t1 + t2, _plain(t1, t2))]
 
@@ -448,11 +463,14 @@ def _prep_qde_ramanujan(chk, qm, tr, mutations):
 
 def _prep_qde_qairy(chk, qm, tr, mutations):
     qc = qm.q
+    # Ai_q(y) is the plan at -y
+    ai_lhs = _once(lambda: _qairy_plan(qm, tr))
+    ai_rhs = _once(lambda: _qairy_plan(qm, tr))
 
     def point(x):
-        a1, c1 = qairy_Ai_with_condition(qm, qm.q2 * x, tr)
-        a2, c2 = qairy_Ai_with_condition(qm, qc * x, tr)
-        t3, c3 = qairy_Ai_with_condition(qm, x, tr)
+        a1, c1 = ai_lhs()(-(qm.q2 * x))
+        a2, c2 = ai_lhs()(-(qc * x))
+        t3, c3 = ai_rhs()(-x)
         t1, t2 = a1, x * a2
         return [_record(x, t1 + t2, t3, ((t1, c1), (t2, c2), (t3, c3)))]
 
@@ -523,10 +541,11 @@ def _prep_residue_lemma(chk, qm, tr, mutations):
                 / (qpochhammer_n(qc, qm, k) * qq_inf)
             )
             out.append(_record(center, lhs, rhs, _plain(lhs, rhs)))
+        shifted_pole = _shifted_pole_at(lam, qm, tr)  # (lambda; q)_inf once per anchor
         for k in range(_RESIDUE_K_PRODUCT + 1):
             pt = lam * qc**-k
             lhs = 1 / qpochhammer_inf(pt, qm, tr)
-            rhs = qpochhammer_inf_shifted_pole(lam, qm, k, tr)
+            rhs = shifted_pole(k)
             out.append(_record(pt, lhs, rhs, _plain(lhs, rhs)))
         return out
 
@@ -573,7 +592,9 @@ class _IdentitySpec:
     identity cannot take, and returns the function of one grid point x that
     gives the records of its comparisons (:func:`_record`).  Whatever does
     not depend on x is formed inside ``prepare``, for each side apart, and
-    lives as long as that function: one check.  ``prefilter`` gives the skip
+    lives as long as that function: one check.  That includes the term
+    ratios of each r_phi_s a side sums, x-free factors held in one plan per
+    series and side (``qcore._SeriesPlan``).  ``prefilter`` gives the skip
     reason of a grid point outside the identity's domain, or None."""
 
     tol: float

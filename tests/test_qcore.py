@@ -43,7 +43,16 @@ from qconnect import (
     two_f_zero,
 )
 from qconnect import qcore
-from qconnect.qcore import DEFAULT_PROXIMITY, _EXACT_TOL, _sum_tail, _terminating_degree
+from qconnect.qcore import (
+    DEFAULT_PROXIMITY,
+    _EXACT_TOL,
+    _condition,
+    _finite_abs,
+    _SeriesPlan,
+    _shifted_pole_at,
+    _sum_tail,
+    _terminating_degree,
+)
 from conftest import decimal_rel_err, decimal_theta, rel_err, theta_rounding_bound
 
 mp.mp.dps = 40
@@ -145,6 +154,16 @@ class TestQModulus:
         qm = QModulus(0.4)
         assert as_modulus(qm) is qm
         assert as_modulus(0.4).q == qm.q
+
+    def test_pole_spirals_formed_once(self):
+        qm = QModulus(0.4)
+        poles, exact = qm._pole_spiral(), qm._exact_pole_spiral()
+        assert poles is qm._pole_spiral() and exact is qm._exact_pole_spiral()
+        assert poles == Spiral(1 + 0j, qm)
+        assert exact == Spiral(1 + 0j, qm, _EXACT_TOL)
+        # not fields: equality, hash and repr still depend on q alone
+        assert qm == QModulus(0.4) and hash(qm) == hash(QModulus(0.4))
+        assert repr(qm) == repr(QModulus(0.4))
 
 
 class TestTruncation:
@@ -667,6 +686,18 @@ class TestShiftedPoleContinuation:
         with pytest.raises(ValueError):
             qpochhammer_inf_shifted_pole(0.3, 0.5, -1)
 
+    @pytest.mark.parametrize("lam", [0.35, 2 * cmath.exp(0.7j)])
+    def test_per_lambda_form_is_the_public_call(self, qmod, lam):
+        log, want_log = TermLog(), TermLog()
+        at = _shifted_pole_at(lam, qmod, Truncation(log=log))
+        for k in range(9):
+            want = qpochhammer_inf_shifted_pole(lam, qmod, k, Truncation(log=want_log))
+            assert bits(at(k)) == bits(want)
+        # (lambda; q)_inf once, not once per k
+        one = TermLog()
+        qpochhammer_inf(lam, qmod, Truncation(log=one))
+        assert log.terms == want_log.terms - 8 * one.terms
+
 
 class TestTheta:
     def test_zero_argument_rejected(self, qmod):
@@ -970,6 +1001,151 @@ class TestRphis:
             rphis((0.3,), (1.0,), qmod, 0.1)
 
 
+def oracle_rphis(ups, lows, qm, x, tr):
+    """The r_phi_s term loop that forms each term ratio afresh, as
+    rphis_with_condition did before its plans: the oracle of
+    :class:`TestSeriesPlan`."""
+    ax = _finite_abs(x, "r_phi_s")
+    ups = tuple(complex(a) for a in ups)
+    lows = tuple(complex(b) for b in lows)
+    r, s = len(ups), len(lows)
+    d = 1 + s - r
+    for b in lows:
+        if Spiral(1 + 0j, qm).half_hit(b) is not None:
+            raise BadLowerParameter(f"lower parameter {b!r} on q^(-N)")
+    if x == 0:
+        return 1 + 0j, 1.0
+    exact = Spiral(1 + 0j, qm, _EXACT_TOL)
+    degrees = [-k for k in map(exact.half_hit, ups) if k is not None]
+    term_deg = min(degrees) if degrees else None
+    if d < 0 and term_deg is None:
+        raise DivergentSeries("r - s > 1")
+    if d == 0 and ax >= 1 and term_deg is None:
+        raise OutsideRadius("|x| >= 1")
+    n_close = -1
+    if d == 0 and term_deg is None:
+        aq = abs(qm.q)
+        c = sum([abs(a) for a in ups]) + sum([abs(b) for b in lows]) + aq
+        n_f = (math.log(tr.eps) + math.log((1 - aq) / 10) - math.log(c)) / qm._log_q
+        if n_f <= tr.n_max - 1:
+            n_close = max(math.ceil(n_f), 0)
+    closed = 0.0
+
+    def terms():
+        nonlocal closed
+        one = 1 + 0j
+        pw, t, n = qm._powers, one, 0
+        while True:
+            if n == n_close:
+                tail = t / (1 - x)
+                closed = abs(t) / (1 - ax) - abs(tail)
+                yield tail
+                return
+            yield t
+            if n == term_deg:
+                return
+            if n + 1 >= len(pw):
+                pw = qm._powers_to(n + 2)
+            qn = pw[n]
+            num = one
+            for a in ups:
+                num *= one - a * qn
+            den = one
+            for b in lows:
+                den *= one - b * qn
+            den *= one - pw[n + 1]
+            if den == 0:
+                raise BadLowerParameter("vanishing denominator factor in series term")
+            t *= num / den * x
+            if d:
+                t *= (-qn) ** d
+            n += 1
+
+    total, abs_sum, _, count = _sum_tail(terms(), tr, 0j, 0.0, 1.0, tr.streak, "series")
+    tr.note(count)
+    return total, _condition(abs_sum + closed, abs(total))
+
+
+class TestSeriesPlan:
+    """One plan evaluated at many x gives, at each, the bits, condition and
+    TermLog count of the loop that forms every term ratio afresh, in any
+    order of the x and whether its table is empty, partly or fully grown."""
+
+    @staticmethod
+    def _outcome(call, x, log):
+        before = log.terms
+        try:
+            value, cond = call(x)
+        except (DivergentSeries, OutsideRadius, TruncationExceeded) as exc:
+            return type(exc).__name__, log.terms - before
+        return bits(value), cond.hex(), log.terms - before
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.48 + 0.36j])
+    def test_matches_the_loop_in_either_order(self, q):
+        rng = random.Random(f"plan-{q}")
+        qm = QModulus(q)
+        families = [
+            (2, 1, (-1, 0.1)),  # 2phi1, |x| up to about 1.26: some OutsideRadius
+            (1, 1, (-1, 1)),  # 1phi1, entire
+            (0, 1, (-1, 1)),  # 0phi1
+            (1, 0, (-1, 0)),  # 1phi0, e_q's family, |x| < 1
+            (0, 0, (-1, 1)),  # 0phi0
+        ]
+        evaluated = 0
+        for r, s, (lo, hi) in families:
+            for _ in range(6):
+                ups = tuple(point(rng, -1, 1) for _ in range(r))
+                lows = tuple(point(rng, -1, 0.3) for _ in range(s))
+                xs = [point(rng, lo, hi) for _ in range(7)] + [0j]
+                if r == s + 1:
+                    # near the unit circle, where the geometric tail is closed
+                    xs.append(cmath.rect(1 - 10 ** rng.uniform(-4, -1), rng.uniform(-3, 3)))
+                want_log = TermLog()
+                want_tr = Truncation(log=want_log)
+                want = [
+                    self._outcome(lambda x: oracle_rphis(ups, lows, qm, x, want_tr), x, want_log)
+                    for x in xs
+                ]
+                log = TermLog()
+                plan = _SeriesPlan(ups, lows, qm, Truncation(log=log))
+                assert [self._outcome(plan, x, log) for x in xs] == want
+                # the same plan again, its table grown, in reverse order
+                assert [self._outcome(plan, x, log) for x in reversed(xs)] == want[::-1]
+                # a new plan whose table grows in reverse order
+                log = TermLog()
+                plan = _SeriesPlan(ups, lows, qm, Truncation(log=log))
+                assert [self._outcome(plan, x, log) for x in reversed(xs)] == want[::-1]
+                evaluated += sum(1 for w in want if len(w) == 3)
+        assert evaluated >= 200
+
+    def test_terminating_and_divergent(self):
+        qm = QModulus(0.5)
+        log = TermLog()
+        plan = _SeriesPlan((qm.q**-3, 0.3, 0.2), (0.7,), qm, Truncation(log=log))
+        for x in (3.0, -0.4j, 0.01):
+            want = oracle_rphis((qm.q**-3, 0.3, 0.2), (0.7,), qm, x, DEFAULT_TRUNCATION)
+            before = log.terms
+            assert plan(x) == want and log.terms - before == 4
+        divergent = _SeriesPlan((0.3, 0.2, 0.1), (0.7,), qm, DEFAULT_TRUNCATION)
+        assert divergent(0) == (1, 1.0)
+        for _ in range(2):  # raised at every x != 0, never remembered as a plan
+            with pytest.raises(DivergentSeries):
+                divergent(0.3)
+
+    def test_lower_parameter_refused_when_formed(self):
+        qm = QModulus(0.5)
+        with pytest.raises(BadLowerParameter, match="lies within 1e-06 of q"):
+            _SeriesPlan((0.2,), (4.0,), qm, DEFAULT_TRUNCATION)
+
+    def test_rphis_is_plan_and_evaluation(self):
+        qm = QModulus(0.5)
+        ups, lows = (0.3 + 0.1j, -2.0), (0.7j,)
+        plan = _SeriesPlan(ups, lows, qm, DEFAULT_TRUNCATION)
+        for x in (0.3 - 0.2j, 0.9j, -0.05):
+            assert plan(x) == rphis_with_condition(ups, lows, qm, x)
+            assert plan(x)[0] == rphis(ups, lows, 0.5, x)
+
+
 class TestQExponentials:
     def test_at_zero(self, qmod):
         assert e_exp(qmod, 0) == 1
@@ -1029,6 +1205,18 @@ class TestQExponentials:
     def test_pole_at_one_excluded_on_both_sides(self, x):
         with pytest.raises(PoleHit):
             e_exp(0.5, x)
+
+    @pytest.mark.parametrize("x", [1 - 1e-7, 1 - 1e-12])
+    def test_series_mode_excludes_the_pole_too(self, x):
+        # the closed tail would sum to the pole's value (3.46e12 at 1 - 1e-12)
+        with pytest.raises(PoleHit):
+            e_exp(0.5, x, mode="series")
+
+    def test_series_mode_keeps_its_value_off_the_pole(self):
+        log = TermLog()
+        got = e_exp(0.5, 0.9999, Truncation(log=log), mode="series")
+        assert log.terms == 55
+        assert bits(got) == bits(rphis((0j,), (), 0.5, 0.9999))
 
     def test_E_entire_modes_agree(self, qmod):
         for x in (4.2 - 1.1j, 0.3 + 0.1j):

@@ -122,6 +122,14 @@ class TestFormedOncePerCheckAndSide:
         assert rep.passed
         assert sum(1 for v in args if v == constant) == 1
 
+    def test_residue_lemma_forms_lambda_products_once_per_anchor(self, monkeypatch):
+        # the closed form's (lambda; q)_inf once per anchor, not once per k
+        args = _recorder(monkeypatch, qcore, "qpochhammer_inf")
+        rep = check(IdentityCheck("residue-lemma", 0.5))
+        assert rep.passed
+        anchors = verify._REGISTRY["residue-lemma"].grid
+        assert Counter(v for v in args if v in anchors) == dict.fromkeys(anchors, 1)
+
     @pytest.mark.parametrize("ident, sides", [("thm-2f0", 1), ("qde-2f0-resummed", 2)])
     def test_resummation_constants(self, monkeypatch, ident, sides):
         # thm-2f0 resums on its lhs only, qde-2f0-resummed on both sides,
@@ -137,6 +145,108 @@ class TestFormedOncePerCheckAndSide:
         closed = ident == "thm-2f0"
         assert thetas.count(-LAM / q) == closed
         assert products.count(q) == closed
+
+
+def _plan_recorder(monkeypatch):
+    """Record each series plan formed by ``verify`` and ``special`` (its
+    parameters and the check it was formed in) and each evaluation (the
+    plan, the check it ran in and its x).  Set ``state["check"]`` to the
+    index of the running check."""
+    state = {"check": 0, "formed": [], "evaluated": []}
+    real = qcore._SeriesPlan
+
+    def form(ups, lows, qm, tr):
+        plan = real(ups, lows, qm, tr)
+        pid = len(state["formed"])
+        state["formed"].append((state["check"], tuple(ups), tuple(lows), qm.q))
+
+        def evaluate(x):
+            state["evaluated"].append((pid, state["check"], x))
+            return plan(x)
+
+        return evaluate
+
+    monkeypatch.setattr(verify, "_SeriesPlan", form)
+    monkeypatch.setattr(special, "_SeriesPlan", form)
+    return state
+
+
+def _series_args(ident, q, x):
+    """The arguments at which each series of ``ident`` is summed at the grid
+    point x, one set per plan in the order the plans are formed, and the
+    side of each: a plan serves one side, at that side's arguments only."""
+    a, b, c = (complex(v) for v in ABC)
+    if ident == "watson":
+        arg = c * q / (a * b * x)
+        return [("lhs", {x}), ("rhs", {arg}), ("rhs", {arg})]
+    if ident in ("ismail-zhang", "thm-2f0"):  # 1phi1 at base q^2, q^2/x and q^3/x
+        return [("rhs", {q * q / x}), ("rhs", {q**3 / x})]
+    if ident == "thm-ramanujan-qairy":  # Ai_q(-x) and Ai_q(x): the series at x and -x
+        return [("rhs", {x, -x})]
+    if ident == "thm-eq-Eq":
+        return [("lhs", {x})]
+    if ident == "lemma-alt":
+        return [("rhs", {q**5 / (x * x)}), ("rhs", {q**7 / (x * x)})]
+    if ident == "qde-qairy":  # Ai_q(q^2 x), Ai_q(q x) on the lhs, Ai_q(x) on the rhs
+        return [("lhs", {-(q * q * x), -(q * x)}), ("rhs", {-x})]
+    return []
+
+
+class TestSeriesPlansPerCheckAndSide:
+    @pytest.mark.parametrize("ident", IDENTITY_IDS)
+    def test_plans_per_side(self, monkeypatch, ident):
+        state = _plan_recorder(monkeypatch)
+        q = 0.5
+        rep = check(IdentityCheck(ident, q, lam=LAM, abc=ABC))
+        assert rep.passed
+        evaluated_x = [p.x for p in rep.points if not p.skipped]
+        sides = [_series_args(ident, complex(q), x) for x in evaluated_x]
+        want_plans = len(sides[0])
+        assert len(state["formed"]) == want_plans
+        # each plan is summed at its own side's arguments, at every point
+        got = {pid: set() for pid in range(want_plans)}
+        for pid, _, x in state["evaluated"]:
+            got[pid].add(x)
+        for pid in range(want_plans):
+            assert got[pid] == set().union(*(args[pid][1] for args in sides)), (ident, pid)
+        if ident == "watson":
+            a, b, c = (complex(v) for v in ABC)
+            assert [f[1:3] for f in state["formed"]] == [
+                ((a, b), (c,)),
+                ((a, a * q / c), (a * q / b,)),
+                ((b, b * q / c), (b * q / a,)),
+            ]
+
+    def test_no_plan_reaches_the_next_check(self, monkeypatch):
+        state = _plan_recorder(monkeypatch)
+        checks = [IdentityCheck(ident, 0.5, lam=LAM, abc=ABC) for ident in IDENTITY_IDS] * 2
+        for i, chk in enumerate(checks):
+            state["check"] = i
+            check(chk)
+        formed_in = [f[0] for f in state["formed"]]
+        # per round: watson 3, ismail-zhang 2, thm-ramanujan-qairy 1,
+        # thm-eq-Eq 1, lemma-alt 2, thm-2f0 2, qde-qairy 2
+        assert len(formed_in) == 2 * 13
+        assert all(formed_in[pid] == ran_in for pid, ran_in, _ in state["evaluated"])
+
+    def test_residue_sum_forms_one_plan_for_both_signs(self, monkeypatch):
+        state = _plan_recorder(monkeypatch)
+        t = 1.3 + 0.4j
+        qconnect.f_via_residues(0.5, t)
+        assert len(state["formed"]) == 1
+        assert [x for _, _, x in state["evaluated"]] == [1 / t, -1 / t]
+
+    def test_a_refused_parameter_skips_every_point_at_the_same_step(self, monkeypatch):
+        # a q / b = q^-1 puts the connection side's first 2phi1 on the pole
+        # spiral: its plan is refused once, and every point gets that reason
+        state = _plan_recorder(monkeypatch)
+        rep = check(IdentityCheck("watson", 0.5, abc=(2, 0.5, 0.5)))
+        assert len(state["formed"]) == 1  # the lhs plan; the refused one is not formed
+        reasons = Counter(p.reason for p in rep.points)
+        assert reasons[
+            "lower parameter (2+0j) lies within 1e-06 of q^(-N) (q=(0.5+0j)); "
+            "the series has a vanishing denominator"
+        ] == 16
 
 
 class TestNothingOutlivesACheck:
