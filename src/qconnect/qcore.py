@@ -60,7 +60,7 @@ _EXACT_TOL = 1e-12
 _NOISE_FLOOR = 100.0 * 2.2e-16
 
 #: a product's split multiplies the factors 1 - a q^n with |a q^n| above this
-#: and sums the log-series of the rest (:func:`_product_plan`)
+#: and sums the log-series of the rest (:func:`_split_plan`)
 _TAIL_SPLIT = 0.1
 _LOG_TAIL_SPLIT = math.log(_TAIL_SPLIT)
 
@@ -87,7 +87,7 @@ class QModulus:
     once, at construction: ``_log_q`` = log|q|, ``_k_cap``, the largest
     |k| at which |q|^k is representable (the reach of
     :meth:`Spiral.nearest`), and ``_log_tail_room``, of the split's
-    remainder bound (:func:`_product_plan`).  The two pole spirals [1; q]
+    remainder bound (:func:`_split_plan`).  The two pole spirals [1; q]
     (:meth:`_pole_spiral`, :meth:`_exact_pole_spiral`) are formed at their
     first use and kept.  None of these is a dataclass field: equality, hash
     and repr depend on q alone.
@@ -213,11 +213,12 @@ class Truncation:
     1 - a q^n have |a q^n| < ``eps``; a one-argument product, and the theta
     kernel's pair, multiply the leading factors and sum the rest as a
     log-series whose remainder is below ``eps``/10 (both counts are set in
-    closed form before any factor is multiplied; ``qcore._product_plan``).
-    ``n_max`` is the most terms one tail, or powers one product, may take: a
-    tail that needs one more raises :class:`~qconnect.errors.TruncationExceeded`.
-    ``eps`` is a relative tolerance, 0 < eps < 1; the product plan's
-    log-series count K is at least 1 only for such an eps.
+    closed form before any factor is multiplied; ``qcore._split_plan`` and
+    ``qcore._product_plan``).  ``n_max`` is the most terms one tail, or
+    powers one product, may take: a tail that needs one more raises
+    :class:`~qconnect.errors.TruncationExceeded`.  ``eps`` is a relative
+    tolerance, 0 < eps < 1; the split's log-series count K is at least 1
+    only for such an eps.  log eps is kept beside it, formed once.
     """
 
     eps: float = 1e-15
@@ -232,6 +233,8 @@ class Truncation:
             raise ValueError("n_max must be at least 1")
         if self.streak < 1:
             raise ValueError("streak must be at least 1")
+        # log eps, read by every product plan; not a field, as QModulus's tables
+        object.__setattr__(self, "_log_eps", math.log(self.eps))
 
     def note(self, n: int) -> None:
         if self.log is not None:
@@ -332,16 +335,27 @@ def _once(form: Callable[[], _T]) -> Callable[[], _T]:
 
     def get() -> _T:
         if not memo:
-            try:
-                memo.append((form(), None))
-            except (QConnectError, ArithmeticError) as exc:
-                memo.append((None, exc))
-        value, err = memo[0]
-        if err is not None:
-            raise err.with_traceback(None)
-        return value
+            memo.append(_formed(form))
+        return _recalled(memo[0])
 
     return get
+
+
+def _formed(form: Callable[..., _T], *args) -> tuple[_T | None, Exception | None]:
+    """(``form(*args)``, None), or (None, the error) where it raised one of
+    the errors kept by :func:`_once`: the memo of a factor formed once."""
+    try:
+        return form(*args), None
+    except (QConnectError, ArithmeticError) as exc:
+        return None, exc
+
+
+def _recalled(memo: tuple[_T | None, Exception | None]) -> _T:
+    """The value of a memo of :func:`_formed`, or its error raised again."""
+    value, err = memo
+    if err is not None:
+        raise err.with_traceback(None)
+    return value
 
 
 def _finite_abs(x: complex, what: str, name: str = "x") -> float:
@@ -468,21 +482,42 @@ def _below(avals: Sequence[complex], qn: complex, eps: float) -> bool:
     return True
 
 
-def _product_plan(
-    avals: Sequence[complex], amax: float, qm: QModulus, tr: Truncation
-) -> tuple[int, int]:
-    """How (a_1, ..., a_m; q)_inf, max|a_i| = amax, is taken; the arity
-    decides.  One argument takes the split (M, K): the leading M powers
-    multiplied and K >= 1 terms of the log-series
-    log (w;q)_inf = -sum_k c_k w^k at w = a q^M summed (Gasper & Rahman,
-    section 1.3; c_k from :meth:`QModulus._log_coeffs_to`).  More arguments
-    take (n, 0), the n powers of the streak rule.
+def _split_plan(amax: float, qm: QModulus, tr: Truncation) -> tuple[int, int]:
+    """How a one-argument (a; q)_inf, |a| = amax finite, is taken: the split
+    (M, K), the leading M powers multiplied and K >= 1 terms of the
+    log-series log (w;q)_inf = -sum_k c_k w^k at w = a q^M summed (Gasper &
+    Rahman, section 1.3; c_k from :meth:`QModulus._log_coeffs_to`).
 
     M is the first with amax |q|^M <= ``_TAIL_SPLIT``, so every factor with
     |a q^n| above it is multiplied and exact zeros stay exact; K is the
     first, and at least 1, with
     |w|^(K+1) / ((1 - |q|)(1 - _TAIL_SPLIT)) < eps/10, a bound on the
-    series' remainder.  The split reads only amax.
+    series' remainder.  The split reads only amax.  M + K above ``n_max``
+    raises :class:`~qconnect.errors.TruncationExceeded`, before either table
+    grows (M alone is about 2.3 / (1 - |q|) near |q| = 1); on return the
+    tables hold the M + 1 powers and the K coefficients.
+    """
+    log_q = qm._log_q
+    log_a = math.log(amax) if amax else -math.inf  # a = 0: w = 0 and K = 1
+    n = math.ceil((_LOG_TAIL_SPLIT - log_a) / log_q) if amax > _TAIL_SPLIT else 0
+    # log|w| = log amax + M log|q|
+    k = math.floor((tr._log_eps + qm._log_tail_room) / (log_a + n * log_q)) or 1
+    if n + k > tr.n_max:  # before the tables grow to the count
+        raise TruncationExceeded(
+            f"(a;q)_inf tail not below eps={tr.eps} after n_max={tr.n_max} factors"
+        )
+    if len(qm._powers) <= n:  # the calls cost more than the tests
+        qm._powers_to(n + 1)
+    if len(qm._log_coeffs) < k:
+        qm._log_coeffs_to(k)
+    return n, k
+
+
+def _product_plan(
+    avals: Sequence[complex], amax: float, qm: QModulus, tr: Truncation
+) -> int:
+    """How (a_1, ..., a_m; q)_inf, m >= 2, max|a_i| = amax, is taken: the n
+    powers of the streak rule (one argument takes :func:`_split_plan`).
 
     The streak rule takes the first n after which ``tr.streak`` consecutive
     powers had |a_i q^n| < eps for every i.  The moduli shrink
@@ -493,35 +528,25 @@ def _product_plan(
     q^n moves that estimate by far less than half a factor, so one test of
     the rule at j decides.
 
-    ``n_max`` caps the powers taken, M + K or n: above it raises
-    :class:`~qconnect.errors.TruncationExceeded`, before either table grows
-    (M alone is about 2.3 / (1 - |q|) near |q| = 1).  On return the tables
-    hold the M + 1 or n + 1 powers and the K coefficients.
+    ``n_max`` caps n: above it raises
+    :class:`~qconnect.errors.TruncationExceeded`, before the table of powers
+    grows; on return it holds the n + 1 powers.
     """
     eps, streak, n_max = tr.eps, tr.streak, tr.n_max
-    log_q = qm._log_q
-    k = 0
-    if len(avals) == 1:
-        log_a = math.log(amax) if amax else -math.inf  # a = 0: w = 0 and K = 1
-        n = math.ceil((_LOG_TAIL_SPLIT - log_a) / log_q) if amax > _TAIL_SPLIT else 0
-        # log|w| = log amax + M log|q|
-        k = math.floor((math.log(eps) + qm._log_tail_room) / (log_a + n * log_q)) or 1
-    elif not amax:  # every factor is 1
+    if not amax:  # every factor is 1
         n = streak
     else:
-        j = round((math.log(eps) - math.log(amax)) / log_q) if amax >= eps else 0  # else n0 = 0
+        j = round((tr._log_eps - math.log(amax)) / qm._log_q) if amax >= eps else 0  # else n0 = 0
         n = j + streak
         if n <= n_max and not _below(avals, qm._powers_to(n + 2)[j], eps):
             n += 1  # n0 = j + 1
-    if n + k > n_max:  # before the tables grow to the count
+    if n > n_max:  # before the table grows to the count
         raise TruncationExceeded(
             f"(a;q)_inf tail not below eps={eps} after n_max={n_max} factors"
         )
-    if len(qm._powers) <= n:  # the calls cost more than the tests
+    if len(qm._powers) <= n:
         qm._powers_to(n + 1)
-    if len(qm._log_coeffs) < k:
-        qm._log_coeffs_to(k)
-    return n, k
+    return n
 
 
 def _product_range(prod: complex, avals: Sequence[complex], pw: Sequence[complex], a) -> None:
@@ -540,9 +565,9 @@ def _qpochhammer_one(
 ) -> complex:
     """The one-argument (a0; q)_inf of :func:`qpochhammer_inf`, |a0| = amax
     finite, after its argument checks: the split, the range rule (errors
-    name ``a``, the argument as given) and the count M + K.  ``theta``'s
-    set-up takes its (q;q)_inf here."""
-    n, n_tail = _product_plan((a0,), amax, qm, tr)
+    name ``a``, the argument as given) and the count M + K.  A theta plan
+    takes its (q;q)_inf here."""
+    n, n_tail = _split_plan(amax, qm, tr)
     pw = qm._powers[:n]
     one = 1 + 0j
     prod = one
@@ -579,13 +604,14 @@ def qpochhammer_inf(
     normal double range with no exactly zero factor (so callers never divide
     by an underflowed product) raises :class:`~qconnect.errors.DomainError`.
 
-    The plan comes in closed form from :func:`_product_plan` (which raises
-    where ``n_max`` is exceeded); the factors from the table of powers are
-    then multiplied in a loop with no tail test, written out for one, two
-    and three arguments.  One argument always takes the split: the leading
-    M factors times exp(-S), S the first K >= 1 terms of the log-series at
-    w = a q^M; ``trunc.log`` counts M + K.  More arguments take the n
-    factors of the streak rule, n per argument in the count.
+    The plan comes in closed form from :func:`_split_plan` or
+    :func:`_product_plan` (which raise where ``n_max`` is exceeded); the
+    factors from the table of powers are then multiplied in a loop with no
+    tail test, written out for one, two and three arguments.  One argument
+    always takes the split: the leading M factors times exp(-S), S the first
+    K >= 1 terms of the log-series at w = a q^M; ``trunc.log`` counts
+    M + K.  More arguments take the n factors of the streak rule, n per
+    argument in the count.
     """
     tr = DEFAULT_TRUNCATION if trunc is None else trunc
     qm = q if isinstance(q, QModulus) else as_modulus(q)
@@ -599,7 +625,7 @@ def qpochhammer_inf(
     m = len(avals)
     if m == 1:
         return _qpochhammer_one(avals[0], amax, qm, tr, a)
-    n, _ = _product_plan(avals, amax, qm, tr)
+    n = _product_plan(avals, amax, qm, tr)
     pw = qm._powers[:n]
     one = 1 + 0j
     prod = one
@@ -763,12 +789,12 @@ def theta(
 ) -> complex:
     """Jacobi theta function theta_q(x), x != 0.
 
-    The one evaluation path is the kernel of :func:`_theta_circle` at the
-    single point x: the shift law brings |x| into [0.2, 5], and the triple
-    product (q, -x0, -q/x0; q)_inf at x0 = q^k x is split into a few
-    multiplied leading factors, which keep the zeros on -q^Z exact, and one
-    log-series tail factor.  ``trunc.log`` counts 2 per leading power plus
-    2 per tail term, plus the M + K of (q;q)_inf.  The bilateral sum
+    The one evaluation path is a theta plan (``_ThetaPlan``) at the single
+    point x: the shift law brings |x| into [0.2, 5], and the triple product
+    (q, -x0, -q/x0; q)_inf at x0 = q^k x is split into a few multiplied
+    leading factors, which keep the zeros on -q^Z exact, and one log-series
+    tail factor.  ``trunc.log`` counts 2 per leading power plus 2 per tail
+    term, plus the M + K of (q;q)_inf.  The bilateral sum
     (:func:`theta_sum`) cancels catastrophically near the zero spiral (badly
     so for |q| close to 1, where the zeros crowd in modulus); it and
     :func:`theta_product` cross-check this path in the test suite.  Where
@@ -781,21 +807,12 @@ def theta(
     DomainError too, the underflow rule of :func:`qpochhammer_inf`, so no
     caller divides by an underflowed theta (at q = 0.995,
     theta_q(-0.7 + 0.05i) underflows); the zeros on -q^Z stay 0.
+
+    An identity check forms one plan per side and base, once, and calls it
+    at every theta that side takes, with the same bits as these calls: the
+    plan forms (q;q)_inf once and one kernel per circle |x| = rho.
     """
-    if x == 0:
-        raise ZeroArgument("theta is undefined at x = 0")
-    qm = as_modulus(q)
-    ax = _finite_abs(x, "theta")
-    v = _theta_circle(qm, ax, trunc)(x)
-    if abs(v) < _TINY:
-        # the kernel's factors 1 + x0 q^n and 1 + (q/x0) q^n, x0 = q^k x
-        x0 = qm.q ** _theta_shift(qm, ax) * x
-        y = qm.q / x0
-        if 0 not in [f for qn in qm._powers for f in (1 + x0 * qn, 1 + y * qn)]:
-            raise DomainError(
-                f"x={x!r} is out of double range for theta (q={qm.q!r}): theta_q(x) underflows"
-            )
-    return v
+    return _ThetaPlan(as_modulus(q), _trunc(trunc))(x)
 
 
 def _weighted(c: complex, q: complex, e: int) -> complex:
@@ -841,100 +858,165 @@ def _theta_shift(qm: QModulus, ax: float) -> int:
 def _theta_circle(
     qm: QModulus, rho: float, trunc: Truncation | None = None
 ) -> Callable[[complex], complex]:
-    """:func:`theta` for arguments on one circle |x| = rho, as a function of x.
+    """:func:`theta` for arguments on one circle |x| = rho, as a function of
+    x: the kernel of a fresh theta plan on that circle (``_ThetaPlan.circle``)."""
+    return _ThetaPlan(qm, _trunc(trunc)).circle(rho)
 
-    Everything that depends only on |x| is computed once: the shift k of
-    :func:`_theta_shift`, the plan of (-x0, -q/x0; q)_inf with x0 = q^k x
-    (by :func:`_product_plan`, which caps the powers taken at ``n_max``),
-    and the constant (q;q)_inf q^(k(k-1)/2), with (q;q)_inf from the
-    one-argument path of :func:`qpochhammer_inf` past its argument checks
-    (its plan, loop, range rule and count).  The pair is planned as one argument of
-    modulus max(|x0|, |q/x0|), since the split reads only that: the leading
-    M powers, up to the first with max(|x0|, |q/x0|) |q|^M <= ``_TAIL_SPLIT``,
-    are multiplied out, so the zeros of theta stay exact zero factors, and
-    the rest is one factor exp(-S), with S the first K >= 1 terms of the
-    log-series at both w1 = -x0 q^M and w2 = -(q/x0) q^M.
 
-    ``trunc.log`` notes the count of (q;q)_inf once, here, and 2 per
-    leading power plus 2 per tail term at each call.  The
-    constant times the bare x^k scales the product wherever that is finite;
-    elsewhere the one fallback is x0^k q^(-k(k+1)/2) times (q;q)_inf, with
-    the power of q applied in chunks by :func:`_weighted`.
-    rho not finite and positive, or a value (or factor) out of double
-    range, raises :class:`~qconnect.errors.DomainError`; a plan above
-    ``n_max`` raises :class:`~qconnect.errors.TruncationExceeded`.  A value
-    that underflows is returned: :func:`theta` applies the underflow rule,
-    while a quadrature sample that underflows is only summed.
+class _ThetaPlan:
+    """theta_q at one base and truncation, as a function of x: the part of
+    :func:`theta` that does not depend on x, formed once and then called at
+    any number of x, each call giving the bits, or the error, of
+    :func:`theta` at that x.
+
+    It holds (q;q)_inf, formed by the first kernel that needs it, once
+    (:meth:`qq`), and one kernel per shift and split (k, M, K)
+    (:meth:`circle`).  A kernel reads q, the truncation and those three
+    alone, so the points of one circle, whose moduli may differ in their
+    last bits, share it.  The zero and underflow rules of :func:`theta` are
+    applied at each call.
+
+    With ``over_qq`` the constant (q;q)_inf is left out of every kernel: the
+    plan gives theta_q(x) / (q;q)_inf = (-x, -q/x; q)_inf, the pairs of the
+    connection formulae (Gasper & Rahman, section 4.3), with no (q;q)_inf to
+    underflow near |q| = 1, and the underflow rule is that of this quotient.
     """
-    if not 0.0 < rho < math.inf:
-        raise DomainError(f"theta needs a finite nonzero argument, got |x|={rho!r}")
-    tr = _trunc(trunc)
-    qc = qm.q
-    k = _theta_shift(qm, rho)
-    try:
-        qk = qc**k
-        q_shift = qc ** (k * (k - 1) // 2)
-    except (OverflowError, ZeroDivisionError):  # q^k at k < 0 leaves double range
-        raise DomainError(
-            f"|x|={rho!r} is out of double range for theta (q={qc!r}): the "
-            "shift-law factor q^(k(k-1)/2) overflows"
-        ) from None
-    if not qk:  # then |x| > |q|^(-k), beyond double range, and so is theta
-        raise DomainError(
-            f"|x|={rho!r} is out of double range for theta (q={qc!r}): q^{k} underflows to 0"
-        )
-    # the factor moduli |a q^n| are the same at every x on the circle, and
-    # the split reads only the larger: one argument of that modulus
-    amax = max(abs(qk * rho), abs(qc / (qk * rho)))
-    m, n_tail = _product_plan((amax,), amax, qm, tr)
-    pw = qm._powers
-    lead = pw[:m]
-    # c_K, ..., c_1 for Horner's rule, and w = -a q^M = a * w_scale
-    tail = qm._log_coeffs[n_tail - 1 :: -1]
-    w_scale = -pw[m]
-    one = 1 + 0j
-    # (q;q)_inf past the argument checks; raises from |q| ~ 0.9978 on, where it underflows
-    qq = _qpochhammer_one(qc, abs(qc), qm, tr, qc)
-    const = qq * q_shift
-    const_x0 = const * (1 + 0j)  # const * x**0, bit for bit, signs of zeros too
-    factors = 2 * (m + n_tail)
-    log = tr.log
 
-    def value(x: complex) -> complex:
-        x0 = qk * x
-        y = qc / x0
-        prod = one
-        for qn in lead:
-            prod *= (one + x0 * qn) * (one + y * qn)
-        w1, w2 = x0 * w_scale, y * w_scale
-        s1 = s2 = 0j
-        for c in tail:
-            s1 = (s1 + c) * w1
-            s2 = (s2 + c) * w2
-        try:
-            prod *= cmath.exp(-(s1 + s2))
-        except OverflowError:  # fails the range check below
-            prod = complex(math.inf)
-        if log is not None:
-            log.terms += factors
-        try:
-            v = (const * x**k if k else const_x0) * prod
-        except (OverflowError, ZeroDivisionError):
-            v = math.nan
-        if not cmath.isfinite(v):
-            # x0^k q^(-k(k+1)/2), |x0| near 1, the power of q in chunks,
-            # unless the factor's log-modulus is out of range anyway
-            e = k * (k - 1) // 2
-            if k * math.log10(abs(x)) + e * math.log10(abs(qc)) < 309:
-                v = qq * _weighted(x0**k, qc, e - k * k) * prod
-            if not cmath.isfinite(v):
+    __slots__ = ("qm", "tr", "over_qq", "_qq", "_kernels")
+
+    def __init__(self, qm: QModulus, tr: Truncation, over_qq: bool = False) -> None:
+        self.qm, self.tr, self.over_qq = qm, tr, over_qq
+        # the memo of (q;q)_inf (:meth:`qq`), once formed
+        self._qq: tuple | None = (1 + 0j, None) if over_qq else None
+        self._kernels: dict[tuple[int, int, int], Callable[[complex], complex]] = {}
+
+    def qq(self) -> complex:
+        """(q;q)_inf (1 with ``over_qq``), formed at the first call, past the
+        argument checks of :func:`qpochhammer_inf`.  The rule of
+        :func:`_once`, with its memo in the plan, which spares a one-off
+        :func:`theta` a closure: a later call returns the value, or raises
+        the error again (from |q| ~ 0.9978 on it underflows, and every
+        kernel fails at that step with that error)."""
+        if self._qq is None:
+            qc = self.qm.q
+            self._qq = _formed(_qpochhammer_one, qc, abs(qc), self.qm, self.tr, qc)
+        return _recalled(self._qq)
+
+    def __call__(self, x: complex) -> complex:
+        if x == 0:
+            raise ZeroArgument("theta is undefined at x = 0")
+        ax = _finite_abs(x, "theta")
+        v = self.circle(ax)(x)
+        if abs(v) < _TINY:
+            # the kernel's factors 1 + x0 q^n and 1 + (q/x0) q^n, x0 = q^k x
+            qm = self.qm
+            x0 = qm.q ** _theta_shift(qm, ax) * x
+            y = qm.q / x0
+            if 0 not in [f for qn in qm._powers for f in (1 + x0 * qn, 1 + y * qn)]:
+                what = "theta_q(x)/(q;q)_inf" if self.over_qq else "theta_q(x)"
                 raise DomainError(
-                    f"x={x!r} is out of double range for theta (q={qc!r}): theta_q(x), "
-                    "its shift-law factor q^(k(k-1)/2) x^k or its product overflows"
+                    f"x={x!r} is out of double range for theta (q={qm.q!r}): {what} underflows"
                 )
         return v
 
-    return value
+    def circle(self, rho: float) -> Callable[[complex], complex]:
+        """The kernel for arguments on the circle |x| = rho, as a function of x.
+
+        Everything that depends only on |x| is computed here: the shift k of
+        :func:`_theta_shift`, the split of (-x0, -q/x0; q)_inf with
+        x0 = q^k x (by :func:`_split_plan`, which caps the powers taken at
+        ``n_max``), and the constant (q;q)_inf q^(k(k-1)/2).  The pair is
+        split as one argument of modulus max(|x0|, |q/x0|), since the split
+        reads only that: the leading M powers, up to the first with
+        max(|x0|, |q/x0|) |q|^M <= ``_TAIL_SPLIT``, are multiplied out, so
+        the zeros of theta stay exact zero factors, and the rest is one
+        factor exp(-S), with S the first K >= 1 terms of the log-series at
+        both w1 = -x0 q^M and w2 = -(q/x0) q^M.  The kernel of (k, M, K) is
+        built once per plan.
+
+        ``trunc.log`` notes the count of (q;q)_inf once per plan, and 2 per
+        leading power plus 2 per tail term at each call.  The constant times
+        the bare x^k scales the product wherever that is finite; elsewhere
+        the one fallback is x0^k q^(-k(k+1)/2) times (q;q)_inf, with the
+        power of q applied in chunks by :func:`_weighted`.  rho not finite
+        and positive, or a value (or factor) out of double range, raises
+        :class:`~qconnect.errors.DomainError`; a split above ``n_max``
+        raises :class:`~qconnect.errors.TruncationExceeded`.  A value that
+        underflows is returned: a plan's call applies the underflow rule,
+        while a quadrature sample that underflows is only summed.
+        """
+        if not 0.0 < rho < math.inf:
+            raise DomainError(f"theta needs a finite nonzero argument, got |x|={rho!r}")
+        qm = self.qm
+        qc = qm.q
+        k = _theta_shift(qm, rho)
+        try:
+            qk = qc**k
+        except (OverflowError, ZeroDivisionError):  # q^k at k < 0 leaves double range
+            raise DomainError(
+                f"|x|={rho!r} is out of double range for theta (q={qc!r}): the "
+                "shift-law factor q^(k(k-1)/2) overflows"
+            ) from None
+        if not qk:  # then |x| > |q|^(-k), beyond double range, and so is theta
+            raise DomainError(
+                f"|x|={rho!r} is out of double range for theta (q={qc!r}): q^{k} underflows to 0"
+            )
+        # the factor moduli |a q^n| are the same at every x on the circle, and
+        # the split reads only the larger: one argument of that modulus
+        amax = max(abs(qk * rho), abs(qc / (qk * rho)))
+        m, n_tail = _split_plan(amax, qm, self.tr)
+        kernel = self._kernels.get((k, m, n_tail))
+        if kernel is not None:
+            return kernel
+        pw = qm._powers
+        lead = pw[:m]
+        # c_K, ..., c_1 for Horner's rule, and w = -a q^M = a * w_scale
+        tail = qm._log_coeffs[n_tail - 1 :: -1]
+        w_scale = -pw[m]
+        one = 1 + 0j
+        qq = self.qq()
+        # k(k-1)/2 >= 0 and |q| < 1: this power raises nothing
+        const = qq * qc ** (k * (k - 1) // 2)
+        const_x0 = const * (1 + 0j)  # const * x**0, bit for bit, signs of zeros too
+        factors = 2 * (m + n_tail)
+        log = self.tr.log
+
+        def value(x: complex) -> complex:
+            x0 = qk * x
+            y = qc / x0
+            prod = one
+            for qn in lead:
+                prod *= (one + x0 * qn) * (one + y * qn)
+            w1, w2 = x0 * w_scale, y * w_scale
+            s1 = s2 = 0j
+            for c in tail:
+                s1 = (s1 + c) * w1
+                s2 = (s2 + c) * w2
+            try:
+                prod *= cmath.exp(-(s1 + s2))
+            except OverflowError:  # fails the range check below
+                prod = complex(math.inf)
+            if log is not None:
+                log.terms += factors
+            try:
+                v = (const * x**k if k else const_x0) * prod
+            except (OverflowError, ZeroDivisionError):
+                v = math.nan
+            if not cmath.isfinite(v):
+                # x0^k q^(-k(k+1)/2), |x0| near 1, the power of q in chunks,
+                # unless the factor's log-modulus is out of range anyway
+                e = k * (k - 1) // 2
+                if k * math.log10(abs(x)) + e * math.log10(abs(qc)) < 309:
+                    v = qq * _weighted(x0**k, qc, e - k * k) * prod
+                if not cmath.isfinite(v):
+                    raise DomainError(
+                        f"x={x!r} is out of double range for theta (q={qc!r}): theta_q(x), "
+                        "its shift-law factor q^(k(k-1)/2) x^k or its product overflows"
+                    )
+            return v
+
+        self._kernels[k, m, n_tail] = value
+        return value
 
 
 def _terminating_degree(upper: Sequence[complex], qm: QModulus) -> int | None:

@@ -49,6 +49,7 @@ from .qcore import (
     _once,
     _SeriesPlan,
     _sum_tail,
+    _ThetaPlan,
     _trunc,
     _weighted_abs,
 )
@@ -203,8 +204,9 @@ def f_via_residues(
     series = _SeriesPlan((0j,), (-qc,), qm, tr)  # one plan for +-1/t
     s_p, cond_p = series(1 / t)
     s_m, cond_m = series(-1 / t)
-    t_p = theta(qm, q2t, tr) * s_p
-    t_m = theta(qm, -q2t, tr) * s_m
+    th = _ThetaPlan(qm, tr)  # one plan for +-q^2 t, on one circle
+    t_p = th(q2t) * s_p
+    t_m = th(-q2t) * s_m
     num = t_p + t_m
     value = num / qpochhammer_inf((qc, -1 + 0j), qm, tr)
     try:
@@ -226,8 +228,12 @@ def _two_f_zero_at(
 ) -> Callable[[complex], complex]:
     """:func:`two_f_zero` at one (q, lambda), as a function of x.  The check
     of lambda and phi(lambda) are formed at the first call, once
-    (``qcore._once``: an error there is raised again at every call)."""
+    (``qcore._once``: an error there is raised again at every call), and
+    so is the spiral [-lambda; q] of the excluded x; the spiral sum takes
+    its theta_q(lambda/x) from this form's own theta plan."""
     qc = qm.q
+    th = _ThetaPlan(qm, tr)
+    neg_lam = _once(lambda: Spiral(-lam, qm))
 
     def start() -> complex:
         qm._pole_spiral().exclude(lam, "lambda")
@@ -253,7 +259,7 @@ def _two_f_zero_at(
                 b /= qc
                 yield phi
 
-        return _spiral_sum(up(), down(), qm, lam, x, tr)
+        return _spiral_sum(up(), down(), th, neg_lam, lam, x)
 
     return value
 
@@ -285,13 +291,19 @@ def _two_f_zero_closed_parts_at(
     qm: QModulus, lam: complex, tr: Truncation
 ) -> Callable[[complex], tuple[complex, complex]]:
     """:func:`_two_f_zero_closed_parts` at one (q, lambda), as a function of
-    x.  The check of lambda, theta_q(-lambda/q), (q;q)_inf and the plans of
-    the two 1phi1 at base q^2 (``qcore._SeriesPlan``) are formed at their
-    first use, once (``qcore._once``), each at the step where the closed
-    form first needs it, so an error keeps its place."""
+    x.  The check of lambda, the spiral [-lambda; q], theta_q(-lambda/q),
+    (q;q)_inf, the theta plan at base q^2 and the plans of the two 1phi1 at
+    base q^2 (``qcore._SeriesPlan``) are formed at their first use, once
+    (``qcore._once``), each at the step where the closed form first needs
+    it, so an error keeps its place.  Every theta at base q is taken by one
+    theta plan (``qcore._ThetaPlan``), and every theta at base q^2 by
+    another."""
     qc = qm.q
     lam_off_qz = _once(lambda: qm._pole_spiral().exclude(lam, "lambda"))
-    theta_lam = _once(lambda: theta(qm, -lam / qc, tr))
+    neg_lam = _once(lambda: Spiral(-lam, qm))
+    th = _ThetaPlan(qm, tr)
+    th2 = _once(lambda: _ThetaPlan(qm.squared(), tr))
+    theta_lam = _once(lambda: th(-lam / qc))
     qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
     even_series = _once(lambda: _SeriesPlan((0j,), (qc,), qm.squared(), tr))
     odd_series = _once(lambda: _SeriesPlan((0j,), (qc**3,), qm.squared(), tr))
@@ -300,16 +312,16 @@ def _two_f_zero_closed_parts_at(
         if x == 0:
             raise ZeroArgument("x must be nonzero")
         lam_off_qz()
-        Spiral(-lam, qm).exclude(x)
+        neg_lam().exclude(x)
         th_lam = theta_lam()
-        th_lx = _theta_from_x(qm, lam / x, x, tr)
+        th_lx = _theta_from_x(th, lam / x, x)
         den = th_lam * th_lx
         # each factor may clear the floor while their product underflows to 0
         if abs(th_lam) < _THETA_FLOOR or abs(th_lx) < _THETA_FLOOR or den == 0:
             raise ThetaZero(
                 "the denominator theta_q(-lambda/q) theta_q(lambda/x) is numerically zero"
             )
-        q2m = qm.squared()
+        th_q2 = th2()
         pref = qq() / den
         try:
             v_even = -lam * lam / (qc * x)
@@ -317,13 +329,13 @@ def _two_f_zero_closed_parts_at(
             v_even = complex(math.inf)
         even = (
             pref
-            * _theta_from_x(q2m, v_even, x, tr)
+            * _theta_from_x(th_q2, v_even, x)
             * even_series()(qm.q2 / x)[0]
         )
         odd = (
             pref
             * (lam / x)
-            * _theta_from_x(q2m, -lam * lam / x, x, tr)
+            * _theta_from_x(th_q2, -lam * lam / x, x)
             * odd_series()(qc**3 / x)[0]
             / (1 - qc)
         )

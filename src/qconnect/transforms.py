@@ -41,13 +41,13 @@ from .qcore import (
     Spiral,
     Truncation,
     as_modulus,
-    theta,
     _below_noise,
     _condition,
     _finite_abs,
     _sum_tail,
     _theta_circle,
     _theta_tails,
+    _ThetaPlan,
     _trunc,
 )
 from .series import QDEOperator
@@ -270,10 +270,10 @@ def qlaplace_plus(
     return _spiral_sum(
         (phi(lam * qc**n) for n in itertools.count()),
         (phi(lam * _spiral_power(qc, n)) for n in itertools.count(-1, -1)),
-        qm,
+        _ThetaPlan(qm, _trunc(trunc)),
+        lambda: Spiral(-lam, qm),
         lam,
         x,
-        trunc,
     )
 
 
@@ -289,12 +289,12 @@ def _spiral_power(qc: complex, n: int) -> complex:
         ) from None
 
 
-def _theta_from_x(qm: QModulus, v: complex, x: complex, tr: Truncation) -> complex:
-    """theta_q(v) for an argument v formed from the caller's x (lambda/x and
-    the like); where v, or theta of it, leaves double range, the
-    :class:`~qconnect.errors.DomainError` names x, not v."""
+def _theta_from_x(th: _ThetaPlan, v: complex, x: complex) -> complex:
+    """theta_q(v) by the plan ``th`` for an argument v formed from the
+    caller's x (lambda/x and the like); where v, or theta of it, leaves
+    double range, the :class:`~qconnect.errors.DomainError` names x, not v."""
     try:
-        return theta(qm, v, tr)
+        return th(v)
     except DomainError:  # ZeroArgument too: v underflowed to 0
         raise DomainError(
             f"x={x!r} is out of double range for the theta factors formed from it"
@@ -304,14 +304,17 @@ def _theta_from_x(qm: QModulus, v: complex, x: complex, tr: Truncation) -> compl
 def _spiral_sum(
     up: Iterator[complex],
     down: Iterator[complex],
-    qm: QModulus,
+    th: _ThetaPlan,
+    neg_lam: Callable[[], Spiral],
     lam: complex,
     x: complex,
-    trunc: Truncation | None,
 ) -> complex:
     """The bilateral sum of :func:`qlaplace_plus`, given the Borel image on
     the spiral as two lazy sequences: ``up`` yields phi(lambda q^n) for
-    n = 0, 1, 2, ... and ``down`` for n = -1, -2, ....
+    n = 0, 1, 2, ... and ``down`` for n = -1, -2, ....  The caller hands in
+    its theta plan ``th`` (its base and truncation are the sum's) and the
+    spiral [-lambda; q] of the excluded x, as a function called once
+    lambda != 0 is known, so a per-lambda form builds each once.
 
     Each tail draws values only until it is truncated, so a caller that knows
     a recurrence along the spiral can generate them without evaluating phi
@@ -323,19 +326,19 @@ def _spiral_sum(
         raise ZeroArgument("the spiral anchor lambda must be nonzero")
     if x == 0:
         raise ZeroArgument("x must be nonzero")
-    tr = _trunc(trunc)
-    Spiral(-lam, qm).exclude(x)
+    tr = th.tr
+    neg_lam().exclude(x)
     ratio = lam / x
-    th = _theta_from_x(qm, ratio, x, tr)
+    th_ratio = _theta_from_x(th, ratio, x)
     streak = max(5, tr.streak)
-    upper, lower = _theta_tails(qm, ratio)
-    total = next(up) * (1 + 0j) / th  # the n = 0 term, of weight 1
+    upper, lower = _theta_tails(th.qm, ratio)
+    total = next(up) * (1 + 0j) / th_ratio  # the n = 0 term, of weight 1
     total, _, scale, n_up = _sum_tail(
-        map(truediv, map(mul, up, upper), itertools.repeat(th)),
+        map(truediv, map(mul, up, upper), itertools.repeat(th_ratio)),
         tr, total, 0.0, max(abs(total), 1e-300), streak, "spiral sum upper tail",
     )
     total, _, _, n_down = _sum_tail(
-        map(truediv, map(mul, down, lower), itertools.repeat(th)),
+        map(truediv, map(mul, down, lower), itertools.repeat(th_ratio)),
         tr, total, 0.0, scale, streak, "spiral sum lower tail",
     )
     tr.note(1 + n_up + n_down)

@@ -10,8 +10,13 @@ where a point first needs it (``qcore._once``), and none outlives the check
 or is read by the other side.  Among them are the plans of the basic
 hypergeometric series (``qcore._SeriesPlan``): the term ratios
 prod(1 - a_i q^n) / (prod(1 - b_j q^n)(1 - q^(n+1))) are x-free, so each
-side forms them once per series and reads them at every grid point.  The
-per-point function returns the point's records, each made by
+side forms them once per series and reads them at every grid point.  So
+are the theta plans (``qcore._ThetaPlan``): each side takes its theta
+values at one base through one plan, which forms (q;q)_inf once and one
+kernel per circle |x| = rho it meets (a check's grid has three moduli), and
+Watson's and Ismail-Zhang's connection sides take their pairs
+(y, q/y; q)_inf = theta_q(-y) / (q;q)_inf as theta ratios on such a plan.
+The per-point function returns the point's records, each made by
 :func:`_record`.  Filtered points and evaluation-time errors (any
 :class:`~qconnect.errors.QConnectError`) become skip records, never silent
 passes or aborted runs.  Each evaluated point carries a
@@ -46,13 +51,13 @@ from .qcore import (
     e_exp,
     qpochhammer_inf,
     qpochhammer_n,
-    theta,
     theta_product,
     theta_sum_with_condition,
     _condition,
     _once,
     _SeriesPlan,
     _shifted_pole_at,
+    _ThetaPlan,
     _weighted_abs,
 )
 from .series import (
@@ -292,28 +297,41 @@ def _off_spiral(spiral: Spiral, x: complex) -> str | None:
 
 
 def _filter_unit_disc_off_one_spiral(
-    chk: IdentityCheck, qm: QModulus, x: complex
-) -> str | None:
-    if abs(x) >= 1:
-        return f"|x|={abs(x):.6g} outside the |x|<1 domain"
-    return _off_spiral(qm._pole_spiral(), x)
+    chk: IdentityCheck, qm: QModulus
+) -> Callable[[complex], str | None]:
+    poles = qm._pole_spiral()
+
+    def reason(x):
+        if abs(x) >= 1:
+            return f"|x|={abs(x):.6g} outside the |x|<1 domain"
+        return _off_spiral(poles, x)
+
+    return reason
 
 
-def _filter_watson(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
+def _filter_watson(chk: IdentityCheck, qm: QModulus) -> Callable[[complex], str | None]:
     a, b, c = chk.abc  # present: prepare runs first
-    if abs(x) >= 1:
-        return f"|x|={abs(x):.6g} outside the |x|<1 domain"
-    try:
-        arg = c * qm.q / (a * b * x)
-    except ZeroDivisionError:  # a b x is 0, or underflows to 0
-        arg = complex(math.inf)
-    if abs(arg) >= 1:
-        return f"|cq/(abx)|={abs(arg):.6g} outside the overlap domain"
-    return _off_spiral(qm._pole_spiral(), x)
+    poles = qm._pole_spiral()
+
+    def reason(x):
+        if abs(x) >= 1:
+            return f"|x|={abs(x):.6g} outside the |x|<1 domain"
+        try:
+            arg = c * qm.q / (a * b * x)
+        except ZeroDivisionError:  # a b x is 0, or underflows to 0
+            arg = complex(math.inf)
+        if abs(arg) >= 1:
+            return f"|cq/(abx)|={abs(arg):.6g} outside the overlap domain"
+        return _off_spiral(poles, x)
+
+    return reason
 
 
-def _filter_neg_lam_spiral(chk: IdentityCheck, qm: QModulus, x: complex) -> str | None:
-    return _off_spiral(Spiral(-complex(chk.lam), qm), x)  # present: prepare runs first
+def _filter_neg_lam_spiral(
+    chk: IdentityCheck, qm: QModulus
+) -> Callable[[complex], str | None]:
+    spiral = Spiral(-complex(chk.lam), qm)  # lambda present: prepare runs first
+    return lambda x: _off_spiral(spiral, x)
 
 
 def _prep_watson(chk, qm, tr, mutations):
@@ -333,24 +351,16 @@ def _prep_watson(chk, qm, tr, mutations):
     lhs_series = _once(lambda: _SeriesPlan((a, b), (c,), qm, tr))
     series_a = _once(lambda: _SeriesPlan((a, a * qc / c), (a * qc / b,), qm, tr))
     series_b = _once(lambda: _SeriesPlan((b, b * qc / c), (b * qc / a,), qm, tr))
+    # the pairs (y, q/y; q)_inf = theta_q(-y) / (q;q)_inf, (q;q)_inf left out
+    pairs = _ThetaPlan(qm, tr, over_qq=True)
 
     def point(x):
         arg = c * qc / (a * b * x)
         lhs = lhs_series()(x)[0]
         c1 = k1()
-        th_x = qpochhammer_inf((x, qc / x), qm, tr)
-        t1 = (
-            c1
-            * qpochhammer_inf((a * x, qc / (a * x)), qm, tr)
-            / th_x
-            * series_a()(arg)[0]
-        )
-        t2 = (
-            k2()
-            * qpochhammer_inf((b * x, qc / (b * x)), qm, tr)
-            / th_x
-            * series_b()(arg)[0]
-        )
+        th_x = pairs(-x)
+        t1 = c1 * (pairs(-a * x) / th_x) * series_a()(arg)[0]
+        t2 = k2() * (pairs(-b * x) / th_x) * series_b()(arg)[0]
         return [_record(x, lhs, t1 + t2, _plain(t1, t2))]
 
     return point
@@ -361,22 +371,16 @@ def _prep_ismail_zhang(chk, qm, tr, mutations):
     c0 = _once(lambda: qpochhammer_inf(qc, qm.squared(), tr))
     series_1 = _once(lambda: _SeriesPlan((0j,), (qc,), qm.squared(), tr))
     series_3 = _once(lambda: _SeriesPlan((0j,), (qc**3,), qm.squared(), tr))
+    # the pairs (y, q^2/y; q^2)_inf = theta_{q^2}(-y) / (q^2;q^2)_inf at base
+    # q^2, (q^2;q^2)_inf left out
+    pairs = _once(lambda: _ThetaPlan(qm.squared(), tr, over_qq=True))
 
     def point(x):
-        q2m = qm.squared()
+        p2 = pairs()
         lhs = ramanujan_Aq(qm, x, tr)
         c = c0()
-        t1 = (
-            qpochhammer_inf((qc * x, qc / x), q2m, tr)
-            / c
-            * series_1()(qm.q2 / x)[0]
-        )
-        t2 = (
-            qc
-            * qpochhammer_inf((qm.q2 * x, 1 / x), q2m, tr)
-            / ((1 - qc) * c)
-            * series_3()(qc**3 / x)[0]
-        )
+        t1 = p2(-qc * x) / c * series_1()(qm.q2 / x)[0]
+        t2 = qc * p2(-1 / x) / ((1 - qc) * c) * series_3()(qc**3 / x)[0]
         return [_record(x, lhs, t1 - t2, _plain(t1, -t2))]
 
     return point
@@ -386,14 +390,15 @@ def _prep_thm_ramanujan_qairy(chk, qm, tr, mutations):
     qc = qm.q
     den = _once(lambda: qpochhammer_inf((qc, -1 + 0j), qm, tr))
     ai = _once(lambda: _qairy_plan(qm, tr))  # Ai_q(y) is the plan at -y
+    th = _ThetaPlan(qm, tr)
 
     def point(x):
         lhs, c0 = ramanujan_Aq_with_condition(qm.squared(), -(qc**3) / (x * x), tr)
         d = den()
         a1, c1 = ai()(x)  # Ai_q(-x); -(-x) is x, bit for bit
         a2, c2 = ai()(-x)
-        t1 = theta(qm, x / qc, tr) * a1 / d
-        t2 = theta(qm, -x / qc, tr) * a2 / d
+        t1 = th(x / qc) * a1 / d
+        t2 = th(-x / qc) * a2 / d
         return [_record(x, lhs, t1 + t2, ((lhs, c0), (t1, c1), (t2, c2)))]
 
     return point
@@ -404,10 +409,11 @@ def _prep_thm_eq_Eq(chk, qm, tr, mutations):
     qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
     # e_q's series 1phi0(0; -; q, x); the prefilter keeps x off its poles
     e_series = _once(lambda: _SeriesPlan((0j,), (), qm, tr))
+    th = _ThetaPlan(qm, tr)
 
     def point(x):
         lhs = e_series()(x)[0]
-        rhs = qq() * E_exp(qm, -qc / x, tr) / theta(qm, -x, tr)
+        rhs = qq() * E_exp(qm, -qc / x, tr) / th(-x)
         return [_record(x, lhs, rhs, _plain(rhs))]
 
     return point
@@ -418,10 +424,11 @@ def _prep_lemma_alt(chk, qm, tr, mutations):
     qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
     series_1 = _once(lambda: _SeriesPlan((), (qc,), qm.squared(), tr))
     series_3 = _once(lambda: _SeriesPlan((), (qc**3,), qm.squared(), tr))
+    th = _ThetaPlan(qm, tr)
 
     def point(x):
         lhs = e_exp(qm, x / qc, tr, mode="product")
-        pref = qq() / theta(qm, -x / qc, tr)
+        pref = qq() / th(-x / qc)
         t1 = pref * series_1()(qc**5 / (x * x))[0]
         t2 = (
             -pref
@@ -499,17 +506,18 @@ def _prep_qde_theta(chk, qm, tr, mutations):
 def _prep_qde_2f0(chk, qm, tr, mutations):
     lam = _lam_off_qz(chk, qm)
     qc = qm.q
-    # each side resums along [lambda; q] with its own per-lambda form
-    resummed_lhs = _two_f_zero_at(qm, lam, tr)
-    resummed_rhs = _two_f_zero_at(qm, lam, tr)
+    # each side resums along [lambda; q] with its own per-lambda form, and
+    # takes its theta with its own plan
+    resummed_lhs, th_lhs = _two_f_zero_at(qm, lam, tr), _ThetaPlan(qm, tr)
+    resummed_rhs, th_rhs = _two_f_zero_at(qm, lam, tr), _ThetaPlan(qm, tr)
 
-    def u(resummed, y: complex) -> complex:
-        return theta(qm, y, tr) * resummed(y)
+    def u(th, resummed, y: complex) -> complex:
+        return th(y) * resummed(y)
 
     def point(x):
-        t1 = qc * x * u(resummed_lhs, qm.q2 * x)
-        t2 = u(resummed_lhs, x)
-        t3 = u(resummed_rhs, qc * x)
+        t1 = qc * x * u(th_lhs, resummed_lhs, qm.q2 * x)
+        t2 = u(th_lhs, resummed_lhs, x)
+        t3 = u(th_rhs, resummed_rhs, qc * x)
         return [_record(x, t1 + t2, t3, _plain(t1, t2, t3))]
 
     return point
@@ -594,8 +602,12 @@ class _IdentitySpec:
     not depend on x is formed inside ``prepare``, for each side apart, and
     lives as long as that function: one check.  That includes the term
     ratios of each r_phi_s a side sums, x-free factors held in one plan per
-    series and side (``qcore._SeriesPlan``).  ``prefilter`` gives the skip
-    reason of a grid point outside the identity's domain, or None."""
+    series and side (``qcore._SeriesPlan``), and the theta kernels of each
+    side, held in one theta plan per base and side (``qcore._ThetaPlan``:
+    (q;q)_inf and one kernel per circle the side meets).  ``prefilter``
+    takes (check, base) and returns the function that gives the skip reason
+    of a grid point outside the identity's domain, or None; its x-free part
+    (a spiral) is formed once per check."""
 
     tol: float
     grid: tuple[complex, ...]
@@ -603,7 +615,9 @@ class _IdentitySpec:
         [IdentityCheck, QModulus, Truncation, frozenset],
         Callable[[complex], list[PointRecord]],
     ]
-    prefilter: Callable[[IdentityCheck, QModulus, complex], str | None] | None = None
+    prefilter: (
+        Callable[[IdentityCheck, QModulus], Callable[[complex], str | None]] | None
+    ) = None
 
 
 _GRID_FULL = default_grid(0.15, 8.0)
@@ -674,7 +688,9 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
     grid = chk.grid if chk.grid is not None else spec.grid
     tol = chk.tol if chk.tol is not None else spec.tol
 
-    reasons = [spec.prefilter(chk, qm, x) if spec.prefilter else None for x in grid]
+    # the prefilter's x-free part (a spiral) is formed once, for a grid to filter
+    keep = spec.prefilter(chk, qm) if spec.prefilter and grid else None
+    reasons = [keep(x) if keep else None for x in grid]
     if grid and all(r is not None for r in reasons):
         raise EmptyGrid(
             f"every grid point of {chk.identity!r} is excluded; first reason: {reasons[0]}"

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 from decimal import Decimal
 
 import mpmath as mp
@@ -18,6 +19,7 @@ from qconnect import (
     E_exp,
     OutsideRadius,
     PoleHit,
+    QConnectError,
     QModulus,
     Spiral,
     SpiralProximity,
@@ -52,6 +54,7 @@ from qconnect.qcore import (
     _shifted_pole_at,
     _sum_tail,
     _terminating_degree,
+    _ThetaPlan,
 )
 from conftest import decimal_rel_err, decimal_theta, rel_err, theta_rounding_bound
 
@@ -182,6 +185,16 @@ class TestTruncation:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             Truncation(**kw)
+
+    def test_log_eps_is_kept_beside_eps(self):
+        tr = Truncation(eps=1e-12)
+        assert tr._log_eps == math.log(1e-12)
+        assert dataclasses.replace(tr, eps=1e-10)._log_eps == math.log(1e-10)
+        # not a field: equality, hash and repr read eps alone
+        names = [f.name for f in dataclasses.fields(Truncation)]
+        assert names == ["eps", "n_max", "streak", "log"]
+        assert tr == Truncation(eps=1e-12) and hash(tr) == hash(Truncation(eps=1e-12))
+        assert "_log_eps" not in repr(tr)
 
     def test_term_log_counts(self):
         log = TermLog()
@@ -756,7 +769,7 @@ class TestTheta:
         want = theta(QModulus(q), x, Truncation(log=log))
         qq_log = TermLog()
         qpochhammer_inf(q, QModulus(q), Truncation(log=qq_log))
-        m, k = qcore._product_plan((1.3,), max(abs(x), q / abs(x)), QModulus(q), DEFAULT_TRUNCATION)
+        m, k = qcore._split_plan(max(abs(x), q / abs(x)), QModulus(q), DEFAULT_TRUNCATION)
         assert log.terms == qq_log.terms + 2 * (m + k)
 
         def refuse(*args, **kwargs):
@@ -1144,6 +1157,200 @@ class TestSeriesPlan:
         for x in (0.3 - 0.2j, 0.9j, -0.05):
             assert plan(x) == rphis_with_condition(ups, lows, qm, x)
             assert plan(x)[0] == rphis(ups, lows, 0.5, x)
+
+
+def oracle_theta(qm, x, tr):
+    """theta_q(x) with its kernel built afresh at the call, (q;q)_inf
+    included, as :func:`theta` did before its plans: the oracle of
+    :class:`TestThetaPlan`."""
+    if x == 0:
+        raise ZeroArgument("theta is undefined at x = 0")
+    rho = _finite_abs(x, "theta")
+    qc = qm.q
+    k = qcore._theta_shift(qm, rho)
+    try:
+        qk = qc**k
+        q_shift = qc ** (k * (k - 1) // 2)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(
+            f"|x|={rho!r} is out of double range for theta (q={qc!r}): the "
+            "shift-law factor q^(k(k-1)/2) overflows"
+        ) from None
+    if not qk:
+        raise DomainError(
+            f"|x|={rho!r} is out of double range for theta (q={qc!r}): q^{k} underflows to 0"
+        )
+    m, n_tail = qcore._split_plan(max(abs(qk * rho), abs(qc / (qk * rho))), qm, tr)
+    pw = qm._powers
+    lead, tail, w_scale = pw[:m], qm._log_coeffs[n_tail - 1 :: -1], -pw[m]
+    qq = qcore._qpochhammer_one(qc, abs(qc), qm, tr, qc)
+    const = qq * q_shift
+    one = 1 + 0j
+    x0 = qk * x
+    y = qc / x0
+    prod = one
+    for qn in lead:
+        prod *= (one + x0 * qn) * (one + y * qn)
+    w1, w2 = x0 * w_scale, y * w_scale
+    s1 = s2 = 0j
+    for c in tail:
+        s1 = (s1 + c) * w1
+        s2 = (s2 + c) * w2
+    try:
+        prod *= cmath.exp(-(s1 + s2))
+    except OverflowError:
+        prod = complex(math.inf)
+    tr.note(2 * (m + n_tail))
+    try:
+        v = (const * x**k if k else const * (1 + 0j)) * prod
+    except (OverflowError, ZeroDivisionError):
+        v = math.nan
+    if not cmath.isfinite(v):
+        e = k * (k - 1) // 2
+        if k * math.log10(abs(x)) + e * math.log10(abs(qc)) < 309:
+            v = qq * qcore._weighted(x0**k, qc, e - k * k) * prod
+        if not cmath.isfinite(v):
+            raise DomainError(
+                f"x={x!r} is out of double range for theta (q={qc!r}): theta_q(x), "
+                "its shift-law factor q^(k(k-1)/2) x^k or its product overflows"
+            )
+    if abs(v) < sys.float_info.min:
+        if 0 not in [f for qn in qm._powers for f in (1 + x0 * qn, 1 + y * qn)]:
+            raise DomainError(
+                f"x={x!r} is out of double range for theta (q={qc!r}): theta_q(x) underflows"
+            )
+    return v
+
+
+class TestThetaPlan:
+    """One theta plan called at many x gives, at each, the bits of the
+    kernel built afresh at that call, or its error with its message, in any
+    order of the x and whether its kernels are built or not; and so does
+    :func:`theta`."""
+
+    @staticmethod
+    def _outcome(call, x):
+        try:
+            return bits(call(x))
+        except QConnectError as exc:
+            return type(exc).__name__, str(exc)
+
+    def _check_orders(self, qm, tr, xs, seed):
+        want = [self._outcome(lambda x: oracle_theta(qm, x, tr), x) for x in xs]
+        plan = _ThetaPlan(qm, tr)
+        assert [self._outcome(plan, x) for x in xs] == want
+        # the same plan again, its kernels built, in reverse order
+        assert [self._outcome(plan, x) for x in reversed(xs)] == want[::-1]
+        # a fresh plan in a shuffled order, and the one-off calls
+        order = list(range(len(xs)))
+        random.Random(seed).shuffle(order)
+        fresh = _ThetaPlan(qm, tr)
+        assert [self._outcome(fresh, xs[i]) for i in order] == [want[i] for i in order]
+        assert [self._outcome(lambda x: theta(qm, x, tr), x) for x in xs] == want
+        return want
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.8, 0.95, 0.48 + 0.36j])
+    def test_matches_the_per_call_kernel_in_any_order(self, q, monkeypatch):
+        rng = random.Random(f"theta-plan-{q}")
+        qm = QModulus(q)
+        fallbacks = []
+        weighted = qcore._weighted
+        monkeypatch.setattr(
+            qcore, "_weighted", lambda *a: fallbacks.append(a) or weighted(*a)
+        )
+        # |x| from 1e-3 to 1e3 (shifts of both signs), one circle whose
+        # moduli differ in their last bits, the zeros -q^k, the shift-law
+        # fallback far out, and arguments out of range
+        xs = [point(rng, -3, 3) for _ in range(60)]
+        rho = 10 ** rng.uniform(-1, 1)
+        xs += [cmath.rect(rho, rng.uniform(-math.pi, math.pi)) for _ in range(12)]
+        xs += [-(qm.q**k) for k in range(-3, 4)]
+        # the fallback: |x|^|k| > 1e308 with |k| ~ log|x| / log(1/|q|), where
+        # log10 theta ~ (log10 |x|)^2 / (2 log10(1/|q|)) is still below 308
+        lq = -math.log10(abs(q))
+        lo, hi = math.sqrt(308 * lq), 0.98 * math.sqrt(616 * lq)
+        xs += [point(rng, lo, hi) for _ in range(12)] + [point(rng, -hi, -lo) for _ in range(12)]
+        xs += [point(rng, hi + 1, hi + 5) for _ in range(3)]
+        xs += [0j, complex(math.nan, 1.0), complex(math.inf, 0.0), 1e300, 1e-300j]
+        want = self._check_orders(qm, DEFAULT_TRUNCATION, xs, str(q))
+        values = [w for w in want if w[0] not in ("DomainError", "ZeroArgument")]
+        assert sum(1 for w in values if not any(map(float.fromhex, w))) >= 3  # exact zeros
+        assert fallbacks  # the fallback ran, in the oracle and in the plans
+        errors = {w[0] for w in want}
+        assert {"DomainError", "ZeroArgument"} <= errors
+
+    @pytest.mark.parametrize("n_max", [30, 60, 90])
+    def test_a_split_above_n_max_raises_in_every_order(self, n_max):
+        rng = random.Random(f"theta-plan-n-max-{n_max}")
+        qm = QModulus(0.95)
+        xs = [point(rng, -2, 2) for _ in range(30)]
+        want = self._check_orders(qm, Truncation(n_max=n_max), xs, n_max)
+        assert any(w[0] == "TruncationExceeded" for w in want)
+
+    def test_underflow_rule_near_one(self):
+        # at q = 0.995 theta_q(-0.7 + 0.05i) underflows, while the zeros -1
+        # and -q stay exact; at 0.998 (q;q)_inf itself underflows
+        qm = QModulus(0.995)
+        rng = random.Random("theta-plan-0.995")
+        xs = [-0.7 + 0.05j, -1.0, -qm.q, -0.6 + 0.6j] + [point(rng, -0.5, 0.5) for _ in range(20)]
+        want = self._check_orders(qm, DEFAULT_TRUNCATION, xs, 995)
+        assert want[0][0] == "DomainError" and "theta_q(x) underflows" in want[0][1]
+        assert want[1] == want[2] == bits(0j)
+        want = self._check_orders(QModulus(0.998), DEFAULT_TRUNCATION, xs, 998)
+        message = "a=(0.998+0j) is out of double range for (a;q)_inf: the product underflows"
+        assert set(want) == {("DomainError", message)}
+
+    def test_forms_q_q_infinity_once_and_one_kernel_per_circle(self, monkeypatch):
+        formed = []
+        one = qcore._qpochhammer_one
+        monkeypatch.setattr(qcore, "_qpochhammer_one", lambda *a: formed.append(a) or one(*a))
+        qm = QModulus(0.8)
+        log = TermLog()
+        plan = _ThetaPlan(qm, Truncation(log=log))
+        circles = (0.15, 1.1, 8.0)
+        for j in range(8):
+            for rho in circles:
+                plan(cmath.rect(rho, math.pi / 16 + j * math.pi / 4))
+        assert len(formed) == 1
+        assert len(plan._kernels) == len(circles)
+        # (q;q)_inf noted once; each call notes its kernel's factors
+        qq_log = TermLog()
+        qpochhammer_inf(qm.q, qm, Truncation(log=qq_log))
+        kernel_terms = sum(2 * (m + n) for (_, m, n) in plan._kernels)
+        assert log.terms == qq_log.terms + 8 * kernel_terms
+
+    def test_a_failed_constant_fails_every_call_alike(self, monkeypatch):
+        # the underflow of (q;q)_inf at 0.998 is formed once, then raised again
+        formed = []
+        one = qcore._qpochhammer_one
+        monkeypatch.setattr(qcore, "_qpochhammer_one", lambda *a: formed.append(a) or one(*a))
+        plan = _ThetaPlan(QModulus(0.998), DEFAULT_TRUNCATION)
+        for x in (0.5 + 0.5j, 3.0, -2.0 + 1j):
+            with pytest.raises(DomainError, match="the product underflows"):
+                plan(x)
+        assert len(formed) == 1
+
+    @pytest.mark.parametrize("q", [0.3, 0.8, 0.48 + 0.36j, 0.995])
+    def test_pairs_plan_is_theta_over_q_q_infinity(self, q):
+        # over_qq leaves (q;q)_inf out: theta_q(x)/(q;q)_inf = (-x, -q/x; q)_inf
+        qm = QModulus(q)
+        rng = random.Random(f"pairs-{q}")
+        pairs = _ThetaPlan(qm, DEFAULT_TRUNCATION, over_qq=True)
+        tol = 1e-13 if abs(q) < 0.9 else 1e-11
+        for _ in range(40):
+            x = point(rng, -1, 1) if abs(q) < 0.9 else point(rng, -0.3, 0.3)
+            assert rel_err(pairs(x), qpochhammer_inf((-x, -qm.q / x), qm)) < tol
+        if q == 0.995:
+            # theta underflows there; the pair does not
+            with pytest.raises(DomainError, match="underflows"):
+                theta(qm, -0.7 + 0.05j)
+            x = -0.7 + 0.05j
+            assert rel_err(pairs(x), qpochhammer_inf((-x, -qm.q / x), qm)) < tol
+        else:
+            qq = qpochhammer_inf(qm.q, qm)
+            for _ in range(10):
+                x = point(rng, -1, 1)
+                assert rel_err(pairs(x) * qq, theta(qm, x)) < 1e-14
 
 
 class TestQExponentials:

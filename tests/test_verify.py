@@ -11,12 +11,14 @@ from qconnect import (
     IDENTITY_IDS,
     IdentityCheck,
     SpiralProximity,
+    as_modulus,
     check,
     default_grid,
     default_suite,
     qairy_Ai_with_condition,
     qpochhammer_inf,
     ramanujan_Aq_with_condition,
+    rphis,
     run_suite,
     theta,
 )
@@ -409,3 +411,46 @@ class TestPerIdentitySpotChecks:
         rep = check(IdentityCheck("operational-lemma", 0.5))
         assert len(rep.points) == 36
         assert rep.passed
+
+
+ABC = (-4, 3, 0.5)
+
+
+def _pair_product_rhs(ident, q, x):
+    """The connection side of ``ident`` with its pairs (y, q/y; q)_inf as
+    two-argument products, as the checks took them before the theta ratios,
+    and the sum of the moduli of its two terms."""
+    qm = as_modulus(q)
+    qc = qm.q
+    if ident == "watson":
+        a, b, c = (complex(v) for v in ABC)
+        arg = c * qc / (a * b * x)
+        k1 = qpochhammer_inf((b, c / a), qm) / qpochhammer_inf((c, b / a), qm)
+        k2 = qpochhammer_inf((a, c / b), qm) / qpochhammer_inf((c, a / b), qm)
+        th_x = qpochhammer_inf((x, qc / x), qm)
+        t1 = k1 * qpochhammer_inf((a * x, qc / (a * x)), qm) / th_x
+        t1 *= rphis((a, a * qc / c), (a * qc / b,), qm, arg)
+        t2 = k2 * qpochhammer_inf((b * x, qc / (b * x)), qm) / th_x
+        t2 *= rphis((b, b * qc / c), (b * qc / a,), qm, arg)
+        return t1 + t2, abs(t1) + abs(t2)
+    q2m = qm.squared()
+    c = qpochhammer_inf(qc, q2m)
+    t1 = qpochhammer_inf((qc * x, qc / x), q2m) / c * rphis((0j,), (qc,), q2m, qm.q2 / x)
+    t2 = qc * qpochhammer_inf((qm.q2 * x, 1 / x), q2m) / ((1 - qc) * c)
+    t2 *= rphis((0j,), (qc**3,), q2m, qc**3 / x)
+    return t1 - t2, abs(t1) + abs(t2)
+
+
+class TestConnectionSidePairs:
+    @pytest.mark.parametrize("ident", ["watson", "ismail-zhang"])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_theta_ratios_match_the_pair_products(self, ident, q):
+        # both forms round each of their O(1/(1 - |q|)) factors once, so they
+        # agree to that many ulp of the terms they add; sum|t| is the point's
+        # condition times max(|lhs|, |rhs|)
+        rep = check(IdentityCheck(ident, q, abc=ABC))
+        assert rep.passed and rep.n_evaluated == 24
+        for p in rep.points:
+            old, size = _pair_product_rhs(ident, q, p.x)
+            assert abs(p.rhs - old) <= 10 / (1 - q) * 2.0**-52 * size, (ident, q, p.x)
+            assert size == pytest.approx(p.condition * max(abs(p.lhs), abs(p.rhs)), rel=1e-12)

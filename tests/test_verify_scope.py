@@ -8,6 +8,7 @@ formed, and pin the verdicts and left-hand sides of the default suite.
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -38,7 +39,7 @@ from qconnect import (
     theta_sum,
     two_f_zero,
 )
-from qconnect import qcore, series, special, verify
+from qconnect import qcore, series, special, transforms, verify
 
 ABC = (-4, 3, 0.5)
 LAM = 0.7
@@ -80,14 +81,21 @@ class TestOnce:
 
 class TestFormedOncePerCheckAndSide:
     def test_watson_constant_products(self, monkeypatch):
+        # the four constants of K1 and K2, once each; the pairs (y, q/y; q)_inf
+        # are theta ratios on the connection side's theta plan, so no point
+        # takes a product
         a, b, c = (complex(v) for v in ABC)
         args = _recorder(monkeypatch, verify, "qpochhammer_inf")
         rep = check(IdentityCheck("watson", 0.5, abc=ABC))
-        constants = [(b, c / a), (c, b / a), (a, c / b), (c, a / b)]
-        assert Counter(v for v in args if v in constants) == dict.fromkeys(constants, 1)
-        # per point: (x, q/x), (ax, q/(ax)) and (bx, q/(bx)), 2 arguments each
-        assert len(args) == 4 + 3 * rep.n_evaluated
-        assert all(len(v) == 2 for v in args)
+        assert rep.passed and rep.n_evaluated == 24
+        assert args == [(b, c / a), (c, b / a), (a, c / b), (c, a / b)]
+
+    def test_ismail_zhang_takes_no_pair_products(self, monkeypatch):
+        # (q; q^2)_inf once; the pairs at base q^2 are theta ratios
+        args = _recorder(monkeypatch, verify, "qpochhammer_inf")
+        rep = check(IdentityCheck("ismail-zhang", 0.5))
+        assert rep.passed and rep.n_evaluated == 24
+        assert args == [0.5]
 
     def test_operational_lemma_series_and_its_borel_image(self, monkeypatch):
         drawn = []
@@ -137,13 +145,13 @@ class TestFormedOncePerCheckAndSide:
         # theta_q(-lambda/q) and (q;q)_inf once
         q = 0.5
         phi = _recorder(monkeypatch, special, "e_exp", 1)
-        thetas = _recorder(monkeypatch, special, "theta", 1)
+        thetas = _theta_recorder(monkeypatch)
         products = _recorder(monkeypatch, special, "qpochhammer_inf")
         rep = check(IdentityCheck(ident, q, lam=LAM))
         assert rep.passed
         assert phi == [LAM / q] * sides
         closed = ident == "thm-2f0"
-        assert thetas.count(-LAM / q) == closed
+        assert [x for _, _, x in thetas["called"]].count(-LAM / q) == closed
         assert products.count(q) == closed
 
 
@@ -247,6 +255,166 @@ class TestSeriesPlansPerCheckAndSide:
             "lower parameter (2+0j) lies within 1e-06 of q^(-N) (q=(0.5+0j)); "
             "the series has a vanishing denominator"
         ] == 16
+
+
+def _theta_recorder(monkeypatch):
+    """Record each theta plan formed by ``verify`` and ``special`` (the check
+    it was formed in, its base, whether it leaves (q;q)_inf out, and the
+    plan), each call (the plan, the check it ran in and its x) and each
+    kernel a call takes (the plan, the circle's |x| and the kernel).  Set
+    ``state["check"]`` to the index of the running check."""
+    state = {"check": 0, "formed": [], "called": [], "circles": []}
+
+    class Recorded(qcore._ThetaPlan):
+        __slots__ = ("pid",)
+
+        def __init__(self, qm, tr, over_qq=False):
+            super().__init__(qm, tr, over_qq)
+            self.pid = len(state["formed"])
+            state["formed"].append((state["check"], qm.q, over_qq, self))
+
+        def __call__(self, x):
+            state["called"].append((self.pid, state["check"], x))
+            return super().__call__(x)
+
+        def circle(self, rho):
+            kernel = super().circle(rho)
+            state["circles"].append((self.pid, rho, kernel))
+            return kernel
+
+    monkeypatch.setattr(verify, "_ThetaPlan", Recorded)
+    monkeypatch.setattr(special, "_ThetaPlan", Recorded)
+    return state
+
+
+def _theta_args(ident, q, x):
+    """The arguments at which each theta plan of ``ident`` is called at the
+    grid point x, one set per plan in the order the plans are formed, with
+    the side, the base and whether (q;q)_inf is left out: a plan serves one
+    side, at that side's arguments only."""
+    a, b, c = (complex(v) for v in ABC)
+    lam, q2 = complex(LAM), q * q
+    if ident == "watson":  # the pairs (x, q/x), (ax, q/(ax)), (bx, q/(bx))
+        return [("rhs", q, True, {-x, -a * x, -b * x})]
+    if ident == "ismail-zhang":  # (qx, q/x; q^2) and (q^2 x, 1/x; q^2)
+        return [("rhs", q2, True, {-q * x, -1 / x})]
+    if ident == "thm-ramanujan-qairy":
+        return [("rhs", q, False, {x / q, -x / q})]
+    if ident == "thm-eq-Eq":
+        return [("rhs", q, False, {-x})]
+    if ident == "lemma-alt":
+        return [("rhs", q, False, {-x / q})]
+    if ident == "thm-2f0":  # the spiral sum's theta_q(lambda/x), then the closed form's
+        return [
+            ("lhs", q, False, {lam / x}),
+            ("rhs", q, False, {-lam / q, lam / x}),
+            ("rhs", q2, False, {-lam * lam / (q * x), -lam * lam / x}),
+        ]
+    if ident == "qde-2f0-resummed":  # u(q^2 x) and u(x) on the lhs, u(q x) on the rhs
+        return [
+            ("lhs", q, False, {lam / (q2 * x), lam / x}),
+            ("lhs", q, False, {q2 * x, x}),
+            ("rhs", q, False, {lam / (q * x)}),
+            ("rhs", q, False, {q * x}),
+        ]
+    return []
+
+
+class TestThetaPlansPerCheckAndSide:
+    @pytest.mark.parametrize("ident", IDENTITY_IDS)
+    def test_plans_per_side(self, monkeypatch, ident):
+        state = _theta_recorder(monkeypatch)
+        q = complex(0.5)
+        rep = check(IdentityCheck(ident, q, lam=LAM, abc=ABC))
+        assert rep.passed
+        evaluated_x = [p.x for p in rep.points if not p.skipped]
+        assert len(evaluated_x) == len(rep.points)
+        sides = [_theta_args(ident, q, x) for x in evaluated_x]
+        want = sides[0]
+        assert [(f[1], f[2]) for f in state["formed"]] == [(w[1], w[2]) for w in want]
+        # each plan is called at its own side's arguments, at every point
+        got = {pid: set() for pid in range(len(want))}
+        for pid, _, x in state["called"]:
+            got[pid].add(x)
+        for pid in range(len(want)):
+            assert got[pid] == set().union(*(args[pid][3] for args in sides)), (ident, pid)
+
+    @pytest.mark.parametrize("ident", IDENTITY_IDS)
+    def test_one_kernel_per_circle(self, monkeypatch, ident):
+        # the grid has three moduli, so a plan meets a few circles; the
+        # points of one circle, whose |x| differ in their last bits, share
+        # the circle's one kernel
+        state = _theta_recorder(monkeypatch)
+        check(IdentityCheck(ident, 0.5, lam=LAM, abc=ABC))
+        for _, _, _, plan in state["formed"]:
+            circles = {}
+            for pid, rho, kernel in state["circles"]:
+                if pid == plan.pid:
+                    circles.setdefault(round(math.log(rho), 9), set()).add(id(kernel))
+            assert circles and all(len(k) == 1 for k in circles.values()), ident
+            assert len(plan._kernels) == len(set().union(*circles.values())) <= len(circles)
+
+    def test_no_plan_reaches_the_next_check(self, monkeypatch):
+        state = _theta_recorder(monkeypatch)
+        checks = [IdentityCheck(ident, 0.5, lam=LAM, abc=ABC) for ident in IDENTITY_IDS] * 2
+        for i, chk in enumerate(checks):
+            state["check"] = i
+            check(chk)
+        formed_in = [f[0] for f in state["formed"]]
+        # per round: watson 1, ismail-zhang 1, thm-ramanujan-qairy 1,
+        # thm-eq-Eq 1, lemma-alt 1, thm-2f0 3, qde-2f0-resummed 4
+        assert len(formed_in) == 2 * 12
+        assert all(formed_in[pid] == ran_in for pid, ran_in, _ in state["called"])
+
+    def test_residue_sum_forms_one_plan_for_both_signs(self, monkeypatch):
+        state = _theta_recorder(monkeypatch)
+        t = 1.3 + 0.4j
+        qconnect.f_via_residues(0.5, t)
+        q2t = 0.25 * t
+        assert len(state["formed"]) == 1
+        assert [x for _, _, x in state["called"]] == [q2t, -q2t]
+        assert len(state["formed"][0][3]._kernels) == 1
+
+    @pytest.mark.parametrize("ident", ["thm-2f0", "qde-2f0-resummed"])
+    def test_neg_lambda_spiral_formed_once_per_check_and_form(self, monkeypatch, ident):
+        # the prefilter forms [-lambda; q] once per check, and each per-lambda
+        # form once: thm-2f0's resummed lhs and closed form, qde-2f0-resummed's
+        # two resummed sides; it was once per grid point and form
+        anchors = []
+        real = qcore.Spiral
+
+        def spiral(anchor, *args):
+            anchors.append(anchor)
+            return real(anchor, *args)
+
+        for mod in (verify, special, transforms):
+            monkeypatch.setattr(mod, "Spiral", spiral)
+        rep = check(IdentityCheck(ident, 0.5, lam=LAM))
+        assert rep.passed and rep.n_evaluated == 24
+        assert anchors == [-LAM] * 3
+
+    def test_neg_lambda_skip_reasons(self):
+        # a grid point on [-lambda; q] is skipped by the prefilter with the
+        # spiral's own message
+        x = -LAM * 0.5**-2
+        for ident in ("thm-2f0", "qde-2f0-resummed"):
+            rep = check(IdentityCheck(ident, 0.5, lam=LAM, grid=(x, 0.3 + 0.4j)))
+            assert rep.points[0].reason == (
+                f"x={complex(x)!r} lies within 1e-06 of the spiral [{-complex(LAM)!r};q] "
+                "(q=(0.5+0j))"
+            )
+            assert not rep.points[1].skipped
+
+    @pytest.mark.parametrize(
+        "ident, q, evaluated",
+        [("watson", 0.995, 21), ("ismail-zhang", 0.995, 18), ("ismail-zhang", 0.997, 5)],
+    )
+    def test_pairs_keep_their_points_near_one(self, ident, q, evaluated):
+        # the pairs leave (q;q)_inf out, so no theta underflow turns a point
+        # into a skip: the points and reasons of the pair products
+        rep = check(IdentityCheck(ident, q, abc=ABC))
+        assert rep.n_evaluated == evaluated
+        assert not any("underflows" in p.reason for p in rep.points if p.skipped)
 
 
 class TestNothingOutlivesACheck:
