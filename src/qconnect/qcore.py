@@ -67,6 +67,10 @@ _LOG_TAIL_SPLIT = math.log(_TAIL_SPLIT)
 #: the smallest normal double: a product below it has lost its digits
 _TINY = sys.float_info.min
 
+#: q**e is taken whole, with pow's bits, where |e log10|q|| is below this;
+#: :func:`_weighted` applies larger powers in chunks
+_WHOLE_POW_LOG = 250.0
+
 _T = TypeVar("_T")
 
 
@@ -83,14 +87,19 @@ class QModulus:
     longer tuple (so a concurrent reader never sees a half-built one): its
     powers q^0, q^1, ..., the running product from 1 + 0j that every loop
     here reads instead of multiplying its own, and the log-series
-    coefficients of the products' split.  Three constants of q are set
-    once, at construction: ``_log_q`` = log|q|, ``_k_cap``, the largest
-    |k| at which |q|^k is representable (the reach of
-    :meth:`Spiral.nearest`), and ``_log_tail_room``, of the split's
-    remainder bound (:func:`_split_plan`).  The two pole spirals [1; q]
-    (:meth:`_pole_spiral`, :meth:`_exact_pole_spiral`) are formed at their
-    first use and kept.  None of these is a dataclass field: equality, hash
-    and repr depend on q alone.
+    coefficients of the products' split.  A third table, a dict filled by
+    :meth:`_pow`, holds q**e for the exponents e callers asked for, each
+    with pow's bits (not the running product's), and only where
+    |e log10|q|| is below ``_WHOLE_POW_LOG``, the range :func:`_weighted`
+    takes whole: it is never filled densely, and a shift by q^(10^9) adds
+    no entry.  Four constants of q are set once, at construction: ``_log_q``
+    = log|q|, ``_log10_q`` = log10|q|, ``_k_cap``, the largest |k| at which
+    |q|^k is representable (the reach of :meth:`Spiral.nearest`), and
+    ``_log_tail_room``, of the split's remainder bound (:func:`_split_plan`).
+    The two pole spirals [1; q] (:meth:`_pole_spiral`,
+    :meth:`_exact_pole_spiral`) are formed at their first use and kept.
+    None of these is a dataclass field: equality, hash and repr depend on q
+    alone.
     """
 
     q: complex
@@ -107,8 +116,11 @@ class QModulus:
         object.__setattr__(self, "q", qc)
         if not 0.0 < abs(qc) < 1.0:
             raise ValueError(f"base must satisfy 0 < |q| < 1, got |q| = {abs(qc)!r}")
+        log10_q = math.log10(abs(qc))
         object.__setattr__(self, "_log_q", math.log(abs(qc)))
-        object.__setattr__(self, "_k_cap", int(290 / abs(math.log10(abs(qc)))) + 1)
+        object.__setattr__(self, "_log10_q", log10_q)
+        object.__setattr__(self, "_pow_table", {})
+        object.__setattr__(self, "_k_cap", int(290 / abs(log10_q)) + 1)
         # log((1 - |q|)(1 - _TAIL_SPLIT) / 10), of the split's remainder bound
         object.__setattr__(
             self, "_log_tail_room", math.log((1 - abs(qc)) * (1 - _TAIL_SPLIT) / 10)
@@ -141,6 +153,33 @@ class QModulus:
         cs = tuple([1 / (k * (one_minus_q * s)) for k, s in enumerate(sums, 1)])
         object.__setattr__(self, "_log_coeffs", cs)
         return cs
+
+    def _pow(self, e: int) -> complex:
+        """q**e, with pow's bits; kept in the power table where |e log10|q||
+        is below ``_WHOLE_POW_LOG``, and formed afresh at each call beyond."""
+        w = self._pow_table.get(e)
+        if w is None:
+            w = self.q**e
+            if abs(e * self._log10_q) < _WHOLE_POW_LOG:
+                self._pow_table[e] = w
+        return w
+
+    def _pows(self, exps: Iterable[int]) -> list[complex]:
+        """:meth:`_pow` at each exponent of exps."""
+        get = self._pow_table.get
+        return [w if (w := get(e)) is not None else self._pow(e) for e in exps]
+
+    def _weighted(self, c: complex, e: int) -> complex:
+        """:func:`_weighted` at this base, c * q**e, with q**e read from the
+        power table where it is taken whole: the same bits."""
+        if e == 0 or c == 0:
+            return c
+        w = self._pow_table.get(e)
+        if w is None:
+            if abs(e * self._log10_q) >= _WHOLE_POW_LOG:
+                return _weighted(c, self.q, e)
+            w = self._pow(e)
+        return c * w
 
     @property
     def q2(self) -> complex:
@@ -829,7 +868,7 @@ def _weighted(c: complex, q: complex, e: int) -> complex:
     if e == 0 or c == 0:
         return c
     step_log = math.log10(abs(q))
-    if abs(e * step_log) < 250.0:
+    if abs(e * step_log) < _WHOLE_POW_LOG:
         return c * q**e
     chunk = max(1, int(200.0 / abs(step_log)))
     sign = 1 if e > 0 else -1

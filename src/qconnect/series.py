@@ -6,11 +6,20 @@ Borel transforms, operator identities), not for summation.  Reweighting by
 q^(-n(n-1)/2) grows superexponentially (and q^(+n(n-1)/2) decays so), so a
 reweighted series ends at its representable prefix rather than carrying
 infinities or flushed zeros: its length is its valid order.
+
+Every weight q**e of the maps is read from the base's power table
+(:meth:`~qconnect.qcore.QModulus._pow`), which holds pow's bits for the
+exponents with |e log10|q|| below 250; beyond that,
+:func:`~qconnect.qcore._weighted` applies the power in chunks.  A series the
+maps build is made by :func:`_series`, which skips the per-coefficient
+conversion of public construction: its coefficients are complex already.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from itertools import takewhile
 from math import log10
 from typing import Callable
 
@@ -39,7 +48,7 @@ class FormalSeries:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(complex(c) for c in self.coeffs)
+        cs = tuple(map(complex, self.coeffs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -54,10 +63,11 @@ class FormalSeries:
     def prefix(self, order: int) -> "FormalSeries":
         if order < 0 or order > self.order:
             raise ValueError("prefix order out of range")
-        return FormalSeries(self.base, self.coeffs[: order + 1])
+        return _series(self.base, self.coeffs[: order + 1])
 
     def scale(self, c: complex) -> "FormalSeries":
-        return FormalSeries(self.base, tuple(c * v for v in self.coeffs))
+        c = complex(c)
+        return _series(self.base, tuple([c * v for v in self.coeffs]))
 
     def _check_base(self, other: "FormalSeries") -> None:
         if other.base.q != self.base.q:
@@ -67,11 +77,7 @@ class FormalSeries:
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         self._check_base(other)
-        n = min(self.order, other.order)
-        return FormalSeries(
-            self.base,
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)),
-        )
+        return _series(self.base, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
         return self + other.scale(-1)
@@ -85,6 +91,15 @@ class FormalSeries:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+
+def _series(base: QModulus, coeffs: tuple[complex, ...]) -> FormalSeries:
+    """A series from a nonempty tuple of ``complex`` this module formed,
+    without :class:`FormalSeries`' per-coefficient conversion."""
+    f = object.__new__(FormalSeries)
+    object.__setattr__(f, "base", base)
+    object.__setattr__(f, "coeffs", coeffs)
+    return f
 
 
 @dataclass(frozen=True)
@@ -131,16 +146,17 @@ def apply_operator(op: QDEOperator, f: FormalSeries) -> FormalSeries:
     The result is recorded through order N - max(m), the largest order every
     term of the operator is known at.
     """
-    q = f.base.q
-    big_m = op.max_monomial
-    n_out = f.order - big_m
+    qm = f.base
+    n_out = f.order - op.max_monomial
     if n_out < 0:
         raise ValueError("series order too small for the operator's monomials")
     out = [0 + 0j] * (n_out + 1)
     for m, c, l in op.terms:
-        for n in range(m, n_out + 1):
-            out[n] += c * q ** (l * (n - m)) * f.coeffs[n - m]
-    return FormalSeries(f.base, tuple(out))
+        count = n_out - m + 1
+        ws = qm._pows(range(0, l * count, l) if l else [0] * count)
+        for n, w, a in zip(range(m, n_out + 1), ws, f.coeffs):
+            out[n] += c * w * a
+    return _series(qm, tuple(out))
 
 
 def _reweight(f: FormalSeries, sign: int) -> FormalSeries:
@@ -151,21 +167,29 @@ def _reweight(f: FormalSeries, sign: int) -> FormalSeries:
     input, so every coefficient it keeps is the reweighted one.  c_0 and c_1
     carry weight 1 and are always kept.
     """
-    q = f.base.q
-    lq = log10(abs(q))
+    qm = f.base
+    lq = qm._log10_q
+    table = qm._pow_table
     out: list[complex] = []
     for n, c in enumerate(f.coeffs):
         e = sign * (n * (n - 1) // 2)
-        if c == 0 or e == 0:
+        if not c or not e:
             out.append(c)
             continue
-        if log10(abs(c)) + e * lq > _LOG_CLIP:
+        w = table.get(e)
+        ac = abs(c)
+        # a weight in the table lies between 1e-250 and 1e250, so a
+        # coefficient 1e-49 < |c| < 1e49 is neither clipped nor flushed
+        if w is not None and 1e-49 < ac < 1e49:
+            out.append(c * w)
+            continue
+        if log10(ac) + e * lq > _LOG_CLIP:
             break
-        v = _weighted(c, q, e)
+        v = qm._weighted(c, e)
         if abs(v) < _FLUSH:
             break
         out.append(v)
-    return FormalSeries(f.base, tuple(out))
+    return _series(qm, tuple(out))
 
 
 def qborel_plus(f: FormalSeries) -> FormalSeries:
@@ -188,11 +212,8 @@ def _shift_coefficients(f: FormalSeries, lpow: int) -> FormalSeries:
     The negative case is the formal inverse shift needed by the operational
     relation when l < m.
     """
-    q = f.base.q
-    return FormalSeries(
-        f.base,
-        tuple(_weighted(c, q, lpow * n) if c != 0 else c for n, c in enumerate(f.coeffs)),
-    )
+    weighted = f.base._weighted
+    return _series(f.base, tuple([weighted(c, lpow * n) for n, c in enumerate(f.coeffs)]))
 
 
 def _borel_minus_operator_image_of(
@@ -202,17 +223,25 @@ def _borel_minus_operator_image_of(
     (m, l): B_q^- f, which only the right-hand side reads, is formed at the
     first call, once."""
     bf = _once(lambda: qborel_minus(f))
-    qc = f.base.q
+    qm = f.base
 
     def image(m: int, l: int) -> tuple[FormalSeries, FormalSeries]:
         if m < 0 or l < 0:
             raise ValueError("m and l must be nonnegative")
         lhs = qborel_minus(apply_operator(QDEOperator(((m, 1 + 0j, l),)), f))
 
-        g = _shift_coefficients(bf(), l - m)
-        qf = qc ** (-(m * (m - 1) // 2))
-        shifted = [0 + 0j] * m + [qf * c for c in g.coeffs]
-        rhs = FormalSeries(f.base, tuple(shifted[: f.order - m + 1]))
+        # tau^m and the prefactor on the first f.order - 2m + 1 coefficients
+        # of sigma_q^(l-m) B_q^- f, ending before the first that is not finite
+        g = _shift_coefficients(bf(), l - m).coeffs[: max(f.order - 2 * m + 1, 0)]
+        e = -(m * (m - 1) // 2)
+        try:
+            qf = qm._pow(e)
+        except ArithmeticError:  # q^e leaves double range: in chunks, per coefficient
+            weighted = [_weighted(c, qm.q, e) for c in g]
+        else:
+            weighted = [qf * c for c in g]
+        shifted = [0 + 0j] * m + list(takewhile(cmath.isfinite, weighted))
+        rhs = _series(qm, tuple(shifted[: f.order - m + 1]))
 
         n = min(lhs.order, rhs.order)
         return lhs.prefix(n), rhs.prefix(n)
@@ -228,6 +257,9 @@ def borel_minus_operator_image(
         B_q^-(t^m sigma_q^l f) = q^(-m(m-1)/2) tau^m sigma_q^(l-m) B_q^- f,
 
     computed along independent coefficient paths and truncated to a common
-    order for testing.
+    order for testing.  The right-hand side, like a reweighted series, ends
+    before its first coefficient that is not finite (the prefactor, or the
+    inverse shift where l < m, overflows there), so both sides are finite
+    wherever f is.
     """
     return _borel_minus_operator_image_of(f)(m, l)

@@ -255,16 +255,30 @@ def _record(
 
 
 def _series_worst(lhs: FormalSeries, rhs: FormalSeries) -> tuple[complex, complex, float]:
-    """Worst per-coefficient relative discrepancy between two series."""
-    n = min(lhs.order, rhs.order)
-    worst = (lhs.coeffs[0], rhs.coeffs[0], 0.0)
-    for i in range(n + 1):
-        a, b = lhs.coeffs[i], rhs.coeffs[i]
-        m = max(abs(a), abs(b))
-        rel = abs(a - b) / m if m > 0 else 0.0
-        if rel >= worst[2]:
-            worst = (a, b, rel)
-    return worst
+    """Worst per-coefficient relative discrepancy between two series; the
+    first pair with a side not finite is the worst, at rel inf, so that
+    :func:`_record` skips the point (a nan rel would lose every comparison)."""
+    n = min(lhs.order, rhs.order) + 1
+    ls, rs = lhs.coeffs[:n], rhs.coeffs[:n]
+    if not (all(map(cmath.isfinite, ls)) and all(map(cmath.isfinite, rs))):
+        return next(
+            (a, b, math.inf)
+            for a, b in zip(ls, rs)
+            if not (cmath.isfinite(a) and cmath.isfinite(b))
+        )
+    top, k = 0.0, 0  # a later pair wins a tie, and a pair of zeros reads 0
+    for i, (a, b) in enumerate(zip(ls, rs)):
+        m, mb = abs(a), abs(b)
+        if mb > m:
+            m = mb
+        if m > 0:
+            rel = abs(a - b) / m
+            if rel >= top:
+                top = rel
+                k = i
+        elif top == 0.0:
+            k = i
+    return ls[k], rs[k], top
 
 
 def _random_series(base: QModulus, order: int, seed: int) -> FormalSeries:

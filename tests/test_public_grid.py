@@ -4,6 +4,7 @@ and up to the edge of double range: each call gives a finite value or a
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,11 +13,16 @@ from hypothesis import strategies as st
 from qconnect import (
     DomainError,
     E_exp,
+    FormalSeries,
     IdentityCheck,
+    QDEOperator,
     QConnectError,
     SolutionAtInfinity,
     Truncation,
     ZeroArgument,
+    apply_operator,
+    as_modulus,
+    borel_minus_operator_image,
     check,
     e_exp,
     f_via_residues,
@@ -25,6 +31,8 @@ from qconnect import (
     qpochhammer_inf,
     qpochhammer_inf_shifted_pole,
     qpochhammer_n,
+    qborel_minus,
+    qborel_plus,
     qlaplace_minus,
     qlaplace_plus,
     ramanujan_Aq,
@@ -98,6 +106,40 @@ def test_finite_value_or_typed_error(name):
             except QConnectError:
                 continue
             assert cmath.isfinite(value), (name, q, x, value)
+
+
+# the formal maps at each (m, l): the monomial and shift powers of the
+# operator and of the operational relation; l = 10^9 shifts by sigma_q^(10^9)
+FORMAL_MAPS = {
+    "apply_operator": lambda m, l, f: (apply_operator(QDEOperator(((m, 1, l), (0, -1, 0))), f),),
+    "qborel_plus": lambda m, l, f: (qborel_plus(f),),
+    "qborel_minus": lambda m, l, f: (qborel_minus(f),),
+    "borel_minus_operator_image": borel_minus_operator_image,
+}
+FORMAL_ML = ((0, 0), (1, 3), (5, 0), (5, 5), (2, 7), (15, 0), (23, 0), (35, 2), (3, 10**9))
+
+
+def formal_series(q, scale):
+    """operational-lemma's kind of series, order 40 with unit-disc
+    coefficients (every fifth one zero), times scale."""
+    rng = random.Random(9173)
+    coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale for _ in range(41)]
+    coeffs[4::5] = [0j] * len(coeffs[4::5])
+    return FormalSeries(as_modulus(q), coeffs)
+
+
+@pytest.mark.parametrize("name", FORMAL_MAPS)
+def test_formal_maps_finite_or_typed_error(name):
+    for q in QS:
+        for scale in (1.0, 1e-200, 1e200):
+            f = formal_series(q, scale)
+            for m, l in FORMAL_ML:
+                try:
+                    out = FORMAL_MAPS[name](m, l, f)
+                except QConnectError:
+                    continue
+                for g in out:
+                    assert all(map(cmath.isfinite, g.coeffs)), (name, q, scale, m, l)
 
 
 def powers_of_ten(lo, hi):

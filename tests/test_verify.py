@@ -8,6 +8,7 @@ import pytest
 
 from qconnect import (
     EmptyGrid,
+    FormalSeries,
     IDENTITY_IDS,
     IdentityCheck,
     SpiralProximity,
@@ -140,6 +141,29 @@ class TestCheckBehavior:
             p = verify._record(0.5, lhs, rhs, verify._plain(lhs, rhs))
             assert p.skipped and "not finite" in p.reason
             assert (p.lhs, p.rhs, p.rel_err) == (0j, 0j, 0.0)
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 0.0)])
+    def test_non_finite_coefficient_pair_is_the_worst(self, bad):
+        # max(|0j|, |inf|) made rel = inf/inf = nan, which lost every
+        # comparison: the worst pair reported was a finite one
+        qm = as_modulus(0.5)
+        lhs = FormalSeries(qm, (1, 2 + 1e-9, 0j, 3))
+        rhs = FormalSeries(qm, (1, 2, bad, 3))
+        a, b, rel = verify._series_worst(lhs, rhs)
+        assert (a, rel) == (0j, math.inf) and not cmath.isfinite(b)
+        a, b, rel = verify._series_worst(rhs, lhs)
+        assert (b, rel) == (0j, math.inf) and not cmath.isfinite(a)
+        p = verify._record(0.5, a, b)
+        assert p.skipped and "not finite" in p.reason
+
+    def test_worst_coefficient_pair(self):
+        qm = as_modulus(0.5)
+        lhs = FormalSeries(qm, (0j, 1, 2, 1e-3, 4, 0j))
+        rhs = FormalSeries(qm, (0j, 1, 3, 1e-3, 6, 0j, 7))
+        # a tie goes to the later pair, and a pair of zeros reads 0
+        assert verify._series_worst(lhs, rhs) == (4, 6, 1 / 3)
+        zeros = FormalSeries(qm, (0j, 0j))
+        assert verify._series_worst(zeros, zeros) == (0j, 0j, 0.0)
 
     def test_overflowing_side_is_a_skip_in_the_report(self):
         # at q = 0.995 this point's connection side was nan+nanj
