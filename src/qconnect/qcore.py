@@ -363,13 +363,15 @@ def _below_noise(cond: float) -> bool:
 
 def _once(form: Callable[[], _T]) -> Callable[[], _T]:
     """``form`` called at the first use only: later uses return its value,
-    or raise its error again.  An identity check forms its x-free factors so
-    (``verify``), and so do the per-parameter forms of ``special``: each is
-    formed at the step where a point first needs it, and a factor that
-    cannot be formed fails every point at that same step, with the same
-    error (a package error, or an arithmetic one that leaves double range,
-    the errors a check records as skips).  The memo lives as long as the
-    returned function."""
+    or raise its error again.  An identity check forms its x-free values so
+    (``verify``: products, spirals, a theta at a fixed argument), and so do
+    the per-parameter forms of ``special``: each is formed at the step where
+    a point first needs it, and a value that cannot be formed fails every
+    point at that same step, with the same error (a package error, or an
+    arithmetic one that leaves double range, the errors a check records as
+    skips).  The memo lives as long as the returned function.  A plan
+    (:class:`_SeriesPlan`, :class:`_ThetaPlan`) needs no such wrapper: it is
+    formed without raising and keeps its own memo, by the same rule."""
     memo: list = []
 
     def get() -> _T:
@@ -472,7 +474,9 @@ class Spiral:
 
     def exclude(self, x: complex, name: str = "x") -> None:
         """Raise :class:`~qconnect.errors.SpiralProximity` when the argument
-        ``name`` = x lies within ``delta`` of the spiral."""
+        ``name`` = x lies within ``delta`` of the spiral; a non-finite x
+        raises :class:`~qconnect.errors.DomainError` naming ``name``."""
+        _finite_abs(x, "spiral distance", name)
         if self.contains(x):
             where = "q^Z" if self.anchor == 1 else f"[{self.anchor!r};q]"
             raise SpiralProximity(
@@ -493,6 +497,17 @@ class Spiral:
             return None
         k, d = self.nearest(x)
         return k if d < self.delta and k <= 0 else None
+
+
+def _neg_lam_spiral(lam: complex, qm: QModulus) -> Spiral:
+    """The spiral [-lambda; q] of a spiral anchor lambda, after its one
+    check: lambda = 0 raises :class:`~qconnect.errors.ZeroArgument`, a
+    non-finite lambda :class:`~qconnect.errors.DomainError`, and lambda on
+    q^Z :class:`~qconnect.errors.SpiralProximity`, each naming lambda."""
+    if lam == 0:
+        raise ZeroArgument("the spiral anchor lambda must be nonzero")
+    qm._pole_spiral().exclude(lam, "lambda")
+    return Spiral(-lam, qm)
 
 
 def qpochhammer_n(a: complex, q: QModulus | complex, n: int) -> complex:
@@ -702,24 +717,25 @@ def qpochhammer_inf_shifted_pole(
 
     valid for lam outside the spiral q^Z.  This continues the reciprocal of
     the defining product past the unit disc without ever forming the nearly
-    singular leading factors.
+    singular leading factors.  lam = 0 raises
+    :class:`~qconnect.errors.ZeroArgument`, a non-finite lam
+    :class:`~qconnect.errors.DomainError` and lam on q^Z
+    :class:`~qconnect.errors.SpiralProximity`, each naming lambda.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if lam == 0:
-        raise ZeroArgument("the closed form of 1/(lambda q^(-k); q)_inf needs lambda != 0")
     return _shifted_pole_at(lam, as_modulus(q), trunc)(k)
 
 
 def _shifted_pole_at(
     lam: complex, qm: QModulus, trunc: Truncation | None
 ) -> Callable[[int], complex]:
-    """:func:`qpochhammer_inf_shifted_pole` at one (lambda, q), lambda != 0,
-    as a function of k >= 0.  The check of lambda and (lambda; q)_inf are
-    formed once (``_once``), each at the step where the closed form first
-    needs it, so an error keeps its place."""
+    """:func:`qpochhammer_inf_shifted_pole` at one (lambda, q), as a
+    function of k >= 0.  The check of lambda (:func:`_neg_lam_spiral`)
+    and (lambda; q)_inf are formed once (``_once``), each at the step where
+    the closed form first needs it, so an error keeps its place."""
     qc = qm.q
-    lam_off_qz = _once(lambda: qm._pole_spiral().exclude(lam, "lambda"))
+    lam_off_qz = _once(lambda: _neg_lam_spiral(lam, qm))
     lam_inf = _once(lambda: qpochhammer_inf(lam, qm, trunc))
 
     def value(k: int) -> complex:
@@ -894,14 +910,6 @@ def _theta_shift(qm: QModulus, ax: float) -> int:
     return round(-math.log(ax) / qm._log_q)
 
 
-def _theta_circle(
-    qm: QModulus, rho: float, trunc: Truncation | None = None
-) -> Callable[[complex], complex]:
-    """:func:`theta` for arguments on one circle |x| = rho, as a function of
-    x: the kernel of a fresh theta plan on that circle (``_ThetaPlan.circle``)."""
-    return _ThetaPlan(qm, _trunc(trunc)).circle(rho)
-
-
 class _ThetaPlan:
     """theta_q at one base and truncation, as a function of x: the part of
     :func:`theta` that does not depend on x, formed once and then called at
@@ -1074,11 +1082,16 @@ class _SeriesPlan:
     under one truncation: formed once, then called at any number of x, each
     call returning (value, condition) as :func:`rphis_with_condition` does.
 
-    Forming it runs the pole test of each lower parameter
-    (:class:`BadLowerParameter`).  The terminating degree, the test for a
-    divergent series and the closed tail's N (:func:`rphis`) are set at the
-    first x != 0, once.  The term ratio t_(n+1) / t_n = ratio_n x, times
-    (-q^n)^d where d = 1 + s - r != 0, has the x-free factor
+    Forming it stores the parameters and raises nothing.  The pole test of
+    each lower parameter (:class:`BadLowerParameter`), the terminating
+    degree, the test for a divergent series and the closed tail's N
+    (:func:`rphis`) are set at the first call, once (:meth:`_form_tail`),
+    and a refusal there is raised again at every later call, x = 0
+    included: the rule of :func:`_once`, with the memo in the plan, as
+    :meth:`_ThetaPlan.qq` keeps its own.  A divergent series gives 1 at
+    x = 0 and raises :class:`DivergentSeries` at every other x.  The term
+    ratio t_(n+1) / t_n = ratio_n x, times (-q^n)^d where d = 1 + s - r != 0,
+    has the x-free factor
     ratio_n = prod(1 - a_i q^n) / (prod(1 - b_j q^n)(1 - q^(n+1))) in a
     table, each entry added the first time any evaluation reaches n: every
     evaluation multiplies the same bits a loop forming the ratio afresh
@@ -1093,28 +1106,27 @@ class _SeriesPlan:
     ) -> None:
         self.qm, self.tr = qm, tr
         self.ups = tuple(map(complex, upper))
-        self.lows = lows = tuple(map(complex, lower))
-        self.d = 1 + len(lows) - len(self.ups)
+        self.lows = tuple(map(complex, lower))
+        self.d = 1 + len(self.lows) - len(self.ups)
+        # the memo of :meth:`_form_tail`, once formed
+        self._tail: tuple | None = None
+        self._ratios: list[complex] = []  # ratio_n
+        self._shifts: list[complex] = []  # (-q^n)^d, where d != 0
+
+    def _form_tail(self) -> tuple[int | None, int, bool]:
+        """(terminating degree or None, the closed tail's N or -1, whether
+        the series diverges); a lower parameter on q^(-N) raises."""
+        ups, lows, qm, tr = self.ups, self.lows, self.qm, self.tr
+        poles = qm._pole_spiral()
         for b in lows:
-            if qm._pole_spiral().half_hit(b) is not None:
+            if poles.half_hit(b) is not None:
                 raise BadLowerParameter(
                     f"lower parameter {b!r} lies within {DEFAULT_PROXIMITY} of q^(-N) "
                     f"(q={qm.q!r}); the series has a vanishing denominator"
                 )
-        self._tail: tuple[int | None, int] | None = None
-        self._ratios: list[complex] = []  # ratio_n
-        self._shifts: list[complex] = []  # (-q^n)^d, where d != 0
-
-    def _form_tail(self) -> tuple[int | None, int]:
-        """(terminating degree or None, the closed tail's N or -1), set once;
-        a divergent series raises, at every call."""
-        ups, lows, qm, tr = self.ups, self.lows, self.qm, self.tr
         term_deg = _terminating_degree(ups, qm)
         if self.d < 0 and term_deg is None:
-            raise DivergentSeries(
-                f"r-s = {len(ups) - len(lows)} > 1 with nonterminating upper parameters: "
-                "radius of convergence is zero"
-            )
+            return None, -1, True
         n_close = -1  # the point N of the closed tail; -1: none
         if self.d == 0 and term_deg is None:
             # every |a_i|, |b_j| is finite here (the spiral tests raise otherwise)
@@ -1126,17 +1138,23 @@ class _SeriesPlan:
             n_f = (math.log(tr.eps) + math.log((1 - aq) / 10) - math.log(c)) / qm._log_q
             if n_f <= tr.n_max - 1:
                 n_close = max(math.ceil(n_f), 0)
-        self._tail = (term_deg, n_close)
-        return self._tail
+        return term_deg, n_close, False
 
     def __call__(self, x: complex) -> tuple[complex, float]:
         return self._at(x, _finite_abs(x, "r_phi_s"))
 
     def _at(self, x: complex, ax: float) -> tuple[complex, float]:
         """The evaluation at x, |x| = ax finite."""
+        if self._tail is None:
+            self._tail = _formed(self._form_tail)
+        term_deg, n_close, divergent = _recalled(self._tail)
         if x == 0:
             return 1 + 0j, 1.0
-        term_deg, n_close = self._tail or self._form_tail()
+        if divergent:
+            raise DivergentSeries(
+                f"r-s = {len(self.ups) - len(self.lows)} > 1 with nonterminating upper "
+                "parameters: radius of convergence is zero"
+            )
         d = self.d
         if d == 0 and ax >= 1 and term_deg is None:
             raise OutsideRadius(
@@ -1257,10 +1275,10 @@ def rphis(
     the even/odd split identities at base q^2 are evaluated.
 
     The term ratios' factors prod(1 - a_i q^n) / (prod(1 - b_j q^n)(1 - q^(n+1)))
-    do not depend on x.  A call forms them in a plan (``_SeriesPlan``) with
-    the parameter checks, then evaluates it at x; an identity check forms
-    one plan per series and side, once, and evaluates it at every grid
-    point, with the same bits as these calls.
+    do not depend on x.  A call forms a plan (``_SeriesPlan``) and
+    evaluates it at x, which runs the parameter checks first; an identity
+    check forms one plan per series and side, once, and evaluates it at
+    every grid point, with the same bits and errors as these calls.
     """
     return rphis_with_condition(upper, lower, q, x, trunc)[0]
 

@@ -24,7 +24,7 @@ from math import log10
 from typing import Callable
 
 from .errors import BaseMismatch
-from .qcore import QModulus, _once, _weighted
+from .qcore import QModulus, _finite_abs, _once, _weighted, as_modulus
 
 __all__ = [
     "FormalSeries",
@@ -42,15 +42,24 @@ _LOG_CLIP = 307.0
 
 @dataclass(frozen=True)
 class FormalSeries:
-    """Coefficients c_0..c_N of a truncated power series at a fixed base."""
+    """Coefficients c_0..c_N of a truncated power series at a fixed base.
+
+    The base is taken through :func:`~qconnect.qcore.as_modulus`, so a bare
+    number is validated as one; a coefficient that is not finite, or whose
+    modulus leaves double range, raises
+    :class:`~qconnect.errors.DomainError`.
+    """
 
     base: QModulus
     coeffs: tuple[complex, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base", as_modulus(self.base))
         cs = tuple(map(complex, self.coeffs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
+        for n, c in enumerate(cs):
+            _finite_abs(c, "a formal series", f"c_{n}")
         object.__setattr__(self, "coeffs", cs)
 
     @property
@@ -107,7 +116,9 @@ class QDEOperator:
     """Finite sum of terms c * x^m * sigma_q^l with m, l >= 0.
 
     sigma_q is the shift (sigma_q f)(x) = f(qx); the base it shifts by is the
-    base of the series the operator is applied to.
+    base of the series the operator is applied to.  A coefficient c that is
+    not finite, or whose modulus leaves double range, raises
+    :class:`~qconnect.errors.DomainError`.
     """
 
     terms: tuple[tuple[int, complex, int], ...]
@@ -117,7 +128,9 @@ class QDEOperator:
         for m, c, l in self.terms:
             if m < 0 or l < 0:
                 raise ValueError("monomial and shift powers must be nonnegative")
-            norm.append((int(m), complex(c), int(l)))
+            c = complex(c)
+            _finite_abs(c, "a q-difference operator", "c")
+            norm.append((int(m), c, int(l)))
         object.__setattr__(self, "terms", tuple(norm))
 
     @classmethod

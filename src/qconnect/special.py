@@ -46,6 +46,7 @@ from .qcore import (
     _below_noise,
     _condition,
     _finite_abs,
+    _neg_lam_spiral,
     _once,
     _SeriesPlan,
     _sum_tail,
@@ -201,7 +202,7 @@ def f_via_residues(
     qm = as_modulus(q)
     qc = qm.q
     q2t = qm.q2 * t
-    series = _SeriesPlan((0j,), (-qc,), qm, tr)  # one plan for +-1/t
+    series = _qairy_plan(qm, tr)  # one plan for +-1/t
     s_p, cond_p = series(1 / t)
     s_m, cond_m = series(-1 / t)
     th = _ThetaPlan(qm, tr)  # one plan for +-q^2 t, on one circle
@@ -226,17 +227,18 @@ def f_via_residues(
 def _two_f_zero_at(
     qm: QModulus, lam: complex, tr: Truncation
 ) -> Callable[[complex], complex]:
-    """:func:`two_f_zero` at one (q, lambda), as a function of x.  The check
-    of lambda and phi(lambda) are formed at the first call, once
-    (``qcore._once``: an error there is raised again at every call), and
-    so is the spiral [-lambda; q] of the excluded x; the spiral sum takes
-    its theta_q(lambda/x) from this form's own theta plan."""
+    """:func:`two_f_zero` at one (q, lambda), as a function of x.  Forming
+    it raises nothing.  The check of lambda, which gives the spiral
+    [-lambda; q] of the excluded x (``qcore._neg_lam_spiral``), and then
+    phi(lambda) are formed at the first call, once (``qcore._once``: an
+    error there is raised again at every call); the spiral sum takes its
+    theta_q(lambda/x) from this form's own theta plan."""
     qc = qm.q
     th = _ThetaPlan(qm, tr)
-    neg_lam = _once(lambda: Spiral(-lam, qm))
+    neg_lam = _once(lambda: _neg_lam_spiral(lam, qm))
 
     def start() -> complex:
-        qm._pole_spiral().exclude(lam, "lambda")
+        neg_lam()
         return e_exp(qm, lam / qc, tr, mode="product")
 
     phi_lam = _once(start)
@@ -291,27 +293,28 @@ def _two_f_zero_closed_parts_at(
     qm: QModulus, lam: complex, tr: Truncation
 ) -> Callable[[complex], tuple[complex, complex]]:
     """:func:`_two_f_zero_closed_parts` at one (q, lambda), as a function of
-    x.  The check of lambda, the spiral [-lambda; q], theta_q(-lambda/q),
-    (q;q)_inf, the theta plan at base q^2 and the plans of the two 1phi1 at
-    base q^2 (``qcore._SeriesPlan``) are formed at their first use, once
-    (``qcore._once``), each at the step where the closed form first needs
-    it, so an error keeps its place.  Every theta at base q is taken by one
-    theta plan (``qcore._ThetaPlan``), and every theta at base q^2 by
-    another."""
+    x.  Forming it takes the base q^2 (``QModulus.squared``: a q whose
+    square underflows to 0 raises :class:`~qconnect.errors.DomainError`
+    here) and forms the plans, which raise nothing until called: one theta
+    plan at base q and one at base q^2 (``qcore._ThetaPlan``), which take
+    every theta of the closed form, and the plans of the two 1phi1 at base
+    q^2 (``qcore._SeriesPlan``).  The check of lambda, which gives the
+    spiral [-lambda; q] (``qcore._neg_lam_spiral``), and theta_q(-lambda/q)
+    are formed at their first use, once (``qcore._once``), each at the step
+    where the closed form first needs it, so an error keeps its place;
+    (q;q)_inf is the base-q theta plan's own (``_ThetaPlan.qq``), formed
+    once, by its first kernel."""
     qc = qm.q
-    lam_off_qz = _once(lambda: qm._pole_spiral().exclude(lam, "lambda"))
-    neg_lam = _once(lambda: Spiral(-lam, qm))
-    th = _ThetaPlan(qm, tr)
-    th2 = _once(lambda: _ThetaPlan(qm.squared(), tr))
+    q2m = qm.squared()
+    neg_lam = _once(lambda: _neg_lam_spiral(lam, qm))
+    th, th_q2 = _ThetaPlan(qm, tr), _ThetaPlan(q2m, tr)
     theta_lam = _once(lambda: th(-lam / qc))
-    qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
-    even_series = _once(lambda: _SeriesPlan((0j,), (qc,), qm.squared(), tr))
-    odd_series = _once(lambda: _SeriesPlan((0j,), (qc**3,), qm.squared(), tr))
+    even_series = _SeriesPlan((0j,), (qc,), q2m, tr)
+    odd_series = _SeriesPlan((0j,), (qc**3,), q2m, tr)
 
     def parts(x: complex) -> tuple[complex, complex]:
         if x == 0:
             raise ZeroArgument("x must be nonzero")
-        lam_off_qz()
         neg_lam().exclude(x)
         th_lam = theta_lam()
         th_lx = _theta_from_x(th, lam / x, x)
@@ -321,8 +324,7 @@ def _two_f_zero_closed_parts_at(
             raise ThetaZero(
                 "the denominator theta_q(-lambda/q) theta_q(lambda/x) is numerically zero"
             )
-        th_q2 = th2()
-        pref = qq() / den
+        pref = th.qq() / den
         try:
             v_even = -lam * lam / (qc * x)
         except ZeroDivisionError:  # q x underflows to 0: theta of v_even leaves range
@@ -330,13 +332,13 @@ def _two_f_zero_closed_parts_at(
         even = (
             pref
             * _theta_from_x(th_q2, v_even, x)
-            * even_series()(qm.q2 / x)[0]
+            * even_series(qm.q2 / x)[0]
         )
         odd = (
             pref
             * (lam / x)
             * _theta_from_x(th_q2, -lam * lam / x, x)
-            * odd_series()(qc**3 / x)[0]
+            * odd_series(qc**3 / x)[0]
             / (1 - qc)
         )
         # an overflowing denominator would make both terms 0 or nan

@@ -45,7 +45,6 @@ from .qcore import (
     _condition,
     _finite_abs,
     _sum_tail,
-    _theta_circle,
     _theta_tails,
     _ThetaPlan,
     _trunc,
@@ -174,7 +173,7 @@ def qlaplace_minus(
     Every kernel argument t/tau lies on the one circle |x| = |t|/r, so the
     theta kernel's per-circle invariants (shift, the split of the triple
     product into leading powers and a log-series tail, taken at every base,
-    and the constant factor, see :func:`~qconnect.qcore._theta_circle`) are
+    and the constant factor, see ``qcore._ThetaPlan.circle``) are
     built once per call; each node then multiplies the leading powers and
     sums the tail series.  ``trunc.log`` counts 2 per leading power plus 2
     per tail term at each node (52 to 68 at q = 0.8 for |t| in [0.3, 4],
@@ -202,7 +201,7 @@ def qlaplace_minus(
         r = min(1.0, 0.5 * r_max)
     if not 0.0 < r < r_max:
         raise DomainError(f"contour radius must satisfy 0 < r < 1/|q|^2 = {r_max}")
-    kernel = _theta_circle(qm, at / r, tr)
+    kernel = _ThetaPlan(qm, tr).circle(at / r)
     start = _kernel_start(qm, at / r, tr.eps)
 
     def sample(angle: float) -> complex:

@@ -3,20 +3,26 @@
 Every identity is evaluated with disjoint code paths on its two sides (no
 shared memoized subexpression), point by point over a grid that respects the
 identity's exclusion set.  Each check first calls the identity's one hook,
-``prepare``: it refuses parameters the identity cannot take, before any grid
-point is filtered, and returns the per-point function.  The factors that do
-not depend on x are formed once per check and per side, each at the step
-where a point first needs it (``qcore._once``), and none outlives the check
-or is read by the other side.  Among them are the plans of the basic
-hypergeometric series (``qcore._SeriesPlan``): the term ratios
-prod(1 - a_i q^n) / (prod(1 - b_j q^n)(1 - q^(n+1))) are x-free, so each
-side forms them once per series and reads them at every grid point.  So
-are the theta plans (``qcore._ThetaPlan``): each side takes its theta
-values at one base through one plan, which forms (q;q)_inf once and one
-kernel per circle |x| = rho it meets (a check's grid has three moduli), and
-Watson's and Ismail-Zhang's connection sides take their pairs
+``prepare``: it refuses parameters the identity cannot take (and a base
+whose square underflows to 0, where the identity evaluates at base q^2),
+before any grid point is filtered, and returns the per-point function.
+What does not depend on x is formed once per check and per side, and none
+of it outlives the check or is read by the other side.  ``prepare`` forms
+the plans directly: a plan raises nothing when formed, and a plan that
+refuses its parameters raises at its first call and again at every later
+one, so every point skips at the same step.  They are the plans of the basic
+hypergeometric series (``qcore._SeriesPlan``), whose term ratios
+prod(1 - a_i q^n) / (prod(1 - b_j q^n)(1 - q^(n+1))) each side forms once
+per series and reads at every grid point, and the theta plans
+(``qcore._ThetaPlan``): each side takes its theta values at one base
+through one plan, which forms (q;q)_inf once, the side's only (q;q)_inf,
+and one kernel per circle |x| = rho it meets (a check's grid has three
+moduli); Watson's and Ismail-Zhang's connection sides take their pairs
 (y, q/y; q)_inf = theta_q(-y) / (q;q)_inf as theta ratios on such a plan.
-The per-point function returns the point's records, each made by
+The x-free values (the other products, spirals, theta at a fixed
+argument) are formed at the step where a point first needs them
+(``qcore._once``), so a value that cannot be formed fails every point at
+that step.  The per-point function returns the point's records, each made by
 :func:`_record`.  Filtered points and evaluation-time errors (any
 :class:`~qconnect.errors.QConnectError`) become skip records, never silent
 passes or aborted runs.  Each evaluated point carries a
@@ -40,7 +46,7 @@ import random
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EmptyGrid, QConnectError, SpiralProximity, TruncationExceeded
+from .errors import EmptyGrid, QConnectError, SpiralProximity, TruncationExceeded, ZeroArgument
 from .qcore import (
     DEFAULT_TRUNCATION,
     E_exp,
@@ -54,6 +60,8 @@ from .qcore import (
     theta_product,
     theta_sum_with_condition,
     _condition,
+    _finite_abs,
+    _neg_lam_spiral,
     _once,
     _SeriesPlan,
     _shifted_pole_at,
@@ -63,6 +71,7 @@ from .qcore import (
 from .series import (
     FormalSeries,
     _borel_minus_operator_image_of,
+    _series,
     qborel_minus,
     qborel_plus,
 )
@@ -285,7 +294,7 @@ def _random_series(base: QModulus, order: int, seed: int) -> FormalSeries:
     rng = random.Random(seed)
     coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(order + 1)]
     coeffs[0] = 1 + 0j
-    return FormalSeries(base, tuple(coeffs))
+    return _series(base, tuple(coeffs))  # complex and finite: no public checks
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +302,12 @@ def _random_series(base: QModulus, order: int, seed: int) -> FormalSeries:
 
 
 def _lam_off_qz(chk: IdentityCheck, qm: QModulus) -> complex:
-    """The check's lambda, which it must have, off the spiral q^Z."""
+    """The check's lambda, which it must have: nonzero, finite and off the
+    spiral q^Z (``qcore._neg_lam_spiral``)."""
     if chk.lam is None:
         raise ValueError(f"identity {chk.identity!r} needs a lambda parameter")
     lam = complex(chk.lam)
-    qm._pole_spiral().exclude(lam, "lambda")
+    _neg_lam_spiral(lam, qm)
     return lam
 
 
@@ -349,9 +359,13 @@ def _filter_neg_lam_spiral(
 
 
 def _prep_watson(chk, qm, tr, mutations):
-    if chk.abc is None:
+    if chk.abc is None or len(chk.abc) != 3:
         raise ValueError("the watson identity needs the (a, b, c) parameters")
     a, b, c = chk.abc
+    # the connection side divides by each of them, x-free, in prepare
+    for name, v in zip("abc", chk.abc):
+        if not _finite_abs(v, "the watson identity", name):
+            raise ZeroArgument(f"the watson identity needs a nonzero {name}, got {name}={v!r}")
     qc = qm.q
     # the connection side's x-free factors, K1 = (b, c/a; q)_inf / (c, b/a; q)_inf
     # and K2 = (a, c/b; q)_inf / (c, a/b; q)_inf, each at the term that needs it
@@ -362,19 +376,19 @@ def _prep_watson(chk, qm, tr, mutations):
         lambda: qpochhammer_inf((a, c / b), qm, tr) / qpochhammer_inf((c, a / b), qm, tr)
     )
     # the plans of the lhs 2phi1 and of the connection side's two
-    lhs_series = _once(lambda: _SeriesPlan((a, b), (c,), qm, tr))
-    series_a = _once(lambda: _SeriesPlan((a, a * qc / c), (a * qc / b,), qm, tr))
-    series_b = _once(lambda: _SeriesPlan((b, b * qc / c), (b * qc / a,), qm, tr))
+    lhs_series = _SeriesPlan((a, b), (c,), qm, tr)
+    series_a = _SeriesPlan((a, a * qc / c), (a * qc / b,), qm, tr)
+    series_b = _SeriesPlan((b, b * qc / c), (b * qc / a,), qm, tr)
     # the pairs (y, q/y; q)_inf = theta_q(-y) / (q;q)_inf, (q;q)_inf left out
     pairs = _ThetaPlan(qm, tr, over_qq=True)
 
     def point(x):
         arg = c * qc / (a * b * x)
-        lhs = lhs_series()(x)[0]
+        lhs = lhs_series(x)[0]
         c1 = k1()
         th_x = pairs(-x)
-        t1 = c1 * (pairs(-a * x) / th_x) * series_a()(arg)[0]
-        t2 = k2() * (pairs(-b * x) / th_x) * series_b()(arg)[0]
+        t1 = c1 * (pairs(-a * x) / th_x) * series_a(arg)[0]
+        t2 = k2() * (pairs(-b * x) / th_x) * series_b(arg)[0]
         return [_record(x, lhs, t1 + t2, _plain(t1, t2))]
 
     return point
@@ -382,19 +396,19 @@ def _prep_watson(chk, qm, tr, mutations):
 
 def _prep_ismail_zhang(chk, qm, tr, mutations):
     qc = qm.q
-    c0 = _once(lambda: qpochhammer_inf(qc, qm.squared(), tr))
-    series_1 = _once(lambda: _SeriesPlan((0j,), (qc,), qm.squared(), tr))
-    series_3 = _once(lambda: _SeriesPlan((0j,), (qc**3,), qm.squared(), tr))
+    q2m = qm.squared()
+    c0 = _once(lambda: qpochhammer_inf(qc, q2m, tr))
+    series_1 = _SeriesPlan((0j,), (qc,), q2m, tr)
+    series_3 = _SeriesPlan((0j,), (qc**3,), q2m, tr)
     # the pairs (y, q^2/y; q^2)_inf = theta_{q^2}(-y) / (q^2;q^2)_inf at base
     # q^2, (q^2;q^2)_inf left out
-    pairs = _once(lambda: _ThetaPlan(qm.squared(), tr, over_qq=True))
+    pairs = _ThetaPlan(q2m, tr, over_qq=True)
 
     def point(x):
-        p2 = pairs()
         lhs = ramanujan_Aq(qm, x, tr)
         c = c0()
-        t1 = p2(-qc * x) / c * series_1()(qm.q2 / x)[0]
-        t2 = qc * p2(-1 / x) / ((1 - qc) * c) * series_3()(qc**3 / x)[0]
+        t1 = pairs(-qc * x) / c * series_1(qm.q2 / x)[0]
+        t2 = qc * pairs(-1 / x) / ((1 - qc) * c) * series_3(qc**3 / x)[0]
         return [_record(x, lhs, t1 - t2, _plain(t1, -t2))]
 
     return point
@@ -402,15 +416,16 @@ def _prep_ismail_zhang(chk, qm, tr, mutations):
 
 def _prep_thm_ramanujan_qairy(chk, qm, tr, mutations):
     qc = qm.q
+    q2m = qm.squared()
     den = _once(lambda: qpochhammer_inf((qc, -1 + 0j), qm, tr))
-    ai = _once(lambda: _qairy_plan(qm, tr))  # Ai_q(y) is the plan at -y
+    ai = _qairy_plan(qm, tr)  # Ai_q(y) is the plan at -y
     th = _ThetaPlan(qm, tr)
 
     def point(x):
-        lhs, c0 = ramanujan_Aq_with_condition(qm.squared(), -(qc**3) / (x * x), tr)
+        lhs, c0 = ramanujan_Aq_with_condition(q2m, -(qc**3) / (x * x), tr)
         d = den()
-        a1, c1 = ai()(x)  # Ai_q(-x); -(-x) is x, bit for bit
-        a2, c2 = ai()(-x)
+        a1, c1 = ai(x)  # Ai_q(-x); -(-x) is x, bit for bit
+        a2, c2 = ai(-x)
         t1 = th(x / qc) * a1 / d
         t2 = th(-x / qc) * a2 / d
         return [_record(x, lhs, t1 + t2, ((lhs, c0), (t1, c1), (t2, c2)))]
@@ -420,14 +435,13 @@ def _prep_thm_ramanujan_qairy(chk, qm, tr, mutations):
 
 def _prep_thm_eq_Eq(chk, qm, tr, mutations):
     qc = qm.q
-    qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
     # e_q's series 1phi0(0; -; q, x); the prefilter keeps x off its poles
-    e_series = _once(lambda: _SeriesPlan((0j,), (), qm, tr))
-    th = _ThetaPlan(qm, tr)
+    e_series = _SeriesPlan((0j,), (), qm, tr)
+    th = _ThetaPlan(qm, tr)  # and its (q;q)_inf
 
     def point(x):
-        lhs = e_series()(x)[0]
-        rhs = qq() * E_exp(qm, -qc / x, tr) / th(-x)
+        lhs = e_series(x)[0]
+        rhs = th.qq() * E_exp(qm, -qc / x, tr) / th(-x)
         return [_record(x, lhs, rhs, _plain(rhs))]
 
     return point
@@ -435,20 +449,20 @@ def _prep_thm_eq_Eq(chk, qm, tr, mutations):
 
 def _prep_lemma_alt(chk, qm, tr, mutations):
     qc = qm.q
-    qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
-    series_1 = _once(lambda: _SeriesPlan((), (qc,), qm.squared(), tr))
-    series_3 = _once(lambda: _SeriesPlan((), (qc**3,), qm.squared(), tr))
-    th = _ThetaPlan(qm, tr)
+    q2m = qm.squared()
+    series_1 = _SeriesPlan((), (qc,), q2m, tr)
+    series_3 = _SeriesPlan((), (qc**3,), q2m, tr)
+    th = _ThetaPlan(qm, tr)  # and its (q;q)_inf
 
     def point(x):
         lhs = e_exp(qm, x / qc, tr, mode="product")
-        pref = qq() / th(-x / qc)
-        t1 = pref * series_1()(qc**5 / (x * x))[0]
+        pref = th.qq() / th(-x / qc)
+        t1 = pref * series_1(qc**5 / (x * x))[0]
         t2 = (
             -pref
             * qm.q2
             / ((1 - qc) * x)
-            * series_3()(qc**7 / (x * x))[0]
+            * series_3(qc**7 / (x * x))[0]
         )
         return [_record(x, lhs, t1 + t2, _plain(t1, t2))]
 
@@ -485,13 +499,12 @@ def _prep_qde_ramanujan(chk, qm, tr, mutations):
 def _prep_qde_qairy(chk, qm, tr, mutations):
     qc = qm.q
     # Ai_q(y) is the plan at -y
-    ai_lhs = _once(lambda: _qairy_plan(qm, tr))
-    ai_rhs = _once(lambda: _qairy_plan(qm, tr))
+    ai_lhs, ai_rhs = _qairy_plan(qm, tr), _qairy_plan(qm, tr)
 
     def point(x):
-        a1, c1 = ai_lhs()(-(qm.q2 * x))
-        a2, c2 = ai_lhs()(-(qc * x))
-        t3, c3 = ai_rhs()(-x)
+        a1, c1 = ai_lhs(-(qm.q2 * x))
+        a2, c2 = ai_lhs(-(qc * x))
+        t3, c3 = ai_rhs(-x)
         t1, t2 = a1, x * a2
         return [_record(x, t1 + t2, t3, ((t1, c1), (t2, c2), (t3, c3)))]
 
@@ -614,11 +627,13 @@ class _IdentitySpec:
     identity cannot take, and returns the function of one grid point x that
     gives the records of its comparisons (:func:`_record`).  Whatever does
     not depend on x is formed inside ``prepare``, for each side apart, and
-    lives as long as that function: one check.  That includes the term
-    ratios of each r_phi_s a side sums, x-free factors held in one plan per
-    series and side (``qcore._SeriesPlan``), and the theta kernels of each
-    side, held in one theta plan per base and side (``qcore._ThetaPlan``:
-    (q;q)_inf and one kernel per circle the side meets).  ``prefilter``
+    lives as long as that function: one check.  ``prepare`` forms the plans
+    directly, since a plan raises nothing until called: one per r_phi_s
+    and side (``qcore._SeriesPlan``, its term ratios), and one theta plan
+    per base and side (``qcore._ThetaPlan``: (q;q)_inf, which the side
+    reads from it, and one kernel per circle the side meets).  The x-free
+    values, such as products, are wrapped in ``qcore._once`` and formed at
+    their first use.  ``prefilter``
     takes (check, base) and returns the function that gives the skip reason
     of a grid point outside the identity's domain, or None; its x-free part
     (a spiral) is formed once per check."""

@@ -115,6 +115,10 @@ FORMAL_MAPS = {
     "qborel_plus": lambda m, l, f: (qborel_plus(f),),
     "qborel_minus": lambda m, l, f: (qborel_minus(f),),
     "borel_minus_operator_image": borel_minus_operator_image,
+    # an operator coefficient out of double range
+    "apply_operator, nan c": lambda m, l, f: (
+        apply_operator(QDEOperator(((m, complex(math.nan, 0.0), l),)), f),
+    ),
 }
 FORMAL_ML = ((0, 0), (1, 3), (5, 0), (5, 5), (2, 7), (15, 0), (23, 0), (35, 2), (3, 10**9))
 
@@ -128,18 +132,40 @@ def formal_series(q, scale):
     return FormalSeries(as_modulus(q), coeffs)
 
 
+def formal_input(base, bad=None):
+    """operational-lemma's kind of series at q = 0.5, given with ``base`` as
+    it is, with c_2 replaced by ``bad`` where one is given."""
+    coeffs = list(formal_series(0.5, 1.0).coeffs)
+    if bad is not None:
+        coeffs[2] = bad
+    return FormalSeries(base, coeffs)
+
+
+# series given with a bare base, and with a coefficient out of double range
+# at n = 2 (its modulus overflows, or it is nan), formed inside the test
+FORMAL_INPUTS = (
+    lambda: formal_input(0.5),
+    lambda: formal_input(as_modulus(0.5), complex(1.7e308, 1.7e308)),
+    lambda: formal_input(as_modulus(0.5), complex(math.nan, 0.0)),
+)
+
+
 @pytest.mark.parametrize("name", FORMAL_MAPS)
 def test_formal_maps_finite_or_typed_error(name):
-    for q in QS:
-        for scale in (1.0, 1e-200, 1e200):
-            f = formal_series(q, scale)
-            for m, l in FORMAL_ML:
-                try:
-                    out = FORMAL_MAPS[name](m, l, f)
-                except QConnectError:
-                    continue
-                for g in out:
-                    assert all(map(cmath.isfinite, g.coeffs)), (name, q, scale, m, l)
+    inputs = [
+        (lambda q=q, scale=scale: formal_series(q, scale), (q, scale))
+        for q in QS
+        for scale in (1.0, 1e-200, 1e200)
+    ]
+    inputs += [(make, i) for i, make in enumerate(FORMAL_INPUTS)]
+    for make, label in inputs:
+        for m, l in FORMAL_ML:
+            try:
+                out = FORMAL_MAPS[name](m, l, make())
+            except QConnectError:
+                continue
+            for g in out:
+                assert all(map(cmath.isfinite, g.coeffs)), (name, label, m, l)
 
 
 def powers_of_ten(lo, hi):

@@ -1141,14 +1141,41 @@ class TestSeriesPlan:
             assert plan(x) == want and log.terms - before == 4
         divergent = _SeriesPlan((0.3, 0.2, 0.1), (0.7,), qm, DEFAULT_TRUNCATION)
         assert divergent(0) == (1, 1.0)
-        for _ in range(2):  # raised at every x != 0, never remembered as a plan
+        for _ in range(2):  # raised at every x != 0, while x = 0 gives 1
             with pytest.raises(DivergentSeries):
                 divergent(0.3)
+            assert divergent(0) == (1, 1.0)
 
-    def test_lower_parameter_refused_when_formed(self):
+    def test_lower_parameter_refused_at_every_call(self):
+        # forming the plan raises nothing; its first call refuses the lower
+        # parameter 4 = q^-2, at x = 0 too, and every later call raises the
+        # same error again, before x = 0's value 1 and before any term
         qm = QModulus(0.5)
-        with pytest.raises(BadLowerParameter, match="lies within 1e-06 of q"):
-            _SeriesPlan((0.2,), (4.0,), qm, DEFAULT_TRUNCATION)
+        message = (
+            r"^lower parameter \(4\+0j\) lies within 1e-06 of q\^\(-N\) "
+            r"\(q=\(0\.5\+0j\)\); the series has a vanishing denominator$"
+        )
+        for ups in ((0.2,), (0.3, 0.2, 0.1)):  # the second also diverges
+            log = TermLog()
+            plan = _SeriesPlan(ups, (4.0,), qm, Truncation(log=log))
+            errors = []
+            for x in (0j, 0.3, 0j, -0.7j, 0.3, 0j):
+                with pytest.raises(BadLowerParameter, match=message) as info:
+                    plan(x)
+                errors.append(info.value)
+            assert all(e is errors[0] for e in errors)
+            assert log.terms == 0
+            # a plan first called at x != 0 refuses x = 0 after it
+            plan = _SeriesPlan(ups, (4.0,), qm, DEFAULT_TRUNCATION)
+            for x in (0.3, 0j):
+                with pytest.raises(BadLowerParameter, match=message):
+                    plan(x)
+            # the public calls keep that error, x = 0 included
+            for x in (0, 0.3):
+                with pytest.raises(BadLowerParameter, match=message):
+                    rphis(ups, (4.0,), qm, x)
+                with pytest.raises(BadLowerParameter, match=message):
+                    rphis_with_condition(ups, (4.0,), qm, x)
 
     def test_rphis_is_plan_and_evaluation(self):
         qm = QModulus(0.5)

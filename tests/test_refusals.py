@@ -1,0 +1,192 @@
+"""Parameters the package cannot take reach the user as typed errors.
+
+A spiral anchor lambda of 0 or not finite, a Watson a, b or c that is 0
+or not finite, a base whose square underflows to 0 where an identity
+evaluates at base q^2, and a formal series or operator coefficient out of
+double range each raise a :class:`~qconnect.errors.DomainError` that names
+the parameter, on which the CLI exits 3 with no traceback.  A Watson abc
+that is not three values is a usage error (``ValueError``), and a formal
+series given a bare base validates it as a :class:`QModulus`.
+"""
+
+import math
+
+import pytest
+
+from qconnect import (
+    DomainError,
+    FormalSeries,
+    IdentityCheck,
+    QDEOperator,
+    ZeroArgument,
+    as_modulus,
+    check,
+    qborel_minus,
+    qborel_plus,
+    qpochhammer_inf_shifted_pole,
+    two_f_zero,
+    two_f_zero_closed,
+)
+from qconnect.cli import main
+from qconnect.qcore import Spiral
+
+ZERO_LAMBDA = "^the spiral anchor lambda must be nonzero$"
+NON_FINITE = [complex(math.nan, 0.0), complex(0.7, math.inf), complex(-math.inf, 0.0)]
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestLambda:
+    @pytest.mark.parametrize(
+        "form",
+        [two_f_zero, two_f_zero_closed, lambda q, lam, k: qpochhammer_inf_shifted_pole(lam, q, k)],
+        ids=["two_f_zero", "two_f_zero_closed", "qpochhammer_inf_shifted_pole"],
+    )
+    def test_zero_lambda_is_a_zero_argument(self, form):
+        with pytest.raises(ZeroArgument, match=ZERO_LAMBDA):
+            form(0.5, 0, 2)
+        with pytest.raises(ZeroArgument, match=ZERO_LAMBDA):
+            form(0.5, -0j, 2)
+
+    @pytest.mark.parametrize("ident", ["thm-2f0", "qde-2f0-resummed"])
+    def test_zero_lambda_refused_by_check(self, ident):
+        with pytest.raises(ZeroArgument, match=ZERO_LAMBDA):
+            check(IdentityCheck(ident, 0.5, lam=0))
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_non_finite_lambda_is_named(self, lam):
+        name = f"lambda={lam!r}"
+        for call in (
+            lambda: two_f_zero(0.5, lam, 1.3),
+            lambda: two_f_zero_closed(0.5, lam, 1.3),
+            lambda: qpochhammer_inf_shifted_pole(lam, 0.5, 2),
+            lambda: check(IdentityCheck("thm-2f0", 0.5, lam=lam)),
+            lambda: check(IdentityCheck("qde-2f0-resummed", 0.5, lam=lam)),
+        ):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert name in str(info.value) and "x=" not in str(info.value)
+
+    def test_spiral_exclusion_names_its_argument(self):
+        spiral = Spiral(1 + 0j, as_modulus(0.5))
+        with pytest.raises(DomainError, match=r"got t=\(nan\+0j\)"):
+            spiral.exclude(complex(math.nan, 0.0), "t")
+        with pytest.raises(DomainError, match=r"got x=inf"):
+            spiral.exclude(math.inf)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "thm-2f0", "--q", "0.5", "--lambda", "0"),
+            ("check", "qde-2f0-resummed", "--q", "0.5", "--lambda", "0"),
+            ("eval", "2f0-closed", "--q", "0.5", "--lambda", "0", "--x", "1.3"),
+            ("eval", "2f0", "--q", "0.5", "--lambda", "0", "--x", "1.3"),
+        ],
+    )
+    def test_cli_exits_3(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err == "domain error: the spiral anchor lambda must be nonzero\n"
+
+
+class TestWatsonParameters:
+    @pytest.mark.parametrize("abc", [(1, 2), (1, 2, 3, 4), ()])
+    def test_not_three_values(self, abc):
+        with pytest.raises(ValueError, match=r"needs the \(a, b, c\) parameters"):
+            check(IdentityCheck("watson", 0.5, abc=abc))
+
+    @pytest.mark.parametrize(
+        "abc, name",
+        [
+            ((math.nan, 2, 3), "a"),
+            ((1, complex(0, math.inf), 3), "b"),
+            ((1, 2, -math.inf), "c"),
+            ((1, 2, complex(1.7e308, 1.7e308)), "c"),
+        ],
+    )
+    def test_non_finite_value_is_named(self, abc, name):
+        with pytest.raises(DomainError, match=rf"\b{name}="):
+            check(IdentityCheck("watson", 0.5, abc=abc))
+
+    @pytest.mark.parametrize(
+        "abc, name", [((0, 3, 0.5), "a"), ((-4, 0j, 0.5), "b"), ((-4, 3, 0), "c")]
+    )
+    def test_zero_value_is_named(self, capsys, abc, name):
+        # the connection side divides by a, b and c
+        with pytest.raises(ZeroArgument, match=rf"needs a nonzero {name}, got {name}=0"):
+            check(IdentityCheck("watson", 0.5, abc=abc))
+        text = ",".join(str(complex(v).real) for v in abc)
+        code, _, err = run_cli(capsys, "check", "watson", "--q", "0.5", f"--abc={text}")
+        assert code == 3 and err.startswith("domain error: the watson identity needs a nonzero")
+
+
+class TestBaseSquareUnderflows:
+    """The identities that evaluate at base q^2 refuse a q whose square
+    underflows to 0 (|q| below about 1.57e-162) before any point; where q^2
+    is subnormal but nonzero, their reports stand as they were."""
+
+    IDENTS = ["ismail-zhang", "lemma-alt", "thm-ramanujan-qairy", "thm-2f0"]
+
+    @pytest.mark.parametrize("ident", IDENTS)
+    def test_refused_by_check(self, ident):
+        with pytest.raises(DomainError, match=r"q=\(1\.5e-162\+0j\) .* q\^2 underflows to 0$"):
+            check(IdentityCheck(ident, 1.5e-162, lam=0.7))
+
+    @pytest.mark.parametrize("ident", IDENTS)
+    def test_cli_exits_3(self, capsys, ident):
+        code, out, err = run_cli(capsys, "check", ident, "--q", "1.5e-162", "--lambda", "0.7")
+        assert code == 3 and not out
+        assert err.startswith("domain error: q=(1.5e-162+0j)") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "ident, q, evaluated",
+        [
+            ("ismail-zhang", 1.6e-162, 8),
+            ("ismail-zhang", 1e-160, 16),
+            ("lemma-alt", 1.6e-162, 24),
+            ("lemma-alt", 1e-160, 24),
+            ("thm-ramanujan-qairy", 1.6e-162, 24),
+            ("thm-ramanujan-qairy", 1e-160, 24),
+            ("thm-2f0", 1.6e-162, 24),
+            ("thm-2f0", 1e-160, 24),
+        ],
+    )
+    def test_reports_above_the_underflow(self, ident, q, evaluated):
+        rep = check(IdentityCheck(ident, q, lam=0.7))
+        assert rep.passed and rep.n_evaluated == evaluated
+        assert not any("q^2 underflows" in p.reason for p in rep.points if p.skipped)
+
+
+class TestFormalInputs:
+    def test_bare_base_is_a_modulus(self):
+        f = FormalSeries(0.5, (1, 2, 3))
+        assert f.base == as_modulus(0.5)
+        g = FormalSeries(as_modulus(0.5), (1, 2, 3))
+        assert qborel_minus(f).coeffs == qborel_minus(g).coeffs
+        assert qborel_plus(f).coeffs == qborel_plus(g).coeffs
+        with pytest.raises(ValueError, match=r"0 < \|q\| < 1"):
+            FormalSeries(1.5, (1, 2))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (complex(1.7e308, 1.7e308), r"c_2=\(1\.7e\+308\+1\.7e\+308j\) is out of double range"),
+            (complex(math.nan, 0.0), r"got c_2=\(nan\+0j\)"),
+            (complex(1.0, -math.inf), r"got c_2=\(1-infj\)"),
+        ],
+        ids=["modulus-overflows", "nan", "infinite-part"],
+    )
+    def test_coefficient_out_of_range(self, bad, message):
+        with pytest.raises(DomainError, match=message):
+            FormalSeries(as_modulus(0.5), (1, 2, bad, 4))
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), math.inf])
+    def test_operator_coefficient_out_of_range(self, bad):
+        with pytest.raises(DomainError, match=r"q-difference operator needs a finite argument"):
+            QDEOperator(((0, bad, 1),))
+        with pytest.raises(DomainError):
+            QDEOperator.identity().scale(bad)

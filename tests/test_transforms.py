@@ -31,7 +31,7 @@ from qconnect import (
     theta_sum_with_condition,
 )
 from qconnect import transforms, verify
-from qconnect.qcore import _theta_circle, _theta_shift
+from qconnect.qcore import DEFAULT_TRUNCATION, _theta_shift, _ThetaPlan
 from conftest import decimal_rel_err, decimal_theta, random_series, rel_err, theta_rounding_bound
 
 LAMBDAS = (0.7, 1.3, 0.9 * cmath.exp(0.3j))
@@ -118,7 +118,7 @@ class TestThetaCircleKernel:
     def test_matches_theta_at_every_node(self, q, t):
         qm = as_modulus(q)
         r = default_radius(qm)
-        kernel = _theta_circle(qm, abs(t) / r)
+        kernel = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(abs(t) / r)
         for j in range(64):
             x = t / (r * cmath.exp(2j * math.pi * j / 64))
             assert rel_err(kernel(x), theta(qm, x)) < 1e-13
@@ -140,7 +140,7 @@ class TestThetaCircleKernel:
             qq = Truncation(log=TermLog())
             qpochhammer_inf(qm.q, qm, qq)
             tr = Truncation(log=TermLog())
-            kernel = _theta_circle(qm, rho, tr)
+            kernel = _ThetaPlan(qm, tr).circle(rho)
             setup = tr.log.terms
             kernel(x)
             # M leading powers, to the first with max(|x0|, |q/x0|) |q|^M <= 0.1,
@@ -165,16 +165,17 @@ class TestThetaCircleKernel:
                 theta(qm, x, tr)
             except TruncationExceeded:
                 with pytest.raises(TruncationExceeded):
-                    _theta_circle(qm, rho, tr)(x)
+                    _ThetaPlan(qm, tr).circle(rho)(x)
             else:
-                _theta_circle(qm, rho, tr)(x)
+                _ThetaPlan(qm, tr).circle(rho)(x)
 
     @pytest.mark.parametrize("x", [1e9, 5e9, 1e11, 3e10 + 1e10j, 2e-10 - 1e-10j])
     def test_matches_theta_where_bare_shift_law_overflows(self, x):
         # from |x| ~ 5e9 at q = 0.5, x^k or q^(k(k-1)/2) leaves double range
         # while theta_q(x) itself does not
         qm = as_modulus(0.5)
-        assert rel_err(_theta_circle(qm, abs(x))(x), theta(qm, x)) < 3e-15
+        kernel = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(abs(x))
+        assert rel_err(kernel(x), theta(qm, x)) < 3e-15
 
     def test_huge_target_reaches_the_noise_floor(self):
         # the kernel now has a value at |t|/r = 5e9; the samples of a constant
@@ -185,7 +186,7 @@ class TestThetaCircleKernel:
     @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0])
     def test_bad_modulus_is_domain_error(self, rho):
         with pytest.raises(DomainError):
-            _theta_circle(as_modulus(0.5), rho)
+            _ThetaPlan(as_modulus(0.5), DEFAULT_TRUNCATION).circle(rho)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
     def test_qlaplace_minus_matches_per_node_path(self, q):
@@ -239,7 +240,7 @@ class TestThetaCircleKernel:
         # callers that divide by it, and a quadrature sample is only summed
         qm = as_modulus(q)
         r = default_radius(qm)
-        kernel = _theta_circle(qm, 0.5 / r)
+        kernel = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(0.5 / r)
         assert abs(kernel(0.5 / (r * cmath.exp(1j * math.pi)))) < sys.float_info.min
         assert abs(qlaplace_minus(lambda tau: 1.0, qm, 0.5) - 1) < 1e-13
 
@@ -247,7 +248,7 @@ class TestThetaCircleKernel:
     def test_exact_zero_on_the_zero_spiral(self, x):
         # every factor with |a q^n| >= 0.1 stays in the multiplied product, so
         # the zeros -q^Z of theta come out as exact zero factors
-        assert _theta_circle(as_modulus(0.5), abs(x))(complex(x)) == 0
+        assert _ThetaPlan(as_modulus(0.5), DEFAULT_TRUNCATION).circle(abs(x))(complex(x)) == 0
 
     def test_split_at_a_small_base(self):
         # at q = 0.05, |x| = 1.6 the leading powers and the tail terms are no
@@ -257,7 +258,7 @@ class TestThetaCircleKernel:
         rho = 1.6
         ref = Truncation(log=TermLog())
         got_log = TermLog()
-        kernel = _theta_circle(qm, rho, Truncation(log=got_log))
+        kernel = _ThetaPlan(qm, Truncation(log=got_log)).circle(rho)
         setup = got_log.terms
         for j in range(16):
             x = cmath.rect(rho, 0.7 + 2 * math.pi * j / 16)
@@ -317,7 +318,7 @@ class TestCircleRuleStart:
         q, t = ALIASED[2]
         qm = as_modulus(q)
         r = default_radius(qm)
-        kernel = _theta_circle(qm, abs(t) / r)
+        kernel = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(abs(t) / r)
 
         def sample(angle):
             return kernel(t / (r * cmath.exp(1j * angle)))
@@ -354,7 +355,7 @@ class TestCircleRuleStart:
         r = default_radius(qm)
         for t in random_targets(f"start-{q}", 8):
             g, calls = counted_borel_image(qm)
-            kernel = _theta_circle(qm, abs(t) / r)
+            kernel = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(abs(t) / r)
             ref_calls = []
 
             def sample(angle):
@@ -532,7 +533,7 @@ REF_QS = (0.05, 0.3, 0.5, 0.8, 0.95, 0.6 * cmath.exp(2.1j), -0.7 + 0.1j)
 
 def running_theta_circle(qm, rho, tr):
     """The per-circle kernel with its own list of running powers: the
-    reference for _theta_circle."""
+    reference for the kernel of _ThetaPlan.circle."""
     qc = qm.q
     k = _theta_shift(qm, rho)
     qk = qc**k
@@ -575,8 +576,8 @@ class TestThetaCircleRunningPowers:
             rho = 10 ** rng.uniform(-1.5, 1.5)
             qm = as_modulus(q)
             got_log, want_log = TermLog(), TermLog()
-            kernel = _theta_circle(qm, rho, Truncation(log=got_log))
-            again = _theta_circle(qm, rho)
+            kernel = _ThetaPlan(qm, Truncation(log=got_log)).circle(rho)
+            again = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(rho)
             ref = running_theta_circle(qm, rho, Truncation(log=want_log))
             for j in range(32):
                 x = cmath.rect(rho, 2 * math.pi * j / 32)

@@ -23,7 +23,7 @@ from qconnect import (
     run_suite,
     theta,
 )
-from qconnect import verify
+from qconnect import series, verify
 from qconnect.qcore import TermLog, Truncation
 from qconnect.verify import PointRecord
 
@@ -146,9 +146,10 @@ class TestCheckBehavior:
     def test_non_finite_coefficient_pair_is_the_worst(self, bad):
         # max(|0j|, |inf|) made rel = inf/inf = nan, which lost every
         # comparison: the worst pair reported was a finite one
+        # a series the maps build may hold it (public construction refuses it)
         qm = as_modulus(0.5)
         lhs = FormalSeries(qm, (1, 2 + 1e-9, 0j, 3))
-        rhs = FormalSeries(qm, (1, 2, bad, 3))
+        rhs = series._series(qm, (1 + 0j, 2 + 0j, bad, 3 + 0j))
         a, b, rel = verify._series_worst(lhs, rhs)
         assert (a, rel) == (0j, math.inf) and not cmath.isfinite(b)
         a, b, rel = verify._series_worst(rhs, lhs)

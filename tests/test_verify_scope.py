@@ -126,9 +126,20 @@ class TestFormedOncePerCheckAndSide:
     )
     def test_constant_products(self, monkeypatch, ident, constant):
         args = _recorder(monkeypatch, verify, "qpochhammer_inf")
+        formed = _recorder(monkeypatch, qcore, "_qpochhammer_one")
+        thetas = _theta_recorder(monkeypatch)
         rep = check(IdentityCheck(ident, 0.5))
         assert rep.passed
-        assert sum(1 for v in args if v == constant) == 1
+        if ident not in ("thm-eq-Eq", "lemma-alt"):
+            assert sum(1 for v in args if v == constant) == 1
+            return
+        # the rhs reads (q;q)_inf from its theta plan (the side's only one),
+        # which forms it once; the side takes no product of its own
+        assert constant not in args
+        assert formed.count(constant) == 1
+        [(_, base, over_qq, plan)] = thetas["formed"]
+        assert (base, over_qq) == (constant, False)
+        assert plan._qq[1] is None  # the memo holds the value, not an error
 
     def test_residue_lemma_forms_lambda_products_once_per_anchor(self, monkeypatch):
         # the closed form's (lambda; q)_inf once per anchor, not once per k
@@ -142,25 +153,35 @@ class TestFormedOncePerCheckAndSide:
     def test_resummation_constants(self, monkeypatch, ident, sides):
         # thm-2f0 resums on its lhs only, qde-2f0-resummed on both sides,
         # each with its own phi(lambda); the closed form forms
-        # theta_q(-lambda/q) and (q;q)_inf once
+        # theta_q(-lambda/q) once and reads (q;q)_inf from its theta plan at
+        # base q: every theta plan at base q forms (q;q)_inf once (thm-2f0:
+        # one per side), and nothing else forms it
         q = 0.5
         phi = _recorder(monkeypatch, special, "e_exp", 1)
         thetas = _theta_recorder(monkeypatch)
         products = _recorder(monkeypatch, special, "qpochhammer_inf")
+        formed = _recorder(monkeypatch, qcore, "_qpochhammer_one")
         rep = check(IdentityCheck(ident, q, lam=LAM))
         assert rep.passed
         assert phi == [LAM / q] * sides
         closed = ident == "thm-2f0"
         assert [x for _, _, x in thetas["called"]].count(-LAM / q) == closed
-        assert products.count(q) == closed
+        assert products == []
+        plans_at_q = [plan for _, base, _, plan in thetas["formed"] if base == q]
+        assert len(plans_at_q) == (2 if closed else 4)
+        assert formed.count(q) == len(plans_at_q)
+        assert all(plan._qq[1] is None for plan in plans_at_q)
+        # the closed form's base-q^2 plan forms (q^2;q^2)_inf once
+        assert formed.count(q * q) == closed
 
 
 def _plan_recorder(monkeypatch):
     """Record each series plan formed by ``verify`` and ``special`` (its
     parameters and the check it was formed in) and each evaluation (the
     plan, the check it ran in and its x).  Set ``state["check"]`` to the
-    index of the running check."""
-    state = {"check": 0, "formed": [], "evaluated": []}
+    index of the running check.  ``state["refused"]`` holds (plan, error)
+    for each evaluation that raised."""
+    state = {"check": 0, "formed": [], "evaluated": [], "refused": []}
     real = qcore._SeriesPlan
 
     def form(ups, lows, qm, tr):
@@ -170,7 +191,11 @@ def _plan_recorder(monkeypatch):
 
         def evaluate(x):
             state["evaluated"].append((pid, state["check"], x))
-            return plan(x)
+            try:
+                return plan(x)
+            except qconnect.QConnectError as exc:
+                state["refused"].append((pid, exc))
+                raise
 
         return evaluate
 
@@ -246,15 +271,28 @@ class TestSeriesPlansPerCheckAndSide:
 
     def test_a_refused_parameter_skips_every_point_at_the_same_step(self, monkeypatch):
         # a q / b = q^-1 puts the connection side's first 2phi1 on the pole
-        # spiral: its plan is refused once, and every point gets that reason
+        # spiral: forming a plan raises nothing, so all three are formed,
+        # and that one alone refuses, at its first call and at every later
+        # one, with the same error: every point gets that reason
         state = _plan_recorder(monkeypatch)
         rep = check(IdentityCheck("watson", 0.5, abc=(2, 0.5, 0.5)))
-        assert len(state["formed"]) == 1  # the lhs plan; the refused one is not formed
-        reasons = Counter(p.reason for p in rep.points)
-        assert reasons[
+        assert [f[1:3] for f in state["formed"]] == [
+            ((2, 0.5), (0.5,)),
+            ((2, 2), (2,)),
+            ((0.5, 0.5), (0.125,)),
+        ]
+        reason = (
             "lower parameter (2+0j) lies within 1e-06 of q^(-N) (q=(0.5+0j)); "
             "the series has a vanishing denominator"
-        ] == 16
+        )
+        assert Counter(p.reason for p in rep.points)[reason] == 16
+        refused = state["refused"]
+        assert [pid for pid, _ in refused] == [1] * 16
+        assert all(type(exc) is qconnect.BadLowerParameter for _, exc in refused)
+        assert {str(exc) for _, exc in refused} == {reason}
+        # the lhs plan is evaluated at each of the 16 points, the refused
+        # plan called once per point, and the third never reached
+        assert Counter(pid for pid, _, _ in state["evaluated"]) == {0: 16, 1: 16}
 
 
 def _theta_recorder(monkeypatch):
@@ -377,9 +415,11 @@ class TestThetaPlansPerCheckAndSide:
 
     @pytest.mark.parametrize("ident", ["thm-2f0", "qde-2f0-resummed"])
     def test_neg_lambda_spiral_formed_once_per_check_and_form(self, monkeypatch, ident):
-        # the prefilter forms [-lambda; q] once per check, and each per-lambda
-        # form once: thm-2f0's resummed lhs and closed form, qde-2f0-resummed's
-        # two resummed sides; it was once per grid point and form
+        # the check of lambda in prepare (qcore._neg_lam_spiral) and the
+        # prefilter form [-lambda; q] once per check each, and each
+        # per-lambda form once: thm-2f0's resummed lhs and closed form,
+        # qde-2f0-resummed's two resummed sides; it was once per grid point
+        # and form
         anchors = []
         real = qcore.Spiral
 
@@ -387,11 +427,11 @@ class TestThetaPlansPerCheckAndSide:
             anchors.append(anchor)
             return real(anchor, *args)
 
-        for mod in (verify, special, transforms):
+        for mod in (qcore, verify, special, transforms):
             monkeypatch.setattr(mod, "Spiral", spiral)
         rep = check(IdentityCheck(ident, 0.5, lam=LAM))
         assert rep.passed and rep.n_evaluated == 24
-        assert anchors == [-LAM] * 3
+        assert [a for a in anchors if a != 1] == [-LAM] * 4
 
     def test_neg_lambda_skip_reasons(self):
         # a grid point on [-lambda; q] is skipped by the prefilter with the
