@@ -435,13 +435,15 @@ class Spiral:
         if self.anchor == 0:
             raise ValueError("spiral anchor must be nonzero")
 
-    def nearest(self, x: complex) -> tuple[int, float]:
+    def nearest(self, x: complex, name: str = "x") -> tuple[int, float]:
         """Return (k, relative distance) of the spiral point nearest to x.
 
         Since |anchor * q^k| is monotone in k, candidate exponents live near
         log(|x|/|anchor|)/log|q|; a short scan around that value suffices.
+        A non-finite x raises :class:`~qconnect.errors.DomainError` naming
+        ``name``.
         """
-        ax = _finite_abs(x, "spiral distance")
+        ax = _finite_abs(x, "spiral distance", name)
         if ax == 0.0:
             return 0, math.inf
         base = self.base
@@ -484,10 +486,11 @@ class Spiral:
                 f"(q={self.base.q!r})"
             )
 
-    def half_hit(self, x: complex) -> int | None:
+    def half_hit(self, x: complex, name: str = "x") -> int | None:
         """The exponent k <= 0 of the half-spiral point anchor * q^k within
         ``delta`` of x, or None: at once where |x| < |anchor| (1 - 2 delta),
-        x = 0 included, and otherwise from :meth:`nearest`."""
+        x = 0 included, and otherwise from :meth:`nearest`, whose error for a
+        non-finite x names ``name``, as in :meth:`exclude`."""
         # every half-spiral point has modulus >= |anchor|, so an x well inside
         # that circle is farther than delta from all of them; |x|^2 from the
         # parts, unlike abs(), raises no OverflowError, and a nan or an inf
@@ -495,7 +498,7 @@ class Spiral:
         r = abs(self.anchor) * (1 - 2 * self.delta)
         if x.real * x.real + x.imag * x.imag < r * r:
             return None
-        k, d = self.nearest(x)
+        k, d = self.nearest(x, name)
         return k if d < self.delta and k <= 0 else None
 
 
@@ -615,13 +618,21 @@ def _product_range(prod: complex, avals: Sequence[complex], pw: Sequence[complex
 
 
 def _qpochhammer_one(
-    a0: complex, amax: float, qm: QModulus, tr: Truncation, a: object
+    a0: complex,
+    amax: float,
+    qm: QModulus,
+    tr: Truncation,
+    a: object,
+    split: tuple[int, int] | None = None,
 ) -> complex:
     """The one-argument (a0; q)_inf of :func:`qpochhammer_inf`, |a0| = amax
     finite, after its argument checks: the split, the range rule (errors
     name ``a``, the argument as given) and the count M + K.  A theta plan
-    takes its (q;q)_inf here."""
-    n, n_tail = _split_plan(amax, qm, tr)
+    takes its (q;q)_inf here, and :func:`special.g_borel_image` its product.
+    A ``split`` (M, K) given by the caller, taken by :func:`_split_plan` at
+    a modulus of at least |a0|, replaces the one at amax: the body of a
+    :func:`_qpochhammer_kernel`."""
+    n, n_tail = _split_plan(amax, qm, tr) if split is None else split
     pw = qm._powers[:n]
     one = 1 + 0j
     prod = one
@@ -641,6 +652,32 @@ def _qpochhammer_one(
     if tr.log is not None:
         tr.log.terms += n + n_tail
     return prod
+
+
+def _qpochhammer_kernel(
+    amax: float, qm: QModulus, tr: Truncation
+) -> Callable[[complex], complex]:
+    """(a; q)_inf as a function of a, for the arguments of one circle (or
+    any set) with |a| <= amax: the product kernel of a circle quadrature.
+
+    The split of :func:`_split_plan` is taken once, at amax, at the first
+    call, so forming the kernel raises nothing, as forming a plan does; each
+    call then runs the body of the one-argument :func:`qpochhammer_inf`
+    (:func:`_qpochhammer_one`) at that split, its range rule and count
+    included, errors naming a.  The argument checks are the caller's: every
+    a must be finite, with |a| <= amax, and amax finite.  The split at the
+    largest modulus multiplies every factor that the split at a smaller one
+    would, and bounds the log-series remainder of each, so a value differs
+    from :func:`qpochhammer_inf`'s only in rounding."""
+    split = None
+
+    def value(a: complex) -> complex:
+        nonlocal split
+        if split is None:
+            split = _split_plan(amax, qm, tr)
+        return _qpochhammer_one(a, amax, qm, tr, a, split)
+
+    return value
 
 
 def qpochhammer_inf(
@@ -666,6 +703,13 @@ def qpochhammer_inf(
     K >= 1 terms of the log-series at w = a q^M; ``trunc.log`` counts
     M + K.  More arguments take the n factors of the streak rule, n per
     argument in the count.
+
+    The one-argument body (:func:`_qpochhammer_one`) is shared: a caller
+    whose argument is checked already takes it directly
+    (:func:`special.g_borel_image`), and a circle quadrature takes it at one
+    split per circle (:func:`_qpochhammer_kernel`), so neither pays for the
+    dispatch, the checks or the split at every node; a one-off call here
+    forms no kernel.
     """
     tr = DEFAULT_TRUNCATION if trunc is None else trunc
     qm = q if isinstance(q, QModulus) else as_modulus(q)
@@ -1071,7 +1115,7 @@ def _terminating_degree(upper: Sequence[complex], qm: QModulus) -> int | None:
     spiral = qm._exact_pole_spiral()
     best: int | None = None
     for a in upper:
-        k = spiral.half_hit(a)
+        k = spiral.half_hit(a, "upper parameter")
         if k is not None and (best is None or -k < best):
             best = -k
     return best
@@ -1119,7 +1163,7 @@ class _SeriesPlan:
         ups, lows, qm, tr = self.ups, self.lows, self.qm, self.tr
         poles = qm._pole_spiral()
         for b in lows:
-            if poles.half_hit(b) is not None:
+            if poles.half_hit(b, "lower parameter") is not None:
                 raise BadLowerParameter(
                     f"lower parameter {b!r} lies within {DEFAULT_PROXIMITY} of q^(-N) "
                     f"(q={qm.q!r}); the series has a vanishing denominator"

@@ -48,6 +48,7 @@ from .qcore import (
     _finite_abs,
     _neg_lam_spiral,
     _once,
+    _qpochhammer_one,
     _SeriesPlan,
     _sum_tail,
     _ThetaPlan,
@@ -146,8 +147,13 @@ def g_borel_image(
 
     Evaluated as the one product 1/(q^4 tau^2; q^2)_inf, by
     (a; q)_inf (-a; q)_inf = (a^2; q^2)_inf, so ``trunc.log`` counts the
-    factors of that product.  Within relative distance
-    delta = ``DEFAULT_PROXIMITY`` of a pole :class:`PoleHit` is raised.  Every
+    factors of that product.  The product is taken by the body of the
+    one-argument :func:`~qconnect.qcore.qpochhammer_inf`
+    (``qcore._qpochhammer_one``), past the public call's dispatch on its
+    argument, with the same bits and errors: a quadrature node of
+    :func:`~qconnect.transforms.qlaplace_minus` pays for no second check.
+    Within relative distance delta = ``DEFAULT_PROXIMITY`` of a pole
+    :class:`PoleHit` is raised.  Every
     pole has modulus at least |q|^(-2), so for |q^2 tau| < 1 - 2 delta none
     lies within delta and the pole scan is skipped.  A non-finite tau, or one
     so large that the product overflows, raises
@@ -166,8 +172,9 @@ def g_borel_image(
                     f"{sgn}*q^({-2 + k}) of the Borel image"
                 )
     q2m = qm.squared()
+    a = q2t * q2t
     try:
-        return 1 / qpochhammer_inf(q2t * q2t, q2m, trunc)
+        return 1 / _qpochhammer_one(a, _finite_abs(a, "(a;q)_inf", "a"), q2m, _trunc(trunc), a)
     except DomainError:
         raise DomainError(
             f"tau={tau!r} is out of double range for the Borel image (q={qm.q!r}): "

@@ -63,15 +63,49 @@ __all__ = [
 _START_NODES = 32
 _MAX_NODES = 4096
 
+#: the unit nodes of each circle rule, by its node count (:func:`_rule_nodes`)
+_RULE_NODES: dict[int, tuple[complex, ...]] = {}
+
+
+def _rule_nodes(n: int) -> tuple[complex, ...]:
+    """The unit nodes that the n-node circle rule samples beyond the rules
+    before it: all of e^(2 pi i j/n) at n = ``_START_NODES``, the odd j
+    above, for n up to ``_MAX_NODES``.  Each is formed once, from the angle
+    2 pi j/n written as the rule has always written it, so a node holds the
+    bits that cmath.exp(1j * angle) gives at every call."""
+    nodes = _RULE_NODES.get(n)
+    if nodes is None:
+        if n == _START_NODES:
+            angles = [2.0 * math.pi * j / n for j in range(n)]
+        else:
+            angles = [2.0 * math.pi * (2 * j + 1) / n for j in range(n // 2)]
+        nodes = _RULE_NODES[n] = tuple([cmath.exp(1j * a) for a in angles])
+    return nodes
+
+
+def _node_angle(u: complex) -> float:
+    """The angle in [0, 2 pi) of a node u of :func:`_rule_nodes`, with the
+    bits of its own angle expression, for the messages of a failed sample.
+    Every node is e^(2 pi i m/``_MAX_NODES``) for an integer m, and
+    2 pi m/``_MAX_NODES`` differs from 2 pi j/n only by power-of-two
+    scalings, which are exact."""
+    m = round(cmath.phase(u) / (2.0 * math.pi) * _MAX_NODES) % _MAX_NODES
+    return 2.0 * math.pi * m / _MAX_NODES
+
 
 def _circle_mean(
-    sample: Callable[[float], complex],
+    sample: Callable[[complex], complex],
     eps: float,
     start: int = _START_NODES,
 ) -> complex:
-    """Mean of sample(angle) over uniform circle nodes, doubling the nodes
-    until two successive rules, the first of ``start`` nodes or more, agree
-    to eps.
+    """Mean of sample(u) over the uniform circle nodes u = e^(2 pi i j/N),
+    doubling the nodes until two successive rules, the first of ``start``
+    nodes or more, agree to eps.
+
+    The nodes come from the per-rule table of :func:`_rule_nodes`, so a
+    quadrature takes no exponential per node, and each node has the bits of
+    cmath.exp(1j * 2 pi j/N): the sampler scales the unit node to its
+    circle, as it scaled that exponential before the table.
 
     The N-node rule takes the sum of the Laurent coefficients of sample at
     all multiples of N, the 2N-node rule those at multiples of 2N: both hold
@@ -93,17 +127,17 @@ def _circle_mean(
     n = _START_NODES
     total = 0 + 0j
     abs_total = 0.0
-    for j in range(n):
-        v = sample(2.0 * math.pi * j / n)
+    for u in _rule_nodes(n):
+        v = sample(u)
         total += v
         abs_total += abs(v)
     mean = total / n
     while 2 * n <= _MAX_NODES:
-        for j in range(n):
-            v = sample(2.0 * math.pi * (2 * j + 1) / (2 * n))
+        n *= 2
+        for u in _rule_nodes(n):
+            v = sample(u)
             total += v
             abs_total += abs(v)
-        n *= 2
         new_mean = total / n
         if n > start and abs(new_mean - mean) <= eps * max(abs(new_mean), abs_total / n):
             if _below_noise(_condition(abs_total / n, abs(new_mean))):
@@ -204,13 +238,13 @@ def qlaplace_minus(
     kernel = _ThetaPlan(qm, tr).circle(at / r)
     start = _kernel_start(qm, at / r, tr.eps)
 
-    def sample(angle: float) -> complex:
-        tau = r * cmath.exp(1j * angle)
+    def sample(u: complex) -> complex:
+        tau = r * u
         try:
             gv = g(tau)
         except Exception as exc:
             raise PoleOnContour(
-                f"integrand failed on |tau| = {r} at angle {angle:.6f}: {exc}"
+                f"integrand failed on |tau| = {r} at angle {_node_angle(u):.6f}: {exc}"
             ) from exc
         return gv * kernel(t / tau)
 
@@ -226,6 +260,12 @@ def contour_residue(
     """Residue of f at ``center`` by quadrature on a small surrounding circle.
 
     The circle must separate ``center`` from all other singularities of f.
+    The nodes are center + radius u, u from the circle rule's table of unit
+    nodes (:func:`_circle_mean`), and a caller whose integrand has a factor
+    that depends only on the circle forms it once per call, as
+    ``residue-lemma`` forms its product kernel
+    (``qcore._qpochhammer_kernel``).  A failure of f becomes
+    :class:`~qconnect.errors.PoleOnContour`, naming the node's angle.
     A residue below the cancellation noise floor of its samples raises
     :class:`~qconnect.errors.NoConvergence`, as in :func:`qlaplace_minus`.
     That includes a residue of zero (f holomorphic at ``center``): its mean
@@ -236,13 +276,13 @@ def contour_residue(
         raise DomainError(f"residue circle radius must be positive and finite, got {radius!r}")
     tr = _trunc(trunc)
 
-    def sample(angle: float) -> complex:
-        w = radius * cmath.exp(1j * angle)
+    def sample(u: complex) -> complex:
+        w = radius * u
         try:
             return f(center + w) * w
         except Exception as exc:
             raise PoleOnContour(
-                f"integrand failed on the residue circle at angle {angle:.6f}: {exc}"
+                f"integrand failed on the residue circle at angle {_node_angle(u):.6f}: {exc}"
             ) from exc
 
     return _circle_mean(sample, tr.eps)

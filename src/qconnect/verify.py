@@ -22,7 +22,11 @@ moduli); Watson's and Ismail-Zhang's connection sides take their pairs
 The x-free values (the other products, spirals, theta at a fixed
 argument) are formed at the step where a point first needs them
 (``qcore._once``), so a value that cannot be formed fails every point at
-that step.  The per-point function returns the point's records, each made by
+that step.  ``residue-lemma``'s lhs forms one product kernel per residue
+circle (``qcore._qpochhammer_kernel``), which takes the split of
+(tau/lambda; q)_inf once, at the circle's largest |tau/lambda|, at its
+first node, and is read at that circle's nodes only; its rhs reads none.
+The per-point function returns the point's records, each made by
 :func:`_record`.  Filtered points and evaluation-time errors (any
 :class:`~qconnect.errors.QConnectError`) become skip records, never silent
 passes or aborted runs.  Each evaluated point carries a
@@ -63,6 +67,7 @@ from .qcore import (
     _finite_abs,
     _neg_lam_spiral,
     _once,
+    _qpochhammer_kernel,
     _SeriesPlan,
     _shifted_pole_at,
     _ThetaPlan,
@@ -558,16 +563,21 @@ def _prep_residue_lemma(chk, qm, tr, mutations):
     # the grid points are the anchors lambda
     qc = qm.q
     qq = _once(lambda: qpochhammer_inf(qc, qm, tr))
+    spread = min(abs(1 - qc), 1.0)  # the circles' radii over |center|, times 4
 
     def point(lam):
         out = []
         qq_inf = qq()
         for k in range(_RESIDUE_K_QUAD + 1):
-            center = lam * qc**-k
-            rho = 0.25 * abs(center) * min(abs(1 - qc), 1.0)
+            qk = qc**-k
+            center = lam * qk
+            rho = 0.25 * abs(center) * spread
+            # one split for the circle, at its largest |tau/lambda|, which is
+            # (|center| + rho)/|lambda| = |q^-k| (1 + spread/4)
+            product = _qpochhammer_kernel(abs(qk) * (1 + 0.25 * spread), qm, tr)
 
             def integrand(tau: complex) -> complex:
-                return 1 / (qpochhammer_inf(tau / lam, qm, tr) * tau)
+                return 1 / (product(tau / lam) * tau)
 
             lhs = contour_residue(integrand, center, rho, tr)
             rhs = (

@@ -1,12 +1,13 @@
 """Parameters the package cannot take reach the user as typed errors.
 
 A spiral anchor lambda of 0 or not finite, a Watson a, b or c that is 0
-or not finite, a base whose square underflows to 0 where an identity
-evaluates at base q^2, and a formal series or operator coefficient out of
-double range each raise a :class:`~qconnect.errors.DomainError` that names
-the parameter, on which the CLI exits 3 with no traceback.  A Watson abc
-that is not three values is a usage error (``ValueError``), and a formal
-series given a bare base validates it as a :class:`QModulus`.
+or not finite, an r_phi_s parameter that is not finite, a base whose
+square underflows to 0 where an identity evaluates at base q^2, and a
+formal series or operator coefficient out of double range each raise a
+:class:`~qconnect.errors.DomainError` that names the parameter, on which
+the CLI exits 3 with no traceback.  A Watson abc that is not three values
+is a usage error (``ValueError``), and a formal series given a bare base
+validates it as a :class:`QModulus`.
 """
 
 import math
@@ -24,6 +25,7 @@ from qconnect import (
     qborel_minus,
     qborel_plus,
     qpochhammer_inf_shifted_pole,
+    rphis,
     two_f_zero,
     two_f_zero_closed,
 )
@@ -122,6 +124,31 @@ class TestWatsonParameters:
         text = ",".join(str(complex(v).real) for v in abc)
         code, _, err = run_cli(capsys, "check", "watson", "--q", "0.5", f"--abc={text}")
         assert code == 3 and err.startswith("domain error: the watson identity needs a nonzero")
+
+
+class TestSeriesParameters:
+    @pytest.mark.parametrize(
+        "upper, lower, x, name",
+        [
+            ((math.nan,), (), 0.3, "upper parameter"),
+            ((0.2,), (math.nan,), 0, "lower parameter"),
+            ((0.2, complex(1.0, math.inf)), (0.5,), 0.3, "upper parameter"),
+            ((0.2,), (0.5, -math.inf), 0.3, "lower parameter"),
+        ],
+    )
+    def test_non_finite_parameter_is_named(self, upper, lower, x, name):
+        # the nan is a parameter, not the point x, which is finite here
+        with pytest.raises(DomainError) as info:
+            rphis(upper, lower, 0.5, x)
+        msg = str(info.value)
+        assert f"got {name}=" in msg and "x=" not in msg
+
+    def test_spiral_half_hit_names_its_argument(self):
+        spiral = Spiral(1 + 0j, as_modulus(0.5))
+        with pytest.raises(DomainError, match=r"got b=\(nan\+0j\)"):
+            spiral.half_hit(complex(math.nan, 0.0), "b")
+        with pytest.raises(DomainError, match=r"got x=inf"):
+            spiral.half_hit(math.inf)
 
 
 class TestBaseSquareUnderflows:

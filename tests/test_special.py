@@ -208,6 +208,59 @@ class TestBorelImage:
             hits += got
         assert 0 < hits < len(points)
 
+    @pytest.mark.parametrize("q", BOREL_QS)
+    def test_bits_of_the_public_product(self, q):
+        # g takes (q^4 tau^2; q^2)_inf by the body of the public one-argument
+        # product, past its argument dispatch: the same bits and the same
+        # count, inside and outside the pole-scan radius (1 - 2 delta)/|q|^2
+        qm = as_modulus(q)
+        rng = random.Random(f"borel-bits-{q}")
+        edge = (1 - 2 * DEFAULT_PROXIMITY) / abs(qm.q) ** 2
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 60:
+            tau = cmath.rect(
+                edge * math.exp(rng.uniform(math.log(1e-3), math.log(30.0))),
+                rng.uniform(-math.pi, math.pi),
+            )
+            if pole_distance(qm, tau) < 1e-3:
+                continue
+            got_log, want_log = TermLog(), TermLog()
+            got = g_borel_image(qm, tau, Truncation(log=got_log))
+            q2t = qm.q * qm.q * tau
+            want = 1 / qpochhammer_inf(q2t * q2t, qm.squared(), Truncation(log=want_log))
+            assert got == want, tau
+            assert got_log.terms == want_log.terms
+            seen[abs(tau) < edge] += 1
+
+    @pytest.mark.parametrize(
+        "tau, error, message",
+        [
+            (1e100, DomainError, "tau=1e+100 is out of double range"),
+            (1e200, DomainError, "tau=1e+200 is out of double range"),
+            (-3e150j, DomainError, "tau=(-0-3e+150j) is out of double range"),
+            (4.0, PoleHit, "tau=4.0 lies within 1e-06 of the pole 1*q^(-2) of the Borel image"),
+            (
+                -8.000001,
+                PoleHit,
+                "tau=-8.000001 lies within 1e-06 of the pole -1*q^(-3) of the Borel image",
+            ),
+        ],
+    )
+    def test_errors_of_the_public_product(self, tau, error, message):
+        # 1e100: the product overflows on the way; 1e200 and 3e150: so does
+        # q^4 tau^2, which the public product refuses as not finite
+        if error is DomainError:
+            message += (
+                " for the Borel image (q=(0.5+0j)): the product (q^4 tau^2; q^2)_inf "
+                "overflows or underflows"
+            )
+            q2t = 0.25 * tau
+            with pytest.raises(DomainError):
+                qpochhammer_inf(q2t * q2t, as_modulus(0.25))
+        with pytest.raises(error) as info:
+            g_borel_image(as_modulus(0.5), tau)
+        assert type(info.value) is error and str(info.value) == message
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf, complex(0.3, math.nan)])
     def test_non_finite_argument_is_domain_error(self, tau):
         with pytest.raises(DomainError, match="finite"):

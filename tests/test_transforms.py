@@ -208,8 +208,8 @@ class TestThetaCircleKernel:
             )
             sizes = []
 
-            def sample(angle):
-                tau = r * cmath.exp(1j * angle)
+            def sample(u):
+                tau = r * u
                 v = g(tau) * theta(qm, t / tau)
                 sizes.append(abs(v))
                 return v
@@ -320,8 +320,8 @@ class TestCircleRuleStart:
         r = default_radius(qm)
         kernel = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(abs(t) / r)
 
-        def sample(angle):
-            return kernel(t / (r * cmath.exp(1j * angle)))
+        def sample(u):
+            return kernel(t / (r * u))
 
         assert abs(transforms._circle_mean(sample, 1e-15, start=32)) > 1e100
         assert transforms._kernel_start(qm, abs(t) / r, 1e-15) == 64
@@ -358,8 +358,8 @@ class TestCircleRuleStart:
             kernel = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(abs(t) / r)
             ref_calls = []
 
-            def sample(angle):
-                tau = r * cmath.exp(1j * angle)
+            def sample(u):
+                tau = r * u
                 ref_calls.append(tau)
                 return g_borel_image(qm, tau) * kernel(t / tau)
 
@@ -375,6 +375,84 @@ class TestCircleRuleStart:
             assert len(calls) <= len(ref_calls)
             if len(calls) == len(ref_calls):
                 assert outcomes[0] == outcomes[1]
+
+
+def angle_form_circle_mean(sample, eps, start):
+    """The circle rule with each node formed from its angle at every
+    sample, as ``transforms._circle_mean`` formed it before its node table:
+    sample(angle), the first 32 nodes at 2 pi j/32, then the odd nodes of
+    each doubling at 2 pi (2j + 1)/(2n)."""
+    n = 32
+    total, abs_total = 0j, 0.0
+    for j in range(n):
+        v = sample(2.0 * math.pi * j / n)
+        total += v
+        abs_total += abs(v)
+    mean = total / n
+    while 2 * n <= 4096:
+        for j in range(n):
+            v = sample(2.0 * math.pi * (2 * j + 1) / (2 * n))
+            total += v
+            abs_total += abs(v)
+        n *= 2
+        new_mean = total / n
+        if n > start and abs(new_mean - mean) <= eps * max(abs(new_mean), abs_total / n):
+            return new_mean, n
+        mean = new_mean
+    raise AssertionError("the reference rule did not stabilize")
+
+
+RULES = [32 * 2**i for i in range(8)]  # 32, 64, ..., 4096
+
+
+class TestCircleNodeTable:
+    def test_rules_span_the_node_cap(self):
+        assert RULES[0] == transforms._START_NODES and RULES[-1] == transforms._MAX_NODES
+
+    @pytest.mark.parametrize("n", RULES)
+    def test_nodes_are_the_angle_form_exponentials(self, n):
+        # each node has the bits of cmath.exp(1j * angle) at the rule's own
+        # angle expression, and the node's angle for messages is that angle
+        if n == 32:
+            angles = [2.0 * math.pi * j / n for j in range(n)]
+        else:
+            angles = [2.0 * math.pi * (2 * j + 1) / n for j in range(n // 2)]
+        nodes = transforms._rule_nodes(n)
+        assert nodes == tuple(cmath.exp(1j * a) for a in angles)
+        assert [transforms._node_angle(u) for u in nodes] == angles
+
+    @pytest.mark.parametrize("n", RULES[1:])
+    @pytest.mark.parametrize("c", [0.3, 0.3 * cmath.exp(1.1j)])
+    def test_circle_mean_matches_the_angle_form_loop(self, n, c):
+        # a start of n/2 makes n the first rule compared, and the integrand's
+        # coefficients at +-n/2 are negligible, so the mean is the n-node
+        # rule's (eps above the summation noise of 4096 samples), whose sum
+        # holds the 32-node rule's and every doubling's
+        def f(u):
+            return (1 + 0.2 / u) / (1 - c * u) + 0.1 * u**3
+
+        got = transforms._circle_mean(f, 1e-12, start=n // 2)
+        want, nodes = angle_form_circle_mean(lambda a: f(cmath.exp(1j * a)), 1e-12, n // 2)
+        assert nodes == n
+        assert got == want
+
+    def test_a_failed_sample_names_its_angle(self):
+        # the 40th sample is the 8th new node of the 64-node rule, 2 pi 15/64
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            if len(calls) == 40:
+                raise ZeroDivisionError("pole")
+            return 1 / (z - 0.3)
+
+        with pytest.raises(PoleOnContour) as info:
+            contour_residue(f, 0.3, 0.1)
+        assert f"at angle {2.0 * math.pi * 15 / 64:.6f}: pole" in str(info.value)
+        with pytest.raises(PoleOnContour) as info:
+            qlaplace_minus(lambda tau: 1 / (tau - tau) if tau.imag < 0 else 1.0, 0.5, 1.3)
+        # the first node below the real axis is the 17th of the 32-node rule
+        assert f"at angle {2.0 * math.pi * 17 / 32:.6f}: " in str(info.value)
 
 
 class TestQLaplacePlus:

@@ -149,6 +149,51 @@ class TestFormedOncePerCheckAndSide:
         anchors = verify._REGISTRY["residue-lemma"].grid
         assert Counter(v for v in args if v in anchors) == dict.fromkeys(anchors, 1)
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_residue_lemma_forms_one_product_kernel_per_circle(self, monkeypatch, q):
+        # each quadrature circle forms one (tau/lambda; q)_inf kernel, which
+        # takes its split once, at the circle's largest |tau/lambda|, and is
+        # read at every node of that circle's quadrature and nowhere else: the
+        # rhs and the 9 products at lambda q^-k read none
+        kernels, circles = [], []
+        state = {"circle": None}
+        form_kernel, residue = verify._qpochhammer_kernel, verify.contour_residue
+        splits = _recorder(monkeypatch, qcore, "_split_plan")
+
+        def forming(amax, qm, tr):
+            kernel, calls = form_kernel(amax, qm, tr), []
+            kernels.append((amax, calls))
+
+            def counted(a):
+                calls.append(state["circle"])
+                return kernel(a)
+
+            return counted
+
+        def counted_residue(f, center, radius, trunc=None):
+            nodes = []
+            circles.append((center, radius, nodes))
+            state["circle"] = len(circles) - 1
+            try:
+                return residue(lambda z: nodes.append(z) or f(z), center, radius, trunc)
+            finally:
+                state["circle"] = None
+
+        monkeypatch.setattr(verify, "_qpochhammer_kernel", forming)
+        monkeypatch.setattr(verify, "contour_residue", counted_residue)
+        rep = check(IdentityCheck("residue-lemma", q))
+        assert rep.passed
+        # at q = 0.3 the anchor 0.3 skips after its quadratures, at the closed form
+        anchors = verify._REGISTRY["residue-lemma"].grid
+        assert len(kernels) == len(circles) == 6 * len(anchors)
+        # the split reads only amax, which is the same at both anchors
+        formed = Counter(amax for amax, _ in kernels)
+        assert all(splits.count(amax) == n for amax, n in formed.items())
+        for i, ((amax, calls), (center, radius, nodes)) in enumerate(zip(kernels, circles)):
+            lam = anchors[i // 6]
+            assert amax == pytest.approx((abs(center) + radius) / abs(lam), rel=1e-15)
+            assert calls == [i] * len(nodes) and len(nodes) == 64
+
     @pytest.mark.parametrize("ident, sides", [("thm-2f0", 1), ("qde-2f0-resummed", 2)])
     def test_resummation_constants(self, monkeypatch, ident, sides):
         # thm-2f0 resums on its lhs only, qde-2f0-resummed on both sides,
@@ -575,19 +620,44 @@ def _lhs(ident, q, x):
     return max((_worst(back1, f.prefix(n)), _worst(back2, f.prefix(n))), key=lambda w: w[2])[0]
 
 
-def _residue_lhs(q, lam):
-    """The 6 quadrature and 9 product lhs of residue-lemma at one anchor."""
-    qm = as_modulus(q)
-    q = qm.q
+def _residue_circles(q, lam):
+    """(center, radius) of residue-lemma's 6 quadrature circles at one anchor."""
+    q = complex(q)
     out = []
     for k in range(6):
         center = lam * q**-k
-        rho = 0.25 * abs(center) * min(abs(1 - q), 1.0)
-        def integrand(tau):
-            return 1 / (qpochhammer_inf(tau / lam, qm) * tau)
+        out.append((center, 0.25 * abs(center) * min(abs(1 - q), 1.0)))
+    return out
+
+
+def _residue_lhs(q, lam):
+    """The 6 quadrature and 9 product lhs of residue-lemma at one anchor:
+    each circle's (tau/lambda; q)_inf at the one split (M, K) taken at its
+    largest |tau/lambda| = (|center| + rho)/|lambda|, the public one-argument
+    product's body run at that split."""
+    qm = as_modulus(q)
+    tr = qconnect.DEFAULT_TRUNCATION
+    out = []
+    for center, rho in _residue_circles(q, lam):
+        amax = (abs(center) + rho) / abs(lam)
+        split = qcore._split_plan(amax, qm, tr)
+
+        def integrand(tau, amax=amax, split=split):
+            a = tau / lam
+            return 1 / (qcore._qpochhammer_one(a, amax, qm, tr, a, split) * tau)
 
         out.append(contour_residue(integrand, center, rho))
-    return out + [1 / qpochhammer_inf(lam * q**-k, qm) for k in range(9)]
+    return out + [1 / qpochhammer_inf(lam * qm.q**-k, qm) for k in range(9)]
+
+
+def _residue_lhs_per_node(q, lam):
+    """The 6 quadrature lhs of residue-lemma by a public (tau/lambda; q)_inf
+    at every node, each with its own split: the path before the kernels."""
+    qm = as_modulus(q)
+    return [
+        contour_residue(lambda tau: 1 / (qpochhammer_inf(tau / lam, qm) * tau), center, rho)
+        for center, rho in _residue_circles(q, lam)
+    ]
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.9])
@@ -606,6 +676,10 @@ def test_default_suite_verdicts_and_lhs(q):
                     points = points[1:]
                     continue
                 assert [p.lhs for p in points[:15]] == _residue_lhs(q, lam), (ident, lam)
+                # the kernels move the quadratures by rounding only (at most
+                # 1.9e-16 relative on this suite)
+                for p, old in zip(points[:6], _residue_lhs_per_node(q, lam)):
+                    assert abs(p.lhs - old) <= 4e-16 * abs(old), (ident, lam, p.x)
                 points = points[15:]
             assert not points
             continue
