@@ -413,6 +413,14 @@ def _finite_abs(x: complex, what: str, name: str = "x") -> float:
         ) from None
 
 
+def _count(n: int, name: str, positive: bool = False) -> None:
+    """Refuse a count ``name`` = n that is not a nonnegative integer, or not
+    a positive one where ``positive``, with :class:`~qconnect.errors.DomainError`."""
+    if not isinstance(n, int) or n < positive:
+        kind = "positive" if positive else "nonnegative"
+        raise DomainError(f"{name} must be a {kind} integer, got {name}={n!r}")
+
+
 @dataclass(frozen=True)
 class Spiral:
     """The discrete q-spiral [anchor; q] = {anchor * q^k : k in Z}.
@@ -433,7 +441,8 @@ class Spiral:
 
     def __post_init__(self) -> None:
         if self.anchor == 0:
-            raise ValueError("spiral anchor must be nonzero")
+            raise ZeroArgument("spiral anchor must be nonzero")
+        _finite_abs(self.anchor, "a q-spiral", "anchor")
 
     def nearest(self, x: complex, name: str = "x") -> tuple[int, float]:
         """Return (k, relative distance) of the spiral point nearest to x.
@@ -520,8 +529,7 @@ def qpochhammer_n(a: complex, q: QModulus | complex, n: int) -> complex:
     non-finite a, or one so large that the product overflows) raises
     :class:`~qconnect.errors.DomainError`.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _count(n, "n")
     one = 1 + 0j
     prod = one
     for qj in as_modulus(q)._powers_to(n)[:n]:
@@ -766,8 +774,7 @@ def qpochhammer_inf_shifted_pole(
     :class:`~qconnect.errors.DomainError` and lam on q^Z
     :class:`~qconnect.errors.SpiralProximity`, each naming lambda.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _count(k, "k")
     return _shifted_pole_at(lam, as_modulus(q), trunc)(k)
 
 

@@ -122,22 +122,30 @@ def _circle_mean(
     cannot improve the value (the residual is cancellation noise, not
     discretization error).  A mean whose condition mean|sample| / |mean| fails
     the noise floor (``qcore._below_noise``) is refused: it would carry no
-    significant digits, only the cancellation noise of the samples.
+    significant digits, only the cancellation noise of the samples.  A rule
+    whose sum is not finite raises :class:`~qconnect.errors.DomainError`
+    naming its first sample that is not finite.
     """
-    n = _START_NODES
     total = 0 + 0j
     abs_total = 0.0
-    for u in _rule_nodes(n):
-        v = sample(u)
-        total += v
-        abs_total += abs(v)
-    mean = total / n
+    mean = complex(math.nan)  # the first rule has none to agree with
+    n = _START_NODES // 2
     while 2 * n <= _MAX_NODES:
         n *= 2
-        for u in _rule_nodes(n):
+        nodes = _rule_nodes(n)
+        for u in nodes:
             v = sample(u)
             total += v
             abs_total += abs(v)
+        if not cmath.isfinite(total):  # once per rule; then name the sample
+            for u in nodes:
+                v = sample(u)
+                if not cmath.isfinite(v):
+                    raise DomainError(
+                        f"the circle rule's sample at angle {_node_angle(u):.6f} "
+                        f"is not finite: {v!r}"
+                    )
+            raise DomainError(f"the sum of the {n}-node circle rule's samples overflows")
         new_mean = total / n
         if n > start and abs(new_mean - mean) <= eps * max(abs(new_mean), abs_total / n):
             if _below_noise(_condition(abs_total / n, abs(new_mean))):
@@ -272,6 +280,7 @@ def contour_residue(
     is pure cancellation noise, which the quadrature cannot tell from a
     nonzero residue lost in the noise of larger samples.
     """
+    _finite_abs(center, "the residue quadrature", "center")
     if not 0.0 < radius < math.inf:
         raise DomainError(f"residue circle radius must be positive and finite, got {radius!r}")
     tr = _trunc(trunc)
@@ -363,6 +372,7 @@ def _spiral_sum(
     """
     if lam == 0:
         raise ZeroArgument("the spiral anchor lambda must be nonzero")
+    _finite_abs(lam, "the spiral sum", "lambda")
     if x == 0:
         raise ZeroArgument("x must be nonzero")
     tr = th.tr

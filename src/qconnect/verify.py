@@ -2,16 +2,12 @@
 
 Every identity is evaluated with disjoint code paths on its two sides (no
 shared memoized subexpression), point by point over a grid that respects the
-identity's exclusion set.  Each check first calls the identity's one hook,
-``prepare``: it refuses parameters the identity cannot take (and a base
-whose square underflows to 0, where the identity evaluates at base q^2),
-before any grid point is filtered, and returns the per-point function.
-What does not depend on x is formed once per check and per side, and none
-of it outlives the check or is read by the other side.  ``prepare`` forms
-the plans directly: a plan raises nothing when formed, and a plan that
-refuses its parameters raises at its first call and again at every later
-one, so every point skips at the same step.  They are the plans of the basic
-hypergeometric series (``qcore._SeriesPlan``), whose term ratios
+identity's exclusion set.  Each identity has one hook, ``prepare``
+(:class:`_IdentitySpec`), which checks its parameters and gives the
+function of a grid point and the grid filter.  What does not depend on x is
+formed once per check and per side, and none of it outlives the check or is
+read by the other side: the plans of the basic hypergeometric series
+(``qcore._SeriesPlan``), whose term ratios
 prod(1 - a_i q^n) / (prod(1 - b_j q^n)(1 - q^(n+1))) each side forms once
 per series and reads at every grid point, and the theta plans
 (``qcore._ThetaPlan``): each side takes its theta values at one base
@@ -19,10 +15,7 @@ through one plan, which forms (q;q)_inf once, the side's only (q;q)_inf,
 and one kernel per circle |x| = rho it meets (a check's grid has three
 moduli); Watson's and Ismail-Zhang's connection sides take their pairs
 (y, q/y; q)_inf = theta_q(-y) / (q;q)_inf as theta ratios on such a plan.
-The x-free values (the other products, spirals, theta at a fixed
-argument) are formed at the step where a point first needs them
-(``qcore._once``), so a value that cannot be formed fails every point at
-that step.  ``residue-lemma``'s lhs forms one product kernel per residue
+``residue-lemma``'s lhs forms one product kernel per residue
 circle (``qcore._qpochhammer_kernel``), which takes the split of
 (tau/lambda; q)_inf once, at the circle's largest |tau/lambda|, at its
 first node, and is read at that circle's nodes only; its rhs reads none.
@@ -50,7 +43,9 @@ import random
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EmptyGrid, QConnectError, SpiralProximity, TruncationExceeded, ZeroArgument
+from .errors import (
+    DomainError, EmptyGrid, QConnectError, SpiralProximity, TruncationExceeded, ZeroArgument
+)
 from .qcore import (
     DEFAULT_TRUNCATION,
     E_exp,
@@ -64,6 +59,7 @@ from .qcore import (
     theta_product,
     theta_sum_with_condition,
     _condition,
+    _count,
     _finite_abs,
     _neg_lam_spiral,
     _once,
@@ -112,8 +108,10 @@ def default_grid(
 ) -> tuple[complex, ...]:
     """Log-spaced moduli in [rmin, rmax] at n_angles uniform angles, offset
     from the real axis by pi/16 to dodge the common exclusion spirals."""
-    if n_moduli < 1 or n_angles < 1:
-        raise ValueError("grid needs at least one modulus and one angle")
+    _count(n_moduli, "n_moduli", positive=True)
+    _count(n_angles, "n_angles", positive=True)
+    if not 0 < rmin <= rmax < math.inf:
+        raise DomainError(f"grid needs finite 0 < rmin <= rmax, got rmin={rmin!r}, rmax={rmax!r}")
     if n_moduli == 1:
         moduli = [rmin]
     else:
@@ -306,14 +304,17 @@ def _random_series(base: QModulus, order: int, seed: int) -> FormalSeries:
 # per-identity evaluators
 
 
-def _lam_off_qz(chk: IdentityCheck, qm: QModulus) -> complex:
+def _lam_off_qz(
+    chk: IdentityCheck, qm: QModulus
+) -> tuple[complex, Callable[[complex], str | None]]:
     """The check's lambda, which it must have: nonzero, finite and off the
-    spiral q^Z (``qcore._neg_lam_spiral``)."""
+    spiral q^Z (``qcore._neg_lam_spiral``), and the grid filter of the
+    spiral [-lambda; q] that this check of lambda formed."""
     if chk.lam is None:
         raise ValueError(f"identity {chk.identity!r} needs a lambda parameter")
     lam = complex(chk.lam)
-    _neg_lam_spiral(lam, qm)
-    return lam
+    spiral = _neg_lam_spiral(lam, qm)
+    return lam, lambda x: _off_spiral(spiral, x)
 
 
 def _off_spiral(spiral: Spiral, x: complex) -> str | None:
@@ -325,9 +326,8 @@ def _off_spiral(spiral: Spiral, x: complex) -> str | None:
     return None
 
 
-def _filter_unit_disc_off_one_spiral(
-    chk: IdentityCheck, qm: QModulus
-) -> Callable[[complex], str | None]:
+def _unit_disc_off_qz(qm: QModulus) -> Callable[[complex], str | None]:
+    """The grid filter of the unit disc off q^Z."""
     poles = qm._pole_spiral()
 
     def reason(x):
@@ -336,31 +336,6 @@ def _filter_unit_disc_off_one_spiral(
         return _off_spiral(poles, x)
 
     return reason
-
-
-def _filter_watson(chk: IdentityCheck, qm: QModulus) -> Callable[[complex], str | None]:
-    a, b, c = chk.abc  # present: prepare runs first
-    poles = qm._pole_spiral()
-
-    def reason(x):
-        if abs(x) >= 1:
-            return f"|x|={abs(x):.6g} outside the |x|<1 domain"
-        try:
-            arg = c * qm.q / (a * b * x)
-        except ZeroDivisionError:  # a b x is 0, or underflows to 0
-            arg = complex(math.inf)
-        if abs(arg) >= 1:
-            return f"|cq/(abx)|={abs(arg):.6g} outside the overlap domain"
-        return _off_spiral(poles, x)
-
-    return reason
-
-
-def _filter_neg_lam_spiral(
-    chk: IdentityCheck, qm: QModulus
-) -> Callable[[complex], str | None]:
-    spiral = Spiral(-complex(chk.lam), qm)  # lambda present: prepare runs first
-    return lambda x: _off_spiral(spiral, x)
 
 
 def _prep_watson(chk, qm, tr, mutations):
@@ -396,7 +371,19 @@ def _prep_watson(chk, qm, tr, mutations):
         t2 = k2() * (pairs(-b * x) / th_x) * series_b(arg)[0]
         return [_record(x, lhs, t1 + t2, _plain(t1, t2))]
 
-    return point
+    in_disc = _unit_disc_off_qz(qm)
+
+    def reason(x):
+        if abs(x) < 1:  # inside the disc, the connection side's overlap domain
+            try:
+                arg = c * qc / (a * b * x)
+            except ZeroDivisionError:  # a b x is 0, or underflows to 0
+                arg = complex(math.inf)
+            if abs(arg) >= 1:
+                return f"|cq/(abx)|={abs(arg):.6g} outside the overlap domain"
+        return in_disc(x)
+
+    return point, reason
 
 
 def _prep_ismail_zhang(chk, qm, tr, mutations):
@@ -416,7 +403,7 @@ def _prep_ismail_zhang(chk, qm, tr, mutations):
         t2 = qc * pairs(-1 / x) / ((1 - qc) * c) * series_3(qc**3 / x)[0]
         return [_record(x, lhs, t1 - t2, _plain(t1, -t2))]
 
-    return point
+    return point, None
 
 
 def _prep_thm_ramanujan_qairy(chk, qm, tr, mutations):
@@ -435,12 +422,12 @@ def _prep_thm_ramanujan_qairy(chk, qm, tr, mutations):
         t2 = th(-x / qc) * a2 / d
         return [_record(x, lhs, t1 + t2, ((lhs, c0), (t1, c1), (t2, c2)))]
 
-    return point
+    return point, None
 
 
 def _prep_thm_eq_Eq(chk, qm, tr, mutations):
     qc = qm.q
-    # e_q's series 1phi0(0; -; q, x); the prefilter keeps x off its poles
+    # e_q's series 1phi0(0; -; q, x); the grid filter keeps x off its poles
     e_series = _SeriesPlan((0j,), (), qm, tr)
     th = _ThetaPlan(qm, tr)  # and its (q;q)_inf
 
@@ -449,7 +436,7 @@ def _prep_thm_eq_Eq(chk, qm, tr, mutations):
         rhs = th.qq() * E_exp(qm, -qc / x, tr) / th(-x)
         return [_record(x, lhs, rhs, _plain(rhs))]
 
-    return point
+    return point, _unit_disc_off_qz(qm)
 
 
 def _prep_lemma_alt(chk, qm, tr, mutations):
@@ -471,11 +458,11 @@ def _prep_lemma_alt(chk, qm, tr, mutations):
         )
         return [_record(x, lhs, t1 + t2, _plain(t1, t2))]
 
-    return point
+    return point, _unit_disc_off_qz(qm)
 
 
 def _prep_thm_2f0(chk, qm, tr, mutations):
-    lam = _lam_off_qz(chk, qm)
+    lam, reason = _lam_off_qz(chk, qm)
     resummed = _two_f_zero_at(qm, lam, tr)
     closed_parts = _two_f_zero_closed_parts_at(qm, lam, tr)
 
@@ -486,7 +473,7 @@ def _prep_thm_2f0(chk, qm, tr, mutations):
             odd *= 1 - qm.q
         return [_record(x, lhs, even + odd, _plain(even, odd))]
 
-    return point
+    return point, reason
 
 
 def _prep_qde_ramanujan(chk, qm, tr, mutations):
@@ -498,7 +485,7 @@ def _prep_qde_ramanujan(chk, qm, tr, mutations):
         t3 = ramanujan_Aq(qm, qc * x, tr)
         return [_record(x, t1 + t2, t3, _plain(t1, t2, t3))]
 
-    return point
+    return point, None
 
 
 def _prep_qde_qairy(chk, qm, tr, mutations):
@@ -513,7 +500,7 @@ def _prep_qde_qairy(chk, qm, tr, mutations):
         t1, t2 = a1, x * a2
         return [_record(x, t1 + t2, t3, ((t1, c1), (t2, c2), (t3, c3)))]
 
-    return point
+    return point, None
 
 
 def _prep_qde_theta(chk, qm, tr, mutations):
@@ -532,11 +519,11 @@ def _prep_qde_theta(chk, qm, tr, mutations):
             records.append(_record(x, lhs, rhs, ((lhs, cond),)))
         return [max(records, key=_adjusted)]
 
-    return point
+    return point, None
 
 
 def _prep_qde_2f0(chk, qm, tr, mutations):
-    lam = _lam_off_qz(chk, qm)
+    lam, reason = _lam_off_qz(chk, qm)
     qc = qm.q
     # each side resums along [lambda; q] with its own per-lambda form, and
     # takes its theta with its own plan
@@ -552,7 +539,7 @@ def _prep_qde_2f0(chk, qm, tr, mutations):
         t3 = u(th_rhs, resummed_rhs, qc * x)
         return [_record(x, t1 + t2, t3, _plain(t1, t2, t3))]
 
-    return point
+    return point, reason
 
 
 _RESIDUE_K_QUAD = 5
@@ -594,7 +581,7 @@ def _prep_residue_lemma(chk, qm, tr, mutations):
             out.append(_record(pt, lhs, rhs, _plain(lhs, rhs)))
         return out
 
-    return point
+    return point, None
 
 
 _FORMAL_ORDER = 40
@@ -609,7 +596,7 @@ def _prep_operational_lemma(chk, qm, tr, mutations):
         wl, wr, _ = _series_worst(*image(m, l))
         return [_record(x, wl, wr)]
 
-    return point
+    return point, None
 
 
 def _prep_formal_inverses(chk, qm, tr, mutations):
@@ -627,36 +614,34 @@ def _prep_formal_inverses(chk, qm, tr, mutations):
         wl, wr, _ = max(pairs, key=lambda w: w[2])
         return [_record(x, wl, wr)]
 
-    return point
+    return point, None
 
 
 @dataclass(frozen=True)
 class _IdentitySpec:
-    """One identity: its default tolerance and grid, and ``prepare``, which
-    takes (check, base, truncation, mutations), refuses parameters the
-    identity cannot take, and returns the function of one grid point x that
-    gives the records of its comparisons (:func:`_record`).  Whatever does
-    not depend on x is formed inside ``prepare``, for each side apart, and
-    lives as long as that function: one check.  ``prepare`` forms the plans
-    directly, since a plan raises nothing until called: one per r_phi_s
-    and side (``qcore._SeriesPlan``, its term ratios), and one theta plan
-    per base and side (``qcore._ThetaPlan``: (q;q)_inf, which the side
-    reads from it, and one kernel per circle the side meets).  The x-free
-    values, such as products, are wrapped in ``qcore._once`` and formed at
-    their first use.  ``prefilter``
-    takes (check, base) and returns the function that gives the skip reason
-    of a grid point outside the identity's domain, or None; its x-free part
-    (a spiral) is formed once per check."""
+    """One identity: its default tolerance and grid, and its one hook,
+    ``prepare``.  :func:`check` calls it once, with (check, base,
+    truncation, mutations), before it looks at the grid.  ``prepare``
+    refuses parameters the identity cannot take, so a missing or excluded
+    parameter raises ahead of :class:`~qconnect.errors.EmptyGrid`, and
+    returns (point, reason): point, the function of one grid point x that
+    gives the records of its comparisons (:func:`_record`), and reason, the
+    grid filter built from what ``prepare`` has checked, which gives the
+    skip reason of a point outside the identity's domain or None (reason is
+    None where the domain takes every grid point).  Whatever does not depend
+    on x is formed inside ``prepare``, for each side apart, and lives as
+    long as point: one check.  The plans (see the module docstring) are
+    formed directly, since a plan raises nothing until called; the other
+    x-free values, such as products, are wrapped in ``qcore._once`` and
+    formed at their first use, so a value that cannot be formed fails every
+    point at that step."""
 
     tol: float
     grid: tuple[complex, ...]
     prepare: Callable[
         [IdentityCheck, QModulus, Truncation, frozenset],
-        Callable[[complex], list[PointRecord]],
+        tuple[Callable[[complex], list[PointRecord]], Callable[[complex], str | None] | None],
     ]
-    prefilter: (
-        Callable[[IdentityCheck, QModulus], Callable[[complex], str | None]] | None
-    ) = None
 
 
 _GRID_FULL = default_grid(0.15, 8.0)
@@ -664,22 +649,16 @@ _GRID_SUBUNIT = default_grid(0.15, 0.9)
 
 
 _REGISTRY: Mapping[str, _IdentitySpec] = {
-    "watson": _IdentitySpec(1e-9, _GRID_SUBUNIT, _prep_watson, _filter_watson),
+    "watson": _IdentitySpec(1e-9, _GRID_SUBUNIT, _prep_watson),
     "ismail-zhang": _IdentitySpec(1e-10, _GRID_FULL, _prep_ismail_zhang),
     "thm-ramanujan-qairy": _IdentitySpec(1e-9, _GRID_FULL, _prep_thm_ramanujan_qairy),
-    "thm-eq-Eq": _IdentitySpec(
-        1e-12, _GRID_SUBUNIT, _prep_thm_eq_Eq, _filter_unit_disc_off_one_spiral
-    ),
-    "lemma-alt": _IdentitySpec(
-        1e-12, _GRID_SUBUNIT, _prep_lemma_alt, _filter_unit_disc_off_one_spiral
-    ),
-    "thm-2f0": _IdentitySpec(1e-8, _GRID_FULL, _prep_thm_2f0, _filter_neg_lam_spiral),
+    "thm-eq-Eq": _IdentitySpec(1e-12, _GRID_SUBUNIT, _prep_thm_eq_Eq),
+    "lemma-alt": _IdentitySpec(1e-12, _GRID_SUBUNIT, _prep_lemma_alt),
+    "thm-2f0": _IdentitySpec(1e-8, _GRID_FULL, _prep_thm_2f0),
     "qde-ramanujan": _IdentitySpec(1e-9, _GRID_FULL, _prep_qde_ramanujan),
     "qde-qairy": _IdentitySpec(1e-9, _GRID_FULL, _prep_qde_qairy),
     "qde-theta": _IdentitySpec(1e-9, _GRID_FULL, _prep_qde_theta),
-    "qde-2f0-resummed": _IdentitySpec(
-        1e-9, _GRID_FULL, _prep_qde_2f0, _filter_neg_lam_spiral
-    ),
+    "qde-2f0-resummed": _IdentitySpec(1e-9, _GRID_FULL, _prep_qde_2f0),
     "residue-lemma": _IdentitySpec(
         1e-8, (0.3 + 0j, 2.0 * cmath.exp(0.7j)), _prep_residue_lemma
     ),
@@ -708,27 +687,18 @@ def check(chk: IdentityCheck, mutations: frozenset[str] = frozenset()) -> Identi
 
     ``mutations`` deliberately corrupts a formula ("drop-one-minus-q" on
     thm-2f0) so the harness itself can be tested; it is never part of a
-    normal run.  The identity's ``prepare`` runs once, before the grid is
-    filtered, so a missing or excluded parameter raises ahead of
-    :class:`~qconnect.errors.EmptyGrid`; it returns the function of one grid
-    point, which gives that point's records.  The factors free of x that
-    ``prepare`` forms (such as (q;q)_inf or Watson's K1 and K2) live as long
-    as this call, one per side.  Any package error at a point (a domain
-    exclusion, a truncation cap, a quadrature that does not settle), and an
-    argument formed from x that leaves double range (x = 0 on a custom grid,
-    or an x*x that underflows to 0), becomes a skip record carrying its
-    message; a factor free of x that cannot be formed raises its error again
-    at every point that needs it, at the same step, so each point keeps its
-    skip reason.
+    normal run.  The identity's ``prepare`` (:class:`_IdentitySpec`) gives
+    the function of one grid point and the grid filter.  Any package error
+    at a point (a domain exclusion, a truncation cap, a quadrature that does
+    not settle), and an argument formed from x that leaves double range
+    (x = 0 on a custom grid, or an x*x that underflows to 0), becomes a skip
+    record carrying its message.
     """
     qm = as_modulus(chk.q)
     spec = _REGISTRY[chk.identity]
-    point = spec.prepare(chk, qm, chk.trunc, mutations)  # refuses bad parameters first
+    point, keep = spec.prepare(chk, qm, chk.trunc, mutations)
     grid = chk.grid if chk.grid is not None else spec.grid
     tol = chk.tol if chk.tol is not None else spec.tol
-
-    # the prefilter's x-free part (a spiral) is formed once, for a grid to filter
-    keep = spec.prefilter(chk, qm) if spec.prefilter and grid else None
     reasons = [keep(x) if keep else None for x in grid]
     if grid and all(r is not None for r in reasons):
         raise EmptyGrid(

@@ -46,7 +46,7 @@ def evaluated(f):
 
 
 def skip_reason(identity, **params):
-    """A verify prefilter: the reason recorded for grid point x, or None."""
+    """A verify grid filter: the reason recorded for grid point x, or None."""
 
     def site(x):
         chk = IdentityCheck(identity, Q.q, grid=(x, GRID_OK), **params)

@@ -24,6 +24,8 @@ from qconnect import (
     as_modulus,
     borel_minus_operator_image,
     check,
+    contour_residue,
+    default_grid,
     e_exp,
     f_via_residues,
     g_borel_image,
@@ -43,6 +45,7 @@ from qconnect import (
     two_f_zero,
     two_f_zero_closed,
 )
+from qconnect.qcore import Spiral
 from conftest import rel_err
 
 # the tiny bases put q^2, q^k or 1/|q|^2 past double range
@@ -245,11 +248,34 @@ def test_check_reports_or_typed_error_property(identity, q, x):
         (lambda: qlaplace_plus(lambda s: 1.0, 1e-60, 0.7, 1e100), DomainError),
         (lambda: g_borel_image(1e-200, 0.5), DomainError),
         (lambda: two_f_zero(1e-300, 0.7, 2.1), DomainError),
+        # a non-finite center, anchor or lambda
+        (lambda: contour_residue(lambda z: 1 / z, math.nan, 0.1), DomainError),
+        (lambda: Spiral(math.nan, as_modulus(0.5)).exclude(1.0), DomainError),
+        (lambda: qlaplace_plus(lambda s: 1.0, 0.5, math.nan, 1.3), DomainError),
+        (lambda: qlaplace_plus(lambda s: 1.0, 0.5, math.inf, 1.3), DomainError),
+        # malformed grid bounds and counts
+        (lambda: default_grid(0, 8), DomainError),
+        (lambda: default_grid(-1, 8), DomainError),
+        (lambda: default_grid(math.nan, 8), DomainError),
+        (lambda: default_grid(1, math.inf), DomainError),
+        (lambda: qpochhammer_n(0.5, 0.5, 2.5), DomainError),
+        (lambda: qpochhammer_inf_shifted_pole(0.7, 0.5, 2.5), DomainError),
     ],
 )
 def test_edge_of_double_range_error_class(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("q", [1e-100, 1e-160, 1.6e-162])
+def test_residue_lemma_names_its_sample_out_of_range(q):
+    # at k = 2 the residue circle's center is lambda q^(-2), where the
+    # integrand's product times tau overflows: each anchor skips at its first
+    # circle rule, naming the sample, not a rule that did not stabilize
+    rep = check(IdentityCheck("residue-lemma", q))
+    assert rep.n_evaluated == 0 and not rep.passed
+    for p in rep.points:
+        assert p.skipped and "is not finite: (nan+nanj)" in p.reason, p.reason
 
 
 def test_tiny_base_values():

@@ -22,9 +22,11 @@ from qconnect import (
     ZeroArgument,
     as_modulus,
     check,
+    contour_residue,
     qborel_minus,
     qborel_plus,
     qpochhammer_inf_shifted_pole,
+    qlaplace_plus,
     rphis,
     two_f_zero,
     two_f_zero_closed,
@@ -68,6 +70,7 @@ class TestLambda:
             lambda: qpochhammer_inf_shifted_pole(lam, 0.5, 2),
             lambda: check(IdentityCheck("thm-2f0", 0.5, lam=lam)),
             lambda: check(IdentityCheck("qde-2f0-resummed", 0.5, lam=lam)),
+            lambda: qlaplace_plus(lambda s: 1.0, 0.5, lam, 1.3),
         ):
             with pytest.raises(DomainError) as info:
                 call()
@@ -79,6 +82,10 @@ class TestLambda:
             spiral.exclude(complex(math.nan, 0.0), "t")
         with pytest.raises(DomainError, match=r"got x=inf"):
             spiral.exclude(math.inf)
+        with pytest.raises(DomainError, match=r"got anchor=nan$"):
+            Spiral(math.nan, as_modulus(0.5)).exclude(1.0)
+        with pytest.raises(DomainError, match=r"got center=nan$"):
+            contour_residue(lambda z: 1 / z, math.nan, 0.1)
 
     @pytest.mark.parametrize(
         "argv",

@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -458,13 +459,28 @@ class TestThetaPlansPerCheckAndSide:
         assert [x for _, _, x in state["called"]] == [q2t, -q2t]
         assert len(state["formed"][0][3]._kernels) == 1
 
+    def test_prepare_gives_point_and_grid_filter(self):
+        # one hook per identity: prepare returns the function of a point and
+        # the grid filter, which only the identities with an exclusion set have
+        assert [f.name for f in fields(verify._IdentitySpec)] == ["tol", "grid", "prepare"]
+        qm = as_modulus(0.5)
+        filtered = set()
+        for ident, spec in verify._REGISTRY.items():
+            chk = IdentityCheck(ident, 0.5, lam=LAM, abc=ABC)
+            point, reason = spec.prepare(chk, qm, chk.trunc, frozenset())
+            assert callable(point), ident
+            if reason is not None:
+                filtered.add(ident)
+        assert len(verify._REGISTRY) == 13
+        assert filtered == {"watson", "thm-eq-Eq", "lemma-alt", "thm-2f0", "qde-2f0-resummed"}
+
     @pytest.mark.parametrize("ident", ["thm-2f0", "qde-2f0-resummed"])
     def test_neg_lambda_spiral_formed_once_per_check_and_form(self, monkeypatch, ident):
-        # the check of lambda in prepare (qcore._neg_lam_spiral) and the
-        # prefilter form [-lambda; q] once per check each, and each
-        # per-lambda form once: thm-2f0's resummed lhs and closed form,
-        # qde-2f0-resummed's two resummed sides; it was once per grid point
-        # and form
+        # the check of lambda in prepare (qcore._neg_lam_spiral) forms
+        # [-lambda; q] once per check, and its spiral is the grid filter;
+        # each per-lambda form forms it once more: thm-2f0's resummed lhs and
+        # closed form, qde-2f0-resummed's two resummed sides; it was once per
+        # grid point and form
         anchors = []
         real = qcore.Spiral
 
@@ -476,10 +492,10 @@ class TestThetaPlansPerCheckAndSide:
             monkeypatch.setattr(mod, "Spiral", spiral)
         rep = check(IdentityCheck(ident, 0.5, lam=LAM))
         assert rep.passed and rep.n_evaluated == 24
-        assert [a for a in anchors if a != 1] == [-LAM] * 4
+        assert [a for a in anchors if a != 1] == [-LAM] * 3
 
     def test_neg_lambda_skip_reasons(self):
-        # a grid point on [-lambda; q] is skipped by the prefilter with the
+        # a grid point on [-lambda; q] is skipped by the grid filter with the
         # spiral's own message
         x = -LAM * 0.5**-2
         for ident in ("thm-2f0", "qde-2f0-resummed"):
