@@ -200,18 +200,26 @@ def f_via_residues(
     precision.  Where 100 ulp times it reaches 1, the noise floor
     :func:`~qconnect.transforms.qlaplace_minus` also applies, no significant
     digit is left and the call raises
-    :class:`~qconnect.errors.NoConvergence`.  A value out of double range
-    raises :class:`~qconnect.errors.DomainError`.
+    :class:`~qconnect.errors.NoConvergence`.  A non-finite t, or a value or
+    a series at 1/t out of double range, raises
+    :class:`~qconnect.errors.DomainError` naming t.
     """
     if t == 0:
         raise ZeroArgument("f is evaluated at nonzero t")
+    _finite_abs(t, "the residue sum", "t")
     tr = _trunc(trunc)
     qm = as_modulus(q)
     qc = qm.q
     q2t = qm.q2 * t
     series = _qairy_plan(qm, tr)  # one plan for +-1/t
-    s_p, cond_p = series(1 / t)
-    s_m, cond_m = series(-1 / t)
+    try:
+        s_p, cond_p = series(1 / t)
+        s_m, cond_m = series(-1 / t)
+    except DomainError:
+        raise DomainError(
+            f"t={t!r} is out of double range for the residue sum (q={qc!r}): "
+            "1/t, or the series 1phi1(0;-q;q,+-1/t), overflows"
+        ) from None
     th = _ThetaPlan(qm, tr)  # one plan for +-q^2 t, on one circle
     t_p = th(q2t) * s_p
     t_m = th(-q2t) * s_m

@@ -7,10 +7,12 @@ kernel on a small circle,
     (L_q^- g)(t) = (1/2 pi i) oint_{|tau|=r} g(tau) theta_q(t/tau) dtau/tau,
 
 evaluated by the uniform N-node circle rule with node doubling (the rule is
-exact on Laurent polynomials of degree < N, and the integrand's Laurent tail
-decays like q^(n^2/2), so doubling converges geometrically).  Both rules of
-a comparison alias the coefficients at multiples of 2N, so the first rule is
-chosen large enough that the kernel's coefficients there are negligible.
+exact on Laurent polynomials of degree < N; the kernel's Laurent tail decays
+like q^(n^2/2) and the Borel image's like (r |q|^2)^n, so doubling converges
+geometrically).  Both rules of a comparison alias the coefficients at
+multiples of 2N: the first rule is chosen large enough that the kernel's
+coefficients there are negligible, and the Borel image's rate bounds its
+own from those the comparison sees.
 The first kind pairs a_n -> a_n q^(+n(n-1)/2) with a bilateral sum over a
 q-spiral,
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from numbers import Real
 from operator import mul, truediv
 from typing import Callable, Iterator
 
@@ -97,10 +100,11 @@ def _circle_mean(
     sample: Callable[[complex], complex],
     eps: float,
     start: int = _START_NODES,
+    rate: float = 1.0,
 ) -> complex:
     """Mean of sample(u) over the uniform circle nodes u = e^(2 pi i j/N),
-    doubling the nodes until two successive rules, the first of ``start``
-    nodes or more, agree to eps.
+    doubling the nodes until a rule and the one before it, the first of
+    ``start`` nodes or more, pass the stop test below at eps.
 
     The nodes come from the per-rule table of :func:`_rule_nodes`, so a
     quadrature takes no exponential per node, and each node has the bits of
@@ -110,14 +114,26 @@ def _circle_mean(
     The N-node rule takes the sum of the Laurent coefficients of sample at
     all multiples of N, the 2N-node rule those at multiples of 2N: both hold
     the coefficients at ±2N, ±4N, ..., so their agreement cannot vouch for
-    them.  ``start`` must be large enough that the coefficients from
-    ±2 ``start`` on are negligible; the default, 32 nodes, suits integrands
-    whose coefficients decay like 0.25^n or faster.  The samples are always taken
-    and summed in the same order (``_START_NODES`` nodes, then the new nodes
-    of each doubling), so the value of each rule does not depend on
-    ``start``: a larger ``start`` only skips the first comparisons.
+    them.  Their difference is the coefficients at ±N (and ±3N, ...), which
+    only the N-node rule holds.  ``rate`` is an a-priori bound, at most 1,
+    on the decay of the coefficients, |c_(±2N)| <= rate^N |c_(±N)|, and the
+    2N-node rule is accepted once
 
-    Agreement is relative to max(|mean|, mean|sample|): once the rules match
+        |I_2N - I_N| rate^N <= eps max(|I_2N|, mean|sample|),
+
+    the coefficients at ±2N, its error, estimated from those at ±N.  With
+    the default rate 1 that is plain agreement, which cannot see the
+    aliased coefficients: ``start`` must then be large enough that the
+    coefficients from ±2 ``start`` on are negligible (for the default, 32
+    nodes, those from ±64 on).  A caller whose integrand decays like
+    rate^|n| on both sides may pass the rate; :func:`qlaplace_minus` does,
+    for its Borel image's side, while its start covers the theta kernel's.
+    The samples are always taken and summed in the same order
+    (``_START_NODES`` nodes, then the new nodes of each doubling), so the
+    value of each rule depends on neither ``start`` nor ``rate``: they only
+    choose the rule returned.
+
+    The bound is relative to max(|mean|, mean|sample|): once the rules match
     to within the roundoff of summing samples of that magnitude, more nodes
     cannot improve the value (the residual is cancellation noise, not
     discretization error).  A mean whose condition mean|sample| / |mean| fails
@@ -147,7 +163,9 @@ def _circle_mean(
                     )
             raise DomainError(f"the sum of the {n}-node circle rule's samples overflows")
         new_mean = total / n
-        if n > start and abs(new_mean - mean) <= eps * max(abs(new_mean), abs_total / n):
+        if n > start and abs(new_mean - mean) * rate ** (n // 2) <= eps * max(
+            abs(new_mean), abs_total / n
+        ):
             if _below_noise(_condition(abs_total / n, abs(new_mean))):
                 raise NoConvergence(
                     "quadrature value sits below the cancellation noise floor "
@@ -198,11 +216,17 @@ def qlaplace_minus(
 ) -> complex:
     """Second-kind q-Laplace transform of g at t by circle quadrature.
 
-    g must be analytic on the closed disk |tau| <= r with 0 < r < 1/|q|^2;
-    the default radius min(1, 0.5/|q|^2) stays inside that bound and away
-    from the nearest admissible pole circle.  Failures inside g become
-    :class:`PoleOnContour`; a non-stabilizing rule raises
-    :class:`NoConvergence`.
+    g must be analytic on the open disc |tau| < 1/|q|^2, as the Borel images
+    this transform resums are (the poles of
+    :func:`~qconnect.special.g_borel_image` lie at ±q^(-2-k)).  The radius
+    bound 0 < r < 1/|q|^2 and the default radius min(1, 0.5/|q|^2), away
+    from that disc's rim, assume it, and so does the circle rule's stop: on
+    |tau| = r the Taylor coefficients of g decay like (r |q|^2)^n, the rate
+    :func:`_circle_mean` is given.  A g with a singularity inside the disc
+    breaks the contract; its value may carry fewer digits than eps.
+    Failures inside g, or a value of g that does not multiply the kernel's,
+    become :class:`PoleOnContour` naming the node's angle; a
+    non-stabilizing rule raises :class:`NoConvergence`.
 
     Conditioning: the achievable relative accuracy is limited by
     max|g * theta| on the contour over the result.  Borel images of
@@ -229,8 +253,12 @@ def qlaplace_minus(
     their peak (for q <= 0.9 and |t| up to a few units), more for large |t|
     or |q| near 1, where a smaller rule would alias coefficients far above
     the value; there the integral is ill conditioned and ends in
-    :class:`NoConvergence`, not in a wrong value.  A non-finite t or a bad
-    radius raises :class:`~qconnect.errors.DomainError`.
+    :class:`NoConvergence`, not in a wrong value.  On the Borel image at
+    |t| in [0.3, 4] the rule stops at 64 nodes for |q| <= 0.8 (a rate of
+    0.5 at most, so the 32-node rule's difference times 0.5^32 is below
+    eps), and at 64 or 128 at q = 0.9 and 0.95.  A non-finite t, or a radius
+    that is no real number in range, raises
+    :class:`~qconnect.errors.DomainError`.
     """
     if t == 0:
         raise ZeroArgument("q-Laplace transform target t must be nonzero")
@@ -241,22 +269,22 @@ def qlaplace_minus(
     r_max = 1.0 / aq2 if aq2 else math.inf  # |q|^2 may underflow to 0
     if r is None:
         r = min(1.0, 0.5 * r_max)
-    if not 0.0 < r < r_max:
-        raise DomainError(f"contour radius must satisfy 0 < r < 1/|q|^2 = {r_max}")
+    if not (isinstance(r, Real) and 0.0 < r < r_max):
+        raise DomainError(f"contour radius must satisfy 0 < r < 1/|q|^2 = {r_max}, got r={r!r}")
     kernel = _ThetaPlan(qm, tr).circle(at / r)
     start = _kernel_start(qm, at / r, tr.eps)
 
     def sample(u: complex) -> complex:
         tau = r * u
+        kv = kernel(t / tau)
         try:
-            gv = g(tau)
+            return g(tau) * kv
         except Exception as exc:
             raise PoleOnContour(
                 f"integrand failed on |tau| = {r} at angle {_node_angle(u):.6f}: {exc}"
             ) from exc
-        return gv * kernel(t / tau)
 
-    return _circle_mean(sample, tr.eps, start=start)
+    return _circle_mean(sample, tr.eps, start=start, rate=r * aq2)
 
 
 def contour_residue(
@@ -281,7 +309,7 @@ def contour_residue(
     nonzero residue lost in the noise of larger samples.
     """
     _finite_abs(center, "the residue quadrature", "center")
-    if not 0.0 < radius < math.inf:
+    if not (isinstance(radius, Real) and 0.0 < radius < math.inf):
         raise DomainError(f"residue circle radius must be positive and finite, got {radius!r}")
     tr = _trunc(trunc)
 

@@ -7,10 +7,16 @@ formal series or operator coefficient out of double range each raise a
 :class:`~qconnect.errors.DomainError` that names the parameter, on which
 the CLI exits 3 with no traceback.  A Watson abc that is not three values
 is a usage error (``ValueError``), and a formal series given a bare base
-validates it as a :class:`QModulus`.
+validates it as a :class:`QModulus`.  A contour radius that is no real
+number is a :class:`~qconnect.errors.DomainError` naming it, a Borel image
+whose value does not multiply the theta kernel's is a
+:class:`~qconnect.errors.PoleOnContour` naming the node's angle, and the
+residue sum names its t, not the series argument 1/t.
 """
 
 import math
+import re
+from decimal import Decimal
 
 import pytest
 
@@ -18,14 +24,17 @@ from qconnect import (
     DomainError,
     FormalSeries,
     IdentityCheck,
+    PoleOnContour,
     QDEOperator,
     ZeroArgument,
     as_modulus,
     check,
     contour_residue,
+    f_via_residues,
     qborel_minus,
     qborel_plus,
     qpochhammer_inf_shifted_pole,
+    qlaplace_minus,
     qlaplace_plus,
     rphis,
     two_f_zero,
@@ -224,3 +233,36 @@ class TestFormalInputs:
             QDEOperator(((0, bad, 1),))
         with pytest.raises(DomainError):
             QDEOperator.identity().scale(bad)
+
+
+class TestContour:
+    @pytest.mark.parametrize("radius", [1j, 0.5 + 0j, None, "0.5", Decimal("0.5")])
+    def test_radius_that_is_no_real_number_is_named(self, radius):
+        with pytest.raises(DomainError, match=rf"got {re.escape(repr(radius))}$"):
+            contour_residue(lambda z: 1 / z, 0, radius)
+        if radius is not None:  # None is qlaplace_minus's default radius
+            with pytest.raises(DomainError, match=rf"got r={re.escape(repr(radius))}$"):
+                qlaplace_minus(lambda s: 1.0, 0.5, 1.0, r=radius)
+
+    @pytest.mark.parametrize("value", [None, "1", [1.0]])
+    def test_borel_image_value_that_does_not_multiply_names_its_node(self, value):
+        with pytest.raises(PoleOnContour, match="at angle 0.000000: "):
+            qlaplace_minus(lambda s: value, 0.5, 1.0)
+
+    def test_theta_kernel_errors_stay_domain_errors(self):
+        # the kernel on |x| = 1e200 overflows; g is never the cause
+        for g in (lambda s: 1.0, lambda s: None):
+            with pytest.raises(DomainError, match="out of double range for theta"):
+                qlaplace_minus(g, 0.5, 1e200)
+
+
+class TestResidueSum:
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_non_finite_t_is_named(self, t):
+        with pytest.raises(DomainError, match=r"^the residue sum needs a finite argument, got t="):
+            f_via_residues(0.5, t)
+
+    @pytest.mark.parametrize("t", [1e-300, -1e-300j, 5e-324])
+    def test_t_whose_reciprocal_overflows_the_series_is_named(self, t):
+        with pytest.raises(DomainError, match=rf"^t={re.escape(repr(t))} is out of double range"):
+            f_via_residues(0.5, t)

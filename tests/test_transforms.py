@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import mpmath as mp
 import pytest
 
 from qconnect import (
@@ -291,6 +292,10 @@ def counted_borel_image(qm):
     return g, calls
 
 
+#: unit roundoff of a double
+UNIT = 2.0**-53
+
+
 def random_targets(seed, n):
     rng = random.Random(seed)
     return [
@@ -301,10 +306,32 @@ def random_targets(seed, n):
     ]
 
 
+def contour_condition(g, kernel, t, taus, value):
+    """mean|sample| / |value| of a contour mean, the samples
+    g(tau) theta_q(t/tau) formed anew at the taus the rule took."""
+    return sum(abs(g(tau) * kernel(t / tau)) for tau in taus) / (len(taus) * abs(value))
+
+
+def mp_geometric_laplace(q, t):
+    """The second-kind q-Laplace transform of 1/(1 - q^2 tau) at t, from its
+    Taylor coefficients: sum_n q^(2n) q^(n(n-1)/2) t^n, at 40 digits."""
+    with mp.workdps(40):
+        q, t = mp.mpf(q), mp.mpc(t)
+        total, n = mp.mpc(0), 0
+        while True:
+            term = q ** (2 * n + n * (n - 1) // 2) * t**n
+            total += term
+            if n > 4 and abs(term) < mp.mpf(10) ** -40 * abs(total):
+                return complex(total)
+            n += 1
+
+
 class TestCircleRuleStart:
     """The circle rule starts at 32 nodes, or where the theta kernel's
     coefficients at twice the start are negligible; a comparison of N with
-    2N nodes cannot see the coefficients both rules alias."""
+    2N nodes cannot see the coefficients both rules alias.  The Borel
+    image's coefficients decay like (r |q|^2)^n, and ``qlaplace_minus``
+    stops on that rate."""
 
     @pytest.mark.parametrize("q, t", ALIASED)
     def test_aliased_kernel_is_no_convergence(self, q, t):
@@ -326,7 +353,7 @@ class TestCircleRuleStart:
         assert abs(transforms._circle_mean(sample, 1e-15, start=32)) > 1e100
         assert transforms._kernel_start(qm, abs(t) / r, 1e-15) == 64
 
-    @pytest.mark.parametrize("q, nodes", [(0.3, 64), (0.5, 64), (0.8, 128)])
+    @pytest.mark.parametrize("q, nodes", [(0.3, 64), (0.5, 64), (0.8, 64)])
     def test_node_counts_of_the_borel_image(self, q, nodes):
         qm = as_modulus(q)
         for t in random_targets(f"nodes-{q}", 20):
@@ -375,6 +402,54 @@ class TestCircleRuleStart:
             assert len(calls) <= len(ref_calls)
             if len(calls) == len(ref_calls):
                 assert outcomes[0] == outcomes[1]
+            elif None not in outcomes:
+                # the rate stops earlier: the two rules agree within the
+                # roundoff of the samples, as the condition allows
+                cond = contour_condition(
+                    lambda tau: g_borel_image(qm, tau), kernel, t, ref_calls, outcomes[1]
+                )
+                assert abs(outcomes[0] - outcomes[1]) <= 32 * UNIT * cond * abs(outcomes[1])
+
+    @pytest.mark.parametrize("q", [0.3, 0.5])
+    def test_rate_stop_is_the_rate_one_rule_where_both_take_64(self, q):
+        # at q <= 0.5 the plain agreement of 32 and 64 nodes already holds, so
+        # the rate changes no bit of the value
+        qm = as_modulus(q)
+        r = default_radius(qm)
+        for t in random_targets(f"rate-{q}", 20):
+            g, calls = counted_borel_image(qm)
+            kernel = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(abs(t) / r)
+            ref_calls = []
+
+            def sample(u):
+                tau = r * u
+                ref_calls.append(tau)
+                return g_borel_image(qm, tau) * kernel(t / tau)
+
+            start = transforms._kernel_start(qm, abs(t) / r, 1e-15)
+            got = qlaplace_minus(g, qm, t)
+            assert got == transforms._circle_mean(sample, 1e-15, start=start)
+            assert len(calls) == len(ref_calls) == 64
+
+    @pytest.mark.parametrize("q", [0.5, 0.8, 0.9])
+    @pytest.mark.parametrize("r_scale", [None, 0.9], ids=["default-r", "r=0.9/q^2"])
+    def test_pole_on_the_rim_of_the_admissible_disc(self, q, r_scale):
+        # g = 1/(1 - q^2 tau) is the slowest-decaying integrand the contract
+        # admits: its pole lies on |tau| = 1/|q|^2, and its coefficients on
+        # |tau| = r decay exactly like the rate r |q|^2
+        qm = as_modulus(q)
+        r = None if r_scale is None else r_scale / q**2
+
+        def g(tau):
+            return 1 / (1 - q * q * tau)
+
+        for t in random_targets(f"rim-{q}", 10):
+            taus = []
+            got = qlaplace_minus(lambda tau: taus.append(tau) or g(tau), qm, t, r=r)
+            kernel = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(abs(t) / abs(taus[0]))
+            cond = contour_condition(g, kernel, t, taus, got)
+            want = mp_geometric_laplace(q, t)
+            assert abs(got - want) <= 32 * UNIT * cond * abs(want), (t, got, want, cond)
 
 
 def angle_form_circle_mean(sample, eps, start):
