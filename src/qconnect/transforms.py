@@ -11,8 +11,8 @@ exact on Laurent polynomials of degree < N; the kernel's Laurent tail decays
 like q^(n^2/2) and the Borel image's like (r |q|^2)^n, so doubling converges
 geometrically).  Both rules of a comparison alias the coefficients at
 multiples of 2N: the first rule is chosen large enough that the kernel's
-coefficients there are negligible, and the Borel image's rate bounds its
-own from those the comparison sees.
+coefficients there are negligible, and the stop estimates the rest from the
+decay of the differences and the Borel image's rate.
 The first kind pairs a_n -> a_n q^(+n(n-1)/2) with a bilateral sum over a
 q-spiral,
 
@@ -114,21 +114,25 @@ def _circle_mean(
     The N-node rule takes the sum of the Laurent coefficients of sample at
     all multiples of N, the 2N-node rule those at multiples of 2N: both hold
     the coefficients at ±2N, ±4N, ..., so their agreement cannot vouch for
-    them.  Their difference is the coefficients at ±N (and ±3N, ...), which
-    only the N-node rule holds.  ``rate`` is an a-priori bound, at most 1,
-    on the decay of the coefficients, |c_(±2N)| <= rate^N |c_(±N)|, and the
-    2N-node rule is accepted once
+    them.  Their difference d_N = |I_2N - I_N| is the coefficients at ±N
+    (and ±3N, ...), which only the N-node rule holds, and the 2N-node rule
+    is accepted once
 
-        |I_2N - I_N| rate^N <= eps max(|I_2N|, mean|sample|),
+        d_N k_N <= eps max(|I_2N|, mean|sample|),
 
-    the coefficients at ±2N, its error, estimated from those at ±N.  With
-    the default rate 1 that is plain agreement, which cannot see the
-    aliased coefficients: ``start`` must then be large enough that the
-    coefficients from ±2 ``start`` on are negligible (for the default, 32
-    nodes, those from ±64 on).  A caller whose integrand decays like
-    rate^|n| on both sides may pass the rate; :func:`qlaplace_minus` does,
-    for its Borel image's side, while its start covers the theta kernel's.
-    The samples are always taken and summed in the same order
+    the coefficients at ±2N, its error, estimated from those at ±N by the
+    factor k_N = min(1, max(rate^N, (d_N / d_(N/2))^2)).  The estimate
+    bounds them if either the coefficients shrink from ±N to ±2N by
+    ``rate``^N, an a-priori rate the caller knows, or the logs of their
+    moduli are concave in n from ±N/2 on, so that the decay seen from N/2
+    to N only steepens (geometric tails, the theta kernel's parabola,
+    entire functions such as e^(c u)).  While the differences do not
+    shrink, and always at the default rate 1, k_N is 1: plain agreement,
+    which cannot see the aliased coefficients, so ``start`` must then be
+    large enough that the coefficients from ±2 ``start`` on are negligible
+    (for the default, 32 nodes, those from ±64 on).  The first d_(N/2) is
+    that of the ``_START_NODES``-node rule and its half on every other
+    node.  The samples are always taken and summed in the same order
     (``_START_NODES`` nodes, then the new nodes of each doubling), so the
     value of each rule depends on neither ``start`` nor ``rate``: they only
     choose the rule returned.
@@ -144,28 +148,31 @@ def _circle_mean(
     """
     total = 0 + 0j
     abs_total = 0.0
-    mean = complex(math.nan)  # the first rule has none to agree with
+    diff = math.inf  # |I_N - I_(N/2)|, of the rule before
     n = _START_NODES // 2
     while 2 * n <= _MAX_NODES:
         n *= 2
         nodes = _rule_nodes(n)
-        for u in nodes:
-            v = sample(u)
+        values = [sample(u) for u in nodes]
+        for v in values:
             total += v
             abs_total += abs(v)
         if not cmath.isfinite(total):  # once per rule; then name the sample
-            for u in nodes:
-                v = sample(u)
+            for u, v in zip(nodes, values):
                 if not cmath.isfinite(v):
                     raise DomainError(
                         f"the circle rule's sample at angle {_node_angle(u):.6f} "
                         f"is not finite: {v!r}"
                     )
             raise DomainError(f"the sum of the {n}-node circle rule's samples overflows")
+        if n == _START_NODES:  # the half rule on every other node, for the first decay
+            mean = sum(values[::2]) / (n // 2)
         new_mean = total / n
-        if n > start and abs(new_mean - mean) * rate ** (n // 2) <= eps * max(
-            abs(new_mean), abs_total / n
-        ):
+        last, diff = diff, abs(new_mean - mean)
+        decay = 1.0
+        if rate < 1.0 and diff < last < math.inf:
+            decay = max(rate ** (n // 2), (diff / last) ** 2)
+        if n > start and diff * decay <= eps * max(abs(new_mean), abs_total / n):
             if _below_noise(_condition(abs_total / n, abs(new_mean))):
                 raise NoConvergence(
                     "quadrature value sits below the cancellation noise floor "
@@ -220,10 +227,17 @@ def qlaplace_minus(
     this transform resums are (the poles of
     :func:`~qconnect.special.g_borel_image` lie at ±q^(-2-k)).  The radius
     bound 0 < r < 1/|q|^2 and the default radius min(1, 0.5/|q|^2), away
-    from that disc's rim, assume it, and so does the circle rule's stop: on
-    |tau| = r the Taylor coefficients of g decay like (r |q|^2)^n, the rate
-    :func:`_circle_mean` is given.  A g with a singularity inside the disc
-    breaks the contract; its value may carry fewer digits than eps.
+    from that disc's rim, assume it.  Analyticity alone bounds the Taylor
+    coefficients of g on |tau| = r by a constant times (r |q|^2)^n, not
+    their ratios, so the circle rule's stop (:func:`_circle_mean`) is given
+    the rate r |q|^2 and also reads the decay of its own differences.  Its
+    error estimate holds where the integrand's coefficients shrink by
+    (r |q|^2)^N from index ±N to ±2N, as the Borel image's do, or have
+    log-concave moduli from ±N/2 on, as e^(c tau) and 1/(1 - c tau) have;
+    a g whose coefficients rise again after a dip (one large term of high
+    degree, say) can pass any finite rule, plain agreement too.  A g with
+    a singularity inside the disc breaks the contract; its value may carry
+    fewer digits than eps.
     Failures inside g, or a value of g that does not multiply the kernel's,
     become :class:`PoleOnContour` naming the node's angle; a
     non-stabilizing rule raises :class:`NoConvergence`.
@@ -255,10 +269,11 @@ def qlaplace_minus(
     the value; there the integral is ill conditioned and ends in
     :class:`NoConvergence`, not in a wrong value.  On the Borel image at
     |t| in [0.3, 4] the rule stops at 64 nodes for |q| <= 0.8 (a rate of
-    0.5 at most, so the 32-node rule's difference times 0.5^32 is below
-    eps), and at 64 or 128 at q = 0.9 and 0.95.  A non-finite t, or a radius
-    that is no real number in range, raises
-    :class:`~qconnect.errors.DomainError`.
+    0.5 at most, and the 32-node rule's difference times 0.5^32, or times
+    its squared ratio to the 16-node one's, is below eps), and at 64 or 128
+    at q = 0.9 and 0.95.  On e^(30 tau), whose coefficients rise up to
+    n = 30, it stops at 128.  A non-finite t, or a radius that is no real
+    number in range, raises :class:`~qconnect.errors.DomainError`.
     """
     if t == 0:
         raise ZeroArgument("q-Laplace transform target t must be nonzero")

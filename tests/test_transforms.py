@@ -326,12 +326,26 @@ def mp_geometric_laplace(q, t):
             n += 1
 
 
+def mp_entire_laplace(c, q, t):
+    """The second-kind q-Laplace transform of e^(c tau) at t, from its
+    Taylor coefficients: sum_n c^n/n! q^(n(n-1)/2) t^n, at 50 digits."""
+    with mp.workdps(50):
+        c, q, t = mp.mpf(c), mp.mpf(q), mp.mpc(t)
+        total, n = mp.mpc(0), 0
+        while True:
+            term = c**n / mp.factorial(n) * q ** (n * (n - 1) // 2) * t**n
+            total += term
+            if n > 2 * c and abs(term) < mp.mpf(10) ** -50 * abs(total):
+                return complex(total)
+            n += 1
+
+
 class TestCircleRuleStart:
     """The circle rule starts at 32 nodes, or where the theta kernel's
     coefficients at twice the start are negligible; a comparison of N with
-    2N nodes cannot see the coefficients both rules alias.  The Borel
-    image's coefficients decay like (r |q|^2)^n, and ``qlaplace_minus``
-    stops on that rate."""
+    2N nodes cannot see the coefficients both rules alias.  ``qlaplace_minus``
+    estimates them from the decay of the last two differences, and from the
+    rate (r |q|^2)^n of the Borel image's coefficients."""
 
     @pytest.mark.parametrize("q, t", ALIASED)
     def test_aliased_kernel_is_no_convergence(self, q, t):
@@ -403,7 +417,7 @@ class TestCircleRuleStart:
             if len(calls) == len(ref_calls):
                 assert outcomes[0] == outcomes[1]
             elif None not in outcomes:
-                # the rate stops earlier: the two rules agree within the
+                # the decay stops earlier: the two rules agree within the
                 # roundoff of the samples, as the condition allows
                 cond = contour_condition(
                     lambda tau: g_borel_image(qm, tau), kernel, t, ref_calls, outcomes[1]
@@ -450,6 +464,37 @@ class TestCircleRuleStart:
             cond = contour_condition(g, kernel, t, taus, got)
             want = mp_geometric_laplace(q, t)
             assert abs(got - want) <= 32 * UNIT * cond * abs(want), (t, got, want, cond)
+
+    @pytest.mark.parametrize("q", [0.5, 1e-6])
+    def test_entire_g_of_large_type(self, q):
+        # the Taylor coefficients 30^n/n! of e^(30 tau) on |tau| = 1 rise up
+        # to n = 30 and fall only beyond: their ratio from 32 to 64 is far
+        # above the rate (r |q|^2)^32, which at q = 1e-6 is 0 in doubles.
+        # The observed decay holds the rule until the coefficients fall.
+        qm = as_modulus(q)
+
+        def g(tau):
+            return cmath.exp(30 * tau)
+
+        for t in [1.0, *random_targets(f"entire-{q}", 6)]:
+            taus = []
+            got = qlaplace_minus(lambda tau: taus.append(tau) or g(tau), qm, t)
+            kernel = _ThetaPlan(qm, DEFAULT_TRUNCATION).circle(abs(t) / abs(taus[0]))
+            cond = contour_condition(g, kernel, t, taus, got)
+            want = mp_entire_laplace(30, q, t)
+            assert abs(got - want) <= 32 * UNIT * cond * abs(want), (t, got, want, cond)
+            assert len(taus) == 128
+
+    @pytest.mark.parametrize("rate", [0.25, 0.0])
+    def test_a_rate_alone_accepts_no_rising_coefficients(self, rate):
+        # the mean of e^(30 u) over the unit circle is 1; a rate, even 0,
+        # does not stop the rule while the differences still grow
+        def sample(u):
+            return cmath.exp(30 * u)
+
+        got = transforms._circle_mean(sample, 1e-15, rate=rate)
+        cond = sum(abs(sample(cmath.exp(2j * math.pi * j / 128))) for j in range(128)) / 128
+        assert abs(got - 1) <= 32 * UNIT * cond
 
 
 def angle_form_circle_mean(sample, eps, start):
