@@ -23,6 +23,7 @@ x off [-lambda; q].
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -221,8 +222,14 @@ def f_via_residues(
             "1/t, or the series 1phi1(0;-q;q,+-1/t), overflows"
         ) from None
     th = _ThetaPlan(qm, tr)  # one plan for +-q^2 t, on one circle
-    t_p = th(q2t) * s_p
-    t_m = th(-q2t) * s_m
+    try:
+        t_p = th(q2t) * s_p
+        t_m = th(-q2t) * s_m
+    except DomainError:  # ZeroArgument too: q^2 t underflowed to 0
+        raise DomainError(
+            f"t={t!r} is out of double range for the residue sum (q={qc!r}): "
+            "theta of +-q^2 t leaves double range"
+        ) from None
     num = t_p + t_m
     value = num / qpochhammer_inf((qc, -1 + 0j), qm, tr)
     try:
@@ -239,6 +246,77 @@ def f_via_residues(
     return value
 
 
+class _BorelSpiral:
+    """The Borel image phi(lambda q^n) = e_q(lambda q^(n-1)) on the spiral
+    [lambda; q], tabled for the spiral sums of one per-lambda form
+    (:func:`_two_f_zero_at`), from phi(lambda) = ``phi0``.
+
+    The values follow from the q-difference equation e_q(q xi) =
+    (1 - xi) e_q(xi), upward phi(lambda q^(n+1)) = (1 - lambda q^(n-1))
+    phi(lambda q^n) and downward phi(lambda q^(n-1)) = phi(lambda q^n) /
+    (1 - lambda q^(n-2)), each formed once, by the first sum that reaches
+    it, and read by every later one: the recurrence and its running
+    lambda q^(n-1), lambda q^(n-2) are those each sum once ran, so every
+    value has the same bits.  :meth:`up` and :meth:`down` give the lazy
+    sequences of ``transforms._spiral_sum``, and :meth:`up_ratio` and
+    :meth:`down_ratio` the closed bounds on their ratios that let its tails
+    end where the streak rule's last terms cannot move the sum."""
+
+    __slots__ = ("qm", "lam", "_up", "_down", "_a", "_b", "_alam", "_aq")
+
+    def __init__(self, phi0: complex, lam: complex, qm: QModulus) -> None:
+        self.qm, self.lam = qm, lam
+        self._up = [phi0]  # phi(lambda q^n), n = 0, 1, ...
+        self._down: list[complex] = []  # phi(lambda q^n), n = -1, -2, ...
+        self._a = lam / qm.q  # lambda q^(n-1) of the next step up
+        self._b: complex | None = None  # lambda q^(n-2) of the next step down
+        self._alam, self._aq = abs(lam), abs(qm.q)
+
+    def up(self) -> Iterator[complex]:
+        """phi(lambda q^n) for n = 0, 1, 2, ...: the table, then new values."""
+        return itertools.chain(self._up, self._more_up())
+
+    def down(self) -> Iterator[complex]:
+        """phi(lambda q^n) for n = -1, -2, ...: the table, then new values."""
+        return itertools.chain(self._down, self._more_down())
+
+    def _more_up(self) -> Iterator[complex]:
+        vals, qc = self._up, self.qm.q
+        phi, a = vals[-1], self._a
+        while True:
+            phi *= 1 - a
+            a *= qc
+            self._a = a
+            vals.append(phi)
+            yield phi
+
+    def _more_down(self) -> Iterator[complex]:
+        vals, qc = self._down, self.qm.q
+        phi = vals[-1] if vals else self._up[0]
+        b = self._b
+        if b is None:
+            b = self.lam / self.qm.squared().q  # q^2 checked for underflow
+        while True:
+            if phi:  # once phi underflows to 0, b may overflow to inf+nanj
+                phi /= 1 - b
+            b /= qc
+            self._b = b
+            vals.append(phi)
+            yield phi
+
+    def up_ratio(self, c: int) -> float:
+        """A bound on |phi(lambda q^(n+1)) / phi(lambda q^n)| = |1 - lambda
+        q^(n-1)| for every n >= c >= 1: 1 + |lambda| |q|^(c-1)."""
+        return 1 + self._alam * self._aq ** (c - 1)
+
+    def down_ratio(self, c: int) -> float:
+        """A bound on |phi(lambda q^(-n-1)) / phi(lambda q^(-n))| =
+        1 / |1 - lambda q^(-n-2)| for every n >= c >= 1:
+        |q|^(c+2) / (|lambda| - |q|^(c+2)), inf where that is no bound."""
+        p = self._aq ** (c + 2)
+        return p / (self._alam - p) if self._alam > p else math.inf
+
+
 def _two_f_zero_at(
     qm: QModulus, lam: complex, tr: Truncation
 ) -> Callable[[complex], complex]:
@@ -247,36 +325,23 @@ def _two_f_zero_at(
     [-lambda; q] of the excluded x (``qcore._neg_lam_spiral``), and then
     phi(lambda) are formed at the first call, once (``qcore._once``: an
     error there is raised again at every call); the spiral sum takes its
-    theta_q(lambda/x) from this form's own theta plan."""
+    theta_q(lambda/x) from this form's own theta plan, and its Borel values
+    from this form's own table (:class:`_BorelSpiral`), so the sums at
+    every x of one check form each phi(lambda q^n) once."""
     qc = qm.q
     th = _ThetaPlan(qm, tr)
     neg_lam = _once(lambda: _neg_lam_spiral(lam, qm))
 
-    def start() -> complex:
+    def start() -> _BorelSpiral:
         neg_lam()
-        return e_exp(qm, lam / qc, tr, mode="product")
+        return _BorelSpiral(e_exp(qm, lam / qc, tr, mode="product"), lam, qm)
 
-    phi_lam = _once(start)
+    borel = _once(start)
 
     def value(x: complex) -> complex:
-        phi0 = phi_lam()
-
-        def up() -> Iterator[complex]:
-            phi, a = phi0, lam / qc  # a = lambda q^(n-1)
-            while True:
-                yield phi
-                phi *= 1 - a
-                a *= qc
-
-        def down() -> Iterator[complex]:
-            phi, b = phi0, lam / qm.squared().q  # b = lambda q^(n-2); q^2 checked for underflow
-            while True:
-                if phi:  # once phi underflows to 0, b may overflow to inf+nanj
-                    phi /= 1 - b
-                b /= qc
-                yield phi
-
-        return _spiral_sum(up(), down(), th, neg_lam, lam, x)
+        phi = borel()
+        ratios = (phi.up_ratio, phi.down_ratio)
+        return _spiral_sum(phi.up(), phi.down(), th, neg_lam, lam, x, ratios)
 
     return value
 
@@ -299,7 +364,12 @@ def two_f_zero(
     phi(lambda q^(n+1)) = (1 - lambda q^(n-1)) phi(lambda q^n) upward and
     phi(lambda q^(n-1)) = phi(lambda q^n) / (1 - lambda q^(n-2)) downward.
     No other spiral point needs a pole check: the relative distance of
-    lambda q^n from q^Z is that of lambda.
+    lambda q^n from q^Z is that of lambda.  Their ratios are bounded in
+    closed form, by 1 + |lambda| |q|^(n-1) upward and mirrored downward,
+    so each tail of the spiral sum ends at the first small term of its
+    streak wherever the terms the streak would still add cannot move the
+    sum (``transforms._spiral_sum``): the value is that of the full
+    streak, bit for bit.
     """
     return _two_f_zero_at(as_modulus(q), lam, _trunc(trunc))(x)
 

@@ -11,7 +11,8 @@ validates it as a :class:`QModulus`.  A contour radius that is no real
 number is a :class:`~qconnect.errors.DomainError` naming it, a Borel image
 whose value does not multiply the theta kernel's is a
 :class:`~qconnect.errors.PoleOnContour` naming the node's angle, and the
-residue sum names its t, not the series argument 1/t.
+residue sum and the contour at infinity name their t, not the series
+argument 1/t or the theta arguments q^2 t and t/tau.
 """
 
 import math
@@ -255,12 +256,29 @@ class TestContour:
             with pytest.raises(DomainError, match="out of double range for theta"):
                 qlaplace_minus(g, 0.5, 1e200)
 
+    @pytest.mark.parametrize("t", [1e200, -3e250j, 1e307])
+    def test_theta_kernel_refusal_names_t(self, t):
+        # the kernel's argument t/tau is no argument the caller passed
+        with pytest.raises(DomainError) as exc:
+            qlaplace_minus(lambda s: 1.0, 0.5, t)
+        assert str(exc.value).startswith(f"t={t!r} is out of double range")
+        assert "x=" not in str(exc.value)
+
 
 class TestResidueSum:
     @pytest.mark.parametrize("t", NON_FINITE)
     def test_non_finite_t_is_named(self, t):
         with pytest.raises(DomainError, match=r"^the residue sum needs a finite argument, got t="):
             f_via_residues(0.5, t)
+
+    @pytest.mark.parametrize("t", [1e300, -2e300j, 1.5e308])
+    def test_t_whose_theta_leaves_range_is_named(self, t):
+        # theta_q(+-q^2 t) leaves double range: q^2 t is no argument the
+        # caller passed
+        with pytest.raises(DomainError) as exc:
+            f_via_residues(0.5, t)
+        assert str(exc.value).startswith(f"t={t!r} is out of double range")
+        assert "x=" not in str(exc.value)
 
     @pytest.mark.parametrize("t", [1e-300, -1e-300j, 5e-324])
     def test_t_whose_reciprocal_overflows_the_series_is_named(self, t):

@@ -14,6 +14,7 @@ from qconnect import (
     TermLog,
     ThetaZero,
     Truncation,
+    TruncationExceeded,
     ZeroArgument,
     as_modulus,
     default_grid,
@@ -28,9 +29,11 @@ from qconnect import (
     ramanujan_Aq,
     ramanujan_Aq_with_condition,
     theta,
+    theta_sum_with_condition,
     two_f_zero,
     two_f_zero_closed,
 )
+from qconnect import qcore, transforms
 from qconnect.qcore import DEFAULT_PROXIMITY
 from conftest import rel_err
 
@@ -519,6 +522,119 @@ class TestRunningPowerReference:
         sol.series_factor()
         assert qm.squared() is qm.squared()
         assert len(qm.squared()._powers) > 1
+
+
+def streak_sum_tail(terms, tr, total, abs_sum, scale, streak, what, later=None):
+    """The tail loop of ``qcore._sum_tail`` under the streak rule alone: it
+    takes every term the streak adds and ignores ``later``, the reference
+    of the closed-bound stop."""
+    eps, n_max = tr.eps, tr.n_max
+    small = count = 0
+    try:
+        for t in terms:
+            if count == n_max:
+                raise TruncationExceeded(f"{what} not below eps={eps} after n_max={n_max} terms")
+            total += t
+            at = abs(t)
+            abs_sum += at
+            count += 1
+            scale = max(scale, abs(total), at)
+            if at <= eps * scale:
+                small += 1
+                if small == streak:
+                    break
+            elif at < math.inf:
+                small = 0
+            else:
+                raise DomainError(f"{what} is out of double range: the sum overflows")
+    except OverflowError:
+        raise DomainError(f"{what} is out of double range: the sum overflows") from None
+    if not cmath.isfinite(total):
+        raise DomainError(f"{what} is out of double range: the sum overflows")
+    return total, abs_sum, scale, count
+
+
+MOOT_QS = (0.3, 0.5, 0.8, 0.9, 0.95)
+
+
+def moot_cases(q, n=12):
+    """Seeded (lambda, x): lambda off q^Z, x in the annulus [0.15, 8] and
+    x within 1 % of the spiral [-lambda; q], off its 1e-6 exclusion."""
+    rng = random.Random(f"moot-{q}")
+    out = []
+    for i in range(n):
+        lam = cmath.rect(10 ** rng.uniform(-0.5, 0.5), rng.uniform(-math.pi, math.pi))
+        if Spiral(1, as_modulus(q)).distance(lam) < 1e-3:
+            continue
+        if i % 2:
+            x = cmath.rect(10 ** rng.uniform(math.log10(0.15), math.log10(8)), rng.uniform(-3, 3))
+        else:
+            k = rng.randint(-3, 2)
+            nudge = cmath.rect(10 ** rng.uniform(-5, -2), rng.uniform(-math.pi, math.pi))
+            x = -lam * q**k * (1 + nudge)
+        out.append((lam, x))
+    return out
+
+
+def with_streak_rule(monkeypatch, call):
+    """``call()`` with the tails' closed-bound stop taken out."""
+    with monkeypatch.context() as m:
+        m.setattr(qcore, "_sum_tail", streak_sum_tail)
+        m.setattr(transforms, "_sum_tail", streak_sum_tail)
+        return call()
+
+
+class TestMootStreakTerms:
+    """The tails of the 2phi0 spiral sum and of the theta sum end where the
+    streak's last terms cannot move the sum: the values (and the theta
+    sum's condition) are those of the streak rule, bit for bit, and only
+    the term counts fall."""
+
+    @pytest.mark.parametrize("q", MOOT_QS)
+    def test_two_f_zero_is_the_streak_rule_bit_for_bit(self, monkeypatch, q):
+        fewer = 0
+        for lam, x in moot_cases(q):
+            log, ref_log = TermLog(), TermLog()
+            got = two_f_zero(q, lam, x, Truncation(log=log))
+            want = with_streak_rule(
+                monkeypatch, lambda: two_f_zero(q, lam, x, Truncation(log=ref_log))
+            )
+            assert bits(got) == bits(want), (lam, x)
+            assert log.terms <= ref_log.terms
+            fewer += log.terms < ref_log.terms
+        # the stop takes effect where the term ratios fall fast; at q = 0.95
+        # the term after the first small one is rarely that small
+        assert fewer or q > 0.9
+
+    @pytest.mark.parametrize("q", MOOT_QS)
+    def test_theta_sum_is_the_streak_rule_bit_for_bit(self, monkeypatch, q):
+        fewer = 0
+        for lam, x in moot_cases(q):
+            for y in (x, lam, 1 / x):
+                log, ref_log = TermLog(), TermLog()
+                got, cond = theta_sum_with_condition(q, y, Truncation(log=log))
+                want, want_cond = with_streak_rule(
+                    monkeypatch,
+                    lambda: theta_sum_with_condition(q, y, Truncation(log=ref_log)),
+                )
+                assert bits(got) == bits(want), y
+                assert cond.hex() == want_cond.hex(), y
+                assert log.terms <= ref_log.terms
+                fewer += log.terms < ref_log.terms
+        assert fewer or q > 0.9
+
+    @pytest.mark.parametrize("q", MOOT_QS)
+    def test_qlaplace_plus_takes_every_streak_term(self, monkeypatch, q):
+        # its phi has no closed bound, so its tails run the full streak
+        for lam, x in moot_cases(q, 6):
+            phi = lambda s: 1 / (1 + s * s)  # noqa: E731
+            log, ref_log = TermLog(), TermLog()
+            got = qlaplace_plus(phi, q, lam, x, Truncation(log=log))
+            want = with_streak_rule(
+                monkeypatch, lambda: qlaplace_plus(phi, q, lam, x, Truncation(log=ref_log))
+            )
+            assert bits(got) == bits(want)
+            assert log.terms == ref_log.terms
 
 
 class TestOutOfDoubleRange:

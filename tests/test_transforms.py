@@ -93,11 +93,17 @@ class TestQLaplaceMinus:
         with pytest.raises(PoleOnContour):
             qlaplace_minus(bad, qm, 1.0)
 
-    def test_unresummable_integrand_raises_no_convergence(self):
+    @pytest.mark.parametrize("q, degree", [(0.5, 30), (0.8, 60), (0.8, 70), (0.8, 100)])
+    def test_unresummable_integrand_raises_no_convergence(self, q, degree):
         # the Borel image of a plain degree-30 polynomial needs ~1e131
-        # cancellation on the contour; the rule must refuse, not return noise
-        qm = as_modulus(0.5)
-        g = qborel_minus(random_series(qm, 30, 1))
+        # cancellation on the contour; the rule must refuse, not return noise.
+        # At q = 0.8 the 32- and 64-node rules alias the same huge
+        # coefficients at +-64, which fooled both decay estimates of the
+        # stop into values off by up to 1e290: the mean of g's own samples
+        # sits far below the noise floor there (mean|g| / |mean g| 6e14 to
+        # 1e15), so neither estimate is trusted
+        qm = as_modulus(q)
+        g = qborel_minus(random_series(qm, degree, 1))
         with pytest.raises(NoConvergence):
             qlaplace_minus(lambda tau: g.evaluate(tau), qm, 1.5)
 

@@ -221,6 +221,73 @@ class TestFormedOncePerCheckAndSide:
         assert formed.count(q * q) == closed
 
 
+    @pytest.mark.parametrize(
+        "ident, sums", [("thm-2f0", [24]), ("qde-2f0-resummed", [48, 24])]
+    )
+    def test_borel_values_formed_once_per_form(self, monkeypatch, ident, sums):
+        # each per-lambda form tables phi(lambda q^n) up and down the spiral
+        # (special._BorelSpiral): every value is formed once, by the first
+        # spiral sum that reaches it, and read by the later ones; thm-2f0
+        # resums on its lhs only, qde-2f0-resummed on each side with its own
+        # form (its lhs at q^2 x and x, its rhs at q x), so no value crosses
+        # sides
+        q = 0.5
+        tables = []
+
+        class Recorded(special._BorelSpiral):
+            __slots__ = ("formed", "read", "sums")
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.formed = self.read = self.sums = 0
+                tables.append(self)
+
+            def _count(self, values):
+                for v in values:
+                    self.read += 1
+                    yield v
+
+            def up(self):
+                self.sums += 1
+                return self._count(super().up())
+
+            def down(self):
+                return self._count(super().down())
+
+            def _more_up(self):
+                for v in super()._more_up():
+                    self.formed += 1
+                    yield v
+
+            def _more_down(self):
+                for v in super()._more_down():
+                    self.formed += 1
+                    yield v
+
+        monkeypatch.setattr(special, "_BorelSpiral", Recorded)
+        rep = check(IdentityCheck(ident, q, lam=LAM))
+        assert rep.passed and rep.n_evaluated == 24
+        assert [tab.sums for tab in tables] == sums
+        assert len({id(tab._up) for tab in tables}) == len({id(tab._down) for tab in tables})
+        assert len({id(tab._up) for tab in tables}) == len(sums)
+        for tab in tables:
+            # no value formed twice, and the first up is phi(lambda) itself;
+            # the sums read each value many times over
+            assert tab.formed == len(tab._up) - 1 + len(tab._down)
+            assert 0 < 10 * tab.formed < tab.read
+            # the values are the recurrence's, bit for bit
+            phi, a = tab._up[0], LAM / q
+            for v in tab._up:
+                assert v == phi
+                phi *= 1 - a
+                a *= q
+            phi, b = tab._up[0], LAM / q**2
+            for v in tab._down:
+                phi /= 1 - b
+                b /= q
+                assert v == phi
+
+
 def _plan_recorder(monkeypatch):
     """Record each series plan formed by ``verify`` and ``special`` (its
     parameters and the check it was formed in) and each evaluation (the
