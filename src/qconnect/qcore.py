@@ -517,9 +517,9 @@ class Spiral:
     def exclude(self, x: complex, name: str = "x") -> None:
         """Raise :class:`~qconnect.errors.SpiralProximity` when the argument
         ``name`` = x lies within ``delta`` of the spiral; a non-finite x
-        raises :class:`~qconnect.errors.DomainError` naming ``name``."""
-        _finite_abs(x, "spiral distance", name)
-        if self.contains(x):
+        raises :class:`~qconnect.errors.DomainError` naming ``name``.  One
+        :meth:`nearest` call, which tests x's finiteness."""
+        if self.nearest(x, name)[1] < self.delta:
             where = "q^Z" if self.anchor == 1 else f"[{self.anchor!r};q]"
             raise SpiralProximity(
                 f"{name}={x!r} lies within {self.delta} of the spiral {where} "

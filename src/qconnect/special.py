@@ -41,7 +41,6 @@ from .qcore import (
     Spiral,
     Truncation,
     as_modulus,
-    e_exp,
     qpochhammer_inf,
     theta,
     _below_noise,
@@ -321,27 +320,24 @@ def _two_f_zero_at(
     qm: QModulus, lam: complex, tr: Truncation
 ) -> Callable[[complex], complex]:
     """:func:`two_f_zero` at one (q, lambda), as a function of x.  Forming
-    it raises nothing.  The check of lambda, which gives the spiral
-    [-lambda; q] of the excluded x (``qcore._neg_lam_spiral``), and then
-    phi(lambda) are formed at the first call, once (``qcore._once``: an
-    error there is raised again at every call); the spiral sum takes its
-    theta_q(lambda/x) from this form's own theta plan, and its Borel values
-    from this form's own table (:class:`_BorelSpiral`), so the sums at
-    every x of one check form each phi(lambda q^n) once."""
-    qc = qm.q
+    it raises nothing.  lambda and x arrive checked (``qcore._neg_lam_spiral``
+    and the exclusion of x from [-lambda; q]): by :func:`two_f_zero` at each
+    call, by an identity check once in ``prepare`` and once per grid point
+    in its filter.  phi(lambda) = 1/(lambda/q; q)_inf is formed at the first
+    call, once (``qcore._once``: an error there is raised again at every
+    call), with no pole test, since lambda off q^Z puts lambda/q off it; the
+    spiral sum takes its theta_q(lambda/x) from this form's own theta plan,
+    and its Borel values from this form's own table (:class:`_BorelSpiral`),
+    so the sums at every x of one check form each phi(lambda q^n) once."""
     th = _ThetaPlan(qm, tr)
-    neg_lam = _once(lambda: _neg_lam_spiral(lam, qm))
-
-    def start() -> _BorelSpiral:
-        neg_lam()
-        return _BorelSpiral(e_exp(qm, lam / qc, tr, mode="product"), lam, qm)
-
-    borel = _once(start)
+    borel = _once(
+        lambda: _BorelSpiral(1 / qpochhammer_inf(lam / qm.q, qm, tr), lam, qm)
+    )
 
     def value(x: complex) -> complex:
         phi = borel()
         ratios = (phi.up_ratio, phi.down_ratio)
-        return _spiral_sum(phi.up(), phi.down(), th, neg_lam, lam, x, ratios)
+        return _spiral_sum(phi.up(), phi.down(), th, lam, x, ratios)
 
     return value
 
@@ -356,10 +352,12 @@ def two_f_zero(
 
     This is the first-kind Laplace transform of the first-kind Borel image
     phi(xi) = e_q(xi/q) = 1/(xi/q; q)_inf.  Requires lambda off q^Z (else phi
-    hits poles and the closed form degenerates) and x off [-lambda; q].
+    hits poles and the closed form degenerates) and x off [-lambda; q]; each
+    is checked here, once, lambda first (``qcore._neg_lam_spiral``), and the
+    per-lambda form and its spiral sum test no spiral.
 
-    Only phi(lambda) is evaluated as a product, with the single pole check of
-    :func:`~qconnect.qcore.e_exp`; the other spiral values follow from the
+    Only phi(lambda) is evaluated as a product, with no pole test of its
+    own: lambda's check settles it.  The other spiral values follow from the
     q-difference equation e_q(q xi) = (1 - xi) e_q(xi):
     phi(lambda q^(n+1)) = (1 - lambda q^(n-1)) phi(lambda q^n) upward and
     phi(lambda q^(n-1)) = phi(lambda q^n) / (1 - lambda q^(n-2)) downward.
@@ -371,7 +369,9 @@ def two_f_zero(
     sum (``transforms._spiral_sum``): the value is that of the full
     streak, bit for bit.
     """
-    return _two_f_zero_at(as_modulus(q), lam, _trunc(trunc))(x)
+    qm, tr = as_modulus(q), _trunc(trunc)
+    _neg_lam_spiral(lam, qm).exclude(x)
+    return _two_f_zero_at(qm, lam, tr)(x)
 
 
 def _two_f_zero_closed_parts_at(
@@ -383,15 +383,15 @@ def _two_f_zero_closed_parts_at(
     here) and forms the plans, which raise nothing until called: one theta
     plan at base q and one at base q^2 (``qcore._ThetaPlan``), which take
     every theta of the closed form, and the plans of the two 1phi1 at base
-    q^2 (``qcore._SeriesPlan``).  The check of lambda, which gives the
-    spiral [-lambda; q] (``qcore._neg_lam_spiral``), and theta_q(-lambda/q)
-    are formed at their first use, once (``qcore._once``), each at the step
-    where the closed form first needs it, so an error keeps its place;
-    (q;q)_inf is the base-q theta plan's own (``_ThetaPlan.qq``), formed
-    once, by its first kernel."""
+    q^2 (``qcore._SeriesPlan``).  lambda and x arrive checked
+    (``qcore._neg_lam_spiral`` and the exclusion of x from [-lambda; q]): by
+    :func:`_two_f_zero_closed_parts` at each call, by an identity check once
+    in ``prepare`` and once per grid point in its filter; only x = 0 is
+    refused here.  theta_q(-lambda/q) is formed at its first use, once
+    (``qcore._once``); (q;q)_inf is the base-q theta plan's own
+    (``_ThetaPlan.qq``), formed once, by its first kernel."""
     qc = qm.q
     q2m = qm.squared()
-    neg_lam = _once(lambda: _neg_lam_spiral(lam, qm))
     th, th_q2 = _ThetaPlan(qm, tr), _ThetaPlan(q2m, tr)
     theta_lam = _once(lambda: th(-lam / qc))
     even_series = _SeriesPlan((0j,), (qc,), q2m, tr)
@@ -400,7 +400,6 @@ def _two_f_zero_closed_parts_at(
     def parts(x: complex) -> tuple[complex, complex]:
         if x == 0:
             raise ZeroArgument("x must be nonzero")
-        neg_lam().exclude(x)
         th_lam = theta_lam()
         th_lx = _theta_from_x(th, lam / x, x)
         den = th_lam * th_lx
@@ -440,8 +439,13 @@ def _two_f_zero_closed_parts_at(
 def _two_f_zero_closed_parts(
     qm: QModulus, lam: complex, x: complex, tr: Truncation
 ) -> tuple[complex, complex]:
-    """The even and odd terms of :func:`two_f_zero_closed`."""
-    return _two_f_zero_closed_parts_at(qm, lam, tr)(x)
+    """The even and odd terms of :func:`two_f_zero_closed`.  lambda and x
+    are checked here, once, as :func:`two_f_zero` checks them, after the
+    refusals of a base whose square underflows and of x = 0."""
+    parts = _two_f_zero_closed_parts_at(qm, lam, tr)
+    if x != 0:  # x = 0 is refused by parts, ahead of lambda's check
+        _neg_lam_spiral(lam, qm).exclude(x)
+    return parts(x)
 
 
 def two_f_zero_closed(

@@ -402,14 +402,22 @@ def qlaplace_plus(
     lambda q^n / x upward and superexponential downward, via the theta shift
     law.  phi must be evaluable on the whole spiral (use pole-aware product
     forms, not series, for functions continued past their disc).
+
+    lambda and x are checked here, once, and the sum (:func:`_spiral_sum`)
+    tests no spiral: a lambda that is 0 or not finite, then an x that is not
+    finite or lies on [-lambda; q], raises a
+    :class:`~qconnect.errors.DomainError` naming it.
     """
     qm = as_modulus(q)
     qc = qm.q
+    if lam == 0:
+        raise ZeroArgument("the spiral anchor lambda must be nonzero")
+    _finite_abs(lam, "the spiral sum", "lambda")
+    Spiral(-lam, qm).exclude(x)
     return _spiral_sum(
         (phi(lam * qc**n) for n in itertools.count()),
         (phi(lam * _spiral_power(qc, n)) for n in itertools.count(-1, -1)),
         _ThetaPlan(qm, _trunc(trunc)),
-        lambda: Spiral(-lam, qm),
         lam,
         x,
     )
@@ -443,7 +451,6 @@ def _spiral_sum(
     up: Iterator[complex],
     down: Iterator[complex],
     th: _ThetaPlan,
-    neg_lam: Callable[[], Spiral],
     lam: complex,
     x: complex,
     ratios: tuple[Callable[[int], float], Callable[[int], float]] | None = None,
@@ -451,9 +458,14 @@ def _spiral_sum(
     """The bilateral sum of :func:`qlaplace_plus`, given the Borel image on
     the spiral as two lazy sequences: ``up`` yields phi(lambda q^n) for
     n = 0, 1, 2, ... and ``down`` for n = -1, -2, ....  The caller hands in
-    its theta plan ``th`` (its base and truncation are the sum's) and the
-    spiral [-lambda; q] of the excluded x, as a function called once
-    lambda != 0 is known, so a per-lambda form builds each once.
+    its theta plan ``th`` (its base and truncation are the sum's).
+
+    lambda and x arrive checked (lambda nonzero and finite, x finite and off
+    [-lambda; q]): by the public entry points once per call
+    (:func:`qlaplace_plus`, ``special.two_f_zero``), by an identity check
+    once in ``prepare`` and once per grid point in its filter
+    (``verify._lam_off_qz``).  Only x = 0 is refused here, ahead of the
+    division by x.
 
     Each tail draws values only until it is truncated, so a caller that knows
     a recurrence along the spiral can generate them without evaluating phi
@@ -476,13 +488,9 @@ def _spiral_sum(
     (:func:`qlaplace_plus`, whose phi has no such bound) the streak runs
     in full.
     """
-    if lam == 0:
-        raise ZeroArgument("the spiral anchor lambda must be nonzero")
-    _finite_abs(lam, "the spiral sum", "lambda")
     if x == 0:
         raise ZeroArgument("x must be nonzero")
     tr = th.tr
-    neg_lam().exclude(x)
     ratio = lam / x
     th_ratio = _theta_from_x(th, ratio, x)
     streak = max(5, tr.streak)

@@ -19,6 +19,10 @@ moduli); Watson's and Ismail-Zhang's connection sides take their pairs
 circle (``qcore._qpochhammer_kernel``), which takes the split of
 (tau/lambda; q)_inf once, at the circle's largest |tau/lambda|, at its
 first node, and is read at that circle's nodes only; its rhs reads none.
+Each exclusion is tested once per check: ``prepare`` tests the parameters
+(thm-2f0 and qde-2f0-resummed check lambda in :func:`_lam_off_qz`) and the
+grid filter tests x, so the per-lambda 2phi0 forms, their spiral sums and
+lemma-alt's e_q(x/q) test no spiral again.
 The per-point function returns the point's records, each made by
 :func:`_record`.  Filtered points and evaluation-time errors (any
 :class:`~qconnect.errors.QConnectError`) become skip records, never silent
@@ -44,7 +48,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
-    DomainError, EmptyGrid, QConnectError, SpiralProximity, TruncationExceeded, ZeroArgument
+    DomainError, EmptyGrid, QConnectError, TruncationExceeded, ZeroArgument
 )
 from .qcore import (
     DEFAULT_TRUNCATION,
@@ -53,7 +57,6 @@ from .qcore import (
     Spiral,
     Truncation,
     as_modulus,
-    e_exp,
     qpochhammer_inf,
     qpochhammer_n,
     theta_product,
@@ -309,7 +312,11 @@ def _lam_off_qz(
 ) -> tuple[complex, Callable[[complex], str | None]]:
     """The check's lambda, which it must have: nonzero, finite and off the
     spiral q^Z (``qcore._neg_lam_spiral``), and the grid filter of the
-    spiral [-lambda; q] that this check of lambda formed."""
+    spiral [-lambda; q] that this check of lambda formed.  These are the
+    only tests of lambda and x that thm-2f0 and qde-2f0-resummed make: the
+    per-lambda forms of ``special`` and their spiral sums take both as
+    settled, and [-lambda; q] is invariant under x -> qx, so
+    qde-2f0-resummed's sums at qx and q^2 x need no test of their own."""
     if chk.lam is None:
         raise ValueError(f"identity {chk.identity!r} needs a lambda parameter")
     lam = complex(chk.lam)
@@ -318,10 +325,11 @@ def _lam_off_qz(
 
 
 def _off_spiral(spiral: Spiral, x: complex) -> str | None:
-    """The skip reason for a grid point x on the spiral, else None."""
+    """The skip reason for a grid point x on the spiral, or not finite,
+    else None."""
     try:
         spiral.exclude(x)
-    except SpiralProximity as exc:
+    except QConnectError as exc:
         return str(exc)
     return None
 
@@ -447,7 +455,8 @@ def _prep_lemma_alt(chk, qm, tr, mutations):
     th = _ThetaPlan(qm, tr)  # and its (q;q)_inf
 
     def point(x):
-        lhs = e_exp(qm, x / qc, tr, mode="product")
+        # e_q(x/q) = 1/(x/q; q)_inf: the grid filter keeps x off its poles
+        lhs = 1 / qpochhammer_inf(x / qc, qm, tr)
         pref = th.qq() / th(-x / qc)
         t1 = pref * series_1(qc**5 / (x * x))[0]
         t2 = (
@@ -587,12 +596,21 @@ def _prep_residue_lemma(chk, qm, tr, mutations):
 _FORMAL_ORDER = 40
 
 
+def _integer_pair(x: complex) -> tuple[int, int]:
+    """The integers (round(Re x), round(Im x)) that a formal check reads
+    from its grid point x; a non-finite x raises
+    :class:`~qconnect.errors.DomainError` naming it."""
+    if not cmath.isfinite(x):
+        raise DomainError(f"a formal check needs a finite grid point, got x={x!r}")
+    return int(round(x.real)), int(round(x.imag))
+
+
 def _prep_operational_lemma(chk, qm, tr, mutations):
     # one series under test, and its B_q^- f formed once for the rhs
     image = _borel_minus_operator_image_of(_random_series(qm, _FORMAL_ORDER, seed=9173))
 
     def point(x):
-        m, l = int(round(x.real)), int(round(x.imag))
+        m, l = _integer_pair(x)
         wl, wr, _ = _series_worst(*image(m, l))
         return [_record(x, wl, wr)]
 
@@ -601,7 +619,7 @@ def _prep_operational_lemma(chk, qm, tr, mutations):
 
 def _prep_formal_inverses(chk, qm, tr, mutations):
     def point(x):
-        order, seed = int(round(x.real)), int(round(x.imag))
+        order, seed = _integer_pair(x)
         if order < 0:
             raise ValueError("the series order (the real part of x) must be nonnegative")
         if order > tr.n_max:  # before any coefficient is drawn

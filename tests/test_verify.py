@@ -128,6 +128,25 @@ class TestCheckBehavior:
         rep = check(chk)
         assert rep.points[0].skipped and rep.n_evaluated >= 1
 
+    @pytest.mark.parametrize("identity", IDENTITY_IDS)
+    def test_non_finite_grid_points_are_skipped(self, identity):
+        # a grid filter let the DomainError of a non-finite x out of check(),
+        # and the formal checks raised a bare ValueError for nan: each such
+        # point is a skip with its reason, and the valid point is evaluated
+        grid = (complex(math.nan, 0.0), complex(math.inf, 0.0), verify._REGISTRY[identity].grid[-1])
+        rep = check(IdentityCheck(identity, 0.5, lam=0.7, abc=(-4, 3, 0.5), grid=grid))
+        assert [p.skipped for p in rep.points[:2]] == [True, True]
+        assert all(p.reason for p in rep.points[:2])
+        assert rep.n_evaluated >= 1 and rep.passed
+
+    @pytest.mark.parametrize("identity", ["operational-lemma", "formal-inverses"])
+    def test_formal_checks_name_a_non_finite_grid_point(self, identity):
+        grid = (complex(math.nan, 0.0), complex(0.0, math.inf), 2 + 1j)
+        rep = check(IdentityCheck(identity, 0.5, grid=grid))
+        assert [p.reason for p in rep.points[:2]] == [
+            f"a formal check needs a finite grid point, got x={x!r}" for x in grid[:2]
+        ]
+
     def test_degenerate_point_is_skipped(self):
         p = verify._record(0.5, 1e-260 + 0j, -3e-251j)
         assert p.skipped and p.reason == "both sides below 1e-250 (degenerate point)"

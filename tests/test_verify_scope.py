@@ -198,21 +198,20 @@ class TestFormedOncePerCheckAndSide:
     @pytest.mark.parametrize("ident, sides", [("thm-2f0", 1), ("qde-2f0-resummed", 2)])
     def test_resummation_constants(self, monkeypatch, ident, sides):
         # thm-2f0 resums on its lhs only, qde-2f0-resummed on both sides,
-        # each with its own phi(lambda); the closed form forms
+        # each with its own phi(lambda) = 1/(lambda/q; q)_inf, the only
+        # product special forms; the closed form forms
         # theta_q(-lambda/q) once and reads (q;q)_inf from its theta plan at
         # base q: every theta plan at base q forms (q;q)_inf once (thm-2f0:
         # one per side), and nothing else forms it
         q = 0.5
-        phi = _recorder(monkeypatch, special, "e_exp", 1)
         thetas = _theta_recorder(monkeypatch)
         products = _recorder(monkeypatch, special, "qpochhammer_inf")
         formed = _recorder(monkeypatch, qcore, "_qpochhammer_one")
         rep = check(IdentityCheck(ident, q, lam=LAM))
         assert rep.passed
-        assert phi == [LAM / q] * sides
+        assert products == [LAM / q] * sides
         closed = ident == "thm-2f0"
         assert [x for _, _, x in thetas["called"]].count(-LAM / q) == closed
-        assert products == []
         plans_at_q = [plan for _, base, _, plan in thetas["formed"] if base == q]
         assert len(plans_at_q) == (2 if closed else 4)
         assert formed.count(q) == len(plans_at_q)
@@ -545,9 +544,9 @@ class TestThetaPlansPerCheckAndSide:
     def test_neg_lambda_spiral_formed_once_per_check_and_form(self, monkeypatch, ident):
         # the check of lambda in prepare (qcore._neg_lam_spiral) forms
         # [-lambda; q] once per check, and its spiral is the grid filter;
-        # each per-lambda form forms it once more: thm-2f0's resummed lhs and
-        # closed form, qde-2f0-resummed's two resummed sides; it was once per
-        # grid point and form
+        # the per-lambda forms take lambda and x as settled and form none
+        # (each once formed it once more, and before that once per grid
+        # point and form)
         anchors = []
         real = qcore.Spiral
 
@@ -559,7 +558,32 @@ class TestThetaPlansPerCheckAndSide:
             monkeypatch.setattr(mod, "Spiral", spiral)
         rep = check(IdentityCheck(ident, 0.5, lam=LAM))
         assert rep.passed and rep.n_evaluated == 24
-        assert [a for a in anchors if a != 1] == [-LAM] * 3
+        assert [a for a in anchors if a != 1] == [-LAM] * 1
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("ident", ["thm-2f0", "qde-2f0-resummed", "lemma-alt"])
+    def test_one_spiral_distance_per_filtered_point(self, monkeypatch, ident, q):
+        # lambda is tested once, in prepare, and x once, in the grid filter:
+        # the per-lambda forms, their spiral sums and lemma-alt's e_q(x/q)
+        # test no spiral, so Spiral.nearest runs once per grid point (each
+        # inside the unit disc, where lemma-alt's filter tests it) plus a
+        # constant per check
+        calls = []
+        nearest = qcore.Spiral.nearest
+
+        def counted(self, x, name="x"):
+            calls.append(x)
+            return nearest(self, x, name)
+
+        monkeypatch.setattr(qcore.Spiral, "nearest", counted)
+        counts = {}
+        for n in (1, 9, 24):
+            calls.clear()
+            rep = check(IdentityCheck(ident, q, lam=LAM, grid=verify._GRID_SUBUNIT[:n]))
+            assert rep.n_evaluated == n
+            counts[n] = len(calls)
+        assert counts[9] - counts[1] == 8 and counts[24] - counts[1] == 23
+        assert counts[1] <= 2
 
     def test_neg_lambda_skip_reasons(self):
         # a grid point on [-lambda; q] is skipped by the grid filter with the
