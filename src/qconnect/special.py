@@ -182,6 +182,36 @@ def g_borel_image(
         ) from None
 
 
+def _residue_sum_at(
+    qm: QModulus, tr: Truncation
+) -> Callable[[complex], tuple[tuple[complex, float], tuple[complex, float]]]:
+    """The residue sum of :func:`f_via_residues` at one base, as a function
+    of x = 1/t: x -> ((t_1, c_1), (t_2, c_2)), with
+
+        t_1 = theta_q(x/q) Ai_q(-x) / (q, -1; q)_inf,
+        t_2 = theta_q(-x/q) Ai_q(x) / (q, -1; q)_inf,
+
+    so that f(t) = t_1 + t_2 (theta_q(z) = theta_q(q/z) makes
+    theta_q(+-x/q) = theta_q(+-q^2 t)), and c_i the condition of the series
+    in t_i.  Forming it raises nothing: it forms one series plan for both
+    Ai_q (:func:`_qairy_plan`), one theta plan for both thetas, whose
+    arguments share one circle, and (q, -1; q)_inf at the first call, once
+    (``qcore._once``).  :func:`f_via_residues` is this form at x = 1/t, and
+    the rhs of the identity thm-ramanujan-qairy (``verify``) is this form."""
+    qc = qm.q
+    den = _once(lambda: qpochhammer_inf((qc, -1 + 0j), qm, tr))
+    ai = _qairy_plan(qm, tr)  # Ai_q(y) is the plan at -y
+    th = _ThetaPlan(qm, tr)
+
+    def terms(x: complex) -> tuple[tuple[complex, float], tuple[complex, float]]:
+        d = den()
+        a1, c1 = ai(x)  # Ai_q(-x); -(-x) is x, bit for bit
+        a2, c2 = ai(-x)
+        return (th(x / qc) * a1 / d, c1), (th(-x / qc) * a2 / d, c2)
+
+    return terms
+
+
 def f_via_residues(
     q: QModulus | complex, t: complex, trunc: Truncation | None = None
 ) -> complex:
@@ -191,55 +221,41 @@ def f_via_residues(
                / (q, -1; q)_inf,
 
     which must agree with A_{q^2}(-q^3 t^2) and with the contour-quadrature
-    value of the second-kind q-Laplace transform of the Borel image.
+    value of the second-kind q-Laplace transform of the Borel image.  It is
+    the sum t_1 + t_2 of :func:`_residue_sum_at` at x = 1/t, which takes
+    theta_q(+-q^2 t) as theta_q(+-x/q), and the identity thm-ramanujan-qairy
+    checks that same form.
 
     For small |t| the two 1phi1 series at +-1/t cancel large terms, and the
-    two products T_1, T_2 of the numerator cancel each other.  The condition
-    (|T_1| cond_1 + |T_2| cond_2) / |T_1 + T_2|, with cond_i the internal
-    condition of the series in T_i, is the factor by which the value loses
-    precision.  Where 100 ulp times it reaches 1, the noise floor
+    two products t_1, t_2 of the numerator cancel each other.  The condition
+    (|t_1| c_1 + |t_2| c_2) / |t_1 + t_2|, with c_i the internal condition
+    of the series in t_i, is the factor by which the value loses precision.
+    Where 100 ulp times it reaches 1, the noise floor
     :func:`~qconnect.transforms.qlaplace_minus` also applies, no significant
     digit is left and the call raises
-    :class:`~qconnect.errors.NoConvergence`.  A non-finite t, or a value or
-    a series at 1/t out of double range, raises
+    :class:`~qconnect.errors.NoConvergence`.  A non-finite t, or a value, a
+    series or a theta factor out of double range, raises
     :class:`~qconnect.errors.DomainError` naming t.
     """
     if t == 0:
         raise ZeroArgument("f is evaluated at nonzero t")
     _finite_abs(t, "the residue sum", "t")
-    tr = _trunc(trunc)
     qm = as_modulus(q)
-    qc = qm.q
-    q2t = qm.q2 * t
-    series = _qairy_plan(qm, tr)  # one plan for +-1/t
     try:
-        s_p, cond_p = series(1 / t)
-        s_m, cond_m = series(-1 / t)
-    except DomainError:
-        raise DomainError(
-            f"t={t!r} is out of double range for the residue sum (q={qc!r}): "
-            "1/t, or the series 1phi1(0;-q;q,+-1/t), overflows"
-        ) from None
-    th = _ThetaPlan(qm, tr)  # one plan for +-q^2 t, on one circle
-    try:
-        t_p = th(q2t) * s_p
-        t_m = th(-q2t) * s_m
-    except DomainError:  # ZeroArgument too: q^2 t underflowed to 0
-        raise DomainError(
-            f"t={t!r} is out of double range for the residue sum (q={qc!r}): "
-            "theta of +-q^2 t leaves double range"
-        ) from None
-    num = t_p + t_m
-    value = num / qpochhammer_inf((qc, -1 + 0j), qm, tr)
-    try:
-        cond = _condition(_weighted_abs(((t_p, cond_p), (t_m, cond_m))), abs(num))
-    except OverflowError:
-        value = math.nan  # the moduli of the products leave double range
+        terms = _residue_sum_at(qm, _trunc(trunc))(1 / t)
+        value = terms[0][0] + terms[1][0]
+        cond = _condition(_weighted_abs(terms), abs(value))
+    except (DomainError, OverflowError):  # OverflowError: a |t_i| leaves double range
+        value = math.nan
     if not cmath.isfinite(value):
-        raise DomainError(f"t={t!r} is out of double range for the residue sum (q={qc!r})")
+        raise DomainError(
+            f"t={t!r} is out of double range for the residue sum (q={qm.q!r}): "
+            "1/t, a series 1phi1(0;-q;q,+-1/t), a theta_q(+-q^2 t) or their products "
+            "leave double range"
+        )
     if _below_noise(cond):
         raise NoConvergence(
-            f"the residue sum at t={t!r} (q={qc!r}) has condition {cond:.3e}: "
+            f"the residue sum at t={t!r} (q={qm.q!r}) has condition {cond:.3e}: "
             "no significant digits survive in double precision"
         )
     return value
@@ -325,14 +341,24 @@ def _two_f_zero_at(
     call, by an identity check once in ``prepare`` and once per grid point
     in its filter.  phi(lambda) = 1/(lambda/q; q)_inf is formed at the first
     call, once (``qcore._once``: an error there is raised again at every
-    call), with no pole test, since lambda off q^Z puts lambda/q off it; the
-    spiral sum takes its theta_q(lambda/x) from this form's own theta plan,
-    and its Borel values from this form's own table (:class:`_BorelSpiral`),
-    so the sums at every x of one check form each phi(lambda q^n) once."""
+    call), with no pole test, since lambda off q^Z puts lambda/q off it; a
+    lambda/q out of double range raises :class:`~qconnect.errors.DomainError`
+    naming lambda.  The spiral sum takes its theta_q(lambda/x) from this
+    form's own theta plan, and its Borel values from this form's own table
+    (:class:`_BorelSpiral`), so the sums at every x of one check form each
+    phi(lambda q^n) once."""
     th = _ThetaPlan(qm, tr)
-    borel = _once(
-        lambda: _BorelSpiral(1 / qpochhammer_inf(lam / qm.q, qm, tr), lam, qm)
-    )
+
+    def spiral() -> _BorelSpiral:
+        a = lam / qm.q
+        if not cmath.isfinite(a):
+            raise DomainError(
+                f"lambda={lam!r} is out of double range for phi(lambda) = "
+                f"1/(lambda/q; q)_inf (q={qm.q!r}): lambda/q overflows"
+            )
+        return _BorelSpiral(1 / qpochhammer_inf(a, qm, tr), lam, qm)
+
+    borel = _once(spiral)
 
     def value(x: complex) -> complex:
         phi = borel()

@@ -15,6 +15,10 @@ through one plan, which forms (q;q)_inf once, the side's only (q;q)_inf,
 and one kernel per circle |x| = rho it meets (a check's grid has three
 moduli); Watson's and Ismail-Zhang's connection sides take their pairs
 (y, q/y; q)_inf = theta_q(-y) / (q;q)_inf as theta ratios on such a plan.
+thm-ramanujan-qairy's rhs is no copy: it reads the residue sum that
+``special.f_via_residues`` ships, ``special._residue_sum_at``, where
+``special`` binds it, at x = 1/t, with theta_q(+-x/q) = theta_q(+-q^2 t)
+(theta_q(z) = theta_q(q/z)), so a fault in the shipped form fails the check.
 ``residue-lemma``'s lhs forms one product kernel per residue
 circle (``qcore._qpochhammer_kernel``), which takes the split of
 (tau/lambda; q)_inf once, at the circle's largest |tau/lambda|, at its
@@ -79,6 +83,7 @@ from .series import (
     qborel_minus,
     qborel_plus,
 )
+from . import special
 from .special import (
     _qairy_plan,
     _two_f_zero_at,
@@ -415,20 +420,15 @@ def _prep_ismail_zhang(chk, qm, tr, mutations):
 
 
 def _prep_thm_ramanujan_qairy(chk, qm, tr, mutations):
-    qc = qm.q
     q2m = qm.squared()
-    den = _once(lambda: qpochhammer_inf((qc, -1 + 0j), qm, tr))
-    ai = _qairy_plan(qm, tr)  # Ai_q(y) is the plan at -y
-    th = _ThetaPlan(qm, tr)
+    # the rhs is the residue sum that f_via_residues ships, read where
+    # special binds it, so the check tests the shipped form itself
+    residue_sum = special._residue_sum_at(qm, tr)
 
     def point(x):
-        lhs, c0 = ramanujan_Aq_with_condition(q2m, -(qc**3) / (x * x), tr)
-        d = den()
-        a1, c1 = ai(x)  # Ai_q(-x); -(-x) is x, bit for bit
-        a2, c2 = ai(-x)
-        t1 = th(x / qc) * a1 / d
-        t2 = th(-x / qc) * a2 / d
-        return [_record(x, lhs, t1 + t2, ((lhs, c0), (t1, c1), (t2, c2)))]
+        lhs, c0 = ramanujan_Aq_with_condition(q2m, -(qm.q**3) / (x * x), tr)
+        terms = residue_sum(x)
+        return [_record(x, lhs, terms[0][0] + terms[1][0], ((lhs, c0),) + terms)]
 
     return point, None
 

@@ -1,9 +1,10 @@
 """Parameters the package cannot take reach the user as typed errors.
 
-A spiral anchor lambda of 0 or not finite, a Watson a, b or c that is 0
-or not finite, an r_phi_s parameter that is not finite, a base whose
-square underflows to 0 where an identity evaluates at base q^2, and a
-formal series or operator coefficient out of double range each raise a
+A spiral anchor lambda of 0 or not finite, or one whose phi(lambda) =
+1/(lambda/q; q)_inf leaves double range, a Watson a, b or c that is 0 or
+not finite, an r_phi_s parameter that is not finite, a base whose square
+underflows to 0 where an identity evaluates at base q^2, and a formal
+series or operator coefficient out of double range each raise a
 :class:`~qconnect.errors.DomainError` that names the parameter, on which
 the CLI exits 3 with no traceback.  A Watson abc that is not three values
 is a usage error (``ValueError``), and a formal series given a bare base
@@ -12,7 +13,7 @@ number is a :class:`~qconnect.errors.DomainError` naming it, a Borel image
 whose value does not multiply the theta kernel's is a
 :class:`~qconnect.errors.PoleOnContour` naming the node's angle, and the
 residue sum and the contour at infinity name their t, not the series
-argument 1/t or the theta arguments q^2 t and t/tau.
+argument 1/t or the theta arguments +-1/(q t) and t/tau.
 """
 
 import math
@@ -85,6 +86,27 @@ class TestLambda:
             with pytest.raises(DomainError) as info:
                 call()
             assert name in str(info.value) and "x=" not in str(info.value)
+
+    @pytest.mark.parametrize("q, lam", [(0.5, 1e308), (1e-200, 3e200), (0.5, -1e308j)])
+    def test_lambda_whose_phi_leaves_range_is_named(self, q, lam):
+        # lambda/q overflows, so phi(lambda) = 1/(lambda/q; q)_inf cannot be
+        # formed: the refusal names lambda, not the overflowed lambda/q
+        message = rf"^lambda={re.escape(repr(lam))} is out of double range for phi\(lambda\)"
+        with pytest.raises(DomainError, match=message):
+            two_f_zero(q, lam, 1.3)
+
+    @pytest.mark.parametrize("ident", ["thm-2f0", "qde-2f0-resummed"])
+    def test_lambda_whose_phi_leaves_range_is_the_skip_reason(self, ident):
+        rep = check(IdentityCheck(ident, 0.5, lam=1e308, grid=(1.3,)))
+        [p] = rep.points
+        assert p.skipped and p.reason.startswith(
+            "lambda=(1e+308+0j) is out of double range for phi(lambda)"
+        )
+
+    def test_lambda_whose_phi_leaves_range_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "2f0", "--q", "0.5", "--lambda", "1e308", "--x", "1.3")
+        assert code == 3 and not out
+        assert err.startswith("domain error: lambda=(1e+308+0j) is out of double range")
 
     def test_spiral_exclusion_names_its_argument(self):
         spiral = Spiral(1 + 0j, as_modulus(0.5))
@@ -273,8 +295,8 @@ class TestResidueSum:
 
     @pytest.mark.parametrize("t", [1e300, -2e300j, 1.5e308])
     def test_t_whose_theta_leaves_range_is_named(self, t):
-        # theta_q(+-q^2 t) leaves double range: q^2 t is no argument the
-        # caller passed
+        # theta_q(+-q^2 t), taken as theta_q(+-x/q) at x = 1/t, leaves double
+        # range: x/q is no argument the caller passed
         with pytest.raises(DomainError) as exc:
             f_via_residues(0.5, t)
         assert str(exc.value).startswith(f"t={t!r} is out of double range")

@@ -16,6 +16,7 @@ from qconnect import (
     check,
     default_grid,
     default_suite,
+    f_via_residues,
     qairy_Ai_with_condition,
     qpochhammer_inf,
     ramanujan_Aq_with_condition,
@@ -23,8 +24,8 @@ from qconnect import (
     run_suite,
     theta,
 )
-from qconnect import series, verify
-from qconnect.qcore import TermLog, Truncation
+from qconnect import series, special, verify
+from qconnect.qcore import DEFAULT_TRUNCATION, TermLog, Truncation
 from qconnect.verify import PointRecord
 
 
@@ -414,6 +415,48 @@ class TestReportSerialization:
         assert report.passed == (
             report.max_rel_err <= report.tol and report.n_evaluated >= 1
         )
+
+
+class TestResidueSumIsTheShippedForm:
+    """thm-ramanujan-qairy's rhs is the residue sum that f_via_residues
+    ships (``special._residue_sum_at``), not a copy of it, so a fault in
+    the shipped form fails the check."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_rhs_and_f_via_residues_are_the_form(self, q):
+        qm, tr = as_modulus(q), DEFAULT_TRUNCATION
+        rep = check(IdentityCheck("thm-ramanujan-qairy", q))
+        assert [p.x for p in rep.points] == list(default_grid())
+        assert not any(p.skipped for p in rep.points)
+        for p in rep.points:
+            (t1, _), (t2, _) = special._residue_sum_at(qm, tr)(p.x)
+            assert p.rhs == t1 + t2, p.x
+            # f at t = 1/x is the form's sum at 1/t
+            t = 1 / p.x
+            (t1, _), (t2, _) = special._residue_sum_at(qm, tr)(1 / t)
+            assert f_via_residues(qm, t) == t1 + t2, t
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_a_scaled_first_term_fails_the_check(self, monkeypatch, q):
+        # a test-side mutant of the shipped form, t_1 -> t_1 (1 + 1e-8), set
+        # where special binds the form: it reaches f_via_residues and the check
+        real = special._residue_sum_at
+        t = 1.3 + 0.4j
+        want = f_via_residues(q, t)
+
+        def mutant(qm, tr):
+            terms = real(qm, tr)
+
+            def scaled(x):
+                (t1, c1), second = terms(x)
+                return (t1 * (1 + 1e-8), c1), second
+
+            return scaled
+
+        monkeypatch.setattr(special, "_residue_sum_at", mutant)
+        assert f_via_residues(q, t) != want
+        rep = check(IdentityCheck("thm-ramanujan-qairy", q))
+        assert not rep.passed and rep.n_evaluated == 24
 
 
 class TestPerIdentitySpotChecks:
