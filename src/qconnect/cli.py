@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
 from pathlib import Path
@@ -98,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated upper parameters (rphis)")
     ev.add_argument("--lower", type=parse_complex_list, default=(),
                     help="comma-separated lower parameters (rphis)")
-    ev.add_argument("--eps", type=float, default=None, help="tail tolerance")
+    ev.add_argument("--eps", type=float, default=DEFAULT_TRUNCATION.eps, help="tail tolerance")
     ev.add_argument("--n-max", type=int, default=DEFAULT_TRUNCATION.n_max, help="term cap")
 
     ck = sub.add_parser("check", help="verify one identity over a grid")
@@ -108,24 +107,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--abc", type=parse_complex_list, default=None,
                     help="comma-separated a,b,c parameters (watson)")
     ck.add_argument("--tol", type=float, default=None)
-    grid = ck.add_mutually_exclusive_group()
-    grid.add_argument("--grid-default", action="store_true",
-                      help="use the identity's built-in grid (default)")
-    grid.add_argument("--grid", type=str, default=None,
-                      help="semicolon-separated complex grid points")
+    ck.add_argument("--grid", type=str, default=None,
+                    help="semicolon-separated complex grid points "
+                         "(default: the identity's built-in grid)")
     ck.add_argument("--out", type=str, default=None, help="report file path")
     ck.add_argument("--format", choices=("json", "csv"), default="json")
-    ck.add_argument("--eps", type=float, default=None)
+    ck.add_argument("--eps", type=float, default=DEFAULT_TRUNCATION.eps)
     ck.add_argument("--n-max", type=int, default=DEFAULT_TRUNCATION.n_max)
     return parser
 
 
 def _truncation(args) -> tuple[Truncation, TermLog]:
     log = TermLog()
-    eps = args.eps
-    if eps is None:
-        eps = float(os.environ.get("Q_CONNECT_TRUNC_EPS", DEFAULT_TRUNCATION.eps))
-    return Truncation(eps=eps, n_max=args.n_max, log=log), log
+    return Truncation(eps=args.eps, n_max=args.n_max, log=log), log
 
 
 def _cmd_eval(args) -> int:

@@ -64,6 +64,13 @@ _NOISE_FLOOR = 100.0 * 2.2e-16
 _TAIL_SPLIT = 0.1
 _LOG_TAIL_SPLIT = math.log(_TAIL_SPLIT)
 
+#: the tail rule's run of small terms: a series, theta or A_q tail, or a
+#: product of two or more arguments, ends after this many in a row
+_STREAK = 3
+#: the same run for both tails of the 2phi0 spiral sum
+#: (``transforms._spiral_sum``)
+_SPIRAL_STREAK = 5
+
 #: the smallest normal double: a product below it has lost its digits
 _TINY = sys.float_info.min
 
@@ -244,39 +251,38 @@ class TermLog:
 class Truncation:
     """Tail-tolerance policy for every infinite sum and product.
 
-    A series tail is accepted once ``streak`` consecutive terms fall below
-    ``eps`` relative to the running scale (the largest of the partial sum and
-    the largest term seen; the guard keeps bilateral sums terminating at theta
-    zeros, where the partial sum itself cancels to ~0).  Where the term
-    ratios have a closed bound (the theta sum, the 2phi0 spiral sum), a
-    tail ends at the first small term of its streak if the bound shows that
-    the terms the streak would still add cannot move the sum
-    (``qcore._sum_tail``): the value is the full streak's, bit for bit, and
-    the count smaller.  A product of two or more arguments is accepted once
-    ``streak`` consecutive factors 1 - a q^n have |a q^n| < ``eps``; a
+    A series tail is accepted once 3 consecutive terms (5 in both tails of
+    the 2phi0 spiral sum; ``qcore._STREAK``, ``qcore._SPIRAL_STREAK``) fall
+    below ``eps`` relative to the running scale (the largest of the partial
+    sum and the largest term seen; the guard keeps bilateral sums
+    terminating at theta zeros, where the partial sum itself cancels to ~0).
+    Where the term ratios have a closed bound (the theta sum, the 2phi0
+    spiral sum), a tail ends at the first small term of its streak if the
+    bound shows that the terms the streak would still add cannot move the
+    sum (``qcore._sum_tail``): the value is the full streak's, bit for bit,
+    and the count smaller.  A product of two or more arguments is accepted
+    once 3 consecutive factors 1 - a q^n have |a q^n| < ``eps``; a
     one-argument product, the theta kernel's pair, and each argument of
     :func:`theta_product` multiply the leading factors and sum the rest as
     a log-series whose remainder is below ``eps``/10 (both counts are set
     in closed form before any factor is multiplied; ``qcore._split_plan``
     and ``qcore._product_plan``).  ``n_max`` is the most terms one tail, or
-    powers one product, may take: a tail that needs one more raises
-    :class:`~qconnect.errors.TruncationExceeded`.  ``eps`` is a relative
-    tolerance, 0 < eps < 1; the split's log-series count K is at least 1
-    only for such an eps.  log eps is kept beside it, formed once.
+    powers one product, may take, an integer of at least 1: a tail that
+    needs one more raises :class:`~qconnect.errors.TruncationExceeded`.
+    ``eps`` is a relative tolerance, 0 < eps < 1; the split's log-series
+    count K is at least 1 only for such an eps.  log eps is kept beside it,
+    formed once.  ``eps`` and ``n_max`` are what a report records of it.
     """
 
     eps: float = 1e-15
     n_max: int = 10000
-    streak: int = 3
     log: TermLog | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.eps < 1:
             raise ValueError("eps must satisfy 0 < eps < 1")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if self.streak < 1:
-            raise ValueError("streak must be at least 1")
+        if not isinstance(self.n_max, int) or self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1 and an integer, got n_max={self.n_max!r}")
         # log eps, read by every product plan; not a field, as QModulus's tables
         object.__setattr__(self, "_log_eps", math.log(self.eps))
 
@@ -304,8 +310,9 @@ def _sum_tail(
 ) -> tuple[complex, float, float, int]:
     """The one tail loop of every series and spiral sum: add ``terms`` to
     ``total`` (and their moduli to ``abs_sum``) under the rule of
-    :class:`Truncation`, with ``streak`` small terms in a row, until that
-    rule or ``terms`` ends it.  Returns (total, abs_sum, scale, terms taken).
+    :class:`Truncation`, with ``streak`` small terms in a row (``_STREAK``,
+    or ``_SPIRAL_STREAK`` for the spiral sum), until that rule or ``terms``
+    ends it.  Returns (total, abs_sum, scale, terms taken).
 
     A caller that bounds its term ratios in closed form passes ``later`` =
     (r0, a, factor): once c terms are taken, every later ratio
@@ -444,12 +451,11 @@ def _finite_abs(x: complex, what: str, name: str = "x") -> float:
         ) from None
 
 
-def _count(n: int, name: str, positive: bool = False) -> None:
-    """Refuse a count ``name`` = n that is not a nonnegative integer, or not
-    a positive one where ``positive``, with :class:`~qconnect.errors.DomainError`."""
-    if not isinstance(n, int) or n < positive:
-        kind = "positive" if positive else "nonnegative"
-        raise DomainError(f"{name} must be a {kind} integer, got {name}={n!r}")
+def _count(n: int, name: str) -> None:
+    """Refuse a count ``name`` = n that is not a nonnegative integer with
+    :class:`~qconnect.errors.DomainError`."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {name}={n!r}")
 
 
 @dataclass(frozen=True)
@@ -615,9 +621,9 @@ def _product_plan(
     """How (a_1, ..., a_m; q)_inf, m >= 2, max|a_i| = amax, is taken: the n
     powers of the streak rule (one argument takes :func:`_split_plan`).
 
-    The streak rule takes the first n after which ``tr.streak`` consecutive
-    powers had |a_i q^n| < eps for every i.  The moduli shrink
-    geometrically, so that is n0 + streak, n0 the first n with every
+    The streak rule takes the first n after which ``_STREAK`` (3)
+    consecutive powers had |a_i q^n| < eps for every i.  The moduli shrink
+    geometrically, so that is n0 + 3, n0 the first n with every
     |a_i q^n| < eps: the nearest integer j >= 0 to
     (log eps - log amax) / log|q| (a difference of logs, as eps/amax may
     underflow) or j + 1.  The rounding of the logs and of the running power
@@ -628,12 +634,12 @@ def _product_plan(
     :class:`~qconnect.errors.TruncationExceeded`, before the table of powers
     grows; on return it holds the n + 1 powers.
     """
-    eps, streak, n_max = tr.eps, tr.streak, tr.n_max
+    eps, n_max = tr.eps, tr.n_max
     if not amax:  # every factor is 1
-        n = streak
+        n = _STREAK
     else:
         j = round((tr._log_eps - math.log(amax)) / qm._log_q) if amax >= eps else 0  # else n0 = 0
-        n = j + streak
+        n = j + _STREAK
         if n <= n_max and not _below(avals, qm._powers_to(n + 2)[j], eps):
             n += 1  # n0 = j + 1
     if n > n_max:  # before the table grows to the count
@@ -887,10 +893,10 @@ def theta_sum_with_condition(
     upper, lower = _theta_tails(qm, x)
     aq, ax = abs(qm.q), abs(x)
     total, abs_sum, scale, n_up = _sum_tail(
-        upper, tr, 1 + 0j, 1.0, 1.0, tr.streak, "theta upper tail", (ax, aq, None)
+        upper, tr, 1 + 0j, 1.0, 1.0, _STREAK, "theta upper tail", (ax, aq, None)
     )
     total, abs_sum, _, n_down = _sum_tail(
-        lower, tr, total, abs_sum, scale, tr.streak, "theta lower tail", (aq / ax, aq, None)
+        lower, tr, total, abs_sum, scale, _STREAK, "theta lower tail", (aq / ax, aq, None)
     )
     tr.note(1 + n_up + n_down)
     return total, _condition(abs_sum, abs(total))
@@ -1360,7 +1366,7 @@ class _SeriesPlan:
 
         tr = self.tr
         total, abs_sum, _, count = _sum_tail(
-            terms(), tr, 0j, 0.0, 1.0, tr.streak, "r_phi_s series tail"
+            terms(), tr, 0j, 0.0, 1.0, _STREAK, "r_phi_s series tail"
         )
         tr.note(count)
         return total, _condition(abs_sum + closed, abs(total))

@@ -50,6 +50,7 @@ from .qcore import (
     _once,
     _qpochhammer_one,
     _SeriesPlan,
+    _STREAK,
     _sum_tail,
     _ThetaPlan,
     _trunc,
@@ -98,7 +99,7 @@ def ramanujan_Aq_with_condition(
             n += 1
 
     total, abs_sum, _, count = _sum_tail(
-        terms(), tr, 0j, 0.0, 1.0, tr.streak, "A_q series tail"
+        terms(), tr, 0j, 0.0, 1.0, _STREAK, "A_q series tail"
     )
     tr.note(count)
     return total, _condition(abs_sum, abs(total))
@@ -332,6 +333,23 @@ class _BorelSpiral:
         return p / (self._alam - p) if self._alam > p else math.inf
 
 
+def _lam_factor(
+    lam: complex, qm: QModulus, what: str, form: Callable[[complex], complex], a: complex
+) -> complex:
+    """``form(a)``: the x-free factor ``what`` at a, formed from lambda.  A
+    non-finite a, or a factor out of double range (a
+    :class:`~qconnect.errors.DomainError` of ``form``), raises
+    :class:`~qconnect.errors.DomainError` naming lambda, not a."""
+    if not cmath.isfinite(a):
+        why = "lambda/q overflows"
+    else:
+        try:
+            return form(a)
+        except DomainError:
+            why = "the factor leaves double range"
+    raise DomainError(f"lambda={lam!r} is out of double range for {what} (q={qm.q!r}): {why}")
+
+
 def _two_f_zero_at(
     qm: QModulus, lam: complex, tr: Truncation
 ) -> Callable[[complex], complex]:
@@ -342,21 +360,20 @@ def _two_f_zero_at(
     in its filter.  phi(lambda) = 1/(lambda/q; q)_inf is formed at the first
     call, once (``qcore._once``: an error there is raised again at every
     call), with no pole test, since lambda off q^Z puts lambda/q off it; a
-    lambda/q out of double range raises :class:`~qconnect.errors.DomainError`
-    naming lambda.  The spiral sum takes its theta_q(lambda/x) from this
+    lambda/q or a product out of double range raises
+    :class:`~qconnect.errors.DomainError` naming lambda (:func:`_lam_factor`).
+    The spiral sum takes its theta_q(lambda/x) from this
     form's own theta plan, and its Borel values from this form's own table
     (:class:`_BorelSpiral`), so the sums at every x of one check form each
     phi(lambda q^n) once."""
     th = _ThetaPlan(qm, tr)
 
     def spiral() -> _BorelSpiral:
-        a = lam / qm.q
-        if not cmath.isfinite(a):
-            raise DomainError(
-                f"lambda={lam!r} is out of double range for phi(lambda) = "
-                f"1/(lambda/q; q)_inf (q={qm.q!r}): lambda/q overflows"
-            )
-        return _BorelSpiral(1 / qpochhammer_inf(a, qm, tr), lam, qm)
+        phi = _lam_factor(
+            lam, qm, "phi(lambda) = 1/(lambda/q; q)_inf",
+            lambda a: 1 / qpochhammer_inf(a, qm, tr), lam / qm.q,
+        )
+        return _BorelSpiral(phi, lam, qm)
 
     borel = _once(spiral)
 
@@ -415,11 +432,18 @@ def _two_f_zero_closed_parts_at(
     in ``prepare`` and once per grid point in its filter; only x = 0 is
     refused here.  theta_q(-lambda/q) is formed at its first use, once
     (``qcore._once``); (q;q)_inf is the base-q theta plan's own
-    (``_ThetaPlan.qq``), formed once, by its first kernel."""
+    (``_ThetaPlan.qq``), formed once, ahead of it, so that an error of
+    (q;q)_inf names q, and one of -lambda/q or its theta names lambda
+    (:func:`_lam_factor`)."""
     qc = qm.q
     q2m = qm.squared()
     th, th_q2 = _ThetaPlan(qm, tr), _ThetaPlan(q2m, tr)
-    theta_lam = _once(lambda: th(-lam / qc))
+
+    @_once
+    def theta_lam() -> complex:
+        th.qq()
+        return _lam_factor(lam, qm, "theta_q(-lambda/q)", th, -lam / qc)
+
     even_series = _SeriesPlan((0j,), (qc,), q2m, tr)
     odd_series = _SeriesPlan((0j,), (qc**3,), q2m, tr)
 

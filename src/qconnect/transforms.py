@@ -47,6 +47,7 @@ from .qcore import (
     _below_noise,
     _condition,
     _finite_abs,
+    _SPIRAL_STREAK,
     _sum_tail,
     _theta_tails,
     _ThetaPlan,
@@ -473,27 +474,26 @@ def _spiral_sum(
     series' term q^(n(n-1)/2) (lambda/x)^n over theta_q(lambda/x): the
     weights are the tails of ``qcore._theta_tails`` at lambda/x.
 
-    Each tail ends under the streak rule of :class:`Truncation`, with at
-    least five small terms in a row.  A caller that bounds the ratios of
-    its Borel values passes ``ratios`` = (up, down): up(c) bounds
-    |phi(lambda q^(n+1)) / phi(lambda q^n)| and down(c)
+    Each tail ends under the streak rule of :class:`Truncation`, with five
+    small terms in a row (``qcore._SPIRAL_STREAK``).  A caller that bounds
+    the ratios of its Borel values passes ``ratios`` = (up, down): up(c)
+    bounds |phi(lambda q^(n+1)) / phi(lambda q^n)| and down(c)
     |phi(lambda q^(-n-1)) / phi(lambda q^(-n))| for every n >= c, both
     falling with c.  With the weights' ratios |q|^n |lambda/x| and
     |q|^(n+1) |x/lambda| they bound every later term in closed form
-    (``qcore._theta_tails``), and a tail ends at the first small term
-    of its streak wherever that bound puts every term the streak would
-    still add below half the spacing of the doubles at both parts of the
-    sum and at its sum|term| (``qcore._sum_tail``): the value is that of
-    the full streak, bit for bit, and ``trunc.log`` counts fewer terms.  Without ``ratios``
-    (:func:`qlaplace_plus`, whose phi has no such bound) the streak runs
-    in full.
+    (``qcore._theta_tails``), and a tail ends at the first small term of
+    its streak wherever that bound puts every term the streak would still
+    add below half the spacing of the doubles at both parts of the sum and
+    at its sum|term| (``qcore._sum_tail``): the value is that of the full
+    streak, bit for bit, and ``trunc.log`` counts fewer terms.  Without
+    ``ratios`` (:func:`qlaplace_plus`, whose phi has no such bound) the
+    streak runs in full.
     """
     if x == 0:
         raise ZeroArgument("x must be nonzero")
     tr = th.tr
     ratio = lam / x
     th_ratio = _theta_from_x(th, ratio, x)
-    streak = max(5, tr.streak)
     upper, lower = _theta_tails(th.qm, ratio)
     up_later = down_later = None
     if ratios is not None:  # the weights' ratios, as in qcore._theta_tails
@@ -503,11 +503,11 @@ def _spiral_sum(
     a0 = abs(total)
     total, abs_sum, scale, n_up = _sum_tail(
         map(truediv, map(mul, up, upper), itertools.repeat(th_ratio)),
-        tr, total, a0, max(a0, 1e-300), streak, "spiral sum upper tail", up_later,
+        tr, total, a0, max(a0, 1e-300), _SPIRAL_STREAK, "spiral sum upper tail", up_later,
     )
     total, _, _, n_down = _sum_tail(
         map(truediv, map(mul, down, lower), itertools.repeat(th_ratio)),
-        tr, total, abs_sum, scale, streak, "spiral sum lower tail", down_later,
+        tr, total, abs_sum, scale, _SPIRAL_STREAK, "spiral sum lower tail", down_later,
     )
     tr.note(1 + n_up + n_down)
     return total

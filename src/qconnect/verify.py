@@ -66,7 +66,6 @@ from .qcore import (
     theta_product,
     theta_sum_with_condition,
     _condition,
-    _count,
     _finite_abs,
     _neg_lam_spiral,
     _once,
@@ -108,24 +107,16 @@ _CONDITION_KNEE = 1e3
 _DEGENERATE = 1e-250
 
 
-def default_grid(
-    rmin: float = 0.15,
-    rmax: float = 8.0,
-    n_moduli: int = 3,
-    n_angles: int = 8,
-) -> tuple[complex, ...]:
-    """Log-spaced moduli in [rmin, rmax] at n_angles uniform angles, offset
-    from the real axis by pi/16 to dodge the common exclusion spirals."""
-    _count(n_moduli, "n_moduli", positive=True)
-    _count(n_angles, "n_angles", positive=True)
+def default_grid(rmin: float = 0.15, rmax: float = 8.0) -> tuple[complex, ...]:
+    """3 log-spaced moduli rmin, sqrt(rmin rmax), rmax at 8 uniform angles,
+    offset from the real axis by pi/16 to dodge the common exclusion
+    spirals: 24 points.  A caller that wants another grid passes its points
+    (``IdentityCheck(grid=...)``, ``qconnect check --grid``)."""
     if not 0 < rmin <= rmax < math.inf:
         raise DomainError(f"grid needs finite 0 < rmin <= rmax, got rmin={rmin!r}, rmax={rmax!r}")
-    if n_moduli == 1:
-        moduli = [rmin]
-    else:
-        step = (rmax / rmin) ** (1.0 / (n_moduli - 1))
-        moduli = [rmin * step**i for i in range(n_moduli)]
-    angles = [math.pi / 16 + 2.0 * math.pi * j / n_angles for j in range(n_angles)]
+    step = (rmax / rmin) ** 0.5
+    moduli = [rmin * step**i for i in range(3)]
+    angles = [math.pi / 16 + 2.0 * math.pi * j / 8 for j in range(8)]
     return tuple(m * cmath.exp(1j * a) for m in moduli for a in angles)
 
 

@@ -165,14 +165,9 @@ class TestEval:
         assert err.startswith("error: n_max must be at least 1")
         assert "Traceback" not in out + err
 
-    @pytest.mark.parametrize("by_env", [False, True])
-    def test_infinite_eps_is_usage_error(self, capsys, monkeypatch, by_env):
+    def test_infinite_eps_is_usage_error(self, capsys):
         # the product plan took round/floor of log(inf): an OverflowError traceback
-        argv = ("eval", "theta", "--q", "0.5", "--x", "1")
-        if by_env:
-            monkeypatch.setenv("Q_CONNECT_TRUNC_EPS", "inf")
-        else:
-            argv += ("--eps", "inf")
+        argv = ("eval", "theta", "--q", "0.5", "--x", "1", "--eps", "inf")
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error: eps must satisfy 0 < eps < 1")
@@ -192,12 +187,6 @@ class TestEval:
         assert code == 1
         assert err.startswith("error: A_q series tail not below eps=1e-15 after n_max=3 terms")
         assert out == ""
-
-    def test_env_overrides_eps(self, capsys, monkeypatch):
-        monkeypatch.setenv("Q_CONNECT_TRUNC_EPS", "1e-6")
-        code, out, _ = run_cli(capsys, "eval", "Aq", "--q", "0.5", "--x", "1")
-        assert code == 0
-        assert "eps=1e-06" in out
 
 
 X = 0.3 + 0.2j
@@ -234,16 +223,12 @@ class TestEveryEvalChoice:
 
 class TestCheck:
     def test_pass_exit_zero(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "thm-ramanujan-qairy", "--q", "0.5", "--grid-default"
-        )
+        code, out, _ = run_cli(capsys, "check", "thm-ramanujan-qairy", "--q", "0.5")
         assert code == 0
         assert out.startswith("PASS max_rel_err=")
 
     def test_lambda_identity(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "thm-2f0", "--q", "0.5", "--lambda", "0.7", "--grid-default"
-        )
+        code, out, _ = run_cli(capsys, "check", "thm-2f0", "--q", "0.5", "--lambda", "0.7")
         assert code == 0
         assert out.startswith("PASS")
 
@@ -268,14 +253,6 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error: cannot parse 'nope'")
         assert out == ""
-
-    def test_grid_flags_exclude_each_other(self, capsys):
-        # the custom grid used to win silently
-        argv = ("check", "qde-theta", "--q", "0.5", "--grid-default", "--grid", "0.5+0.1i")
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert "not allowed with argument --grid-default" in err
-        assert out == "" and "Traceback" not in err
 
     def test_explicit_grid(self, capsys):
         code, out, _ = run_cli(

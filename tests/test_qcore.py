@@ -112,7 +112,7 @@ def streak_product(avals, q, tr):
     qn = 1 + 0j
     small = 0
     n = 0
-    while small < tr.streak:
+    while small < qcore._STREAK:
         mag = 0.0
         for av in avals:
             f = av * qn
@@ -185,7 +185,7 @@ class TestTruncation:
             {"eps": 30},
             {"eps": math.inf},
             {"n_max": 0},
-            {"streak": 0},
+            {"n_max": 2.5},
         ],
     )
     def test_validation(self, kw):
@@ -198,7 +198,7 @@ class TestTruncation:
         assert dataclasses.replace(tr, eps=1e-10)._log_eps == math.log(1e-10)
         # not a field: equality, hash and repr read eps alone
         names = [f.name for f in dataclasses.fields(Truncation)]
-        assert names == ["eps", "n_max", "streak", "log"]
+        assert names == ["eps", "n_max", "log"]
         assert tr == Truncation(eps=1e-12) and hash(tr) == hash(Truncation(eps=1e-12))
         assert "_log_eps" not in repr(tr)
 
@@ -443,7 +443,7 @@ class TestQPochhammerInf:
                 cmath.rect(10 ** rng.uniform(-18, 12), rng.uniform(-math.pi, math.pi))
                 for _ in range(2)
             )
-            tr = Truncation(n_max=n_max, streak=rng.choice((1, 3)))
+            tr = Truncation(n_max=n_max)
             try:
                 want = bits(streak_product(avals, q, tr)[0])
             except TruncationExceeded:
@@ -452,9 +452,8 @@ class TestQPochhammerInf:
             else:
                 assert bits(qpochhammer_inf(avals, q, tr)) == want
 
-    @pytest.mark.parametrize("streak", [1, 3])
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.95, 0.99, 0.6 * cmath.exp(2.1j)])
-    def test_closed_form_count_at_the_eps_boundary(self, q, streak):
+    def test_closed_form_count_at_the_eps_boundary(self, q):
         # max|a| |q^n| within a few ulp of eps, on both sides: the count in
         # closed form is the streak rule's, with its bits, and n_max one
         # below it raises while n_max equal to it does not (two arguments,
@@ -471,15 +470,15 @@ class TestQPochhammerInf:
             for _ in range(9):
                 for avals in ((complex(amax), cmath.rect(amax, -2.3)), (cmath.rect(amax, 0.7), 0j)):
                     log = TermLog()
-                    tr = Truncation(streak=streak, log=log)
+                    tr = Truncation(log=log)
                     want, factors = streak_product(avals, qm.q, tr)
                     assert bits(qpochhammer_inf(avals, qm, tr)) == bits(want)
                     assert log.terms == factors
                     rows = factors // len(avals)
                     rows_seen.add(rows)
                     with pytest.raises(TruncationExceeded):
-                        qpochhammer_inf(avals, qm, Truncation(streak=streak, n_max=rows - 1))
-                    got = qpochhammer_inf(avals, qm, Truncation(streak=streak, n_max=rows))
+                        qpochhammer_inf(avals, qm, Truncation(n_max=rows - 1))
+                    got = qpochhammer_inf(avals, qm, Truncation(n_max=rows))
                     assert bits(got) == bits(want)
                 amax = math.nextafter(amax, math.inf)
             straddled = straddled or len(rows_seen) > 1
@@ -1125,7 +1124,7 @@ def oracle_rphis(ups, lows, qm, x, tr):
                 t *= (-qn) ** d
             n += 1
 
-    total, abs_sum, _, count = _sum_tail(terms(), tr, 0j, 0.0, 1.0, tr.streak, "series")
+    total, abs_sum, _, count = _sum_tail(terms(), tr, 0j, 0.0, 1.0, qcore._STREAK, "series")
     tr.note(count)
     return total, _condition(abs_sum + closed, abs(total))
 
@@ -1622,7 +1621,7 @@ def running_theta_sum(q, x, tr):
     t = 1 + 0j
     qn = 1 + 0j
     small = n = 0
-    while small < tr.streak:
+    while small < qcore._STREAK:
         t *= qn * x
         qn *= q
         total += t
@@ -1636,7 +1635,7 @@ def running_theta_sum(q, x, tr):
     u = 1 + 0j
     qn = q
     small = m = 0
-    while small < tr.streak:
+    while small < qcore._STREAK:
         u *= qn / x
         qn *= q
         total += u
@@ -1674,7 +1673,7 @@ def running_rphis(ups, lows, qm, x, tr):
             n += 1
             break
         small = small + 1 if abs(t) <= tr.eps * scale else 0
-        if small >= tr.streak:
+        if small >= qcore._STREAK:
             n += 1
             break
         if n >= tr.n_max:
@@ -1760,7 +1759,7 @@ def running_two_f_zero(q, lam, x, tr):
     phi0 = e_exp(qm, lam / qc, tr, mode="product")
     ratio = lam / x
     th = theta(qm, ratio, tr)
-    streak = max(5, tr.streak)
+    streak = qcore._SPIRAL_STREAK
 
     def upper():
         # phi(lambda q^(n+1)) = (1 - lambda q^(n-1)) phi(lambda q^n)

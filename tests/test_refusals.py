@@ -1,7 +1,8 @@
 """Parameters the package cannot take reach the user as typed errors.
 
 A spiral anchor lambda of 0 or not finite, or one whose phi(lambda) =
-1/(lambda/q; q)_inf leaves double range, a Watson a, b or c that is 0 or
+1/(lambda/q; q)_inf or theta_q(-lambda/q) cannot be formed in double
+range, a Watson a, b or c that is 0 or
 not finite, an r_phi_s parameter that is not finite, a base whose square
 underflows to 0 where an identity evaluates at base q^2, and a formal
 series or operator coefficient out of double range each raise a
@@ -87,26 +88,51 @@ class TestLambda:
                 call()
             assert name in str(info.value) and "x=" not in str(info.value)
 
-    @pytest.mark.parametrize("q, lam", [(0.5, 1e308), (1e-200, 3e200), (0.5, -1e308j)])
+    @pytest.mark.parametrize(
+        "q, lam",
+        [(0.5, 1e308), (1e-200, 3e200), (0.5, -1e308j), (0.5, 1e200), (0.5, 1e300), (0.9, 1e150)],
+    )
     def test_lambda_whose_phi_leaves_range_is_named(self, q, lam):
-        # lambda/q overflows, so phi(lambda) = 1/(lambda/q; q)_inf cannot be
-        # formed: the refusal names lambda, not the overflowed lambda/q
+        # lambda/q or the product (lambda/q; q)_inf overflows, so phi(lambda)
+        # cannot be formed: the refusal names lambda, not the product's argument
         message = rf"^lambda={re.escape(repr(lam))} is out of double range for phi\(lambda\)"
         with pytest.raises(DomainError, match=message):
             two_f_zero(q, lam, 1.3)
 
+    @pytest.mark.parametrize(
+        "q, lam",
+        [(0.5, 1e308), (0.5, -1e308j), (0.5, 1e200), (0.5, 1e300), (0.5, 1e-300), (0.9, 1e150)],
+    )
+    def test_lambda_whose_theta_leaves_range_is_named(self, q, lam):
+        # -lambda/q or its theta leaves double range: the refusal names lambda,
+        # not x, which the closed form's theta_q(-lambda/q) does not read
+        message = rf"^lambda={re.escape(repr(lam))} is out of double range for theta_q\(-lambda/q\)"
+        with pytest.raises(DomainError, match=message) as info:
+            two_f_zero_closed(q, lam, 1.3)
+        assert "x=" not in str(info.value)
+
+    def test_base_whose_qq_underflows_is_not_blamed_on_lambda(self):
+        # (q;q)_inf underflows from |q| ~ 0.9978 on, at every lambda: the
+        # refusal names q's product, not lambda
+        with pytest.raises(DomainError, match=r"^a=\(0\.999\+0j\) .* underflows$"):
+            two_f_zero_closed(0.999, 0.5, 1.3)
+
     @pytest.mark.parametrize("ident", ["thm-2f0", "qde-2f0-resummed"])
     def test_lambda_whose_phi_leaves_range_is_the_skip_reason(self, ident):
-        rep = check(IdentityCheck(ident, 0.5, lam=1e308, grid=(1.3,)))
-        [p] = rep.points
-        assert p.skipped and p.reason.startswith(
-            "lambda=(1e+308+0j) is out of double range for phi(lambda)"
-        )
+        # lambda/q overflows (1e308) or the product does (1e200)
+        for lam in (1e308, 1e200):
+            rep = check(IdentityCheck(ident, 0.5, lam=lam, grid=(1.3,)))
+            [p] = rep.points
+            assert p.skipped and p.reason.startswith(
+                f"lambda={complex(lam)!r} is out of double range for phi(lambda)"
+            )
 
     def test_lambda_whose_phi_leaves_range_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "eval", "2f0", "--q", "0.5", "--lambda", "1e308", "--x", "1.3")
-        assert code == 3 and not out
-        assert err.startswith("domain error: lambda=(1e+308+0j) is out of double range")
+        for fn in ("2f0", "2f0-closed"):
+            for lam in (1e308, 1e200):
+                code, out, err = run_cli(capsys, "eval", fn, "--q", "0.5", "--lambda", str(lam), "--x", "1.3")
+                assert code == 3 and not out
+                assert err.startswith(f"domain error: lambda={complex(lam)!r} is out of double range")
 
     def test_spiral_exclusion_names_its_argument(self):
         spiral = Spiral(1 + 0j, as_modulus(0.5))

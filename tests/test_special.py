@@ -480,7 +480,7 @@ def running_Aq(q, x, tr):
         abs_sum += abs(t)
         scale = max(scale, abs(total), abs(t))
         small = small + 1 if abs(t) <= tr.eps * scale else 0
-        if small >= tr.streak:
+        if small >= qcore._STREAK:
             break
         if n >= tr.n_max:
             raise TruncationExceeded("reference A_q series exceeded n_max")

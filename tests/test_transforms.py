@@ -31,7 +31,7 @@ from qconnect import (
     theta,
     theta_sum_with_condition,
 )
-from qconnect import transforms, verify
+from qconnect import qcore, transforms, verify
 from qconnect.qcore import DEFAULT_TRUNCATION, _theta_shift, _ThetaPlan
 from conftest import decimal_rel_err, decimal_theta, random_series, rel_err, theta_rounding_bound
 
@@ -746,7 +746,7 @@ def running_theta_circle(qm, rho, tr):
     qn = 1 + 0j
     powers = []
     small = 0
-    while small < tr.streak:
+    while small < qcore._STREAK:
         powers.append(qn)
         small = small + 1 if max(abs(av * qn) for av in avals) < tr.eps else 0
         qn *= qc

@@ -47,7 +47,7 @@ class TestDefaultGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            default_grid(n_moduli=0)
+            default_grid(2.0, 1.0)
 
 
 class TestIdentityCheckConstruction:
@@ -370,6 +370,14 @@ class TestReportSerialization:
             "skipped",
             "reason",
         ]
+
+    def test_trunc_records_the_whole_truncation(self):
+        # every field a Truncation compares is recorded, so two runs that
+        # differ in their truncation never share a record
+        trunc = Truncation(eps=1e-12, n_max=500)
+        d = check(IdentityCheck("ismail-zhang", 0.5, trunc=trunc)).to_json_dict()
+        assert Truncation(**d["trunc"]) == trunc
+        assert [f.name for f in dataclasses.fields(Truncation) if f.compare] == list(d["trunc"])
 
     def test_json_round_trip_is_byte_identical(self, report):
         text = report.to_json()
